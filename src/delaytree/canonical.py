@@ -9,14 +9,22 @@ the isomorphism test and codes can key dictionaries.
 
 The module also provides exhaustive enumeration of all canonical trees up
 to a size cap (two independent routes: multiset composition and leaf
-attachment, cross-checked in the tests) and the bottom-up subtree census
-used by the fringe estimators.
+attachment, cross-checked in the tests) and two bottom-up subtree
+censuses.  ``shape_labels`` is the one the fringe estimators use: it gives
+every vertex an integer label for the shape of its fringe (the subtree
+below it), interning sorted child-label rows level by level with NumPy in
+the manner of Aho, Hopcroft & Ullman's tree-isomorphism algorithm, and
+writes a parenthesis code only once per distinct shape.  ``subtree_codes``
+builds a code string at every vertex; it is the plain reference the
+labelling is tested against, and backs ``code_from_parents``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import ArgumentError
 
@@ -32,6 +40,7 @@ __all__ = [
     "child_counts",
     "code_from_parents",
     "subtree_codes",
+    "shape_labels",
     "all_canonical_trees",
     "q_count",
 ]
@@ -150,6 +159,89 @@ def subtree_codes(parents, cap: int | None = None) -> list:
         else:
             codes[v] = code_from_children(codes[c] for c in kids[v])
     return codes
+
+
+def shape_labels(parents, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Integer shape label of the subtree below each vertex, up to ``cap``.
+
+    ``parents`` is a birth-order parent array as for ``subtree_codes``.
+    Returns ``(labels, codes)``: ``labels[v]`` (entry 0 unused, -1) is an
+    index into ``codes``, the canonical codes of the distinct shapes met,
+    and equal labels mean isomorphic subtrees.  A vertex gets -1 instead
+    when its subtree has more than ``cap`` vertices.
+
+    Round 0 labels the leaves; round r labels the vertices whose last child
+    was labelled in round r-1 and whose subtree fits under the cap, so a
+    shape is labelled in the round equal to its height and at most ``cap``
+    rounds run.  A vertex with a child left at -1 is never labelled.
+    Children are appended to their parent's slice of ``rows`` in ascending
+    label order (a round's labels all exceed the previous round's), so
+    every child-label row arrives sorted and is interned as a whole.
+    """
+    if cap < 1:
+        raise ArgumentError("cap must be >= 1")
+    par = np.asarray(parents)
+    n = len(par) - 1
+    if n < 1:
+        raise ArgumentError("parent array must cover at least vertex 1")
+    if par.dtype.kind not in "iu":
+        raise ArgumentError("parent array must hold integers")
+    par = par.astype(np.int64, copy=False)
+    up = par[2:]
+    bad = np.flatnonzero((up < 1) | (up >= np.arange(2, n + 1)))
+    if bad.size:
+        v = int(bad[0]) + 2
+        raise ArgumentError(f"vertex {v} has invalid parent {par[v]}")
+
+    kids = np.bincount(up, minlength=n + 1)
+    # the labels of u's children go to rows[start[u] : start[u] + kids[u]]
+    start = np.cumsum(kids) - kids
+    rows = np.empty(n - 1, dtype=np.int64)
+    filled = np.zeros(n + 1, dtype=np.int64)
+    labels = np.full(n + 1, -1, dtype=np.int64)
+    fresh = np.flatnonzero(kids[1:] == 0) + 1
+    labels[fresh] = 0
+    codes = [SINGLETON]
+    sizes = [1]  # vertex count of each shape
+    for _ in range(1, cap):
+        fresh = fresh[fresh > 1]
+        if not fresh.size:
+            break
+        # hand the fresh labels to the parents, sorted by (parent, label)
+        key = np.sort(par[fresh] * (n + 1) + labels[fresh])
+        owner, label = np.divmod(key, n + 1)
+        first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        count = np.diff(np.r_[first, owner.size])
+        owners = owner[first]
+        rank = np.arange(owner.size) - np.repeat(first, count)
+        rows[start[owner] + filled[owner] + rank] = label
+        filled[owners] += count
+        ready = owners[(filled[owners] == kids[owners]) & (kids[owners] < cap)]
+
+        shape_size = np.asarray(sizes)
+        base = len(codes)
+        labelled = []
+        width = kids[ready]
+        for k in np.unique(width).tolist():
+            group = ready[width == k]
+            child = rows[start[group][:, None] + np.arange(k)]
+            fits = shape_size[child].sum(axis=1) < cap
+            group, child = group[fits], child[fits]
+            if not group.size:
+                continue
+            # intern the rows column by column: row ids stay below the row
+            # count and child labels below base, so the keys fit in int64
+            row_id = child[:, 0]
+            for j in range(1, k):
+                row_id = np.unique(row_id * base + child[:, j], return_inverse=True)[1]
+            _, first_row, row_id = np.unique(row_id, return_index=True, return_inverse=True)
+            labels[group] = len(codes) + row_id.reshape(-1)
+            for row in child[first_row].tolist():
+                codes.append(code_from_children(codes[c] for c in row))
+                sizes.append(1 + sum(sizes[c] for c in row))
+            labelled.append(group)
+        fresh = np.concatenate(labelled) if labelled else ready[:0]
+    return labels, tuple(codes)
 
 
 @lru_cache(maxsize=None)

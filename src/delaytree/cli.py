@@ -176,10 +176,13 @@ def _tol_overrides(pairs) -> dict:
 
 
 def _cmd_simulate(args) -> int:
+    """simulate, and compare, which also prints a closing PASS/FAIL line."""
     stats = tuple(s.strip() for s in args.stats.split(",") if s.strip())
     plan = _plan_from_args(args, stats, _tol_overrides(args.tol))
     summary = run(plan)
     _print_checks(summary)
+    if args.command == "compare":
+        print("PASS" if summary.ok else "FAIL")
     return 0 if summary.ok else 1
 
 
@@ -247,15 +250,6 @@ def _cmd_check_delay(args) -> int:
     return 0 if scan.verdict == "satisfied" else 1
 
 
-def _cmd_compare(args) -> int:
-    stats = tuple(s.strip() for s in args.stats.split(",") if s.strip())
-    plan = _plan_from_args(args, stats, _tol_overrides(args.tol))
-    summary = run(plan)
-    _print_checks(summary)
-    print("PASS" if summary.ok else "FAIL")
-    return 0 if summary.ok else 1
-
-
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -267,6 +261,13 @@ def _add_config_args(sp) -> None:
     sp.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
     sp.add_argument("--out", default=None, help="directory for CSV/JSON outputs")
     sp.add_argument("--workers", type=int, default=1, help="replicate worker processes")
+
+
+def _add_simulate_args(sp) -> None:
+    _add_config_args(sp)
+    sp.add_argument("--stats", default="degree,fringe")
+    sp.add_argument("--tol", action="append", metavar="KEY=VALUE")
+    sp.set_defaults(func=_cmd_simulate)
 
 
 def _add_kernel_args(sp) -> None:
@@ -286,10 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("simulate", help="grow replicates and aggregate statistics")
-    _add_config_args(sp)
-    sp.add_argument("--stats", default="degree,fringe")
-    sp.add_argument("--tol", action="append", metavar="KEY=VALUE")
-    sp.set_defaults(func=_cmd_simulate)
+    _add_simulate_args(sp)
 
     sp = sub.add_parser("theory", help="print analytic constants for a kernel")
     _add_kernel_args(sp)
@@ -318,10 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_check_delay)
 
     sp = sub.add_parser("compare", help="run statistics and verdict against tolerances")
-    _add_config_args(sp)
-    sp.add_argument("--stats", default="degree,fringe")
-    sp.add_argument("--tol", action="append", metavar="KEY=VALUE")
-    sp.set_defaults(func=_cmd_compare)
+    _add_simulate_args(sp)
 
     return parser
 

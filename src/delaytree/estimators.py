@@ -4,6 +4,12 @@ Degree histograms, fringe-subtree censuses (plain and parent-paired),
 root-degree trajectories, the leaf CLT statistic across replicates, and the
 analytic delay-condition scan.  Everything here is read-only over a trace.
 
+Both fringe censuses read one integer shape labelling of the trace
+(``canonical.shape_labels``): the fringe counts are a bincount of the
+labels and the pair counts a count of (own label, parent's label) keys, so
+a caller that wants both labels the trace once and builds each census with
+``from_labels``.  Code strings appear only as the keys of the result.
+
 Degree conventions, fixed once for the whole package: the histogram counts
 *graph* degrees (children plus the parent edge, root has no parent edge),
 so sum_k k*N_k = 2(n-1) holds on every tree; the root trajectory uses the
@@ -19,7 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import subtree_codes
+# subtree_codes is not called here; it stays importable under this module
+# because perfbench/tracer.py wraps it at delaytree.estimators.subtree_codes
+from .canonical import shape_labels, subtree_codes  # noqa: F401
 from .errors import ArgumentError
 from .growth import TreeTrace, deg_at
 from .kernels import DelayLaw
@@ -33,6 +41,7 @@ __all__ = [
     "PairCensus",
     "extended_fringe_census",
     "LeafCltResult",
+    "leaf_clt_value",
     "leaf_clt_statistic",
     "RootTrajectory",
     "root_trajectory",
@@ -104,20 +113,23 @@ class FringeCensus:
     def freq(self, code: str) -> float:
         return self.counts.get(code, 0) / self.n
 
+    @classmethod
+    def from_labels(cls, labels: np.ndarray, codes, cap: int) -> "FringeCensus":
+        """Census of a ``shape_labels(parents, cap)`` result."""
+        own = labels[1:]
+        kept = own[own >= 0]
+        counts = np.bincount(kept, minlength=len(codes))
+        return cls(
+            counts={codes[i]: c for i, c in enumerate(counts.tolist())},
+            n=len(own),
+            truncated=len(own) - len(kept),
+            cap=cap,
+        )
+
 
 def fringe_census(trace: TreeTrace, cap: int = 6) -> FringeCensus:
-    if cap < 1:
-        raise ArgumentError("cap must be >= 1")
-    codes = subtree_codes(trace.parents[: trace.n + 1], cap)
-    counts: dict = {}
-    truncated = 0
-    for v in range(1, trace.n + 1):
-        code = codes[v]
-        if code is None:
-            truncated += 1
-        else:
-            counts[code] = counts.get(code, 0) + 1
-    return FringeCensus(counts=counts, n=trace.n, truncated=truncated, cap=cap)
+    labels, codes = shape_labels(trace.parents[: trace.n + 1], cap)
+    return FringeCensus.from_labels(labels, codes, cap)
 
 
 @dataclass(frozen=True)
@@ -146,27 +158,41 @@ class PairCensus:
     def child_marginal(self, code: str) -> int:
         return sum(c for (t0, _), c in self.counts.items() if t0 == code)
 
+    @classmethod
+    def from_labels(cls, labels: np.ndarray, codes, parents, cap: int) -> "PairCensus":
+        """Pair census of a ``shape_labels(parents, cap)`` result."""
+        n = len(labels) - 1
+        up = labels[parents[2 : n + 1]]
+        kept = up >= 0
+        keys, counts = np.unique(
+            labels[2:][kept] * len(codes) + up[kept], return_counts=True
+        )
+        own, parent = np.divmod(keys, len(codes))
+        return cls(
+            counts={
+                (codes[a], codes[b]): c
+                for a, b, c in zip(own.tolist(), parent.tolist(), counts.tolist())
+            },
+            n=n,
+            truncated=int(np.count_nonzero(~kept)),
+            cap=cap,
+        )
+
 
 def extended_fringe_census(trace: TreeTrace, cap: int = 6) -> PairCensus:
-    if cap < 1:
-        raise ArgumentError("cap must be >= 1")
-    parents = trace.parents
-    codes = subtree_codes(parents[: trace.n + 1], cap)
-    counts: dict = {}
-    truncated = 0
-    for v in range(2, trace.n + 1):
-        up = codes[parents[v]]
-        if up is None:
-            truncated += 1
-            continue
-        pair = (codes[v], up)
-        counts[pair] = counts.get(pair, 0) + 1
-    return PairCensus(counts=counts, n=trace.n, truncated=truncated, cap=cap)
+    parents = trace.parents[: trace.n + 1]
+    labels, codes = shape_labels(parents, cap)
+    return PairCensus.from_labels(labels, codes, parents, cap)
 
 
 # ---------------------------------------------------------------------------
 # Leaf CLT statistic
 # ---------------------------------------------------------------------------
+
+
+def leaf_clt_value(n1: int, n: int, p1: float) -> float:
+    """The leaf CLT statistic of one tree: sqrt(n) * (N_1/n - p1)."""
+    return math.sqrt(n) * (n1 / n - p1)
 
 
 @dataclass(frozen=True)
@@ -205,8 +231,7 @@ def leaf_clt_statistic(traces, alpha: float) -> LeafCltResult:
             n_ref = trace.n
         elif trace.n != n_ref:
             raise ArgumentError(f"replicates at mixed sizes: {n_ref} vs {trace.n}")
-        n1 = degree_hist(trace).count(1)
-        svals.append(math.sqrt(trace.n) * (n1 / trace.n - consts.p1))
+        svals.append(leaf_clt_value(degree_hist(trace).count(1), trace.n, consts.p1))
     if n_ref is None or len(svals) < 2:
         raise ArgumentError("need at least 2 replicates")
     return LeafCltResult(

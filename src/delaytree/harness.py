@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,6 +24,7 @@ import numpy as np
 
 from . import estimators as est
 from . import theory
+from .canonical import shape_labels
 from .configio import config_hash, render_config
 from .errors import ArgumentError
 from .growth import grow
@@ -166,8 +166,11 @@ def _replicate_record(args) -> dict:
     if "degree" in stats:
         rec["degree_counts"] = hist.counts
     if "fringe" in stats:
-        census = est.fringe_census(trace, cap=cfg.fringe_cap)
-        pairs = est.extended_fringe_census(trace, cap=cfg.fringe_cap)
+        cap = cfg.fringe_cap
+        parents = trace.parents[: trace.n + 1]
+        labels, codes = shape_labels(parents, cap)
+        census = est.FringeCensus.from_labels(labels, codes, cap)
+        pairs = est.PairCensus.from_labels(labels, codes, parents, cap)
         rec["fringe_counts"] = census.counts
         rec["fringe_truncated"] = census.truncated
         rec["pair_counts"] = pairs.counts
@@ -302,7 +305,7 @@ def _aggregate_clt(plan: ExperimentPlan, records: list) -> tuple[dict, dict]:
     consts = theory.clt_constants(alpha)
     n = config.n_final
     s = np.array(
-        [math.sqrt(n) * (r["n1"] / n - consts.p1) for r in records], dtype=np.float64
+        [est.leaf_clt_value(r["n1"], n, consts.p1) for r in records], dtype=np.float64
     )
     var = float(s.var(ddof=1))
     rel = abs(var - consts.sigma1_sq) / consts.sigma1_sq

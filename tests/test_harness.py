@@ -1,5 +1,6 @@
 """Replicate executor: seed derivation, TV metric, aggregation, files."""
 
+import dataclasses
 import json
 import os
 
@@ -8,7 +9,7 @@ import pytest
 
 from delaytree.configio import config_hash
 from delaytree.errors import ArgumentError
-from delaytree.estimators import degree_hist, fringe_census
+from delaytree.estimators import degree_hist, fringe_census, leaf_clt_statistic
 from delaytree.growth import grow
 from delaytree.harness import (
     ExperimentPlan,
@@ -196,3 +197,13 @@ def test_failing_tolerance_flips_ok():
     summary = run(plan)
     assert not summary.ok
     assert not summary.checks["degree"]["ok"]
+
+
+def test_clt_values_match_leaf_clt_statistic():
+    plan = _plan(n=600, reps=4, stats=("clt",))
+    s = run(plan).statistics["clt"]["s_values"]
+    traces = (
+        grow(dataclasses.replace(plan.config, seed=replicate_seed(plan.config.seed, r)))
+        for r in range(plan.replicates)
+    )
+    assert np.array_equal(s, leaf_clt_statistic(traces, alpha=0.0).s_values)

@@ -1,0 +1,191 @@
+"""The integer shape labelling against the string-code reference.
+
+``shape_labels`` feeds both fringe censuses; ``subtree_codes`` builds a
+code string at every vertex and serves as the reference here.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from delaytree import harness
+from delaytree.canonical import shape_labels, subtree_codes
+from delaytree.cli import PRESETS
+from delaytree.configio import build_config, parse_config_text
+from delaytree.errors import ArgumentError
+from delaytree.estimators import (
+    FringeCensus,
+    PairCensus,
+    extended_fringe_census,
+    fringe_census,
+)
+from delaytree.growth import grow, trace_from_parents
+from delaytree.harness import ExperimentPlan
+from delaytree.kernels import AffineKernel, GrowthConfig, Uniform01Delay
+
+AFF = AffineKernel(0.0)
+
+
+def _reference(parents, cap):
+    """Fringe counts, truncated, pair counts, pair truncated via subtree_codes."""
+    codes = subtree_codes(parents, cap)
+    n = len(parents) - 1
+    counts, pairs = {}, {}
+    for v in range(1, n + 1):
+        if codes[v] is not None:
+            counts[codes[v]] = counts.get(codes[v], 0) + 1
+    for v in range(2, n + 1):
+        up = codes[parents[v]]
+        if up is not None:
+            pairs[(codes[v], up)] = pairs.get((codes[v], up), 0) + 1
+    truncated = sum(c is None for c in codes[1:])
+    pair_truncated = sum(codes[parents[v]] is None for v in range(2, n + 1))
+    return codes, counts, truncated, pairs, pair_truncated
+
+
+def _check_against_reference(parents, cap):
+    parents = np.asarray(parents, dtype=np.int64)
+    n = len(parents) - 1
+    codes, counts, truncated, pairs, pair_truncated = _reference(parents, cap)
+    labels, shapes = shape_labels(parents, cap)
+    assert len(set(shapes)) == len(shapes)  # one label per shape
+    assert labels[0] == -1
+    for v in range(1, n + 1):
+        assert (shapes[labels[v]] if labels[v] >= 0 else None) == codes[v]
+    fc = FringeCensus.from_labels(labels, shapes, cap)
+    pc = PairCensus.from_labels(labels, shapes, parents, cap)
+    assert (fc.counts, fc.truncated, fc.n) == (counts, truncated, n)
+    assert (pc.counts, pc.truncated, pc.n) == (pairs, pair_truncated, n)
+    assert sum(fc.counts.values()) + fc.truncated == n
+    assert sum(pc.counts.values()) + pc.truncated == n - 1
+
+
+@st.composite
+def _parent_arrays(draw):
+    n = draw(st.integers(1, 80))
+    parents = [0, 0] + [draw(st.integers(1, v - 1)) for v in range(2, n + 1)]
+    return parents[: n + 1], draw(st.integers(1, n + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parent_arrays())
+def test_labels_match_reference_on_random_trees(case):
+    parents, cap = case
+    _check_against_reference(parents, cap)
+
+
+def _path(n):
+    return [0, 0] + list(range(1, n))
+
+
+def _star(n):
+    return [0, 0] + [1] * (n - 1)
+
+
+def _caterpillar(spine, legs):
+    parents = [0, 0] + list(range(1, spine))
+    for s in range(1, spine + 1):
+        parents += [s] * legs
+    return parents
+
+
+@pytest.mark.parametrize(
+    "parents",
+    [[0, 0], _path(12), _star(12), _caterpillar(6, 2), _caterpillar(4, 3)],
+    ids=["singleton", "path", "star", "caterpillar-6x2", "caterpillar-4x3"],
+)
+@pytest.mark.parametrize("cap", [1, 2, 3, 5, 8, 40])
+def test_labels_match_reference_on_hand_trees(parents, cap):
+    _check_against_reference(parents, cap)
+
+
+def test_hand_tree_labels():
+    labels, shapes = shape_labels(_path(4), cap=3)
+    assert [shapes[i] if i >= 0 else None for i in labels[1:]] == [
+        None,
+        "((()))",
+        "(())",
+        "()",
+    ]
+    labels, shapes = shape_labels([0, 0], cap=1)
+    assert labels.tolist() == [-1, 0] and shapes == ("()",)
+    labels, shapes = shape_labels(_star(5), cap=5)
+    assert shapes == ("()", "(()()()())")
+    assert labels.tolist() == [-1, 1, 0, 0, 0, 0]
+    labels, _ = shape_labels(_star(5), cap=4)  # root has 4 children: size 5
+    assert labels.tolist() == [-1, -1, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_census_matches_reference_on_presets(preset):
+    entries = parse_config_text(PRESETS[preset])
+    entries["n_final"] = "20000"
+    config, _ = build_config(entries)
+    trace = grow(config)
+    parents = trace.parents[: trace.n + 1]
+    for cap in (4, 6):
+        _, counts, truncated, pairs, pair_truncated = _reference(parents, cap)
+        fc = fringe_census(trace, cap=cap)
+        pc = extended_fringe_census(trace, cap=cap)
+        assert (fc.counts, fc.truncated) == (counts, truncated)
+        assert (pc.counts, pc.truncated) == (pairs, pair_truncated)
+
+
+@pytest.mark.parametrize(
+    "parents, cap, message",
+    [
+        ([0, 0, 1, 0], 4, "vertex 3 has invalid parent 0"),
+        ([0, 0, 1, 3], 4, "vertex 3 has invalid parent 3"),
+        ([0, 0, 1, 2, 7], 4, "vertex 4 has invalid parent 7"),
+        ([0, 0, -1], 4, "vertex 2 has invalid parent -1"),
+        ([0], 4, "at least vertex 1"),
+        ([0, 0, 1], 0, "cap must be >= 1"),
+        ([0, 0, 1.0], 4, "integers"),
+    ],
+    ids=["zero", "self", "later", "negative", "empty", "cap", "float"],
+)
+def test_invalid_input_raises(parents, cap, message):
+    with pytest.raises(ArgumentError, match=message):
+        shape_labels(parents, cap)
+    if cap >= 1 and not isinstance(parents[-1], float):
+        with pytest.raises(ArgumentError, match=message):
+            subtree_codes(parents, cap)  # the same boundary as the reference
+
+
+def test_censuses_reject_bad_cap():
+    trace = trace_from_parents([0, 0, 1, 1], AFF)
+    for census in (fringe_census, extended_fringe_census):
+        with pytest.raises(ArgumentError, match="cap must be >= 1"):
+            census(trace, cap=0)
+
+
+def test_harness_labels_each_replicate_once(monkeypatch):
+    calls = []
+
+    def counting(parents, cap):
+        calls.append(len(parents) - 1)
+        return shape_labels(parents, cap)
+
+    monkeypatch.setattr(harness, "shape_labels", counting)
+    cfg = GrowthConfig(AFF, Uniform01Delay(beta=0.5), 800, seed=3)
+    plan = ExperimentPlan(
+        config=cfg,
+        replicates=3,
+        statistics=("degree", "fringe"),
+        tolerances={"degree_tv": 1.0, "fringe_abs": 1.0, "pair_abs": 1.0},
+    )
+    summary = harness.run(plan)
+    assert calls == [800, 800, 800]
+    f = summary.statistics["fringe"]
+    # the pooled counts are those of the two public censuses, replicate by replicate
+    expect, expect_pairs = {}, {}
+    for r in range(3):
+        trace = grow(dataclasses.replace(cfg, seed=harness.replicate_seed(cfg.seed, r)))
+        for code, c in fringe_census(trace, cfg.fringe_cap).counts.items():
+            expect[code] = expect.get(code, 0) + c
+        for pair, c in extended_fringe_census(trace, cfg.fringe_cap).counts.items():
+            expect_pairs[pair] = expect_pairs.get(pair, 0) + c
+    assert f["counts"] == expect and f["pair_counts"] == expect_pairs
