@@ -40,6 +40,7 @@ __all__ = [
     "child_counts",
     "code_from_parents",
     "subtree_codes",
+    "check_parents",
     "shape_labels",
     "all_canonical_trees",
     "q_count",
@@ -161,6 +162,29 @@ def subtree_codes(parents, cap: int | None = None) -> list:
     return codes
 
 
+def check_parents(parents) -> np.ndarray:
+    """Validate a birth-order parent array and return it as int64.
+
+    Every vertex v = 2..n needs 1 <= parents[v] < v (entries 0 and 1 are
+    ignored); the first vertex that breaks this is named in the
+    ArgumentError.  The input array itself is returned when it already is
+    int64.
+    """
+    par = np.asarray(parents)
+    n = len(par) - 1
+    if n < 1:
+        raise ArgumentError("parent array must cover at least vertex 1")
+    if par.dtype.kind not in "iu":
+        raise ArgumentError("parent array must hold integers")
+    par = par.astype(np.int64, copy=False)
+    up = par[2:]
+    bad = np.flatnonzero((up < 1) | (up >= np.arange(2, n + 1)))
+    if bad.size:
+        v = int(bad[0]) + 2
+        raise ArgumentError(f"vertex {v} has invalid parent {par[v]}")
+    return par
+
+
 def shape_labels(parents, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """Integer shape label of the subtree below each vertex, up to ``cap``.
 
@@ -180,18 +204,9 @@ def shape_labels(parents, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """
     if cap < 1:
         raise ArgumentError("cap must be >= 1")
-    par = np.asarray(parents)
+    par = check_parents(parents)
     n = len(par) - 1
-    if n < 1:
-        raise ArgumentError("parent array must cover at least vertex 1")
-    if par.dtype.kind not in "iu":
-        raise ArgumentError("parent array must hold integers")
-    par = par.astype(np.int64, copy=False)
     up = par[2:]
-    bad = np.flatnonzero((up < 1) | (up >= np.arange(2, n + 1)))
-    if bad.size:
-        v = int(bad[0]) + 2
-        raise ArgumentError(f"vertex {v} has invalid parent {par[v]}")
 
     kids = np.bincount(up, minlength=n + 1)
     # the labels of u's children go to rows[start[u] : start[u] + kids[u]]

@@ -29,7 +29,7 @@ import numpy as np
 # because perfbench/tracer.py wraps it at delaytree.estimators.subtree_codes
 from .canonical import shape_labels, subtree_codes  # noqa: F401
 from .errors import ArgumentError
-from .growth import TreeTrace, deg_at
+from .growth import TreeTrace
 from .kernels import DelayLaw
 from .theory import clt_constants
 
@@ -284,7 +284,8 @@ def root_trajectory(trace: TreeTrace, theta: float, grid=None, ex_x=None) -> Roo
     ns = geometric_grid(trace.n) if grid is None else np.asarray(grid, dtype=np.int64)
     if np.any(np.diff(ns) <= 0) or ns[0] < 1 or ns[-1] > trace.n:
         raise ArgumentError("grid must be strictly increasing within [1, n]")
-    values = np.array([deg_at(trace, 1, int(m)) for m in ns], dtype=np.float64)
+    root_births = np.flatnonzero(trace.parents[2 : trace.n + 1] == 1) + 2
+    values = 1.0 + np.searchsorted(root_births, ns, side="right")
     over_ex = None
     if ex_x is not None:
         over_ex = values / np.array([ex_x(float(m)) for m in ns])

@@ -1,18 +1,27 @@
-"""Tree growth engine: traces, snapshot indices, and parent samplers.
+"""Tree growth engine: the trace, degree views and the parent samplers.
 
-A grown tree is recorded as a :class:`TreeTrace`: birth-order parent
-pointers plus, per vertex, the delay it drew and the snapshot time it
-consulted.  Parent choice within a snapshot is implemented three ways, all
-distributionally identical where their preconditions hold:
+A grown tree is recorded as a :class:`TreeTrace`: its birth-order parent
+array plus, per vertex, the delay it drew and the snapshot time it
+consulted.  The parent array is the one stored form of the tree; degrees at
+any time, the total weight Psi(m) and the edge list are counts over it.
 
-* ``edge``   -- endpoint-list trick, exact for uniform and affine kernels.
-  The flat array of edge endpoints restricted to its first 2(m-1) entries
-  contains each vertex v <= m exactly graph-degree(v in snapshot m) times,
-  so a uniform entry plus a uniform-vertex mixture realises
-  P(v) = (deg + alpha) / Psi(m) in O(1).
+Parent choice within a snapshot is implemented three ways, all
+distributionally identical where their preconditions hold.  Each has one
+per-arrival draw function; :func:`grow` calls it once per arrival and the
+``sample_parent_*`` single-draw entry points call it on a frozen tree.
+
+* ``edge``   -- endpoint-list trick of Batagelj & Brandes (Phys. Rev. E 71,
+  036113, 2005), exact for uniform and affine kernels.  The edge made by
+  vertex k has endpoints (parents[k], k), so the first 2(m-1) endpoints
+  contain each vertex v <= m exactly graph-degree(v in snapshot m) times
+  and endpoint e is vertex k = e//2 + 2 when e is odd, parents[k] when e is
+  even.  A uniform endpoint plus a uniform-vertex mixture realises
+  P(v) = (deg + alpha) / Psi(m) in O(1) with no endpoint array stored.
 * ``rejection`` -- Fenwick-indexed proposal from the *current* weights
   restricted to [1..m], thinned by f(deg in snapshot)/f(deg now).  Exact
-  for any monotone kernel; expected retries = Psi(n)-to-Psi(m) ratio.
+  for any monotone kernel; expected retries = Psi(n)-to-Psi(m) ratio.  The
+  Fenwick tree, current degrees and child birth lists are sampler state,
+  built by :func:`grow` or by :func:`rejection_state` for a frozen tree.
 * ``scan`` -- linear scan of snapshot weights.  Exact for every kernel and
   the oracle the other two are tested against.
 
@@ -24,22 +33,23 @@ time 1 where nothing is sampled anyway).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .canonical import check_parents
 from .errors import ArgumentError, StrategyError
 from .kernels import AttachmentKernel, GrowthConfig, snapshot_times
 
 __all__ = [
     "Fenwick",
-    "SnapshotIndex",
     "TreeTrace",
     "grow",
     "trace_from_parents",
     "deg_at",
     "weight_degree",
     "psi_recomputed",
+    "rejection_state",
     "sample_parent_scan",
     "sample_parent_affine",
     "sample_parent_rejection",
@@ -89,38 +99,20 @@ class Fenwick:
 
 
 @dataclass
-class SnapshotIndex:
-    """Flat edge-endpoint list plus (optionally) the Fenwick weight index.
-
-    ``edge_endpoints[2j-2 : 2j]`` holds (parent, child) of the j-th edge,
-    the one created by vertex j+1.  Restricted to the first 2(m-1) entries
-    the multiset of endpoints satisfies, for every vertex v <= m,
-    count(v) + 1{v == 1} = deg_at(v, m): only the root lacks a parent edge.
-    """
-
-    edge_endpoints: np.ndarray
-    fenwick: Fenwick | None = None
-
-
-@dataclass
 class TreeTrace:
     """Complete record of one growth run (or a hand-built tree).
 
-    ``parents[v]`` is the parent of vertex v (v >= 2), ``child_times[v]``
-    the sorted birth times of v's children, ``psi[m]`` the total attachment
-    weight of the time-m tree, ``xis[v]``/``snapshots[v]`` the delay drawn
-    and snapshot consulted by vertex v (0 for hand-built traces and for the
-    deterministic vertex 2).
+    ``parents[v]`` is the parent of vertex v (v >= 2; entries 0 and 1 are
+    0), ``xis[v]``/``snapshots[v]`` the delay drawn and snapshot consulted
+    by vertex v (0 for hand-built traces and for the deterministic vertex
+    2), ``retries`` the rejected proposals of the rejection sampler.
     """
 
     kernel: AttachmentKernel
     n: int
     parents: np.ndarray
-    child_times: list
-    psi: np.ndarray
     xis: np.ndarray
     snapshots: np.ndarray
-    index: SnapshotIndex
     retries: int = 0
     config: GrowthConfig | None = None
 
@@ -135,19 +127,23 @@ class TreeTrace:
 # ---------------------------------------------------------------------------
 
 
+def _children_by(trace: TreeTrace, v: int, m: int) -> int:
+    """Children of v born by time m, for 1 <= m <= n."""
+    if m < 1 or m > trace.n:
+        raise ArgumentError(f"snapshot time {m} outside 1..{trace.n}")
+    return int(np.count_nonzero(trace.parents[2 : m + 1] == v))
+
+
 def deg_at(trace: TreeTrace, v: int, m: int) -> int:
     """Reported degree of v at time m: 1 + children born by m; 0 if unborn.
 
     The root counts like everyone else (degree 1 at birth), so on the
     3-chain deg_at(1, 3) == 2.
     """
-    if m < 1 or m > trace.n:
-        raise ArgumentError(f"snapshot time {m} outside 1..{trace.n}")
+    cnt = _children_by(trace, v, m)
     if v < 1 or v > trace.n:
         raise ArgumentError(f"vertex {v} outside 1..{trace.n}")
-    if v > m:
-        return 0
-    return 1 + bisect_right(trace.child_times[v], m)
+    return 0 if v > m else 1 + cnt
 
 
 def weight_degree(trace: TreeTrace, v: int, m: int) -> int:
@@ -156,19 +152,15 @@ def weight_degree(trace: TreeTrace, v: int, m: int) -> int:
     Equals deg_at for every vertex except the root, which has no parent
     edge; at m = 1 the lone root is clamped to degree 1 by convention.
     """
-    if m < 1 or m > trace.n:
-        raise ArgumentError(f"snapshot time {m} outside 1..{trace.n}")
+    cnt = _children_by(trace, v, m)
     if v < 1 or v > m:
         raise ArgumentError(f"vertex {v} not alive at time {m}")
-    cnt = bisect_right(trace.child_times[v], m)
-    if v == 1:
-        return cnt if cnt >= 1 else 1
-    return cnt + 1
+    return max(cnt, 1) if v == 1 else cnt + 1
 
 
-def _snapshot_weight_degrees(trace: TreeTrace, m: int) -> np.ndarray:
-    """Vector of weight degrees of vertices 1..m (index 0 = vertex 1)."""
-    counts = np.bincount(trace.parents[2 : m + 1], minlength=m + 1)[1 : m + 1]
+def _weight_degrees(parents: np.ndarray, m: int) -> np.ndarray:
+    """Weight degrees of vertices 1..m in the time-m snapshot (index 0 = vertex 1)."""
+    counts = np.bincount(parents[2 : m + 1], minlength=m + 1)[1 : m + 1]
     counts[1:] += 1
     if counts[0] < 1:
         counts[0] = 1
@@ -176,77 +168,105 @@ def _snapshot_weight_degrees(trace: TreeTrace, m: int) -> np.ndarray:
 
 
 def psi_recomputed(trace: TreeTrace, m: int) -> float:
-    """Total weight of the time-m tree, summed from scratch."""
+    """Psi(m), the total attachment weight of the time-m tree."""
     if m < 1 or m > trace.n:
         raise ArgumentError(f"snapshot time {m} outside 1..{trace.n}")
+    return float(np.sum(trace.kernel.evaluate_array(_weight_degrees(trace.parents, m))))
+
+
+# ---------------------------------------------------------------------------
+# Per-arrival draws: grow's loops and the single-draw entry points share these
+# ---------------------------------------------------------------------------
+
+
+def _draw_edge(parents, m: int, slope: float, alpha: float, branch: float, pick: float) -> int:
+    """Endpoint-list draw for f(k) = slope*k + alpha from snapshot m.
+
+    Psi(m) = slope*2(m-1) + alpha*m.  The uniform ``branch`` sends the draw
+    to a uniform vertex of [1..m] with probability alpha*m/Psi(m), else to
+    a uniform endpoint among the first 2(m-1); the uniform ``pick`` selects
+    within either.  Kernels without a mixture pass branch = 0.0, which
+    always picks a vertex when slope is 0 and an endpoint when alpha is 0.
+    """
     if m == 1:
-        return trace.kernel.evaluate(1)
-    wd = _snapshot_weight_degrees(trace, m)
-    return float(np.sum(trace.kernel.evaluate_array(wd)))
+        return 1
+    top = 2 * (m - 1)
+    if branch * (slope * top + m * alpha) < m * alpha:
+        return min(int(pick * m), m - 1) + 1
+    e = min(int(pick * top), top - 1)
+    k = e // 2 + 2
+    return k if e & 1 else int(parents[k])
 
 
-# ---------------------------------------------------------------------------
-# Parent samplers (single draws on a frozen or growing trace)
-# ---------------------------------------------------------------------------
+def _draw_rejection(m: int, fen: Fenwick, wdeg: list, kids: list, evaluate, rng) -> tuple[int, int]:
+    """Prefix proposal plus thinning; returns (parent, rejected proposals).
+
+    Proposes v <= m with probability proportional to its current weight
+    f(wdeg[v]) and accepts with probability f(deg in snapshot m) /
+    f(wdeg[v]) <= 1, reading the snapshot degree off v's sorted child
+    birth times ``kids[v]``.
+    """
+    if m == 1:
+        return 1, 0
+    total = fen.prefix(m)
+    rejected = 0
+    while True:
+        v = fen.search(rng.random() * total)
+        d_now = wdeg[v]
+        cnt = bisect_right(kids[v], m)
+        d_snap = (cnt if cnt >= 1 else 1) if v == 1 else cnt + 1
+        if d_snap == d_now or rng.random() * evaluate(d_now) < evaluate(d_snap):
+            return v, rejected
+        rejected += 1
 
 
-def sample_parent_scan(trace: TreeTrace, m: int, kernel: AttachmentKernel, rng) -> int:
+def _draw_scan(parents, m: int, kernel: AttachmentKernel, rng) -> int:
     """Linear-scan oracle: exact inverse-CDF over snapshot weights."""
     if m == 1:
         return 1
-    w = kernel.evaluate_array(_snapshot_weight_degrees(trace, m))
-    cum = np.cumsum(w)
-    r = rng.random() * cum[-1]
-    v = int(np.searchsorted(cum, r, side="right")) + 1
+    cum = np.cumsum(kernel.evaluate_array(_weight_degrees(parents, m)))
+    v = int(np.searchsorted(cum, rng.random() * cum[-1], side="right")) + 1
     return min(v, m)
 
 
-def sample_parent_affine(trace: TreeTrace, m: int, alpha: float, rng) -> int:
-    """Endpoint-list sampler for f(k) = k + alpha, exact in O(1).
+def rejection_state(parents, kernel: AttachmentKernel) -> tuple[Fenwick, list, list]:
+    """Rejection-sampler state of a frozen tree: (Fenwick, wdeg, kids).
 
-    With probability m*alpha/Psi(m) a uniform vertex of [1..m], otherwise a
-    uniform entry of the first 2(m-1) edge endpoints; Psi(m) =
-    2(m-1) + m*alpha.
+    The Fenwick tree holds each vertex's final weight, ``wdeg[v]`` its
+    final weight degree and ``kids[v]`` its children's birth times.
     """
-    if m == 1:
-        return 1
-    if alpha > 0.0:
-        psi_m = 2.0 * (m - 1) + m * alpha
-        if rng.random() * psi_m < m * alpha:
-            idx = int(rng.random() * m)
-            return min(idx, m - 1) + 1
-    top = 2 * (m - 1)
-    e = int(rng.random() * top)
-    if e >= top:
-        e = top - 1
-    return int(trace.index.edge_endpoints[e])
+    par = check_parents(parents)
+    n = len(par) - 1
+    wdeg = [0, *_weight_degrees(par, n).tolist()]
+    fen = Fenwick(n)
+    for v in range(1, n + 1):
+        fen.add(v, kernel.evaluate(wdeg[v]))
+    kids: list = [[] for _ in range(n + 1)]
+    for v, p in enumerate(par[2:].tolist(), start=2):
+        kids[p].append(v)
+    return fen, wdeg, kids
 
 
-def sample_parent_rejection(trace: TreeTrace, index: SnapshotIndex, m: int, kernel: AttachmentKernel, rng) -> int:
-    """Prefix-proposal + thinning sampler, exact for monotone kernels.
+def sample_parent_scan(trace: TreeTrace, m: int, kernel: AttachmentKernel, rng) -> int:
+    """One scan draw from snapshot m of a frozen trace."""
+    return _draw_scan(trace.parents, m, kernel, rng)
 
-    Proposes v <= m with probability proportional to its *current* weight
-    (Fenwick prefix search) and accepts with probability
-    f(deg in snapshot m) / f(deg now) <= 1.  Increments ``trace.retries``
-    once per rejected proposal.
+
+def sample_parent_affine(trace: TreeTrace, m: int, alpha: float, rng) -> int:
+    """One endpoint-list draw for f(k) = k + alpha from snapshot m."""
+    branch = rng.random() if alpha > 0.0 else 0.0
+    return _draw_edge(trace.parents, m, 1.0, alpha, branch, rng.random())
+
+
+def sample_parent_rejection(state, m: int, kernel: AttachmentKernel, rng) -> tuple[int, int]:
+    """One rejection draw from snapshot m; ``state`` from :func:`rejection_state`.
+
+    Returns (parent, rejected proposals).
     """
     if not getattr(kernel, "monotone", False):
         raise StrategyError("rejection sampling requires a monotone kernel")
-    if index.fenwick is None:
-        raise ArgumentError("trace has no Fenwick index; build one or use scan")
-    if m == 1:
-        return 1
-    fen = index.fenwick
-    total = fen.prefix(m)
-    while True:
-        v = fen.search(rng.random() * total)
-        d_now = weight_degree(trace, v, trace.n)
-        d_snap = weight_degree(trace, v, m)
-        if d_snap == d_now:
-            return v
-        if rng.random() * kernel.evaluate(d_now) < kernel.evaluate(d_snap):
-            return v
-        trace.retries += 1
+    fen, wdeg, kids = state
+    return _draw_rejection(m, fen, wdeg, kids, kernel.evaluate, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +278,17 @@ def attachment_distribution(trace: TreeTrace, m: int, kernel: AttachmentKernel) 
     """P(parent = v) over v = 1..m from snapshot weights (ground truth)."""
     if m == 1:
         return np.array([1.0])
-    w = kernel.evaluate_array(_snapshot_weight_degrees(trace, m)).astype(np.float64)
+    w = kernel.evaluate_array(_weight_degrees(trace.parents, m)).astype(np.float64)
     return w / w.sum()
 
 
 def edge_trick_distribution(trace: TreeTrace, m: int, alpha: float) -> np.ndarray:
-    """Law of :func:`sample_parent_affine`, from the endpoint array itself."""
+    """Law of :func:`sample_parent_affine`, from the first 2(m-1) endpoints."""
     if m == 1:
         return np.array([1.0])
-    ends = trace.index.edge_endpoints[: 2 * (m - 1)]
+    e = np.arange(2 * (m - 1))
+    k = e // 2 + 2
+    ends = np.where(e & 1, k, trace.parents[k])
     counts = np.bincount(ends, minlength=m + 1)[1 : m + 1].astype(np.float64)
     psi_m = 2.0 * (m - 1) + m * alpha
     return (counts + alpha) / psi_m
@@ -276,12 +298,8 @@ def rejection_distribution(trace: TreeTrace, m: int, kernel: AttachmentKernel) -
     """Law of :func:`sample_parent_rejection` via the thinning algebra."""
     if m == 1:
         return np.array([1.0])
-    d_snap = _snapshot_weight_degrees(trace, m)
-    counts_now = np.bincount(trace.parents[2 : trace.n + 1], minlength=trace.n + 1)[1 : m + 1]
-    counts_now[1:] += 1
-    if counts_now[0] < 1:
-        counts_now[0] = 1
-    w_now = kernel.evaluate_array(counts_now).astype(np.float64)
+    d_snap = _weight_degrees(trace.parents, m)
+    w_now = kernel.evaluate_array(_weight_degrees(trace.parents, trace.n)[:m]).astype(np.float64)
     accept = kernel.evaluate_array(d_snap) / w_now
     mass = w_now * accept
     return mass / mass.sum()
@@ -300,34 +318,15 @@ def grow(config: GrowthConfig) -> TreeTrace:
     the root deterministically.
     """
     strategy = config.resolve_sampler()
-    kernel = config.kernel
     n_final = config.n_final
     rng = np.random.default_rng(config.seed)
-    f1 = kernel.evaluate(1)
 
     parents = np.zeros(n_final + 1, dtype=np.int64)
     xis = np.zeros(n_final + 1)
     snaps = np.zeros(n_final + 1, dtype=np.int64)
-    child_times: list = [[] for _ in range(n_final + 1)]
-    endpoints = np.zeros(2 * (n_final - 1), dtype=np.int64)
     parents[2] = 1
     snaps[2] = 1
-    child_times[1].append(2)
-    endpoints[0] = 1
-    endpoints[1] = 2
-
-    index = SnapshotIndex(edge_endpoints=endpoints)
-    trace = TreeTrace(
-        kernel=kernel,
-        n=2,
-        parents=parents,
-        child_times=child_times,
-        psi=np.zeros(2),
-        xis=xis,
-        snapshots=snaps,
-        index=index,
-        config=config,
-    )
+    retries = 0
 
     steps = n_final - 2
     if steps > 0:
@@ -335,175 +334,70 @@ def grow(config: GrowthConfig) -> TreeTrace:
         ms = snapshot_times(np.arange(2, n_final), tail, config.beta)
         xis[3:] = tail
         snaps[3:] = ms
-        if strategy == "edge":
-            _loop_edge(trace, kernel, ms, rng)
-        elif strategy == "rejection":
-            _loop_rejection(trace, kernel, ms, rng)
-        else:
-            _loop_scan(trace, kernel, ms, rng)
+        loop = {"edge": _loop_edge, "rejection": _loop_rejection, "scan": _loop_scan}[strategy]
+        retries = loop(parents, config.kernel, ms, rng)
 
-    trace.n = n_final
-    if strategy == "edge" or steps == 0:
-        # uniform/affine increments are constant from vertex 3 onwards:
-        # f(1) + [f(d+1) - f(d)] = 1 for uniform, 2 + alpha for affine
-        psi = np.empty(n_final + 1)
-        psi[0] = 0.0
-        psi[1] = f1
-        psi[2] = 2.0 * f1
-        if n_final >= 3:
-            inc = 1.0 if kernel.kind == "uniform" else 2.0 + getattr(kernel, "alpha", 0.0)
-            psi[2:] = 2.0 * f1 + np.cumsum(np.concatenate(([0.0], np.full(n_final - 2, inc))))
-        trace.psi = psi
-    return trace
+    return TreeTrace(
+        kernel=config.kernel,
+        n=n_final,
+        parents=parents,
+        xis=xis,
+        snapshots=snaps,
+        retries=retries,
+        config=config,
+    )
 
 
-def _loop_edge(trace: TreeTrace, kernel, ms, rng) -> None:
-    parents = trace.parents
-    child_times = trace.child_times
-    endpoints = trace.index.edge_endpoints
+_EDGE_BLOCK = 1 << 16
+
+
+def _loop_edge(parents, kernel, ms, rng) -> int:
+    slope, alpha = kernel.linear_bound()  # exact for uniform and affine kernels
     steps = len(ms)
-    uniform_kernel = kernel.kind == "uniform"
-    alpha = 0.0 if uniform_kernel else kernel.alpha
-    if uniform_kernel:
-        picks = rng.random(steps)
-        for t in range(steps):
-            m = ms[t]
-            if m == 1:
-                v = 1
-            else:
-                v = int(picks[t] * m)
-                v = min(v, m - 1) + 1
-            k = t + 3
-            parents[k] = v
-            endpoints[2 * k - 4] = v
-            endpoints[2 * k - 3] = k
-            child_times[v].append(k)
-    elif alpha == 0.0:
-        picks = rng.random(steps)
-        for t in range(steps):
-            m = ms[t]
-            if m == 1:
-                v = 1
-            else:
-                top = 2 * (m - 1)
-                e = int(picks[t] * top)
-                if e >= top:
-                    e = top - 1
-                v = endpoints[e]
-            k = t + 3
-            parents[k] = v
-            endpoints[2 * k - 4] = v
-            endpoints[2 * k - 3] = k
-            child_times[v].append(k)
-    else:
-        branch = rng.random(steps)
-        picks = rng.random(steps)
-        for t in range(steps):
-            m = ms[t]
-            if m == 1:
-                v = 1
-            else:
-                psi_m = 2.0 * (m - 1) + m * alpha
-                if branch[t] * psi_m < m * alpha:
-                    v = int(picks[t] * m)
-                    v = min(v, m - 1) + 1
-                else:
-                    top = 2 * (m - 1)
-                    e = int(picks[t] * top)
-                    if e >= top:
-                        e = top - 1
-                    v = endpoints[e]
-            k = t + 3
-            parents[k] = v
-            endpoints[2 * k - 4] = v
-            endpoints[2 * k - 3] = k
-            child_times[v].append(k)
+    # uniform kernels (slope 0) and alpha = 0 need no branch uniform
+    branch = rng.random(steps) if slope and alpha > 0.0 else np.zeros(steps)
+    picks = rng.random(steps)
+    # Python scalars are ~3x faster to draw with than NumPy ones; converting
+    # block by block keeps the lists small
+    for lo in range(0, steps, _EDGE_BLOCK):
+        hi = min(lo + _EDGE_BLOCK, steps)
+        arrivals = zip(range(lo + 3, hi + 3), ms[lo:hi].tolist(), branch[lo:hi].tolist(), picks[lo:hi].tolist())
+        for k, m, b, u in arrivals:
+            parents[k] = _draw_edge(parents, m, slope, alpha, b, u)
+    return 0
 
 
-def _loop_rejection(trace: TreeTrace, kernel, ms, rng) -> None:
-    n_final = trace.parents.shape[0] - 1
-    parents = trace.parents
-    child_times = trace.child_times
-    endpoints = trace.index.edge_endpoints
-    f1 = kernel.evaluate(1)
+def _loop_rejection(parents, kernel, ms, rng) -> int:
+    n_final = parents.shape[0] - 1
+    evaluate = kernel.evaluate
+    f1 = evaluate(1)
     fen = Fenwick(n_final)
     fen.add(1, f1)
     fen.add(2, f1)
-    trace.index.fenwick = fen
     wdeg = [0] * (n_final + 1)
     wdeg[1] = 1
     wdeg[2] = 1
-    psi_vals = [f1, 2.0 * f1]
-    psi_run = 2.0 * f1
-    evaluate = kernel.evaluate
+    kids: list = [[] for _ in range(n_final + 1)]
+    kids[1].append(2)
+    retries = 0
     for t in range(len(ms)):
-        m = int(ms[t])
         k = t + 3
-        if m == 1:
-            v = 1
-        else:
-            total = fen.prefix(m)
-            while True:
-                v = fen.search(rng.random() * total)
-                d_now = wdeg[v]
-                cnt = bisect_right(child_times[v], m)
-                d_snap = (cnt if cnt >= 1 else 1) if v == 1 else cnt + 1
-                if d_snap == d_now:
-                    break
-                if rng.random() * evaluate(d_now) < evaluate(d_snap):
-                    break
-                trace.retries += 1
+        v, rejected = _draw_rejection(int(ms[t]), fen, wdeg, kids, evaluate, rng)
+        retries += rejected
         parents[k] = v
-        endpoints[2 * k - 4] = v
-        endpoints[2 * k - 3] = k
-        child_times[v].append(k)
+        kids[v].append(k)
         d_old = wdeg[v]
         wdeg[v] = d_old + 1
         wdeg[k] = 1
-        delta = evaluate(d_old + 1) - evaluate(d_old)
-        fen.add(v, delta)
+        fen.add(v, evaluate(d_old + 1) - evaluate(d_old))
         fen.add(k, f1)
-        psi_run += f1 + delta
-        psi_vals.append(psi_run)
-    trace.psi = np.concatenate(([0.0], psi_vals))
+    return retries
 
 
-def _loop_scan(trace: TreeTrace, kernel, ms, rng) -> None:
-    parents = trace.parents
-    child_times = trace.child_times
-    endpoints = trace.index.edge_endpoints
-    f1 = kernel.evaluate(1)
-    wdeg = np.zeros(trace.parents.shape[0], dtype=np.int64)
-    wdeg[1] = 1
-    wdeg[2] = 1
-    psi_vals = [f1, 2.0 * f1]
-    psi_run = 2.0 * f1
+def _loop_scan(parents, kernel, ms, rng) -> int:
     for t in range(len(ms)):
-        m = int(ms[t])
-        k = t + 3
-        if m == 1:
-            v = 1
-        else:
-            counts = np.bincount(parents[2 : m + 1], minlength=m + 1)[1 : m + 1]
-            counts[1:] += 1
-            if counts[0] < 1:
-                counts[0] = 1
-            w = kernel.evaluate_array(counts)
-            cum = np.cumsum(w)
-            r = rng.random() * cum[-1]
-            v = int(np.searchsorted(cum, r, side="right")) + 1
-            v = min(v, m)
-        parents[k] = v
-        endpoints[2 * k - 4] = v
-        endpoints[2 * k - 3] = k
-        child_times[v].append(k)
-        d_old = int(wdeg[v])
-        wdeg[v] = d_old + 1
-        wdeg[k] = 1
-        delta = kernel.evaluate(d_old + 1) - kernel.evaluate(d_old)
-        psi_run += f1 + delta
-        psi_vals.append(psi_run)
-    trace.psi = np.concatenate(([0.0], psi_vals))
+        parents[t + 3] = _draw_scan(parents, int(ms[t]), kernel, rng)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -511,60 +405,22 @@ def _loop_scan(trace: TreeTrace, kernel, ms, rng) -> None:
 # ---------------------------------------------------------------------------
 
 
-def trace_from_parents(parents, kernel: AttachmentKernel, with_fenwick: bool = True) -> TreeTrace:
-    """Build a full TreeTrace from explicit parent pointers.
+def trace_from_parents(parents, kernel: AttachmentKernel) -> TreeTrace:
+    """Build a TreeTrace from explicit parent pointers.
 
     ``parents[v]`` is the parent of vertex v for v = 2..n (1-based; leading
     entries ignored).  Delays and snapshots are recorded as zeros.
     """
-    n = len(parents) - 1
-    if n < 1:
-        raise ArgumentError("parent array must cover at least vertex 1")
-    parr = np.zeros(n + 1, dtype=np.int64)
-    child_times: list = [[] for _ in range(n + 1)]
-    for v in range(2, n + 1):
-        p = int(parents[v])
-        if not (1 <= p < v):
-            raise ArgumentError(f"vertex {v} has invalid parent {p}")
-        parr[v] = p
-        child_times[p].append(v)
-    endpoints = np.zeros(max(2 * (n - 1), 0), dtype=np.int64)
-    for v in range(2, n + 1):
-        endpoints[2 * v - 4] = parr[v]
-        endpoints[2 * v - 3] = v
-    # replay births to accumulate psi exactly as the engine would
-    f1 = kernel.evaluate(1)
-    psi = np.zeros(n + 1)
-    psi[1] = f1
-    wdeg = [0] * (n + 1)
-    wdeg[1] = 1
-    for v in range(2, n + 1):
-        p = int(parr[v])
-        if v == 2:
-            delta = 0.0
-        else:
-            delta = kernel.evaluate(wdeg[p] + 1) - kernel.evaluate(wdeg[p])
-            wdeg[p] += 1
-        wdeg[v] = 1
-        psi[v] = psi[v - 1] + f1 + delta
-    index = SnapshotIndex(edge_endpoints=endpoints)
-    trace = TreeTrace(
+    parr = check_parents(parents).copy()
+    parr[:2] = 0
+    n = len(parr) - 1
+    return TreeTrace(
         kernel=kernel,
         n=n,
         parents=parr,
-        child_times=child_times,
-        psi=psi,
         xis=np.zeros(n + 1),
         snapshots=np.zeros(n + 1, dtype=np.int64),
-        index=index,
     )
-    if with_fenwick and n >= 1:
-        fen = Fenwick(n)
-        final_wd = _snapshot_weight_degrees(trace, n) if n >= 2 else np.array([1])
-        for v in range(1, n + 1):
-            fen.add(v, kernel.evaluate(int(final_wd[v - 1])))
-        index.fenwick = fen
-    return trace
 
 
 def export_trace(trace: TreeTrace, path, config_hash: str = "") -> None:
@@ -580,13 +436,17 @@ def export_trace(trace: TreeTrace, path, config_hash: str = "") -> None:
 
 
 def load_trace(path) -> dict:
-    """Read an exported trace back into plain arrays (for audits/tests)."""
+    """Read an exported trace back into plain arrays (for audits/tests).
+
+    Raises ArgumentError naming the line on a malformed line, and naming
+    the vertex when a parent is not an earlier vertex.
+    """
     header: dict = {}
     parents: list[int] = [0, 0]
     xis: list[float] = [0.0, 0.0]
     ms: list[int] = [0, 0]
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -595,13 +455,17 @@ def load_trace(path) -> dict:
                     key, _, val = line[1:].partition("=")
                     header[key.strip()] = val.strip()
                 continue
-            child, parent, xi, m = line.split()
-            v = int(child)
+            try:
+                child, parent, xi, m = line.split()
+                v, p, x, s = int(child), int(parent), float(xi), int(m)
+            except ValueError:
+                raise ArgumentError(f"trace line {lineno}: expected 'child parent xi m', got {line!r}") from None
             if v == 1:
                 continue
             if v != len(parents):
                 raise ArgumentError(f"trace file out of birth order at vertex {v}")
-            parents.append(int(parent))
-            xis.append(float(xi))
-            ms.append(int(m))
+            parents.append(p)
+            xis.append(x)
+            ms.append(s)
+    check_parents(parents)
     return {"header": header, "parents": parents, "xis": xis, "snapshots": ms}

@@ -39,6 +39,7 @@ from delaytree.growth import (
     edge_trick_distribution,
     grow,
     rejection_distribution,
+    rejection_state,
     sample_parent_rejection,
     trace_from_parents,
 )
@@ -350,7 +351,7 @@ def test_c7_sampler_distributions(report):
         for n in range(2, 9):
             for combo in itertools.product(*[range(1, v) for v in range(3, n + 1)]):
                 parents = [0, 0, 1, *combo]
-                tr = trace_from_parents(parents, kern, with_fenwick=False)
+                tr = trace_from_parents(parents, kern)
                 n_trees += 1
                 for m in range(1, n + 1):
                     base = attachment_distribution(tr, m, kern)
@@ -363,8 +364,9 @@ def test_c7_sampler_distributions(report):
     tr = grow(GrowthConfig(kern50, Uniform01Delay(beta=0.5), 50, seed=7))
     law = attachment_distribution(tr, 50, kern50)
     rng = np.random.default_rng(12345)
+    state = rejection_state(tr.parents, kern50)
     draws = np.fromiter(
-        (sample_parent_rejection(tr, tr.index, 50, kern50, rng) for _ in range(1_000_000)),
+        (sample_parent_rejection(state, 50, kern50, rng)[0] for _ in range(1_000_000)),
         dtype=np.int64,
         count=1_000_000,
     )

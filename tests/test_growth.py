@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from delaytree.errors import ArgumentError
+from delaytree.errors import ArgumentError, StrategyError
 from delaytree.growth import (
     attachment_distribution,
     deg_at,
@@ -13,6 +13,10 @@ from delaytree.growth import (
     load_trace,
     psi_recomputed,
     rejection_distribution,
+    rejection_state,
+    sample_parent_affine,
+    sample_parent_rejection,
+    sample_parent_scan,
     trace_from_parents,
     weight_degree,
 )
@@ -55,9 +59,6 @@ def test_structural_invariants():
     degs = np.bincount(tr.parents[2:], minlength=n + 1)[1:]
     degs[1:] += 1
     assert degs.sum() == 2 * (n - 1)
-    for p, times in enumerate(tr.child_times):
-        assert list(times) == sorted(times)
-        assert len(times) == (tr.parents[2:] == p).sum()
 
 
 def test_zero_delay_sees_the_present():
@@ -77,12 +78,9 @@ def test_psi_closed_form_affine():
     for alpha in (0.0, 1.5):
         tr = grow(_cfg(n=300, seed=8, kernel=AffineKernel(alpha)))
         m = np.arange(2, 301)
-        np.testing.assert_allclose(tr.psi[2:], 2.0 * (m - 1) + alpha * m, rtol=1e-12)
-        assert tr.psi[1] == 1.0 + alpha
-    # and the bookkeeping agrees with a from-scratch recount
-    tr = grow(_cfg(n=120, seed=9, kernel=TabulatedKernel(values=(1.0, 1.3, 2.0), tail=("const",), f_star=1.0, monotone=True)))
-    for m in (1, 2, 7, 60, 120):
-        assert tr.psi[m] == pytest.approx(psi_recomputed(tr, m), rel=1e-12)
+        psi = [psi_recomputed(tr, int(k)) for k in m]
+        np.testing.assert_allclose(psi, 2.0 * (m - 1) + alpha * m, rtol=1e-12)
+        assert psi_recomputed(tr, 1) == 1.0 + alpha
 
 
 def test_degree_views():
@@ -143,16 +141,11 @@ def test_samplers_draw_from_the_exact_law():
         tr = grow(cfg)
         probs = attachment_distribution(tr, 40, kern)
         rng = np.random.default_rng(99)
-        from delaytree.growth import (
-            sample_parent_affine,
-            sample_parent_rejection,
-            sample_parent_scan,
-        )
-
         if sampler == "edge":
             got = [sample_parent_affine(tr, 40, kern.alpha, rng) for _ in range(draws)]
         elif sampler == "rejection":
-            got = [sample_parent_rejection(tr, tr.index, 40, kern, rng) for _ in range(draws)]
+            state = rejection_state(tr.parents, kern)
+            got = [sample_parent_rejection(state, 40, kern, rng)[0] for _ in range(draws)]
         else:
             got = [sample_parent_scan(tr, 40, kern, rng) for _ in range(draws)]
         counts = np.bincount(got, minlength=41)[1:]
@@ -160,13 +153,35 @@ def test_samplers_draw_from_the_exact_law():
         assert res.pvalue > 1e-3, (sampler, res)
 
 
+def test_rejection_draw_thins_toward_an_earlier_snapshot():
+    # at m < n the snapshot degrees lag the current ones, so proposals get rejected
+    from scipy import stats
+
+    kern = TabulatedKernel(values=(1.0, 1.6, 1.9, 2.0), tail=("const",), f_star=1.0, monotone=True)
+    tr = grow(_cfg(n=60, seed=31, kernel=kern, sampler="rejection"))
+    m, draws = 20, 40_000
+    state = rejection_state(tr.parents, kern)
+    rng = np.random.default_rng(7)
+    got = [sample_parent_rejection(state, m, kern, rng) for _ in range(draws)]
+    counts = np.bincount([v for v, _ in got], minlength=m + 1)[1:]
+    res = stats.chisquare(counts, attachment_distribution(tr, m, kern) * draws)
+    assert res.pvalue > 1e-3, res
+    assert sum(r for _, r in got) > 0
+
+
+def test_rejection_entry_point_requires_a_monotone_kernel():
+    kern = TabulatedKernel(values=(1.0, 2.0, 1.5), tail=("const",), f_star=1.0)
+    tr = grow(_cfg(n=30, seed=2, kernel=kern))
+    with pytest.raises(StrategyError):
+        sample_parent_rejection(rejection_state(tr.parents, kern), 10, kern, np.random.default_rng(0))
+
+
 def test_trace_from_parents_matches_engine_bookkeeping():
     tr = grow(_cfg(n=70, seed=44, delay=ZeroDelay(beta=0.5)))
     rebuilt = trace_from_parents(tr.parents, AFF)
-    np.testing.assert_allclose(rebuilt.psi, tr.psi, rtol=1e-12)
-    np.testing.assert_array_equal(
-        rebuilt.index.edge_endpoints, tr.index.edge_endpoints
-    )
+    assert rebuilt.n == tr.n
+    np.testing.assert_array_equal(rebuilt.parents, tr.parents)
+    assert rebuilt.parents is not tr.parents  # a copy, not a view of the grown tree
 
 
 def test_trace_from_parents_rejects_bad_input():
@@ -188,6 +203,21 @@ def test_export_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(np.asarray(blob["xis"]), tr.xis)  # repr floats survive
     assert blob["header"]["config_hash"] == "cafe01"
     assert blob["header"]["n"] == "50"
+
+
+@pytest.mark.parametrize(
+    "line, words",
+    [
+        ("2 1 0.0", "line 6"),  # a field short
+        ("2 x 0.0 1", "line 6"),  # a parent that is not an integer
+        ("2 5 0.0 1", "vertex 2 has invalid parent 5"),  # a parent from the future
+    ],
+)
+def test_load_trace_rejects_bad_lines(tmp_path, line, words):
+    path = tmp_path / "trace.txt"
+    path.write_text("# delaytree trace v1\n# n = 2\n# columns: child parent xi m\n\n1 0 0 0\n" + line + "\n")
+    with pytest.raises(ArgumentError, match=words):
+        load_trace(path)
 
 
 def test_uniform_kernel_growth_smoke():
