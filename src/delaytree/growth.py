@@ -7,7 +7,7 @@ any time, the total weight Psi(m) and the edge list are counts over it.
 
 Parent choice within a snapshot is implemented three ways, all
 distributionally identical where their preconditions hold.  Each has one
-per-arrival draw function; :func:`grow` calls it once per arrival and the
+draw routine; :func:`grow` feeds it every arrival and the
 ``sample_parent_*`` single-draw entry points call it on a frozen tree.
 
 * ``edge``   -- endpoint-list trick of Batagelj & Brandes (Phys. Rev. E 71,
@@ -16,7 +16,11 @@ per-arrival draw function; :func:`grow` calls it once per arrival and the
   contain each vertex v <= m exactly graph-degree(v in snapshot m) times
   and endpoint e is vertex k = e//2 + 2 when e is odd, parents[k] when e is
   even.  A uniform endpoint plus a uniform-vertex mixture realises
-  P(v) = (deg + alpha) / Psi(m) in O(1) with no endpoint array stored.
+  P(v) = (deg + alpha) / Psi(m) with no endpoint array stored.  Parents
+  are resolved a block of arrivals at a time with NumPy: direct answers
+  and copies of parents before the block in one pass, copies of parents
+  inside the block by pointer jumping.  Temporaries are O(block), and the
+  draws and the resulting tree equal those of one draw per arrival.
 * ``rejection`` -- Fenwick-indexed proposal from the *current* weights
   restricted to [1..m], thinned by f(deg in snapshot)/f(deg now).  Exact
   for any monotone kernel; expected retries = Psi(n)-to-Psi(m) ratio.  The
@@ -175,27 +179,47 @@ def psi_recomputed(trace: TreeTrace, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Per-arrival draws: grow's loops and the single-draw entry points share these
+# Draws: grow's loops and the single-draw entry points share these
 # ---------------------------------------------------------------------------
 
 
-def _draw_edge(parents, m: int, slope: float, alpha: float, branch: float, pick: float) -> int:
-    """Endpoint-list draw for f(k) = slope*k + alpha from snapshot m.
+def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, picks) -> np.ndarray:
+    """Endpoint-list draws for f(k) = slope*k + alpha, one per arrival.
 
-    Psi(m) = slope*2(m-1) + alpha*m.  The uniform ``branch`` sends the draw
-    to a uniform vertex of [1..m] with probability alpha*m/Psi(m), else to
-    a uniform endpoint among the first 2(m-1); the uniform ``pick`` selects
-    within either.  Kernels without a mixture pass branch = 0.0, which
-    always picks a vertex when slope is 0 and an endpoint when alpha is 0.
+    Arrival i is vertex base + i and draws from snapshot ms[i]; parents
+    below ``base`` must be final.  Psi(m) = slope*2(m-1) + alpha*m.  The
+    uniform ``branch`` sends a draw to a uniform vertex of [1..m] with
+    probability alpha*m/Psi(m), else to a uniform endpoint e among the
+    first 2(m-1); the uniform ``pick`` selects within either.  Kernels
+    without a mixture pass branch = 0.0, which always picks a vertex when
+    slope is 0 and an endpoint when alpha is 0.  At m = 1 both routes give
+    the root (the endpoint route reads e = -1, odd, naming k = 1).
+
+    An odd e names vertex k = e//2 + 2; an even e copies the parent of
+    that k <= m.  Copies of a parent below ``base`` read ``parents``; the
+    rest copy an earlier arrival of the block, and pointer jumping walks
+    each chain down to a direct answer in O(log chain) rounds.
     """
-    if m == 1:
-        return 1
-    top = 2 * (m - 1)
-    if branch * (slope * top + m * alpha) < m * alpha:
-        return min(int(pick * m), m - 1) + 1
-    e = min(int(pick * top), top - 1)
-    k = e // 2 + 2
-    return k if e & 1 else int(parents[k])
+    top = 2 * (ms - 1)
+    to_vertex = branch * (slope * top + ms * alpha) < ms * alpha
+    e = np.minimum((picks * top).astype(np.int64), top - 1)
+    out = e // 2 + 2
+    np.copyto(out, np.minimum((picks * ms).astype(np.int64), ms - 1) + 1, where=to_vertex)
+    copy = np.flatnonzero(~to_vertex & ((e & 1) == 0))
+    src = out[copy]
+    early = src < base
+    out[copy[early]] = parents[src[early]]
+    # within the block: link each copy to the arrival it copies, then jump
+    copy, link = copy[~early], np.arange(len(out))
+    link[copy] = src[~early] - base
+    hops = link[copy]
+    while True:
+        nxt = link[hops]
+        if np.array_equal(nxt, hops):
+            break
+        link[copy] = hops = nxt
+    out[copy] = out[hops]
+    return out
 
 
 def _draw_rejection(m: int, fen: Fenwick, wdeg: list, kids: list, evaluate, rng) -> tuple[int, int]:
@@ -255,7 +279,8 @@ def sample_parent_scan(trace: TreeTrace, m: int, kernel: AttachmentKernel, rng) 
 def sample_parent_affine(trace: TreeTrace, m: int, alpha: float, rng) -> int:
     """One endpoint-list draw for f(k) = k + alpha from snapshot m."""
     branch = rng.random() if alpha > 0.0 else 0.0
-    return _draw_edge(trace.parents, m, 1.0, alpha, branch, rng.random())
+    ms = np.array([m], dtype=np.int64)
+    return int(_resolve_edge(trace.parents, trace.n + 1, ms, 1.0, alpha, branch, rng.random())[0])
 
 
 def sample_parent_rejection(state, m: int, kernel: AttachmentKernel, rng) -> tuple[int, int]:
@@ -314,8 +339,9 @@ def grow(config: GrowthConfig) -> TreeTrace:
     """Grow a tree to ``config.n_final`` vertices; deterministic in the seed.
 
     Draw order is fixed: one vectorised block of delays for vertices
-    3..n_final, then the per-step attachment draws.  Vertex 2 attaches to
-    the root deterministically.
+    3..n_final, then the attachment draws (for the edge sampler, every
+    branch uniform and then every pick; for the others, step by step).
+    Vertex 2 attaches to the root deterministically.
     """
     strategy = config.resolve_sampler()
     n_final = config.n_final
@@ -355,15 +381,14 @@ def _loop_edge(parents, kernel, ms, rng) -> int:
     slope, alpha = kernel.linear_bound()  # exact for uniform and affine kernels
     steps = len(ms)
     # uniform kernels (slope 0) and alpha = 0 need no branch uniform
-    branch = rng.random(steps) if slope and alpha > 0.0 else np.zeros(steps)
+    branch = rng.random(steps) if slope and alpha > 0.0 else np.broadcast_to(0.0, steps)
     picks = rng.random(steps)
-    # Python scalars are ~3x faster to draw with than NumPy ones; converting
-    # block by block keeps the lists small
+    # blocks keep the temporaries small; each reads only final parents below it
     for lo in range(0, steps, _EDGE_BLOCK):
         hi = min(lo + _EDGE_BLOCK, steps)
-        arrivals = zip(range(lo + 3, hi + 3), ms[lo:hi].tolist(), branch[lo:hi].tolist(), picks[lo:hi].tolist())
-        for k, m, b, u in arrivals:
-            parents[k] = _draw_edge(parents, m, slope, alpha, b, u)
+        parents[lo + 3 : hi + 3] = _resolve_edge(
+            parents, lo + 3, ms[lo:hi], slope, alpha, branch[lo:hi], picks[lo:hi]
+        )
     return 0
 
 

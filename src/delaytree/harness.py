@@ -157,8 +157,11 @@ def tv_distance(empirical, theory_probs) -> float:
 
 
 def _replicate_record(args) -> dict:
-    """One replicate worth of raw statistics (picklable, order-agnostic)."""
-    config, stats, r = args
+    """One replicate worth of raw statistics (picklable, order-agnostic).
+
+    ``consts`` are the plan's root-degree constants (None without "root").
+    """
+    config, stats, consts, r = args
     cfg = dataclasses.replace(config, seed=replicate_seed(config.seed, r))
     trace = grow(cfg)
     rec: dict = {"replicate": r, "retries": trace.retries}
@@ -176,8 +179,6 @@ def _replicate_record(args) -> dict:
         rec["pair_counts"] = pairs.counts
         rec["pair_truncated"] = pairs.truncated
     if "root" in stats:
-        alpha = config.kernel.alpha
-        consts = theory.root_degree_constants(alpha, config.beta, config.delay)
         ex = consts.ex_x_truncated if consts.regime == "heavy" else None
         traj = est.root_trajectory(trace, consts.theta, ex_x=ex)
         rec["root_ns"] = traj.ns
@@ -190,7 +191,11 @@ def _replicate_record(args) -> dict:
 
 
 def _collect_records(plan: ExperimentPlan) -> list:
-    jobs = [(plan.config, plan.statistics, r) for r in range(plan.replicates)]
+    config = plan.config
+    consts = None
+    if "root" in plan.statistics:
+        consts = theory.root_degree_constants(config.kernel.alpha, config.beta, config.delay)
+    jobs = [(config, plan.statistics, consts, r) for r in range(plan.replicates)]
     if plan.workers == 1 or plan.replicates == 1:
         return [_replicate_record(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=plan.workers) as pool:

@@ -1,8 +1,12 @@
 """The growth engine: trace invariants, degree views, exact sampler laws."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from delaytree.cli import PRESETS
+from delaytree.configio import build_config, parse_config_text
 from delaytree.errors import ArgumentError, StrategyError
 from delaytree.growth import (
     attachment_distribution,
@@ -218,6 +222,20 @@ def test_load_trace_rejects_bad_lines(tmp_path, line, words):
     path.write_text("# delaytree trace v1\n# n = 2\n# columns: child parent xi m\n\n1 0 0 0\n" + line + "\n")
     with pytest.raises(ArgumentError, match=words):
         load_trace(path)
+
+
+def test_grow_memory_is_linear_with_a_small_constant():
+    # memory linear in n with a small constant: growth keeps its temporaries per block
+    entries = parse_config_text(PRESETS["grid-invpow2"])
+    entries["n_final"] = "200000"
+    cfg, _ = build_config(entries)
+    tracemalloc.start()
+    try:
+        grow(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / cfg.n_final <= 128, peak / cfg.n_final
 
 
 def test_uniform_kernel_growth_smoke():

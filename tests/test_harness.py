@@ -3,10 +3,12 @@
 import dataclasses
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from delaytree import theory
 from delaytree.configio import config_hash
 from delaytree.errors import ArgumentError
 from delaytree.estimators import degree_hist, fringe_census, leaf_clt_statistic
@@ -180,6 +182,18 @@ def test_worker_count_does_not_change_results(tmp_path):
     r2 = run(_plan(n=500, reps=3, stats=("degree",), outdir=str(tmp_path / "w2"), workers=2))
     assert r1.ok == r2.ok
     for name in ("summary.json", "degree_hist.csv"):
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
+
+
+def test_root_constants_once_per_plan_under_any_worker_count(tmp_path):
+    # the constants travel in the job tuple, so every replicate sees one computed value
+    stats = ("degree", "root")
+    with mock.patch.object(theory, "root_degree_constants", wraps=theory.root_degree_constants) as spy:
+        r1 = run(_plan(n=500, reps=4, stats=stats, outdir=str(tmp_path / "w1"), workers=1))
+    assert spy.call_count == 1
+    r2 = run(_plan(n=500, reps=4, stats=stats, outdir=str(tmp_path / "w2"), workers=2))
+    assert r1.ok == r2.ok
+    for name in ("summary.json", "degree_hist.csv", "root.csv"):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
 
 

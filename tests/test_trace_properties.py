@@ -1,18 +1,21 @@
-"""Property tests of the parent-array trace: degree views, Psi, export/load."""
+"""Property tests of the parent-array trace: degree views, Psi, export/load, edge draws."""
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delaytree import growth
 from delaytree.growth import (
     deg_at,
     export_trace,
     grow,
     load_trace,
     psi_recomputed,
+    sample_parent_affine,
     trace_from_parents,
     weight_degree,
 )
@@ -91,3 +94,77 @@ def test_export_load_roundtrip_on_grown_traces(kernel, delay, n, seed):
     np.testing.assert_array_equal(blob["snapshots"], tr.snapshots)
     np.testing.assert_array_equal(blob["xis"], tr.xis)
     assert blob["header"] == {"config_hash": "beef", "n": str(n)}
+
+
+# ---------------------------------------------------------------------------
+# Edge sampler: the block resolver against the per-arrival scalar draw
+# ---------------------------------------------------------------------------
+
+
+def _scalar_edge_draw(parents, m, slope, alpha, branch, pick):
+    """One endpoint-list draw over Python scalars, arrival by arrival."""
+    if m == 1:
+        return 1
+    top = 2 * (m - 1)
+    if branch * (slope * top + m * alpha) < m * alpha:
+        return min(int(pick * m), m - 1) + 1
+    e = min(int(pick * top), top - 1)
+    k = e // 2 + 2
+    return k if e & 1 else int(parents[k])
+
+
+class _Tape:
+    """Stands in for a Generator: ``random(size)`` hands out the next values of a list."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size):
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+# (slope, alpha) of the edge kernels: uniform-like, proportional, affine
+LINEAR_BOUNDS = ((0.0, 1.0), (0.0, 2.5), (1.0, 0.0), (1.0, 1.3))
+_UNIFORMS = st.one_of(st.sampled_from((0.0, 0.5, 1.0 - 2.0**-53)), st.floats(0.0, 1.0, exclude_max=True))
+
+
+@st.composite
+def _edge_histories(draw):
+    n = draw(st.integers(3, 70))
+    ms = [draw(st.one_of(st.just(1), st.just(k - 1), st.integers(1, k - 1))) for k in range(3, n + 1)]
+    slope, alpha = draw(st.sampled_from(LINEAR_BOUNDS))
+    draws = 2 * len(ms) if slope and alpha > 0.0 else len(ms)
+    return n, ms, slope, alpha, draw(st.lists(_UNIFORMS, min_size=draws, max_size=draws))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edge_histories())
+def test_block_resolver_matches_the_per_arrival_loop(history):
+    n, ms, slope, alpha, uniforms = history
+    steps = len(ms)
+    expected = np.zeros(n + 1, dtype=np.int64)
+    expected[2] = 1
+    branch = uniforms[:steps] if len(uniforms) > steps else [0.0] * steps
+    for k, m, b, u in zip(range(3, n + 1), ms, branch, uniforms[-steps:]):
+        expected[k] = _scalar_edge_draw(expected, m, slope, alpha, b, u)
+
+    parents = np.zeros(n + 1, dtype=np.int64)
+    parents[2] = 1
+    kernel = mock.Mock(linear_bound=lambda: (slope, alpha))
+    tape = _Tape(uniforms)
+    with mock.patch.object(growth, "_EDGE_BLOCK", 7):  # copy chains cross many blocks
+        growth._loop_edge(parents, kernel, np.array(ms, dtype=np.int64), tape)
+    assert tape.values == []
+    np.testing.assert_array_equal(parents, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_parent_arrays(), st.sampled_from((0.0, 0.7)), st.integers(0, 2**32 - 1), st.data())
+def test_single_affine_draw_matches_the_scalar_draw(parents, alpha, seed, data):
+    tr = trace_from_parents(parents, AffineKernel(alpha))
+    m = data.draw(st.integers(1, tr.n))
+    ref = np.random.default_rng(seed)
+    branch = ref.random() if alpha > 0.0 else 0.0
+    expected = _scalar_edge_draw(tr.parents, m, 1.0, alpha, branch, ref.random())
+    assert sample_parent_affine(tr, m, alpha, np.random.default_rng(seed)) == expected
