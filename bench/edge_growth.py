@@ -1,18 +1,19 @@
 """Time ``grow`` with the edge sampler on the grid-invpow2 preset.
 
-    python3 bench/edge_growth.py --tree before=OLD/src --tree after=src \
-        --out BENCH_edge_growth.json
+    python3 bench/edge_growth.py --tree parent=OLD/src --tree change=src \
+        > BENCH_edge_growth.json
 
 ``--tree LABEL=SRC`` names a source directory holding the ``delaytree``
 package; give it twice to compare two versions on the same machine.  Each
 measurement is one fresh Python process with SRC first on ``sys.path``: it
 builds the preset config at size n, times one ``grow`` call with
 ``time.perf_counter``, and reports that time, its own peak RSS
-(``ru_maxrss``) and the SHA-256 of ``parents``.  Every size in ``--sizes``
-is grown ``--runs`` times per tree, the trees taking turns run by run so
+(``ru_maxrss``) and the SHA-256 of ``parents``.  Every size in ``SIZES``
+is grown ``RUNS`` times per tree, the trees taking turns run by run so
 that host drift hits them alike, and the median is recorded.  One more
-process grows ``--rss-size`` vertices with the last tree listed, to record
-peak memory at that size.  The result is one JSON document.
+process grows ``RSS_SIZE`` vertices with the last tree listed, to record
+peak memory at that size.  The JSON document goes to standard output,
+progress to standard error.
 """
 
 from __future__ import annotations
@@ -47,6 +48,11 @@ print(json.dumps({
 }))
 """
 
+SIZES = (1_000_000, 3_000_000)
+RUNS = 3  # median of three per size and tree
+RSS_SIZE = 10_000_000
+SEED = 1
+
 # one client on a small machine: keep NumPy single-threaded
 ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
@@ -64,27 +70,21 @@ def measure(src: str, n: int, seed: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--tree", action="append", required=True, metavar="LABEL=SRC")
-    ap.add_argument("--sizes", default="1000000,3000000")
-    ap.add_argument("--runs", type=int, default=3)
-    ap.add_argument("--rss-size", type=int, default=10_000_000)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--out", help="write the JSON here as well as to standard output")
     args = ap.parse_args(argv)
 
     trees = dict(t.split("=", 1) for t in args.tree)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    runs: dict = {label: {n: [] for n in sizes} for label in trees}
-    for n in sizes:
-        for _ in range(args.runs):
+    runs: dict = {label: {n: [] for n in SIZES} for label in trees}
+    for n in SIZES:
+        for _ in range(RUNS):
             for label, src in trees.items():
-                got = measure(src, n, args.seed)
+                got = measure(src, n, SEED)
                 runs[label][n].append(got)
                 print(f"{label} n={n} grow {got['grow_s']:.3f} s", file=sys.stderr)
 
     results = {}
     for label in trees:
         rows = {}
-        for n in sizes:
+        for n in SIZES:
             got = runs[label][n]
             median = statistics.median(g["grow_s"] for g in got)
             rows[str(n)] = {
@@ -97,16 +97,16 @@ def main(argv=None) -> int:
         results[label] = rows
     identical = {
         str(n): len({h for label in trees for h in results[label][str(n)]["parents_sha256"]}) == 1
-        for n in sizes
+        for n in SIZES
     }
 
     last = list(trees)[-1]
-    big = measure(trees[last], args.rss_size, args.seed)
+    big = measure(trees[last], RSS_SIZE, SEED)
     doc = {
         "benchmark": "grow, edge sampler, grid-invpow2 preset (affine alpha = 0, invpow:2 delay, beta = 0.5)",
         "script": "bench/edge_growth.py",
-        "seed": args.seed,
-        "runs_per_size": args.runs,
+        "seed": SEED,
+        "runs_per_size": RUNS,
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
@@ -117,17 +117,13 @@ def main(argv=None) -> int:
         "parents_identical_across_trees": identical,
         "large": {
             "tree": last,
-            "n": args.rss_size,
+            "n": RSS_SIZE,
             "grow_s": round(big["grow_s"], 4),
-            "us_per_vertex": round(big["grow_s"] / args.rss_size * 1e6, 4),
+            "us_per_vertex": round(big["grow_s"] / RSS_SIZE * 1e6, 4),
             "peak_rss_mb": round(big["peak_rss_mb"], 1),
         },
     }
-    text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     return 0
 
 

@@ -178,23 +178,19 @@ def test_rerun_is_byte_identical(tmp_path):
 
 def test_worker_count_does_not_change_results(tmp_path):
     # same replicate seeds, same fold order -> identical artifact bytes
-    r1 = run(_plan(n=500, reps=3, stats=("degree",), outdir=str(tmp_path / "w1"), workers=1))
-    r2 = run(_plan(n=500, reps=3, stats=("degree",), outdir=str(tmp_path / "w2"), workers=2))
-    assert r1.ok == r2.ok
-    for name in ("summary.json", "degree_hist.csv"):
-        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
-
-
-def test_root_constants_once_per_plan_under_any_worker_count(tmp_path):
-    # the constants travel in the job tuple, so every replicate sees one computed value
     stats = ("degree", "root")
-    with mock.patch.object(theory, "root_degree_constants", wraps=theory.root_degree_constants) as spy:
-        r1 = run(_plan(n=500, reps=4, stats=stats, outdir=str(tmp_path / "w1"), workers=1))
-    assert spy.call_count == 1
-    r2 = run(_plan(n=500, reps=4, stats=stats, outdir=str(tmp_path / "w2"), workers=2))
+    r1 = run(_plan(n=500, reps=3, stats=stats, outdir=str(tmp_path / "w1"), workers=1))
+    r2 = run(_plan(n=500, reps=3, stats=stats, outdir=str(tmp_path / "w2"), workers=2))
     assert r1.ok == r2.ok
     for name in ("summary.json", "degree_hist.csv", "root.csv"):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
+
+
+def test_root_constants_once_per_plan():
+    # the constants travel in the job tuple, so every replicate sees one computed value
+    with mock.patch.object(theory, "root_degree_constants", wraps=theory.root_degree_constants) as spy:
+        run(_plan(n=500, reps=4, stats=("root",), workers=1))
+    assert spy.call_count == 1
 
 
 def test_delay_scan_only_skips_growth():
