@@ -1,19 +1,33 @@
-"""Time ``grow`` with the edge sampler on the grid-invpow2 preset.
+"""Time ``grow`` on the edge sampler's preset and on the two tabulated-growth plans.
 
     python3 bench/edge_growth.py --tree parent=OLD/src --tree change=src \
-        > BENCH_edge_growth.json
+        > BENCH_tabulated_growth.json
 
 ``--tree LABEL=SRC`` names a source directory holding the ``delaytree``
 package; give it twice to compare two versions on the same machine.  Each
 measurement is one fresh Python process with SRC first on ``sys.path``: it
-builds the preset config at size n, times one ``grow`` call with
+builds one of the ``CONFIGS`` at size n, times one ``grow`` call with
 ``time.perf_counter``, and reports that time, its own peak RSS
-(``ru_maxrss``) and the SHA-256 of ``parents``.  Every size in ``SIZES``
-is grown ``RUNS`` times per tree, the trees taking turns run by run so
-that host drift hits them alike, and the median is recorded.  One more
-process grows ``RSS_SIZE`` vertices with the last tree listed, to record
-peak memory at that size.  The JSON document goes to standard output,
-progress to standard error.
+(``ru_maxrss``), the rejected proposals ``retries`` and the SHA-256 of
+``parents``.  Every (config, size) pair in ``SIZES`` is grown ``RUNS``
+times per tree, the trees taking turns run by run so that host drift hits
+them alike, and the median is recorded.  The ``LARGE`` runs grow once more
+with the last tree listed, to record time and peak memory at a size the
+parent may not reach.  The JSON document goes to standard output, progress
+to standard error.
+
+The configs:
+
+* ``grid-invpow2`` -- the preset of that name (affine alpha = 0, invpow:2
+  delay, beta = 0.5): the edge sampler.
+* ``tabulated-pow`` -- the monotone table (1, 1.4, 1.7, 2.0) with a
+  ``pow:0.5`` tail and an ``invpow:1`` delay, the first plan of the
+  ``tabulated-growth`` benchmark workload.
+* ``tabulated-bumpy`` -- the non-monotone table (1, 2, 1.5, 1.2) with a
+  ``const`` tail and a ``uniform01`` delay, its second plan.
+
+The tabulated configs run with ``sampler = auto``, so each tree uses the
+sampler it picks for them.
 """
 
 from __future__ import annotations
@@ -35,36 +49,76 @@ from delaytree.configio import build_config, parse_config_text
 from delaytree.growth import grow
 
 entries = parse_config_text(PRESETS["grid-invpow2"])
-entries["n_final"] = sys.argv[2]
-entries["seed"] = sys.argv[3]
+entries.update(json.loads(sys.argv[2]))
+entries["n_final"] = sys.argv[3]
+entries["seed"] = sys.argv[4]
 config, _ = build_config(entries)
 t0 = time.perf_counter()
 trace = grow(config)
 seconds = time.perf_counter() - t0
 print(json.dumps({
     "grow_s": seconds,
+    "sampler": config.resolve_sampler(),
+    "retries": trace.retries,
     "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     "parents_sha256": hashlib.sha256(trace.parents.astype("<i8").tobytes()).hexdigest(),
 }))
 """
 
-SIZES = (1_000_000, 3_000_000)
-RUNS = 3  # median of three per size and tree
-RSS_SIZE = 10_000_000
+# config entries over the grid-invpow2 preset
+CONFIGS = {
+    "grid-invpow2": {},
+    "tabulated-pow": {
+        "kernel.kind": "tabulated",
+        "kernel.table": "1,1.4,1.7,2.0",
+        "kernel.tail": "pow:0.5",
+        "kernel.f_star": "1",
+        "kernel.monotone": "true",
+        "delay.kind": "invpow",
+        "delay.p": "1.0",
+    },
+    "tabulated-bumpy": {
+        "kernel.kind": "tabulated",
+        "kernel.table": "1,2,1.5,1.2",
+        "kernel.tail": "const",
+        "kernel.f_star": "1",
+        "delay.kind": "uniform01",
+    },
+}
+SIZES = {
+    "grid-invpow2": (1_000_000, 3_000_000),
+    "tabulated-pow": (300_000,),
+    "tabulated-bumpy": (20_000,),
+}
+LARGE = {"grid-invpow2": 10_000_000, "tabulated-bumpy": 1_000_000}
+RUNS = 3  # median of three per config, size and tree
 SEED = 1
 
 # one client on a small machine: keep NumPy single-threaded
 ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def measure(src: str, n: int, seed: int) -> dict:
+def measure(src: str, name: str, n: int, seed: int) -> dict:
     env = dict(os.environ, **ENV)
     env.pop("PYTHONPATH", None)
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, os.path.abspath(src), str(n), str(seed)],
+        [sys.executable, "-c", CHILD, os.path.abspath(src), json.dumps(CONFIGS[name]), str(n), str(seed)],
         check=True, capture_output=True, text=True, env=env,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def row(got: list, n: int) -> dict:
+    median = statistics.median(g["grow_s"] for g in got)
+    return {
+        "sampler": sorted({g["sampler"] for g in got}),
+        "grow_s": [round(g["grow_s"], 4) for g in got],
+        "median_s": round(median, 4),
+        "us_per_vertex": round(median / n * 1e6, 4),
+        "retries_per_arrival": round(statistics.median(g["retries"] for g in got) / (n - 2), 4),
+        "peak_rss_mb": round(max(g["peak_rss_mb"] for g in got), 1),
+        "parents_sha256": sorted({g["parents_sha256"] for g in got}),
+    }
 
 
 def main(argv=None) -> int:
@@ -73,37 +127,30 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     trees = dict(t.split("=", 1) for t in args.tree)
-    runs: dict = {label: {n: [] for n in SIZES} for label in trees}
-    for n in SIZES:
-        for _ in range(RUNS):
-            for label, src in trees.items():
-                got = measure(src, n, SEED)
-                runs[label][n].append(got)
-                print(f"{label} n={n} grow {got['grow_s']:.3f} s", file=sys.stderr)
-
-    results = {}
-    for label in trees:
-        rows = {}
-        for n in SIZES:
-            got = runs[label][n]
-            median = statistics.median(g["grow_s"] for g in got)
-            rows[str(n)] = {
-                "grow_s": [round(g["grow_s"], 4) for g in got],
-                "median_s": round(median, 4),
-                "us_per_vertex": round(median / n * 1e6, 4),
-                "peak_rss_mb": round(max(g["peak_rss_mb"] for g in got), 1),
-                "parents_sha256": sorted({g["parents_sha256"] for g in got}),
-            }
-        results[label] = rows
-    identical = {
-        str(n): len({h for label in trees for h in results[label][str(n)]["parents_sha256"]}) == 1
-        for n in SIZES
-    }
+    configs = {}
+    for name, sizes in SIZES.items():
+        runs: dict = {label: {n: [] for n in sizes} for label in trees}
+        for n in sizes:
+            for _ in range(RUNS):
+                for label, src in trees.items():
+                    got = measure(src, name, n, SEED)
+                    runs[label][n].append(got)
+                    print(f"{label} {name} n={n} grow {got['grow_s']:.3f} s", file=sys.stderr)
+        results = {label: {str(n): row(runs[label][n], n) for n in sizes} for label in trees}
+        identical = {
+            str(n): len({h for label in trees for h in results[label][str(n)]["parents_sha256"]}) == 1
+            for n in sizes
+        }
+        configs[name] = {"trees": results, "parents_identical_across_trees": identical}
 
     last = list(trees)[-1]
-    big = measure(trees[last], RSS_SIZE, SEED)
+    large = {}
+    for name, n in LARGE.items():
+        big = measure(trees[last], name, n, SEED)
+        print(f"{last} {name} n={n} grow {big['grow_s']:.3f} s", file=sys.stderr)
+        large[name] = {"tree": last, "n": n, **row([big], n)}
     doc = {
-        "benchmark": "grow, edge sampler, grid-invpow2 preset (affine alpha = 0, invpow:2 delay, beta = 0.5)",
+        "benchmark": "grow on grid-invpow2 (edge sampler) and the two tabulated-growth plans (sampler auto)",
         "script": "bench/edge_growth.py",
         "seed": SEED,
         "runs_per_size": RUNS,
@@ -113,15 +160,8 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "numpy": importlib.metadata.version("numpy"),
         },
-        "trees": results,
-        "parents_identical_across_trees": identical,
-        "large": {
-            "tree": last,
-            "n": RSS_SIZE,
-            "grow_s": round(big["grow_s"], 4),
-            "us_per_vertex": round(big["grow_s"] / RSS_SIZE * 1e6, 4),
-            "peak_rss_mb": round(big["peak_rss_mb"], 1),
-        },
+        "configs": configs,
+        "large": large,
     }
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     return 0

@@ -5,10 +5,9 @@ array plus, per vertex, the delay it drew and the snapshot time it
 consulted.  The parent array is the one stored form of the tree; degrees at
 any time, the total weight Psi(m) and the edge list are counts over it.
 
-Parent choice within a snapshot is implemented three ways, all
-distributionally identical where their preconditions hold.  Each has one
-draw routine; :func:`grow` feeds it every arrival and the
-``sample_parent_*`` single-draw entry points call it on a frozen tree.
+Parent choice within a snapshot is implemented three ways, all exact for
+the kernels they accept.  Each has one draw routine, which :func:`grow`
+feeds every arrival and the tests call on a frozen tree.
 
 * ``edge``   -- endpoint-list trick of Batagelj & Brandes (Phys. Rev. E 71,
   036113, 2005), exact for uniform and affine kernels.  The edge made by
@@ -21,13 +20,16 @@ draw routine; :func:`grow` feeds it every arrival and the
   and copies of parents before the block in one pass, copies of parents
   inside the block by pointer jumping.  Temporaries are O(block), and the
   draws and the resulting tree equal those of one draw per arrival.
-* ``rejection`` -- Fenwick-indexed proposal from the *current* weights
-  restricted to [1..m], thinned by f(deg in snapshot)/f(deg now).  Exact
-  for any monotone kernel; expected retries = Psi(n)-to-Psi(m) ratio.  The
-  Fenwick tree, current degrees and child birth lists are sampler state,
-  built by :func:`grow` or by :func:`rejection_state` for a frozen tree.
-* ``scan`` -- linear scan of snapshot weights.  Exact for every kernel and
-  the oracle the other two are tested against.
+* ``rejection`` -- thinning (Lewis & Shedler, Naval Res. Logist. Q. 26,
+  1979) of the same endpoint proposal taken at the kernel's affine
+  envelope f(d) <= a*d + b (``linear_bound``): propose v with probability
+  (a*d + b)/Psi_g(m), accept with f(d)/(a*d + b), d being v's degree in
+  snapshot m.  Exact for every kernel, monotone or not; for uniform and
+  affine kernels the acceptance is 1 and it draws the edge law.  Arrivals
+  are drawn one at a time; a proposal reads only parents[k] with k <= m,
+  which are final, so no copy chain arises.
+* ``scan`` -- linear scan of snapshot weights, O(m) per draw.  Exact for
+  every kernel and the oracle the other two are tested against.
 
 Degrees that enter attachment weights are graph degrees (child count, +1
 for the parent edge; the root simply has its child count, clamped to 1 at
@@ -42,64 +44,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .canonical import check_parents
-from .errors import ArgumentError, StrategyError
+from .errors import ArgumentError
 from .kernels import AttachmentKernel, GrowthConfig, snapshot_times
 
 __all__ = [
-    "Fenwick",
     "TreeTrace",
     "grow",
     "trace_from_parents",
     "deg_at",
     "weight_degree",
     "psi_recomputed",
-    "rejection_state",
-    "sample_parent_scan",
-    "sample_parent_affine",
     "sample_parent_rejection",
     "attachment_distribution",
-    "edge_trick_distribution",
-    "rejection_distribution",
+    "thinning_distribution",
     "export_trace",
     "load_trace",
 ]
-
-
-class Fenwick:
-    """Binary indexed tree over vertex weights, 1-based."""
-
-    __slots__ = ("n", "tree")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = [0.0] * (n + 1)
-
-    def add(self, i: int, delta: float) -> None:
-        n, tree = self.n, self.tree
-        while i <= n:
-            tree[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i: int) -> float:
-        tree = self.tree
-        s = 0.0
-        while i > 0:
-            s += tree[i]
-            i -= i & (-i)
-        return s
-
-    def search(self, r: float) -> int:
-        """Smallest index i with prefix(i) >= r (assumes 0 <= r <= total)."""
-        idx = 0
-        bit = 1 << (self.n.bit_length() - 1)
-        tree, n = self.tree, self.n
-        while bit:
-            nxt = idx + bit
-            if nxt <= n and tree[nxt] < r:
-                r -= tree[nxt]
-                idx = nxt
-            bit >>= 1
-        return idx + 1
 
 
 @dataclass
@@ -179,7 +139,7 @@ def psi_recomputed(trace: TreeTrace, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Draws: grow's loops and the single-draw entry points share these
+# Draws: grow's loops and the frozen-tree entry point share these
 # ---------------------------------------------------------------------------
 
 
@@ -222,24 +182,39 @@ def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, pi
     return out
 
 
-def _draw_rejection(m: int, fen: Fenwick, wdeg: list, kids: list, evaluate, rng) -> tuple[int, int]:
-    """Prefix proposal plus thinning; returns (parent, rejected proposals).
+def _uniform_triples(rng):
+    """Endless (branch, pick, accept) uniforms, drawn from ``rng`` a block at a time.
 
-    Proposes v <= m with probability proportional to its current weight
-    f(wdeg[v]) and accepts with probability f(deg in snapshot m) /
-    f(wdeg[v]) <= 1, reading the snapshot degree off v's sorted child
-    birth times ``kids[v]``.
+    A block is _THIN_BLOCK branch uniforms, then as many picks, then as
+    many accepts; zipping the three columns is cheaper than row lists.
+    """
+    while True:
+        yield from zip(*rng.random((3, _THIN_BLOCK)).tolist())
+
+
+def _draw_thinning(par, kids, m: int, slope: float, offset: float, evaluate, triples) -> tuple[int, int]:
+    """Envelope proposal plus thinning; returns (parent, rejected proposals).
+
+    Proposes v <= m with probability (slope*d + offset)/Psi_g(m), d being
+    v's weight degree in snapshot m, by the endpoint rule of
+    :func:`_resolve_edge` on Python scalars: every ``par[k]`` it reads has
+    k <= m and is final.  Accepts with probability f(d)/(slope*d + offset),
+    reading d off v's sorted child birth times ``kids[v]``.
     """
     if m == 1:
         return 1, 0
-    total = fen.prefix(m)
+    top = 2 * (m - 1)
+    mix = offset * m
+    psi = slope * top + mix
     rejected = 0
-    while True:
-        v = fen.search(rng.random() * total)
-        d_now = wdeg[v]
-        cnt = bisect_right(kids[v], m)
-        d_snap = (cnt if cnt >= 1 else 1) if v == 1 else cnt + 1
-        if d_snap == d_now or rng.random() * evaluate(d_now) < evaluate(d_snap):
+    for branch, pick, u in triples:
+        if branch * psi < mix:
+            v = min(int(pick * m), m - 1) + 1
+        else:
+            e = min(int(pick * top), top - 1)
+            v = e // 2 + 2 if e & 1 else par[e // 2 + 2]
+        d = bisect_right(kids[v], m) + (v != 1)  # the root has no parent edge
+        if u * (slope * d + offset) < evaluate(d):
             return v, rejected
         rejected += 1
 
@@ -253,45 +228,27 @@ def _draw_scan(parents, m: int, kernel: AttachmentKernel, rng) -> int:
     return min(v, m)
 
 
-def rejection_state(parents, kernel: AttachmentKernel) -> tuple[Fenwick, list, list]:
-    """Rejection-sampler state of a frozen tree: (Fenwick, wdeg, kids).
+def sample_parent_rejection(
+    trace: TreeTrace, m: int, kernel: AttachmentKernel, rng, size: int
+) -> tuple[np.ndarray, int]:
+    """``size`` thinning draws from snapshot m of a frozen trace.
 
-    The Fenwick tree holds each vertex's final weight, ``wdeg[v]`` its
-    final weight degree and ``kids[v]`` its children's birth times.
+    Returns (parents drawn, rejected proposals).
     """
-    par = check_parents(parents)
-    n = len(par) - 1
-    wdeg = [0, *_weight_degrees(par, n).tolist()]
-    fen = Fenwick(n)
-    for v in range(1, n + 1):
-        fen.add(v, kernel.evaluate(wdeg[v]))
-    kids: list = [[] for _ in range(n + 1)]
-    for v, p in enumerate(par[2:].tolist(), start=2):
-        kids[p].append(v)
-    return fen, wdeg, kids
-
-
-def sample_parent_scan(trace: TreeTrace, m: int, kernel: AttachmentKernel, rng) -> int:
-    """One scan draw from snapshot m of a frozen trace."""
-    return _draw_scan(trace.parents, m, kernel, rng)
-
-
-def sample_parent_affine(trace: TreeTrace, m: int, alpha: float, rng) -> int:
-    """One endpoint-list draw for f(k) = k + alpha from snapshot m."""
-    branch = rng.random() if alpha > 0.0 else 0.0
-    ms = np.array([m], dtype=np.int64)
-    return int(_resolve_edge(trace.parents, trace.n + 1, ms, 1.0, alpha, branch, rng.random())[0])
-
-
-def sample_parent_rejection(state, m: int, kernel: AttachmentKernel, rng) -> tuple[int, int]:
-    """One rejection draw from snapshot m; ``state`` from :func:`rejection_state`.
-
-    Returns (parent, rejected proposals).
-    """
-    if not getattr(kernel, "monotone", False):
-        raise StrategyError("rejection sampling requires a monotone kernel")
-    fen, wdeg, kids = state
-    return _draw_rejection(m, fen, wdeg, kids, kernel.evaluate, rng)
+    if m < 1 or m > trace.n:
+        raise ArgumentError(f"snapshot time {m} outside 1..{trace.n}")
+    par = trace.parents.tolist()
+    kids: list = [[] for _ in par]
+    for v in range(2, trace.n + 1):
+        kids[par[v]].append(v)
+    slope, offset = kernel.linear_bound()
+    triples = _uniform_triples(rng)
+    out = np.empty(size, dtype=np.int64)
+    rejected = 0
+    for i in range(size):
+        out[i], r = _draw_thinning(par, kids, m, slope, offset, kernel.evaluate, triples)
+        rejected += r
+    return out, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -307,26 +264,24 @@ def attachment_distribution(trace: TreeTrace, m: int, kernel: AttachmentKernel) 
     return w / w.sum()
 
 
-def edge_trick_distribution(trace: TreeTrace, m: int, alpha: float) -> np.ndarray:
-    """Law of :func:`sample_parent_affine`, from the first 2(m-1) endpoints."""
+def thinning_distribution(trace: TreeTrace, m: int, kernel: AttachmentKernel) -> np.ndarray:
+    """Law of the thinning draw: the endpoint proposal at ``kernel.linear_bound()``
+    times the acceptance min(1, f(d)/(a*d + b)), normalised.
+
+    The proposal counts each vertex's endpoints among the first 2(m-1), so
+    for uniform and affine kernels (acceptance 1) this is the edge law.  It
+    equals :func:`attachment_distribution` exactly when the envelope holds.
+    """
     if m == 1:
         return np.array([1.0])
+    slope, offset = kernel.linear_bound()
     e = np.arange(2 * (m - 1))
     k = e // 2 + 2
-    ends = np.where(e & 1, k, trace.parents[k])
-    counts = np.bincount(ends, minlength=m + 1)[1 : m + 1].astype(np.float64)
-    psi_m = 2.0 * (m - 1) + m * alpha
-    return (counts + alpha) / psi_m
-
-
-def rejection_distribution(trace: TreeTrace, m: int, kernel: AttachmentKernel) -> np.ndarray:
-    """Law of :func:`sample_parent_rejection` via the thinning algebra."""
-    if m == 1:
-        return np.array([1.0])
-    d_snap = _weight_degrees(trace.parents, m)
-    w_now = kernel.evaluate_array(_weight_degrees(trace.parents, trace.n)[:m]).astype(np.float64)
-    accept = kernel.evaluate_array(d_snap) / w_now
-    mass = w_now * accept
+    ends = np.bincount(np.where(e & 1, k, trace.parents[k]), minlength=m + 1)[1 : m + 1]
+    proposal = (slope * ends + offset) / (slope * 2 * (m - 1) + offset * m)
+    d = _weight_degrees(trace.parents, m)
+    accept = np.minimum(kernel.evaluate_array(d) / (slope * d + offset), 1.0)  # as the draw caps it
+    mass = proposal * accept
     return mass / mass.sum()
 
 
@@ -340,7 +295,9 @@ def grow(config: GrowthConfig) -> TreeTrace:
 
     Draw order is fixed: one vectorised block of delays for vertices
     3..n_final, then the attachment draws (for the edge sampler, every
-    branch uniform and then every pick; for the others, step by step).
+    branch uniform and then every pick; for rejection, one (branch, pick,
+    accept) triple per proposal from blocks of uniforms; for scan, one per
+    step).
     Vertex 2 attaches to the root deterministically.
     """
     strategy = config.resolve_sampler()
@@ -392,30 +349,27 @@ def _loop_edge(parents, kernel, ms, rng) -> int:
     return 0
 
 
+_THIN_BLOCK = 1 << 13
+
+
 def _loop_rejection(parents, kernel, ms, rng) -> int:
-    n_final = parents.shape[0] - 1
+    slope, offset = kernel.linear_bound()
     evaluate = kernel.evaluate
-    f1 = evaluate(1)
-    fen = Fenwick(n_final)
-    fen.add(1, f1)
-    fen.add(2, f1)
-    wdeg = [0] * (n_final + 1)
-    wdeg[1] = 1
-    wdeg[2] = 1
-    kids: list = [[] for _ in range(n_final + 1)]
-    kids[1].append(2)
+    par = memoryview(parents)  # scalar reads and writes without NumPy boxing
+    kids: list = [()] * len(parents)  # a leaf keeps the shared empty tuple
+    kids[1] = [2]
+    triples = _uniform_triples(rng)
     retries = 0
-    for t in range(len(ms)):
-        k = t + 3
-        v, rejected = _draw_rejection(int(ms[t]), fen, wdeg, kids, evaluate, rng)
-        retries += rejected
-        parents[k] = v
-        kids[v].append(k)
-        d_old = wdeg[v]
-        wdeg[v] = d_old + 1
-        wdeg[k] = 1
-        fen.add(v, evaluate(d_old + 1) - evaluate(d_old))
-        fen.add(k, f1)
+    # ms is read a block at a time to keep the Python ints few
+    for lo in range(0, len(ms), _THIN_BLOCK):
+        for k, m in enumerate(ms[lo : lo + _THIN_BLOCK].tolist(), start=lo + 3):
+            v, rejected = _draw_thinning(par, kids, m, slope, offset, evaluate, triples)
+            retries += rejected
+            par[k] = v
+            if kids[v]:
+                kids[v].append(k)
+            else:
+                kids[v] = [k]
     return retries
 
 

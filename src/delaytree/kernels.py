@@ -56,9 +56,10 @@ class AttachmentKernel:
     """Weight function f on degrees k = 1, 2, ...
 
     Subclasses must guarantee f(k) > 0 and at-most-linear growth
-    f(k) <= a*k + b; the pair (a, b) is exposed through ``linear_bound`` and
-    is what the series truncation in :mod:`delaytree.theory` certifies
-    against.
+    f(k) <= a*k + b; the pair (a, b) is exposed through ``linear_bound``.
+    It is the one envelope of the package: the series truncation in
+    :mod:`delaytree.theory` certifies against it, and the rejection sampler
+    in :mod:`delaytree.growth` proposes from it, so a >= 0 and b >= 0.
     """
 
     kind: str = "abstract"
@@ -138,9 +139,9 @@ class TabulatedKernel(AttachmentKernel):
 
     tail is either ``("const",)`` -- f(k) = values[-1] for k > K -- or
     ``("pow", a)`` with 0 < a < 1 -- f(k) = k**a for k > K.  The minimum
-    value ``f_star`` and the ``monotone`` flag must be supplied explicitly;
-    they are validated against the table but never inferred, because the
-    rejection sampler's correctness rides on ``monotone`` being true.
+    value ``f_star`` and the ``monotone`` flag must be supplied explicitly
+    and are validated against the table, never inferred.  ``monotone`` is
+    metadata only: every sampler is exact for every table.
     """
 
     values: tuple[float, ...]
@@ -171,6 +172,7 @@ class TabulatedKernel(AttachmentKernel):
             k_next = len(vals) + 1
             if self.evaluate(k_next) < vals[-1] - 1e-12:
                 raise ArgumentError("monotone flag set but tail rule drops below the table")
+        object.__setattr__(self, "_envelope", self._tightest_envelope())
 
     def evaluate(self, k: int) -> float:
         self._check_degree(k)
@@ -191,11 +193,51 @@ class TabulatedKernel(AttachmentKernel):
         return out
 
     def linear_bound(self) -> tuple[float, float]:
-        top = max(self.values)
-        if self.tail[0] == "const":
-            return (0.0, top)
-        # tail f(k) = k**a <= k, table part <= top
-        return (1.0, top)
+        """The tightest certified envelope, computed once at construction."""
+        return self._envelope
+
+    def _tightest_envelope(self) -> tuple[float, float]:
+        """The tightest certified envelope: (a, b) minimising 2a + b with b >= 0.
+
+        b(a) = sup over k >= 1 of f(k) - a*k.  An envelope's mean weight per
+        snapshot vertex (mean degree 2) is 2a + b(a), convex in a and least
+        at the largest chord slope from (1, f(1)) to a later point; a is
+        capped at sup f(k)/k, where b reaches 0, so that the endpoint
+        proposal stays a mixture.  Every supremum involved is attained at a
+        table point, at K + 1, or on a pow tail at the chord's integer
+        maximiser, so b is exact.
+        """
+        pts = [(k, self.evaluate(k)) for k in range(1, len(self.values) + 2)]
+        if self.tail[0] == "pow":
+            k = self._tail_chord_argmax()
+            pts.append((k, self.evaluate(k)))
+        f1 = self.values[0]
+        slope = max((fk - f1) / (k - 1) for k, fk in pts[1:])
+        slope = max(0.0, min(slope, max(fk / k for k, fk in pts)))
+        return (slope, max(0.0, *(fk - slope * k for k, fk in pts)))  # 0.0 absorbs rounding
+
+    def _tail_chord_argmax(self) -> int:
+        """Integer k > K maximising the chord slope (k**p - f(1)) / (k - 1).
+
+        On reals the slope rises then falls (its derivative's numerator is
+        decreasing), peaking below (f(1)/(1-p))**(1/p); so "the next slope
+        is no larger" is monotone in k and bisection finds its first k.  The
+        search stops at e**700, far beyond any degree a tree can reach.
+        """
+        p, f1 = self.tail[1], self.values[0]
+
+        def falls(k: int) -> bool:
+            return ((k + 1) ** p - f1) / k <= (k**p - f1) / (k - 1)
+
+        lo = len(self.values) + 1
+        hi = max(lo, math.ceil(math.exp(min(math.log(f1 / (1.0 - p)) / p, 700.0))))
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if falls(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def sup_value(self) -> float | None:
         if self.tail[0] == "const":
@@ -614,9 +656,10 @@ class GrowthConfig:
 
     sampler selects the parent-sampling strategy: "edge" is the
     endpoint-list trick (exact for uniform/affine kernels only),
-    "rejection" is prefix-weighted proposal with acceptance thinning (any
-    monotone kernel), "scan" is the linear-scan oracle (any kernel, O(n)
-    per step), and "auto" resolves to the cheapest exact choice.
+    "rejection" thins an endpoint proposal from the kernel's affine
+    envelope (any kernel), "scan" is the linear-scan oracle (any kernel,
+    O(n) per step), and "auto" resolves to "edge" for uniform/affine
+    kernels and to "rejection" for every other kernel.
     """
 
     kernel: AttachmentKernel
@@ -643,15 +686,9 @@ class GrowthConfig:
 
     def resolve_sampler(self) -> str:
         """Concrete strategy name, validating kernel/sampler compatibility."""
-        kind = self.kernel.kind
+        affine = self.kernel.kind in ("uniform", "affine")
         if self.sampler == "auto":
-            if kind in ("uniform", "affine"):
-                return "edge"
-            if getattr(self.kernel, "monotone", False):
-                return "rejection"
-            return "scan"
-        if self.sampler == "edge" and kind not in ("uniform", "affine"):
+            return "edge" if affine else "rejection"
+        if self.sampler == "edge" and not affine:
             raise StrategyError("edge-endpoint sampling is exact only for uniform/affine kernels")
-        if self.sampler == "rejection" and not getattr(self.kernel, "monotone", False):
-            raise StrategyError("rejection sampling requires a monotone kernel")
         return self.sampler

@@ -36,11 +36,9 @@ from delaytree.estimators import (
 )
 from delaytree.growth import (
     attachment_distribution,
-    edge_trick_distribution,
     grow,
-    rejection_distribution,
-    rejection_state,
     sample_parent_rejection,
+    thinning_distribution,
     trace_from_parents,
 )
 from delaytree.harness import ExperimentPlan, replicate_seed, run, tv_distance
@@ -346,8 +344,14 @@ def test_c7_sampler_distributions(report):
     t0 = time.perf_counter()
     worst = 0.0
     n_trees = 0
-    for alpha in (0.0, 1.3):
-        kern = AffineKernel(alpha)
+    # affine kernels (acceptance 1: the edge law) and two non-monotone tables
+    kernels = (
+        AffineKernel(0.0),
+        AffineKernel(1.3),
+        TabulatedKernel((1.0, 2.0, 1.5, 1.2), tail=("const",), f_star=1.0),
+        TabulatedKernel((3.0, 1.0, 2.5), tail=("pow", 0.5), f_star=1.0),
+    )
+    for kern in kernels:
         for n in range(2, 9):
             for combo in itertools.product(*[range(1, v) for v in range(3, n + 1)]):
                 parents = [0, 0, 1, *combo]
@@ -355,28 +359,21 @@ def test_c7_sampler_distributions(report):
                 n_trees += 1
                 for m in range(1, n + 1):
                     base = attachment_distribution(tr, m, kern)
-                    worst = max(worst, np.abs(edge_trick_distribution(tr, m, alpha) - base).max())
-                    worst = max(worst, np.abs(rejection_distribution(tr, m, kern) - base).max())
-    assert n_trees == 2 * 5913  # sum over n<=8 of (n-1)! histories, once per alpha
+                    worst = max(worst, np.abs(thinning_distribution(tr, m, kern) - base).max())
+    assert n_trees == len(kernels) * 5913  # sum over n<=8 of (n-1)! histories, once per kernel
 
-    # a drawn-sample check on one frozen mid-sized history
-    kern50 = TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("const",), f_star=1.0, monotone=True)
+    # a drawn-sample check of a non-monotone table on one frozen mid-sized history
+    kern50 = TabulatedKernel((1.0, 2.0, 1.5, 1.2), tail=("const",), f_star=1.0)
     tr = grow(GrowthConfig(kern50, Uniform01Delay(beta=0.5), 50, seed=7))
     law = attachment_distribution(tr, 50, kern50)
-    rng = np.random.default_rng(12345)
-    state = rejection_state(tr.parents, kern50)
-    draws = np.fromiter(
-        (sample_parent_rejection(state, 50, kern50, rng)[0] for _ in range(1_000_000)),
-        dtype=np.int64,
-        count=1_000_000,
-    )
+    draws, _ = sample_parent_rejection(tr, 50, kern50, np.random.default_rng(12345), 1_000_000)
     counts = np.bincount(draws, minlength=51)[1:]
     chi = stats.chisquare(counts, 1_000_000 * law)
     wall = time.perf_counter() - t0
     report(
         "C7",
         worst <= 1e-12 and chi.pvalue > 0.001,
-        f"samplers: worst analytic gap={worst:.2e} (tol 1e-12) over 5913 histories, "
+        f"samplers: worst analytic gap={worst:.2e} (tol 1e-12) over 5913 histories x {len(kernels)} kernels, "
         f"chi2 p={chi.pvalue:.4f} (>0.001) on 1e6 draws, wall={wall:.1f}s",
     )
 

@@ -77,8 +77,8 @@ def test_rejection_sampler_parents_are_golden():
     kern = TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True)
     tr = grow(GrowthConfig(kern, DELAYS["uniform01"], 5000, seed=1, sampler="rejection"))
     assert (_digest(tr.parents), tr.retries) == (
-        "7b3d501613856528635fc548bae7e3f55149541f9c485957d733cccf9fc932da",
-        16,
+        "7ada94f1b39d4972929e9a96431b2dff0a2f4350c8864dca4e151807132e40ad",
+        300,
     )
 
 

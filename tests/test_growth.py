@@ -5,22 +5,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from delaytree import growth
 from delaytree.cli import PRESETS
 from delaytree.configio import build_config, parse_config_text
-from delaytree.errors import ArgumentError, StrategyError
+from delaytree.errors import ArgumentError
 from delaytree.growth import (
     attachment_distribution,
     deg_at,
-    edge_trick_distribution,
     export_trace,
     grow,
     load_trace,
     psi_recomputed,
-    rejection_distribution,
-    rejection_state,
-    sample_parent_affine,
     sample_parent_rejection,
-    sample_parent_scan,
+    thinning_distribution,
     trace_from_parents,
     weight_degree,
 )
@@ -28,6 +25,7 @@ from delaytree.kernels import (
     AffineKernel,
     ConstantDelay,
     GrowthConfig,
+    InversePowerDelay,
     TabulatedKernel,
     Uniform01Delay,
     UniformKernel,
@@ -118,8 +116,7 @@ def test_edge_trick_matches_oracle_on_grown_trees():
         tr = grow(_cfg(n=150, seed=4, kernel=kern))
         for m in (2, 3, 50, 149):
             oracle = attachment_distribution(tr, m, kern)
-            np.testing.assert_allclose(edge_trick_distribution(tr, m, alpha), oracle, atol=1e-13)
-            np.testing.assert_allclose(rejection_distribution(tr, m, kern), oracle, atol=1e-13)
+            np.testing.assert_allclose(thinning_distribution(tr, m, kern), oracle, atol=1e-13)
 
 
 def test_rejection_law_for_tabulated_kernel():
@@ -128,7 +125,7 @@ def test_rejection_law_for_tabulated_kernel():
     assert tr.retries >= 0
     for m in (2, 10, 45, 90):
         np.testing.assert_allclose(
-            rejection_distribution(tr, m, kern),
+            thinning_distribution(tr, m, kern),
             attachment_distribution(tr, m, kern),
             atol=1e-13,
         )
@@ -146,38 +143,51 @@ def test_samplers_draw_from_the_exact_law():
         probs = attachment_distribution(tr, 40, kern)
         rng = np.random.default_rng(99)
         if sampler == "edge":
-            got = [sample_parent_affine(tr, 40, kern.alpha, rng) for _ in range(draws)]
+            branch, picks = rng.random(draws), rng.random(draws)
+            got = growth._resolve_edge(tr.parents, tr.n + 1, np.full(draws, 40), 1.0, kern.alpha, branch, picks)
         elif sampler == "rejection":
-            state = rejection_state(tr.parents, kern)
-            got = [sample_parent_rejection(state, 40, kern, rng)[0] for _ in range(draws)]
+            got, _ = sample_parent_rejection(tr, 40, kern, rng, draws)
         else:
-            got = [sample_parent_scan(tr, 40, kern, rng) for _ in range(draws)]
+            got = [growth._draw_scan(tr.parents, 40, kern, rng) for _ in range(draws)]
         counts = np.bincount(got, minlength=41)[1:]
         res = stats.chisquare(counts, probs * draws)
         assert res.pvalue > 1e-3, (sampler, res)
 
 
 def test_rejection_draw_thins_toward_an_earlier_snapshot():
-    # at m < n the snapshot degrees lag the current ones, so proposals get rejected
+    # at m < n the draw must read snapshot degrees; the envelope's slack above f gets rejected
     from scipy import stats
 
     kern = TabulatedKernel(values=(1.0, 1.6, 1.9, 2.0), tail=("const",), f_star=1.0, monotone=True)
     tr = grow(_cfg(n=60, seed=31, kernel=kern, sampler="rejection"))
     m, draws = 20, 40_000
-    state = rejection_state(tr.parents, kern)
-    rng = np.random.default_rng(7)
-    got = [sample_parent_rejection(state, m, kern, rng) for _ in range(draws)]
-    counts = np.bincount([v for v, _ in got], minlength=m + 1)[1:]
+    got, rejected = sample_parent_rejection(tr, m, kern, np.random.default_rng(7), draws)
+    counts = np.bincount(got, minlength=m + 1)[1:]
     res = stats.chisquare(counts, attachment_distribution(tr, m, kern) * draws)
     assert res.pvalue > 1e-3, res
-    assert sum(r for _, r in got) > 0
+    assert rejected > 0
 
 
-def test_rejection_entry_point_requires_a_monotone_kernel():
+def test_rejection_draw_needs_no_monotone_kernel():
+    # a table that falls after its peak and a tail below it: thinning is exact anyway
+    from scipy import stats
+
     kern = TabulatedKernel(values=(1.0, 2.0, 1.5), tail=("const",), f_star=1.0)
     tr = grow(_cfg(n=30, seed=2, kernel=kern))
-    with pytest.raises(StrategyError):
-        sample_parent_rejection(rejection_state(tr.parents, kern), 10, kern, np.random.default_rng(0))
+    m, draws = 10, 40_000
+    got, _ = sample_parent_rejection(tr, m, kern, np.random.default_rng(0), draws)
+    counts = np.bincount(got, minlength=m + 1)[1:]
+    res = stats.chisquare(counts, attachment_distribution(tr, m, kern) * draws)
+    assert res.pvalue > 1e-3, res
+    with pytest.raises(ArgumentError):
+        sample_parent_rejection(tr, tr.n + 1, kern, np.random.default_rng(0), 1)
+
+
+def test_tight_envelope_keeps_rejections_rare():
+    # the tabulated-growth rejection plan: a loose envelope (1, 2) rejects about 2 proposals per arrival
+    kern = TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True)
+    tr = grow(_cfg(n=20_000, seed=1, delay=InversePowerDelay(1.0, beta=0.5), kernel=kern))
+    assert tr.retries / (tr.n - 2) <= 0.3, tr.retries
 
 
 def test_trace_from_parents_matches_engine_bookkeeping():

@@ -293,8 +293,9 @@ def test_sampler_resolution():
     assert GrowthConfig(AffineKernel(1.0), delay, 10).resolve_sampler() == "edge"
     assert GrowthConfig(UniformKernel(), delay, 10).resolve_sampler() == "edge"
     assert GrowthConfig(tab, delay, 10).resolve_sampler() == "rejection"
-    assert GrowthConfig(bumpy, delay, 10).resolve_sampler() == "scan"
+    assert GrowthConfig(bumpy, delay, 10).resolve_sampler() == "rejection"
+    assert GrowthConfig(bumpy, delay, 10, sampler="scan").resolve_sampler() == "scan"
     with pytest.raises(StrategyError):
         GrowthConfig(tab, delay, 10, sampler="edge")
     with pytest.raises(StrategyError):
-        GrowthConfig(bumpy, delay, 10, sampler="rejection")
+        GrowthConfig(bumpy, delay, 10, sampler="edge")

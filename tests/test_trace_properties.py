@@ -1,4 +1,4 @@
-"""Property tests of the parent-array trace: degree views, Psi, export/load, edge draws."""
+"""Property tests of the parent-array trace: degree views, Psi, export/load, sampler laws."""
 
 import os
 import tempfile
@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from delaytree import growth
 from delaytree.growth import (
+    attachment_distribution,
     deg_at,
     export_trace,
     grow,
     load_trace,
     psi_recomputed,
-    sample_parent_affine,
+    thinning_distribution,
     trace_from_parents,
     weight_degree,
 )
@@ -162,9 +163,54 @@ def test_block_resolver_matches_the_per_arrival_loop(history):
 @settings(max_examples=100, deadline=None)
 @given(_parent_arrays(), st.sampled_from((0.0, 0.7)), st.integers(0, 2**32 - 1), st.data())
 def test_single_affine_draw_matches_the_scalar_draw(parents, alpha, seed, data):
+    # a frozen tree: with base past n every arrival draws from final parents only
     tr = trace_from_parents(parents, AffineKernel(alpha))
     m = data.draw(st.integers(1, tr.n))
-    ref = np.random.default_rng(seed)
-    branch = ref.random() if alpha > 0.0 else 0.0
-    expected = _scalar_edge_draw(tr.parents, m, 1.0, alpha, branch, ref.random())
-    assert sample_parent_affine(tr, m, alpha, np.random.default_rng(seed)) == expected
+    rng = np.random.default_rng(seed)
+    branch, picks = rng.random(64) if alpha > 0.0 else np.zeros(64), rng.random(64)
+    got = growth._resolve_edge(tr.parents, tr.n + 1, np.full(64, m), 1.0, alpha, branch, picks)
+    expected = [_scalar_edge_draw(tr.parents, m, 1.0, alpha, b, u) for b, u in zip(branch, picks)]
+    np.testing.assert_array_equal(got, expected)
+    # the thinning draw proposes by the same rule; accept = 0.0 takes every proposal
+    par = tr.parents.tolist()
+    kids: list = [[] for _ in par]
+    for v in range(2, tr.n + 1):
+        kids[par[v]].append(v)
+    triples = iter([(b, u, 0.0) for b, u in zip(branch, picks)])
+    thinned = [growth._draw_thinning(par, kids, m, 1.0, alpha, tr.kernel.evaluate, triples) for _ in picks]
+    assert thinned == [(v, 0) for v in expected]
+
+
+# ---------------------------------------------------------------------------
+# The affine envelope and the thinning law, on random kernels
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _tabulated_kernels(draw):
+    values = draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=6))
+    tail = draw(st.one_of(st.just(("const",)), st.tuples(st.just("pow"), st.floats(0.05, 0.95))))
+    return TabulatedKernel(tuple(values), tail=tail, f_star=min(values))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tabulated_kernels())
+def test_linear_bound_is_a_touching_envelope(kernel):
+    a, b = kernel.linear_bound()
+    assert a >= 0.0 and b >= 0.0
+    ks = np.arange(1, 10_001)
+    envelope = a * ks + b
+    gap = envelope - kernel.evaluate_array(ks)
+    tol = 1e-12 * np.maximum(envelope, 1.0)
+    assert np.all(gap >= -tol), gap.min()
+    assert np.any(gap <= tol), gap.min()  # it touches f, so no smaller b would do
+
+
+@settings(max_examples=100, deadline=None)
+@given(_parent_arrays(), st.one_of(st.sampled_from(KERNELS), _tabulated_kernels()))
+def test_thinning_law_is_the_attachment_law(parents, kernel):
+    tr = trace_from_parents(parents, kernel)
+    for m in range(1, tr.n + 1):
+        np.testing.assert_allclose(
+            thinning_distribution(tr, m, kernel), attachment_distribution(tr, m, kernel), rtol=0.0, atol=1e-12
+        )
