@@ -48,9 +48,6 @@ __all__ = [
     "geometric_grid",
     "DelayScan",
     "delay_condition_scan",
-    "floor_reach_mean",
-    "random_centering_rate",
-    "random_centering_diagnostic",
 ]
 
 
@@ -277,9 +274,10 @@ class RootTrajectory:
 def root_trajectory(trace: TreeTrace, theta: float, grid=None, ex_x=None) -> RootTrajectory:
     """Root degree sampled along a geometric time grid.
 
-    ex_x, when given, is a callable n -> E[min(X, n)] (the heavy-regime
-    growth scale); the trajectory then also carries values normalized by
-    it.  In the light regime values/n^theta is the quantity that settles.
+    ex_x, when given, holds E[min(X, n_j)] (the heavy-regime growth scale)
+    at each grid point n_j; the trajectory then also carries values
+    normalized by it.  In the light regime values/n^theta is the quantity
+    that settles.
     """
     ns = geometric_grid(trace.n) if grid is None else np.asarray(grid, dtype=np.int64)
     if np.any(np.diff(ns) <= 0) or ns[0] < 1 or ns[-1] > trace.n:
@@ -288,7 +286,10 @@ def root_trajectory(trace: TreeTrace, theta: float, grid=None, ex_x=None) -> Roo
     values = 1.0 + np.searchsorted(root_births, ns, side="right")
     over_ex = None
     if ex_x is not None:
-        over_ex = values / np.array([ex_x(float(m)) for m in ns])
+        ex = np.asarray(ex_x, dtype=np.float64)
+        if ex.shape != ns.shape:
+            raise ArgumentError("ex_x needs one value per grid point")
+        over_ex = values / ex
     return RootTrajectory(
         ns=ns,
         values=values,
@@ -303,18 +304,15 @@ def root_trajectory(trace: TreeTrace, theta: float, grid=None, ex_x=None) -> Roo
 # ---------------------------------------------------------------------------
 
 
-def _slab_edges(n: int, beta: float):
-    """xi-intervals on which floor(n - n^beta xi) = j, for j = n-1 down to 1."""
-    nb = float(n) ** beta
+def _e_n_exact(delay: DelayLaw, n: int) -> float | None:
+    """E[n^beta xi / floor(n - n^beta xi); floor >= 1], by slab decomposition.
+
+    The floor equals j on the xi-interval (a, b] below, for j = n-1 down to 1.
+    """
+    nb = float(n) ** delay.beta
     j = np.arange(1, n, dtype=np.float64)
     b = (n - j) / nb  # inclusive right edge
     a = (n - j - 1.0) / nb
-    return nb, j, a, b
-
-
-def _e_n_exact(delay: DelayLaw, n: int) -> float | None:
-    """E[n^beta xi / floor(n - n^beta xi); floor >= 1], by slab decomposition."""
-    nb, j, a, b = _slab_edges(n, delay.beta)
     pm = delay.partial_mean(a, b)
     if pm is None:
         return None
@@ -394,51 +392,3 @@ def delay_condition_scan(delay: DelayLaw, n_grid, seed: int = 0) -> DelayScan:
         ns=ns, e_values=evals, stderrs=errs, lemma_values=lemma, verdict=verdict, method=method
     )
 
-
-# ---------------------------------------------------------------------------
-# Random-centering diagnostic
-# ---------------------------------------------------------------------------
-
-
-def floor_reach_mean(delay: DelayLaw, n: int) -> float:
-    """E[1{n - n^beta xi >= 1} / floor(n - n^beta xi)], exactly.
-
-    This is the contraction defect of the leaf-count recursion; n times it
-    tends to 1 whenever the delay cannot reach all the way back.
-    """
-    _, j, a, b = _slab_edges(n, delay.beta)
-    mass = delay.survival_array(a) - delay.survival_array(b)
-    # xi = 0 exactly lands on snapshot n, outside the slab range 1..n-1
-    atom_at_zero = 1.0 - delay.survival(0.0)
-    return float(np.sum(mass / j) + atom_at_zero / n)
-
-
-def random_centering_rate(delay: DelayLaw, alpha: float, n: int) -> float:
-    """k_n = 1 - (1+alpha)/(2+alpha) * E[1{snapshot valid}/snapshot]."""
-    gamma_c = (1.0 + alpha) / (2.0 + alpha)
-    return 1.0 - gamma_c * floor_reach_mean(delay, n)
-
-
-def random_centering_diagnostic(delay: DelayLaw, alpha: float, n_grid) -> dict:
-    """Reports the alternative (random) centering's ingredients on a grid.
-
-    The leaf-count recursion contracts at rate k_n with unit-mean inflow;
-    balancing it at stationarity with inflow exactly 1 implies a leaf
-    fraction 1/(1 + gamma_c * n * g_n), where g_n is the floor-reach mean.
-    The gap between that and the true p_1 measures the quality of the
-    inflow ~ 1 approximation; nothing is asserted about it.
-    """
-    gamma_c = (1.0 + alpha) / (2.0 + alpha)
-    p1 = clt_constants(alpha).p1
-    ns = np.asarray(list(n_grid), dtype=np.int64)
-    g = np.array([floor_reach_mean(delay, int(n)) for n in ns])
-    k = 1.0 - gamma_c * g
-    implied = 1.0 / (1.0 + gamma_c * ns * g)
-    return {
-        "ns": ns,
-        "k_values": k,
-        "n_times_g": ns * g,
-        "implied_leaf_fraction": implied,
-        "p1": p1,
-        "inflow_approximation_gap": np.abs(implied - p1),
-    }

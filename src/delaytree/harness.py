@@ -159,9 +159,10 @@ def tv_distance(empirical, theory_probs) -> float:
 def _replicate_record(args) -> dict:
     """One replicate worth of raw statistics (picklable, order-agnostic).
 
-    ``consts`` are the plan's root-degree constants (None without "root").
+    ``root`` is the plan's (theta, time grid, E[min(X, n_j)] on the grid or
+    None outside the heavy regime), or None without "root".
     """
-    config, stats, consts, r = args
+    config, stats, root, r = args
     cfg = dataclasses.replace(config, seed=replicate_seed(config.seed, r))
     trace = grow(cfg)
     rec: dict = {"replicate": r, "retries": trace.retries}
@@ -179,8 +180,8 @@ def _replicate_record(args) -> dict:
         rec["pair_counts"] = pairs.counts
         rec["pair_truncated"] = pairs.truncated
     if "root" in stats:
-        ex = consts.ex_x_truncated if consts.regime == "heavy" else None
-        traj = est.root_trajectory(trace, consts.theta, ex_x=ex)
+        theta, grid, ex = root
+        traj = est.root_trajectory(trace, theta, grid=grid, ex_x=ex)
         rec["root_ns"] = traj.ns
         rec["root_values"] = traj.values
         rec["root_over_ntheta"] = traj.over_ntheta
@@ -192,10 +193,16 @@ def _replicate_record(args) -> dict:
 
 def _collect_records(plan: ExperimentPlan) -> list:
     config = plan.config
-    consts = None
+    root = None
     if "root" in plan.statistics:
+        # once per plan: every replicate shares the grid and its growth scales
         consts = theory.root_degree_constants(config.kernel.alpha, config.beta, config.delay)
-    jobs = [(config, plan.statistics, consts, r) for r in range(plan.replicates)]
+        grid = est.geometric_grid(config.n_final)
+        ex = None
+        if consts.regime == "heavy":
+            ex = np.array([consts.ex_x_truncated(float(m)) for m in grid])
+        root = (consts.theta, grid, ex)
+    jobs = [(config, plan.statistics, root, r) for r in range(plan.replicates)]
     if plan.workers == 1 or plan.replicates == 1:
         return [_replicate_record(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=plan.workers) as pool:
@@ -362,18 +369,9 @@ def _aggregate_scan(plan: ExperimentPlan) -> tuple[dict, dict]:
 # ---------------------------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, dict):
-        return {_json_key(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: _json_key(kv[0]))}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+# Every file is written in pieces of at most _CHUNK list items or CSV rows,
+# never built whole in memory.
+_CHUNK = 4096
 
 
 def _json_key(key) -> str:
@@ -382,66 +380,128 @@ def _json_key(key) -> str:
     return str(key)
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _json_pieces(obj, pad: str = ""):
+    """Text of ``json.dumps(obj, sort_keys=True, indent=2)``, in pieces.
+
+    Dict keys are spelled by ``_json_key``, NumPy arrays become lists and
+    NumPy scalars Python numbers.  A list of plain ints and floats is
+    spelled a chunk at a time by one ``repr`` map (NaN and the infinities
+    renamed as ``json`` spells them); every other scalar by ``json.dumps``.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        inner = pad + "  "
+        lead = "{\n"
+        for key, value in sorted({_json_key(k): v for k, v in obj.items()}.items()):
+            yield f"{lead}{inner}{json.dumps(key)}: "
+            yield from _json_pieces(value, inner)
+            lead = ",\n"
+        yield f"\n{pad}}}"
+        return
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        yield "[\n" + inner
+        if set(map(type, obj)) <= {int, float}:
+            for start in range(0, len(obj), _CHUNK):
+                text = sep.join(map(repr, obj[start : start + _CHUNK]))
+                yield (sep if start else "") + text.replace("nan", "NaN").replace("inf", "Infinity")
+        else:
+            for i, value in enumerate(obj):
+                if i:
+                    yield sep
+                yield from _json_pieces(value, inner)
+        yield f"\n{pad}]"
+        return
+    if isinstance(obj, np.integer):
+        obj = int(obj)
+    elif isinstance(obj, np.floating):
+        obj = float(obj)
+    yield json.dumps(obj)
 
 
-def _csv(rows, header: str) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
+def _open(path: str):
+    return open(path, "w", encoding="utf-8", newline="\n")
 
 
-def _cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
+def _write_csv(path: str, header: str, *columns) -> None:
+    """CSV of equal-length columns (arrays, lists or ranges), _CHUNK rows at a time.
+
+    A cell is ``str`` of the column's Python value, which for a float is
+    its shortest round-trip spelling (``str(float) == repr(float)``).
+    """
+    with _open(path) as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(columns[0]), _CHUNK):
+            parts = [c[start : start + _CHUNK] for c in columns]
+            cells = [map(str, p.tolist() if isinstance(p, np.ndarray) else p) for p in parts]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_outputs(plan: ExperimentPlan, payload: dict, stats: dict) -> None:
     outdir = plan.outdir
     os.makedirs(outdir, exist_ok=True)
-    _write(os.path.join(outdir, "config_echo.txt"), render_config(plan.config, plan.replicates))
-    _write(
-        os.path.join(outdir, "summary.json"),
-        json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n",
-    )
+    with _open(os.path.join(outdir, "config_echo.txt")) as fh:
+        fh.write(render_config(plan.config, plan.replicates))
+    with _open(os.path.join(outdir, "summary.json")) as fh:
+        fh.writelines(_json_pieces(payload))
+        fh.write("\n")
     n = plan.config.n_final
     if "degree" in stats:
         d = stats["degree"]
-        rows = []
-        for k in range(1, d["kmax"] + 1):
-            rows.append((n, k, int(d["pooled_counts"][k]), d["p_theory"][k - 1]))
-        _write(os.path.join(outdir, "degree_hist.csv"), _csv(rows, "n,k,count,p_theory"))
+        kmax = d["kmax"]
+        _write_csv(
+            os.path.join(outdir, "degree_hist.csv"),
+            "n,k,count,p_theory",
+            [n] * kmax,
+            range(1, kmax + 1),
+            d["pooled_counts"][1 : kmax + 1],
+            d["p_theory"][:kmax],
+        )
     if "fringe" in stats:
         f = stats["fringe"]
-        rows = []
-        for code in sorted(set(f["counts"]) | set(f["theory"])):
-            rows.append((n, code, f["counts"].get(code, 0), f["theory"].get(code, 0.0)))
-        _write(os.path.join(outdir, "fringe.csv"), _csv(rows, "n,code,count,prob_theory"))
+        codes = sorted(set(f["counts"]) | set(f["theory"]))
+        _write_csv(
+            os.path.join(outdir, "fringe.csv"),
+            "n,code,count,prob_theory",
+            [n] * len(codes),
+            codes,
+            [f["counts"].get(code, 0) for code in codes],
+            [float(f["theory"].get(code, 0.0)) for code in codes],
+        )
     if "root" in stats:
         r = stats["root"]
-        rows = []
-        for i in range(r["values"].shape[0]):
-            for j, nj in enumerate(r["ns"]):
-                ex_cell = r["over_ex"][i, j] if r["over_ex"] is not None else float("nan")
-                rows.append((i, int(nj), r["values"][i, j], r["over_ntheta"][i, j], ex_cell))
-        _write(
+        reps, width = r["values"].shape
+        over_ex = r["over_ex"] if r["over_ex"] is not None else np.full((reps, width), np.nan)
+        _write_csv(
             os.path.join(outdir, "root.csv"),
-            _csv(rows, "replicate,n_j,M,M_over_ntheta,M_over_EXn"),
+            "replicate,n_j,M,M_over_ntheta,M_over_EXn",
+            np.repeat(np.arange(reps), width),
+            np.tile(r["ns"], reps),
+            r["values"].ravel(),
+            r["over_ntheta"].ravel(),
+            over_ex.ravel(),
         )
     if "clt" in stats:
-        rows = [(i, s) for i, s in enumerate(stats["clt"]["s_values"])]
-        _write(os.path.join(outdir, "clt.csv"), _csv(rows, "replicate,s_r"))
+        s = stats["clt"]["s_values"]
+        _write_csv(os.path.join(outdir, "clt.csv"), "replicate,s_r", range(len(s)), s)
     if "delay-scan" in stats:
         sc = stats["delay-scan"]
-        rows = [
-            (int(sc["ns"][i]), sc["e_values"][i], sc["stderrs"][i], sc["verdict"])
-            for i in range(len(sc["ns"]))
-        ]
-        _write(os.path.join(outdir, "delay_scan.csv"), _csv(rows, "n,e_n,stderr,verdict"))
+        _write_csv(
+            os.path.join(outdir, "delay_scan.csv"),
+            "n,e_n,stderr,verdict",
+            sc["ns"],
+            sc["e_values"],
+            sc["stderrs"],
+            [sc["verdict"]] * len(sc["ns"]),
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,165 @@
+"""The streamed artifact writer spells every byte as the per-cell reference does.
+
+``summary.json`` was once ``json.dumps(_jsonable(payload), sort_keys=True,
+indent=2)`` and each CSV a row-by-row join of ``_cell`` spellings.  Those
+reference versions are kept below; the writer must reproduce them for any
+payload and any column set, at any chunk size.
+"""
+
+import json
+import os
+import tempfile
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from delaytree import harness
+
+# ---------------------------------------------------------------------------
+# reference spellings
+# ---------------------------------------------------------------------------
+
+
+def _ref_json_key(key) -> str:
+    if isinstance(key, tuple):
+        return "|".join(str(k) for k in key)
+    return str(key)
+
+
+def _ref_jsonable(obj):
+    if isinstance(obj, np.ndarray):
+        return [_ref_jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, dict):
+        return {
+            _ref_json_key(k): _ref_jsonable(v)
+            for k, v in sorted(obj.items(), key=lambda kv: _ref_json_key(kv[0]))
+        }
+    if isinstance(obj, (list, tuple)):
+        return [_ref_jsonable(v) for v in obj]
+    return obj
+
+
+def _ref_summary(payload) -> str:
+    return json.dumps(_ref_jsonable(payload), sort_keys=True, indent=2) + "\n"
+
+
+def _ref_cell(v) -> str:
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def _ref_csv(rows, header: str) -> str:
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(_ref_cell(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# payloads
+# ---------------------------------------------------------------------------
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+INTS = st.integers(-(2**63), 2**63 - 1)
+SIDES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=7)
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    INTS,
+    FLOATS,
+    st.text(max_size=6),
+    INTS.map(np.int64),
+    FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+)
+ARRAYS = st.one_of(
+    hnp.arrays(np.int64, SIDES, elements=INTS),
+    hnp.arrays(np.float64, SIDES, elements=FLOATS),
+)
+NUMBER_LISTS = st.lists(st.one_of(INTS, FLOATS), max_size=12)
+KEYS = st.one_of(
+    st.text(max_size=4),
+    st.tuples(st.text(alphabet="()|a", max_size=4), st.text(alphabet="()|a", max_size=4)),
+)
+PAYLOADS = st.recursive(
+    st.one_of(SCALARS, ARRAYS, NUMBER_LISTS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(KEYS, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payload=st.dictionaries(KEYS, PAYLOADS, max_size=6), chunk=st.integers(1, 5))
+def test_summary_text_matches_json_dumps(payload, chunk):
+    with mock.patch.object(harness, "_CHUNK", chunk):
+        got = "".join(harness._json_pieces(payload)) + "\n"
+    assert got == _ref_summary(payload)
+
+
+def test_summary_text_spells_specials_as_json_does():
+    payload = {
+        "a|1": "shadowed by the later tuple key",
+        ("a", 1): np.array([[1.5, np.nan], [np.inf, -np.inf]]),
+        "flags": [True, False, None],
+        "empty": {"list": [], "dict": {}, "array": np.zeros(0)},
+        "np": [np.int64(3), np.float64(0.1), "é\n"],
+    }
+    with mock.patch.object(harness, "_CHUNK", 1):
+        got = "".join(harness._json_pieces(payload)) + "\n"
+    assert got == _ref_summary(payload)
+    assert "NaN" in got and "-Infinity" in got and '"\\u00e9\\n"' in got
+
+
+# ---------------------------------------------------------------------------
+# CSV columns
+# ---------------------------------------------------------------------------
+
+
+def _column(kind: str, length: int):
+    size = st.just(length)
+    if kind == "int array":
+        return hnp.arrays(np.int64, size, elements=INTS)
+    if kind == "float array":
+        return hnp.arrays(np.float64, size, elements=FLOATS)
+    if kind == "float list":
+        return st.lists(FLOATS, min_size=length, max_size=length)
+    if kind == "int list":
+        return st.lists(INTS, min_size=length, max_size=length)
+    return st.lists(st.text(max_size=5), min_size=length, max_size=length)
+
+
+KINDS = ("int array", "float array", "float list", "int list", "str list")
+
+
+@st.composite
+def tables(draw):
+    length = draw(st.integers(0, 20))
+    kinds = draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=5))
+    columns = [range(length)] + [draw(_column(kind, length)) for kind in kinds]
+    return columns
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=tables(), chunk=st.integers(1, 6))
+def test_csv_matches_row_by_row_cells(columns, chunk):
+    header = ",".join(f"c{i}" for i in range(len(columns)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with mock.patch.object(harness, "_CHUNK", chunk):
+            harness._write_csv(path, header, *columns)
+        with open(path, "rb") as fh:
+            got = fh.read()
+    assert got == _ref_csv(zip(*columns), header).encode("utf-8")

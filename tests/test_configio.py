@@ -1,6 +1,8 @@
 """Plain-text run configuration: parse, render, hash."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaytree.configio import (
     build_config,
@@ -12,11 +14,15 @@ from delaytree.configio import (
 from delaytree.errors import ArgumentError
 from delaytree.kernels import (
     AffineKernel,
+    ConstantDelay,
     GrowthConfig,
     InversePowerDelay,
+    ParetoDelay,
     QuantileTableDelay,
     TabulatedKernel,
     Uniform01Delay,
+    UniformKernel,
+    ZeroDelay,
 )
 
 BASIC = """
@@ -97,6 +103,78 @@ def test_render_parse_roundtrip(config):
     assert reps == 4
     # canonical render: a second pass reproduces the exact same text
     assert render_config(rebuilt, replicates=4) == text
+
+
+POSITIVE = st.floats(1e-3, 1e3)
+UNIT_OPEN = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def kernels(draw):
+    kind = draw(st.sampled_from(("uniform", "affine", "tabulated")))
+    if kind == "uniform":
+        return UniformKernel()
+    if kind == "affine":
+        return AffineKernel(draw(st.floats(0.0, 50.0)))
+    values = draw(st.lists(POSITIVE, min_size=1, max_size=6))
+    tail = draw(st.one_of(st.just(("const",)), st.tuples(st.just("pow"), UNIT_OPEN)))
+    f_star = min(values) * draw(st.floats(0.01, 1.0))
+    if draw(st.booleans()):
+        values = sorted(values)
+        # a power tail may still drop below a sorted table; then the flag is off
+        try:
+            return TabulatedKernel(tuple(values), tail, f_star, monotone=True)
+        except ArgumentError:
+            pass
+    return TabulatedKernel(tuple(values), tail, f_star, monotone=False)
+
+
+@st.composite
+def delays(draw):
+    beta = draw(st.floats(0.0, 1.0, exclude_max=True))
+    kind = draw(st.sampled_from(("zero", "constant", "uniform01", "invpow", "pareto", "qtable")))
+    if kind == "zero":
+        return ZeroDelay(beta=beta)
+    if kind == "constant":
+        return ConstantDelay(c=draw(st.floats(0.0, 1e6)), beta=beta)
+    if kind == "uniform01":
+        return Uniform01Delay(beta=beta)
+    if kind == "invpow":
+        return InversePowerDelay(p=draw(st.floats(0.01, 20.0)), beta=beta)
+    if kind == "pareto":
+        return ParetoDelay(tail_index=draw(st.floats(0.01, 20.0)), scale=draw(POSITIVE), beta=beta)
+    inner = draw(st.lists(st.floats(0.0, 1.0), max_size=5))
+    us = [0.0] + sorted(inner) + [1.0]
+    qs = sorted(draw(st.lists(st.floats(0.0, 1e4), min_size=len(us), max_size=len(us))))
+    return QuantileTableDelay(us=tuple(us), qs=tuple(qs), beta=beta)
+
+
+@st.composite
+def configs(draw):
+    kernel = draw(kernels())
+    samplers = ("auto", "edge", "rejection", "scan")
+    if kernel.kind == "tabulated":
+        samplers = ("auto", "rejection", "scan")  # edge raises StrategyError
+    config = GrowthConfig(
+        kernel=kernel,
+        delay=draw(delays()),
+        n_final=draw(st.integers(2, 10**9)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        sampler=draw(st.sampled_from(samplers)),
+        fringe_cap=draw(st.integers(1, 12)),
+    )
+    return config, draw(st.integers(1, 10**6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=configs())
+def test_render_parse_roundtrip_random_configs(case):
+    config, replicates = case
+    text = render_config(config, replicates)
+    rebuilt, reps = build_config(parse_config_text(text))
+    assert rebuilt == config
+    assert reps == replicates
+    assert render_config(rebuilt, replicates) == text
 
 
 def test_config_hash_keys_on_content():

@@ -9,12 +9,9 @@ from delaytree.estimators import (
     degree_hist,
     delay_condition_scan,
     extended_fringe_census,
-    floor_reach_mean,
     fringe_census,
     geometric_grid,
     leaf_clt_statistic,
-    random_centering_diagnostic,
-    random_centering_rate,
     root_trajectory,
 )
 from delaytree.growth import grow, trace_from_parents
@@ -168,7 +165,7 @@ def test_root_trajectory_star():
     np.testing.assert_allclose(traj.values, [1, 4, 9, 16, 20])
     np.testing.assert_allclose(traj.over_ntheta, [1.0, 2.0, 3.0, 4.0, 20 / np.sqrt(20)])
     assert traj.over_truncated_mean is None
-    with_ex = root_trajectory(star, theta=0.5, grid=[4, 16], ex_x=lambda n: n / 2.0)
+    with_ex = root_trajectory(star, theta=0.5, grid=[4, 16], ex_x=[2.0, 8.0])
     np.testing.assert_allclose(with_ex.over_truncated_mean, [2.0, 2.0])
 
 
@@ -177,6 +174,8 @@ def test_root_trajectory_validation():
         root_trajectory(PATH4, theta=0.5, grid=[3, 2])
     with pytest.raises(ArgumentError):
         root_trajectory(PATH4, theta=0.5, grid=[1, 99])
+    with pytest.raises(ArgumentError):
+        root_trajectory(PATH4, theta=0.5, grid=[2, 4], ex_x=[1.0])
     with pytest.raises(ArgumentError):
         RootTrajectory(
             ns=np.array([2, 4]),
@@ -245,45 +244,3 @@ def test_scan_input_validation():
     with pytest.raises(ArgumentError):
         delay_condition_scan(ZeroDelay(beta=0.5), [100, 50])
 
-
-# ---------------------------------------------------------------------------
-# random-centering diagnostics
-# ---------------------------------------------------------------------------
-
-
-def test_floor_reach_mean_anchors():
-    assert floor_reach_mean(ZeroDelay(beta=0.5), 100) == pytest.approx(0.01, rel=1e-12)
-    assert floor_reach_mean(ConstantDelay(c=1.0, beta=0.5), 100) == pytest.approx(1.0 / 90.0, rel=1e-12)
-
-
-def test_floor_reach_mean_matches_monte_carlo():
-    delay = Uniform01Delay(beta=0.5)
-    n = 250
-    got = floor_reach_mean(delay, n)
-    rng = np.random.default_rng(8)
-    xi = delay.sample_many(rng, 2_000_000)
-    raw = n - n**0.5 * xi
-    vals = np.where(raw >= 1.0, 1.0 / np.maximum(np.floor(raw), 1.0), 0.0)
-    se = vals.std() / np.sqrt(len(vals))
-    assert abs(got - vals.mean()) < 4 * se
-
-
-def test_random_centering_zero_delay_closed_form():
-    # g_n = 1/n exactly, so the implied leaf fraction is 1/(1+gamma_c)
-    # at every n: 2/3 for the proportional kernel -- equal to p_1 itself
-    diag = random_centering_diagnostic(ZeroDelay(beta=0.5), 0.0, [10, 100, 1000])
-    np.testing.assert_allclose(diag["n_times_g"], 1.0, rtol=1e-12)
-    np.testing.assert_allclose(diag["implied_leaf_fraction"], 2.0 / 3.0, rtol=1e-12)
-    np.testing.assert_allclose(diag["inflow_approximation_gap"], 0.0, atol=1e-12)
-    assert diag["p1"] == pytest.approx(2.0 / 3.0)
-    assert random_centering_rate(ZeroDelay(beta=0.5), 0.0, 100) == pytest.approx(1.0 - 0.5 / 100)
-
-
-def test_random_centering_heavy_delay_shows_leaf_deficit():
-    # for U**-2 the reach g_n decays so slowly that the implied leaf
-    # fraction at n = 5e4 still sits visibly below p_1 = 2/3; this is
-    # the finite-size bias seen in the degree histograms
-    diag = random_centering_diagnostic(InversePowerDelay(p=2.0, beta=0.5), 0.0, [50_000])
-    assert diag["implied_leaf_fraction"][0] < 0.655
-    light = random_centering_diagnostic(Uniform01Delay(beta=0.5), 0.0, [50_000])
-    assert abs(light["implied_leaf_fraction"][0] - 2.0 / 3.0) < 1e-3

@@ -1,0 +1,62 @@
+"""Golden digests of every artifact file: the writer reproduces its bytes exactly.
+
+Two small plans cover both root-degree regimes and every artifact.  The
+``grid-uniform01`` plan is in the ``l2`` regime, so ``root.csv`` carries a
+``nan`` column and ``summary.json`` a ``null`` ``over_ex``; it also writes
+``clt.csv`` and ``delay_scan.csv``.  The ``grid-invpow2`` plan is in the
+heavy regime (finite ``M_over_EXn``) and writes ``fringe.csv`` with its
+code strings and the tuple-keyed pair counts in ``summary.json``.
+
+The digests are SHA-256 over each file's bytes.  A change to the numbers,
+their spelling, key order, indentation or line endings fails here.
+"""
+
+import hashlib
+import os
+
+import pytest
+
+from delaytree import harness
+from delaytree.cli import PRESETS
+from delaytree.configio import build_config, parse_config_text
+
+PLANS = {
+    "uniform01": ("grid-uniform01", ("degree", "root", "clt", "delay-scan"), 1500, 5),
+    "invpow2": ("grid-invpow2", ("degree", "fringe", "root"), 3000, 3),
+}
+
+GOLDEN = {
+    "uniform01": {
+        "clt.csv": "50417bf7f5b0d57a29bbcac5d521cb8681bc4653b4aa67b9eefb5f95f842068c",
+        "config_echo.txt": "0ea3949e312881fb338c91fa52a24963ae62dfc96e8cdf7708f9d42a5ec49c80",
+        "degree_hist.csv": "1ac01296ca951aad57dc575dd3c3382abfeb5cd4c28f3ba0ea10edde5bb9aa74",
+        "delay_scan.csv": "172663965aa05f20003a47ae6ced4392eaed83f43f7c223f06d5fd5d732e3af3",
+        "root.csv": "8dfe5653acf0d8888afbaca2f010abc3aa6b8ccee119c38b0c716070f79bfebf",
+        "summary.json": "23b301e92fb12a13be13a6946f4ba2fa7afc205273c7e4ac9500f3fc36db727f",
+    },
+    "invpow2": {
+        "config_echo.txt": "902bf634ee3305b304ffd14642aaeacd1b1d6b0f3c8e4d16adcd33011bdeb10b",
+        "degree_hist.csv": "8855d905c7cc4456fc0fa522d25833ec29beaddb41eba9cb3a9381f13b3450c3",
+        "fringe.csv": "754a507c7284e47f0ae7effa6f3d6bb1c4cd8194b336a10a22c828fb96487996",
+        "root.csv": "f2f132eaa9a3238b19d1a7f137e063e00edaf24bf2153ac1851757c19be9feb4",
+        "summary.json": "24514d4f7c7b03858fdc6d1d83e6bef4eed62f8727a53dd885f78c3b36991a32",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANS))
+def test_artifacts_match_golden_digests(name, tmp_path):
+    preset, stats, n, reps = PLANS[name]
+    entries = parse_config_text(PRESETS[preset])
+    entries.update(n_final=str(n), replicates=str(reps), seed="7")
+    config, replicates = build_config(entries)
+    outdir = tmp_path / name
+    harness.run(
+        harness.ExperimentPlan(
+            config=config, replicates=replicates, statistics=stats, outdir=str(outdir)
+        )
+    )
+    got = {
+        f: hashlib.sha256((outdir / f).read_bytes()).hexdigest() for f in sorted(os.listdir(outdir))
+    }
+    assert got == GOLDEN[name]

@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from delaytree import estimators as est
 from delaytree import theory
 from delaytree.configio import config_hash
 from delaytree.errors import ArgumentError
@@ -20,7 +21,14 @@ from delaytree.harness import (
     splitmix64,
     tv_distance,
 )
-from delaytree.kernels import AffineKernel, GrowthConfig, Uniform01Delay, UniformKernel, ZeroDelay
+from delaytree.kernels import (
+    AffineKernel,
+    GrowthConfig,
+    InversePowerDelay,
+    Uniform01Delay,
+    UniformKernel,
+    ZeroDelay,
+)
 
 AFF = AffineKernel(0.0)
 
@@ -191,6 +199,28 @@ def test_root_constants_once_per_plan():
     with mock.patch.object(theory, "root_degree_constants", wraps=theory.root_degree_constants) as spy:
         run(_plan(n=500, reps=4, stats=("root",), workers=1))
     assert spy.call_count == 1
+
+
+def test_root_grid_and_scales_once_per_plan():
+    # the time grid and, in the heavy regime, E[min(X, n_j)] on it also
+    # travel in the job tuple: one grid and one value per grid point per plan
+    scales = []
+    ex_x_truncated = theory.RootDegreeConstants.ex_x_truncated
+
+    def counted(self, n):
+        scales.append(n)
+        return ex_x_truncated(self, n)
+
+    cfg = GrowthConfig(AFF, InversePowerDelay(p=2.0, beta=0.5), 500, seed=5)
+    plan = ExperimentPlan(config=cfg, replicates=4, statistics=("root",))
+    with (
+        mock.patch.object(est, "geometric_grid", wraps=est.geometric_grid) as grid_spy,
+        mock.patch.object(theory.RootDegreeConstants, "ex_x_truncated", counted),
+    ):
+        root = run(plan).statistics["root"]
+    assert grid_spy.call_count == 1
+    assert scales == [float(m) for m in root["ns"]]
+    assert root["over_ex"].shape == (4, len(root["ns"]))
 
 
 def test_delay_scan_only_skips_growth():
