@@ -1,7 +1,7 @@
 """Time ``grow`` on the edge sampler's preset and on the two tabulated-growth plans.
 
     python3 bench/edge_growth.py --tree parent=OLD/src --tree change=src \
-        > BENCH_tabulated_growth.json
+        > BENCH_wave_thinning.json
 
 ``--tree LABEL=SRC`` names a source directory holding the ``delaytree``
 package; give it twice to compare two versions on the same machine.  Each
@@ -12,9 +12,9 @@ builds one of the ``CONFIGS`` at size n, times one ``grow`` call with
 ``parents``.  Every (config, size) pair in ``SIZES`` is grown ``RUNS``
 times per tree, the trees taking turns run by run so that host drift hits
 them alike, and the median is recorded.  The ``LARGE`` runs grow once more
-with the last tree listed, to record time and peak memory at a size the
-parent may not reach.  The JSON document goes to standard output, progress
-to standard error.
+with every tree, to record time and peak memory at a size too slow to
+repeat.  The JSON document goes to standard output, progress to standard
+error.
 
 The configs:
 
@@ -87,10 +87,10 @@ CONFIGS = {
 }
 SIZES = {
     "grid-invpow2": (1_000_000, 3_000_000),
-    "tabulated-pow": (300_000,),
+    "tabulated-pow": (300_000, 1_000_000),
     "tabulated-bumpy": (20_000,),
 }
-LARGE = {"grid-invpow2": 10_000_000, "tabulated-bumpy": 1_000_000}
+LARGE = {"grid-invpow2": 10_000_000, "tabulated-pow": 3_000_000, "tabulated-bumpy": 1_000_000}
 RUNS = 3  # median of three per config, size and tree
 SEED = 1
 
@@ -143,12 +143,13 @@ def main(argv=None) -> int:
         }
         configs[name] = {"trees": results, "parents_identical_across_trees": identical}
 
-    last = list(trees)[-1]
     large = {}
     for name, n in LARGE.items():
-        big = measure(trees[last], name, n, SEED)
-        print(f"{last} {name} n={n} grow {big['grow_s']:.3f} s", file=sys.stderr)
-        large[name] = {"tree": last, "n": n, **row([big], n)}
+        large[name] = {"n": n, "trees": {}}
+        for label, src in trees.items():
+            big = measure(src, name, n, SEED)
+            print(f"{label} {name} n={n} grow {big['grow_s']:.3f} s", file=sys.stderr)
+            large[name]["trees"][label] = row([big], n)
     doc = {
         "benchmark": "grow on grid-invpow2 (edge sampler) and the two tabulated-growth plans (sampler auto)",
         "script": "bench/edge_growth.py",

@@ -25,9 +25,14 @@ feeds every arrival and the tests call on a frozen tree.
   envelope f(d) <= a*d + b (``linear_bound``): propose v with probability
   (a*d + b)/Psi_g(m), accept with f(d)/(a*d + b), d being v's degree in
   snapshot m.  Exact for every kernel, monotone or not; for uniform and
-  affine kernels the acceptance is 1 and it draws the edge law.  Arrivals
-  are drawn one at a time; a proposal reads only parents[k] with k <= m,
-  which are final, so no copy chain arises.
+  affine kernels the acceptance is 1 and it draws the edge law.  A
+  proposal reads only parents[k] with k <= m, so no copy chain arises.
+  Growth goes by waves: the wave at the first unresolved arrival P is the
+  run of arrivals k >= P with m_k < P, which read only final parents and
+  are independent given them.  Waves of at least _WAVE_MIN arrivals are
+  proposed, thinned and retried in NumPy rounds; shorter ones are drawn
+  one arrival at a time.  Snapshot degrees come from one array degree
+  view (:class:`_DegreeView`) that both paths read.
 * ``scan`` -- linear scan of snapshot weights, O(m) per draw.  Exact for
   every kernel and the oracle the other two are tested against.
 
@@ -38,7 +43,7 @@ time 1 where nothing is sampled anyway).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,6 +143,98 @@ def psi_recomputed(trace: TreeTrace, m: int) -> float:
     return float(np.sum(trace.kernel.evaluate_array(_weight_degrees(trace.parents, m))))
 
 
+class _DegreeView:
+    """Children counts of a growing tree at every earlier snapshot, in arrays.
+
+    Arrivals enter in birth order.  ``count[v]`` is v's children so far,
+    ``last[v]`` the birth time of the youngest (0: none) and ``prev[k]``
+    that of the sibling born just before k (0: none).  ``key`` holds the
+    children born before ``frozen`` as parent*frozen + birth, sorted.
+    v's children born by m number ``count[v]`` when ``last[v] <= m``;
+    otherwise one search of ``key`` answers when m < ``frozen``, and a
+    walk back over v's siblings born after m when not.  ``counts``,
+    ``lasts`` and ``prevs`` are memoryviews for scalar reads and writes
+    without NumPy boxing.
+    """
+
+    def __init__(self, size: int):
+        self.count = np.zeros(size, dtype=np.int32)
+        self.last = np.zeros(size, dtype=np.int32)
+        self.prev = np.zeros(size, dtype=np.int32)
+        self.counts, self.lasts, self.prevs = map(memoryview, (self.count, self.last, self.prev))
+        self.rebuild(np.zeros(2, dtype=np.int64), 1)
+
+    def add(self, k: int, v: int) -> None:
+        """Vertex k is born a child of v."""
+        self.prevs[k] = self.lasts[v]
+        self.lasts[v] = k
+        self.counts[v] += 1
+
+    def extend(self, parents, lo: int, hi: int) -> None:
+        """Add arrivals lo..hi-1 at once: :meth:`add` of each, in birth order."""
+        if hi <= lo:
+            return
+        order = np.argsort(parents[lo:hi], kind="stable")
+        vs, ks = parents[lo:hi][order], (order + lo).astype(np.int32)
+        head = np.empty(len(vs), dtype=bool)  # first of its parent in the batch
+        head[0] = True
+        np.not_equal(vs[1:], vs[:-1], out=head[1:])
+        self.prev[ks[1:]] = ks[:-1]
+        self.prev[ks[head]] = self.last[vs[head]]
+        heads = np.flatnonzero(head)
+        tails = np.append(heads[1:], len(vs)) - 1
+        self.count[vs[heads]] += (tails - heads + 1).astype(np.int32)
+        self.last[vs[heads]] = ks[tails]
+
+    def rebuild(self, parents, frozen: int) -> None:
+        """Sort the children born before ``frozen``, all of them final, into ``key``."""
+        key = parents[2:frozen].astype(np.int64) * frozen
+        key += np.arange(2, frozen)
+        key.sort()
+        self.key, self.keys, self.frozen = key, memoryview(key), frozen
+
+    def refresh(self, parents, first: int) -> None:
+        """Rebuild ``key`` once the first unresolved arrival is _REBUILD times the last rebuild's."""
+        if first >= _REBUILD * self.frozen:
+            self.rebuild(parents, first)
+
+    def children(self, v: int, m: int) -> int:
+        """Children of v born by time m, for a vertex v <= m whose children by m are all in."""
+        c, k = self.counts[v], self.lasts[v]
+        if k <= m:
+            return c
+        if m < self.frozen:
+            lo = v * self.frozen
+            return bisect_right(self.keys, lo + m) - bisect_left(self.keys, lo)
+        prev = self.prevs
+        while k > m:
+            c -= 1
+            k = prev[k]
+        return c
+
+    def degrees(self, vs, ms) -> np.ndarray:
+        """Weight degrees of vertices ``vs`` in snapshots ``ms``: :meth:`children` a column at a time."""
+        d = self.count[vs]
+        late = (self.last[vs] > ms).nonzero()[0]
+        if late.size:
+            old = ms[late] < self.frozen
+            hit = late[old]
+            if hit.size:
+                lo = vs[hit] * self.frozen
+                d[hit] = np.searchsorted(self.key, lo + ms[hit], "right") - np.searchsorted(self.key, lo)
+            walk = late[~old]
+            born, mw = self.last[vs[walk]], ms[walk]
+            while len(walk) > _STRAGGLERS:  # each round steps every walk back one sibling
+                d[walk] -= 1
+                born = self.prev[born]
+                on = born > mw
+                walk, born, mw = walk[on], born[on], mw[on]
+            for i in walk.tolist():  # the longest few walks finish in Python
+                d[i] = self.children(int(vs[i]), int(ms[i]))
+        d += vs != 1  # the root has no parent edge
+        return np.maximum(d, 1, out=d)  # and at m = 1 counts as degree 1
+
+
 # ---------------------------------------------------------------------------
 # Draws: grow's loops and the frozen-tree entry point share these
 # ---------------------------------------------------------------------------
@@ -192,20 +289,21 @@ def _uniform_triples(rng):
         yield from zip(*rng.random((3, _THIN_BLOCK)).tolist())
 
 
-def _draw_thinning(par, kids, m: int, slope: float, offset: float, evaluate, triples) -> tuple[int, int]:
+def _draw_thinning(par, view, m: int, slope: float, offset: float, evaluate, triples) -> tuple[int, int]:
     """Envelope proposal plus thinning; returns (parent, rejected proposals).
 
     Proposes v <= m with probability (slope*d + offset)/Psi_g(m), d being
     v's weight degree in snapshot m, by the endpoint rule of
     :func:`_resolve_edge` on Python scalars: every ``par[k]`` it reads has
     k <= m and is final.  Accepts with probability f(d)/(slope*d + offset),
-    reading d off v's sorted child birth times ``kids[v]``.
+    reading d off the degree view.
     """
     if m == 1:
         return 1, 0
     top = 2 * (m - 1)
     mix = offset * m
     psi = slope * top + mix
+    count, last = view.counts, view.lasts
     rejected = 0
     for branch, pick, u in triples:
         if branch * psi < mix:
@@ -213,10 +311,42 @@ def _draw_thinning(par, kids, m: int, slope: float, offset: float, evaluate, tri
         else:
             e = min(int(pick * top), top - 1)
             v = e // 2 + 2 if e & 1 else par[e // 2 + 2]
-        d = bisect_right(kids[v], m) + (v != 1)  # the root has no parent edge
+        d = (count[v] if last[v] <= m else view.children(v, m)) + (v != 1)  # the root has no parent edge
         if u * (slope * d + offset) < evaluate(d):
             return v, rejected
         rejected += 1
+
+
+def _thin_wave(parents, view, ms, slope: float, offset: float, kernel: AttachmentKernel, rng, triples):
+    """Thinning draws for arrivals whose snapshots ``ms`` hold only final parents.
+
+    Returns (parents drawn, rejected proposals).  Each round draws a
+    (branch, pick, accept) column per pending arrival from ``rng``,
+    proposes by :func:`_resolve_edge` (every parent it reads is final, so
+    no copy chain arises), reads snapshot degrees off the degree view and
+    thins; the rejected go to the next round.  The last few stragglers
+    finish through :func:`_draw_thinning` on ``triples``.  Given the final
+    parents the draws are independent, so each has the thinning law of its
+    own snapshot whatever the order.
+    """
+    out = np.ones(len(ms), dtype=np.int64)  # m = 1 sees only the root
+    pending = (ms > 1).nonzero()[0]
+    m = ms[pending]
+    rejected = 0
+    while len(pending) > _STRAGGLERS:
+        branch, pick, u = rng.random((3, len(pending)))
+        v = _resolve_edge(parents, len(parents), m, slope, offset, branch, pick)
+        d = view.degrees(v, m)
+        ok = u * (slope * d + offset) < kernel.evaluate_array(d)
+        out[pending[ok]] = v[ok]
+        np.logical_not(ok, out=ok)
+        pending, m = pending[ok], m[ok]
+        rejected += len(pending)
+    par = memoryview(parents)
+    for i, mi in zip(pending.tolist(), m.tolist()):
+        out[i], r = _draw_thinning(par, view, mi, slope, offset, kernel.evaluate, triples)
+        rejected += r
+    return out, rejected
 
 
 def _draw_scan(parents, m: int, kernel: AttachmentKernel, rng) -> int:
@@ -233,22 +363,17 @@ def sample_parent_rejection(
 ) -> tuple[np.ndarray, int]:
     """``size`` thinning draws from snapshot m of a frozen trace.
 
+    Every parent of a frozen tree is final, so the draws are one wave.
     Returns (parents drawn, rejected proposals).
     """
     if m < 1 or m > trace.n:
         raise ArgumentError(f"snapshot time {m} outside 1..{trace.n}")
-    par = trace.parents.tolist()
-    kids: list = [[] for _ in par]
-    for v in range(2, trace.n + 1):
-        kids[par[v]].append(v)
+    parents = np.ascontiguousarray(trace.parents[: trace.n + 1], dtype=np.int64)
+    view = _DegreeView(trace.n + 1)
+    view.extend(parents, 2, trace.n + 1)
+    view.rebuild(parents, trace.n + 1)
     slope, offset = kernel.linear_bound()
-    triples = _uniform_triples(rng)
-    out = np.empty(size, dtype=np.int64)
-    rejected = 0
-    for i in range(size):
-        out[i], r = _draw_thinning(par, kids, m, slope, offset, kernel.evaluate, triples)
-        rejected += r
-    return out, rejected
+    return _thin_wave(parents, view, np.full(size, m), slope, offset, kernel, rng, _uniform_triples(rng))
 
 
 # ---------------------------------------------------------------------------
@@ -294,10 +419,13 @@ def grow(config: GrowthConfig) -> TreeTrace:
     """Grow a tree to ``config.n_final`` vertices; deterministic in the seed.
 
     Draw order is fixed: one vectorised block of delays for vertices
-    3..n_final, then the attachment draws (for the edge sampler, every
-    branch uniform and then every pick; for rejection, one (branch, pick,
-    accept) triple per proposal from blocks of uniforms; for scan, one per
-    step).
+    3..n_final, then the attachment draws.  The edge sampler draws every
+    branch uniform and then every pick.  Rejection takes its arrivals wave
+    by wave (see the module docstring): a long wave draws a (branch, pick,
+    accept) column per pending arrival and round from the generator, and
+    everything drawn one arrival at a time (short waves and a long wave's
+    last few stragglers) takes one triple per proposal from blocks of
+    uniforms drawn ahead.  Scan draws one uniform per step.
     Vertex 2 attaches to the root deterministically.
     """
     strategy = config.resolve_sampler()
@@ -350,26 +478,60 @@ def _loop_edge(parents, kernel, ms, rng) -> int:
 
 
 _THIN_BLOCK = 1 << 13
+_WAVE_MIN = 128  # shorter waves are drawn one arrival at a time
+_STRAGGLERS = 8  # a NumPy round with this few draws or sibling walks left hands them to scalar code
+_REBUILD = 2  # the degree view rebuilds its sorted key once P doubles (this ratio) since the last rebuild
+
+
+def _wave_starts(ms, lo: int, hi: int) -> list:
+    """Arrivals P in [lo, hi) whose wave holds at least _WAVE_MIN arrivals.
+
+    The wave at P is the run of arrivals k = P, P+1, ... with m_k < P
+    (``ms[k - 3]`` is m_k); it reaches _WAVE_MIN when the largest snapshot
+    of arrivals P+1 .. P+_WAVE_MIN-1 is below P.
+    """
+    span = _WAVE_MIN - 1
+    reach, width = ms[lo - 2 : hi + span - 3], 1
+    if len(reach) < span:
+        return []
+    while 2 * width < span:  # reach[i] is the largest of the width snapshots from arrival lo + 1 + i
+        reach, width = np.maximum(reach[:-width], reach[width:]), 2 * width
+    reach = np.maximum(reach[: len(reach) - span + width], reach[span - width :])
+    return (np.flatnonzero(reach < np.arange(lo, lo + len(reach))) + lo).tolist()
 
 
 def _loop_rejection(parents, kernel, ms, rng) -> int:
     slope, offset = kernel.linear_bound()
     evaluate = kernel.evaluate
     par = memoryview(parents)  # scalar reads and writes without NumPy boxing
-    kids: list = [()] * len(parents)  # a leaf keeps the shared empty tuple
-    kids[1] = [2]
+    view = _DegreeView(len(parents))
+    view.add(2, 1)
     triples = _uniform_triples(rng)
     retries = 0
+    k, end = 3, len(parents)  # k: the first unresolved arrival, P
     # ms is read a block at a time to keep the Python ints few
-    for lo in range(0, len(ms), _THIN_BLOCK):
-        for k, m in enumerate(ms[lo : lo + _THIN_BLOCK].tolist(), start=lo + 3):
-            v, rejected = _draw_thinning(par, kids, m, slope, offset, evaluate, triples)
-            retries += rejected
-            par[k] = v
-            if kids[v]:
-                kids[v].append(k)
-            else:
-                kids[v] = [k]
+    while k < end:
+        view.refresh(parents, k)
+        hi = min(k + _THIN_BLOCK, end)
+        for start in [*_wave_starts(ms, k, hi), hi]:
+            if start < k:
+                continue  # resolved with the wave before
+            for k, m in enumerate(ms[k - 3 : start - 3].tolist(), start=k):
+                v, rejected = _draw_thinning(par, view, m, slope, offset, evaluate, triples)
+                retries += rejected
+                par[k] = v
+                view.add(k, v)
+            k = start
+            if start < hi:
+                view.refresh(parents, k)
+                ahead = ms[k - 3 : k - 3 + _THIN_BLOCK]
+                size = int(np.argmax(ahead >= k)) or len(ahead)  # ahead[0] < k always
+                parents[k : k + size], rejected = _thin_wave(
+                    parents, view, ahead[:size], slope, offset, kernel, rng, triples
+                )
+                retries += rejected
+                view.extend(parents, k, k + size)
+                k += size
     return retries
 
 

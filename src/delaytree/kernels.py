@@ -309,12 +309,6 @@ class DelayLaw:
         """P(xi > x)."""
         raise NotImplementedError
 
-    def survival_array(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized survival; subclasses override with closed forms."""
-        flat = np.asarray(xs, dtype=np.float64).ravel()
-        out = np.array([self.survival(float(x)) for x in flat])
-        return out.reshape(np.shape(xs))
-
     def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         """Exact E[xi; a < xi <= b], elementwise over interval arrays.
 
@@ -384,9 +378,6 @@ class ZeroDelay(DelayLaw):
     def survival(self, x: float) -> float:
         return 1.0 if x < 0.0 else 0.0
 
-    def survival_array(self, xs: np.ndarray) -> np.ndarray:
-        return np.where(np.asarray(xs, dtype=np.float64) < 0.0, 1.0, 0.0)
-
     def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros(np.broadcast(a, b).shape)
 
@@ -418,9 +409,6 @@ class ConstantDelay(DelayLaw):
 
     def survival(self, x: float) -> float:
         return 1.0 if x < self.c else 0.0
-
-    def survival_array(self, xs: np.ndarray) -> np.ndarray:
-        return np.where(np.asarray(xs, dtype=np.float64) < self.c, 1.0, 0.0)
 
     def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.float64)
@@ -454,9 +442,6 @@ class Uniform01Delay(DelayLaw):
         if x < 0.0:
             return 1.0
         return max(0.0, 1.0 - x)
-
-    def survival_array(self, xs: np.ndarray) -> np.ndarray:
-        return np.clip(1.0 - np.asarray(xs, dtype=np.float64), 0.0, 1.0)
 
     def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         lo = np.clip(np.asarray(a, dtype=np.float64), 0.0, 1.0)
@@ -506,11 +491,6 @@ class InversePowerDelay(DelayLaw):
             return 1.0
         return x ** (-1.0 / self.p)
 
-    def survival_array(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        safe = np.where(xs > 1.0, xs, 1.0)
-        return np.where(xs > 1.0, safe ** (-1.0 / self.p), 1.0)
-
     def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         lo = np.maximum(np.asarray(a, dtype=np.float64), 1.0)
         hi = np.maximum(np.asarray(b, dtype=np.float64), 1.0)
@@ -556,11 +536,6 @@ class ParetoDelay(DelayLaw):
         if x <= self.scale:
             return 1.0
         return (self.scale / x) ** self.tail_index
-
-    def survival_array(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        safe = np.where(xs > self.scale, xs, self.scale)
-        return np.where(xs > self.scale, (self.scale / safe) ** self.tail_index, 1.0)
 
     def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         g, s = self.tail_index, self.scale
@@ -624,11 +599,6 @@ class QuantileTableDelay(DelayLaw):
         if x >= self.qs[-1]:
             return 0.0
         return 1.0 - float(np.interp(x, self.qs, self.us))
-
-    def survival_array(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=np.float64)
-        mid = 1.0 - np.interp(xs, self.qs, self.us)
-        return np.where(xs < self.qs[0], 1.0, np.where(xs >= self.qs[-1], 0.0, mid))
 
     def bounded_support(self) -> float | None:
         return self.qs[-1]

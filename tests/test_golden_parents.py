@@ -7,7 +7,9 @@ a change that keeps the law but not the draws needs an exactness argument
 and new digests (see ROADMAP, "Correctness and robustness").
 
 The edge configs use n > 2 * _EDGE_BLOCK + 3, so the tree spans three
-growth blocks and copy pointers cross block boundaries.
+growth blocks and copy pointers cross block boundaries.  The uniform01
+rejection config draws every arrival one at a time; the invpow:1 one
+resolves half of its arrivals in NumPy waves.
 """
 
 import hashlib
@@ -79,6 +81,16 @@ def test_rejection_sampler_parents_are_golden():
     assert (_digest(tr.parents), tr.retries) == (
         "7ada94f1b39d4972929e9a96431b2dff0a2f4350c8864dca4e151807132e40ad",
         300,
+    )
+
+
+def test_rejection_waves_parents_are_golden():
+    # under invpow:1 half the arrivals resolve in NumPy waves (72 waves hold 10 072 of the 19 998)
+    kern = TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True)
+    tr = grow(GrowthConfig(kern, InversePowerDelay(1.0, beta=0.5), 20_000, seed=1, sampler="rejection"))
+    assert (_digest(tr.parents), tr.retries) == (
+        "9a6444725cfe8cd7153b1a576adc347630a5bbf02d9daabefd6d7cd36857df5e",
+        1335,
     )
 
 

@@ -183,6 +183,36 @@ def test_rejection_draw_needs_no_monotone_kernel():
         sample_parent_rejection(tr, tr.n + 1, kern, np.random.default_rng(0), 1)
 
 
+def test_thinning_waves_draw_the_model_law(monkeypatch):
+    # n = 8 under const:1 has snapshots 1,1,2,2,3,4: waves {3..6} at P = 3 and {7, 8} at P = 7
+    import itertools
+
+    from scipy import stats
+
+    monkeypatch.setattr(growth, "_WAVE_MIN", 2)
+    monkeypatch.setattr(growth, "_STRAGGLERS", 0)  # every draw goes through the NumPy rounds
+    waves, thin_wave = [], growth._thin_wave
+
+    def spy(parents, view, ms, *args):
+        waves.append(len(ms))
+        return thin_wave(parents, view, ms, *args)
+
+    monkeypatch.setattr(growth, "_thin_wave", spy)
+    kern = TabulatedKernel(values=(1.0, 2.0, 1.5, 1.2), tail=("const",), f_star=1.0)
+    ms = (1, 1, 2, 2, 3, 4)
+    law = {}
+    for history in itertools.product(*[range(1, m + 1) for m in ms]):
+        tr = trace_from_parents([0, 0, 1, *history], kern)
+        law[history] = np.prod([attachment_distribution(tr, m, kern)[v - 1] for m, v in zip(ms, history)])
+    reps, seen = 2000, dict.fromkeys(law, 0)
+    for seed in range(reps):
+        tr = grow(_cfg(n=8, seed=seed, delay=ConstantDelay(1.0, beta=0.5), kernel=kern))
+        seen[tuple(tr.parents[3:].tolist())] += 1
+    assert tuple(tr.snapshots[3:].tolist()) == ms and waves == [4, 2] * reps
+    res = stats.chisquare(list(seen.values()), [reps * law[h] for h in seen])
+    assert res.pvalue > 1e-3, res
+
+
 def test_tight_envelope_keeps_rejections_rare():
     # the tabulated-growth rejection plan: a loose envelope (1, 2) rejects about 2 proposals per arrival
     kern = TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True)

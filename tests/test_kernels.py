@@ -242,22 +242,6 @@ def test_quantile_table_validation():
         QuantileTableDelay(us=(0.0, 1.0), qs=(1.0, 0.0), beta=0.5)  # decreasing q
 
 
-def test_survival_array_agrees_with_scalar():
-    laws = [
-        ZeroDelay(beta=0.5),
-        ConstantDelay(c=2.0, beta=0.5),
-        Uniform01Delay(beta=0.5),
-        InversePowerDelay(p=2.0, beta=0.5),
-        ParetoDelay(tail_index=1.5, scale=1.0, beta=0.5),
-        QuantileTableDelay(us=(0.0, 1.0), qs=(0.0, 2.0), beta=0.5),
-    ]
-    xs = np.array([-1.0, 0.0, 0.3, 0.9999, 1.0, 1.5, 2.0, 10.0, 1e6])
-    for d in laws:
-        got = d.survival_array(xs)
-        want = np.array([d.survival(float(x)) for x in xs])
-        np.testing.assert_allclose(got, want, atol=1e-14, err_msg=str(d))
-
-
 def test_beta_range_enforced():
     # the lookback exponent lives in [0, 1): beta = 1 would erase the
     # n - n^beta xi margin entirely

@@ -171,14 +171,75 @@ def test_single_affine_draw_matches_the_scalar_draw(parents, alpha, seed, data):
     got = growth._resolve_edge(tr.parents, tr.n + 1, np.full(64, m), 1.0, alpha, branch, picks)
     expected = [_scalar_edge_draw(tr.parents, m, 1.0, alpha, b, u) for b, u in zip(branch, picks)]
     np.testing.assert_array_equal(got, expected)
-    # the thinning draw proposes by the same rule; accept = 0.0 takes every proposal
-    par = tr.parents.tolist()
-    kids: list = [[] for _ in par]
-    for v in range(2, tr.n + 1):
-        kids[par[v]].append(v)
+    # the thinning draws propose by the same rule; accept = 0.0 takes every proposal
+    view = _frozen_view(tr.parents)
     triples = iter([(b, u, 0.0) for b, u in zip(branch, picks)])
-    thinned = [growth._draw_thinning(par, kids, m, 1.0, alpha, tr.kernel.evaluate, triples) for _ in picks]
+    evaluate = tr.kernel.evaluate
+    thinned = [growth._draw_thinning(tr.parents.tolist(), view, m, 1.0, alpha, evaluate, triples) for _ in picks]
     assert thinned == [(v, 0) for v in expected]
+    columns = mock.Mock(random=lambda shape: np.stack([branch, picks, np.zeros(64)]))
+    waved = growth._thin_wave(tr.parents, view, np.full(64, m), 1.0, alpha, tr.kernel, columns, iter(()))
+    np.testing.assert_array_equal(waved[0], expected)
+    assert waved[1] == 0
+
+
+# ---------------------------------------------------------------------------
+# The degree view: counts, searches of the sorted key and sibling walks
+# ---------------------------------------------------------------------------
+
+
+def _frozen_view(parents):
+    view = growth._DegreeView(len(parents))
+    view.extend(parents, 2, len(parents))
+    view.rebuild(parents, len(parents))
+    return view
+
+
+def _check_degree_view(parents, ratio, batch) -> set:
+    """Grow a degree view arrival by arrival and query it at every P, m < P and v <= m.
+
+    ``batch(first, p)`` says how far past ``first`` to add with one
+    ``extend``; the rest of the arrivals below P go in one ``add`` at a
+    time.  Returns the branches the queries took.
+    """
+    parents = np.asarray(parents, dtype=np.int64)
+    n = len(parents) - 1
+    want = [growth._weight_degrees(parents, m) for m in range(1, n + 1)]
+    view = growth._DegreeView(n + 1)
+    first, branches = 2, set()
+    with mock.patch.object(growth, "_REBUILD", ratio):
+        for p in range(3, n + 2):
+            upto = batch(first, p)
+            view.extend(parents, first, upto)
+            for k in range(upto, p):
+                view.add(k, int(parents[k]))
+            first = p
+            view.refresh(parents, p)
+            ms = np.concatenate([np.full(m, m) for m in range(1, p)])
+            vs = np.concatenate([np.arange(1, m + 1) for m in range(1, p)])
+            np.testing.assert_array_equal(view.degrees(vs, ms), np.concatenate(want[: p - 1]))
+            for m in range(2, p):
+                assert [view.children(v, m) + (v != 1) for v in range(1, m + 1)] == want[m - 1].tolist()
+            late = view.last[vs] > ms
+            branches |= {"count"} if (~late).any() else set()
+            branches |= {"search"} if (late & (ms < view.frozen)).any() else set()
+            branches |= {"walk"} if (late & (ms >= view.frozen)).any() else set()
+    return branches
+
+
+@settings(max_examples=60, deadline=None)
+@given(_parent_arrays(), st.sampled_from((1, 2, 10**9)), st.data())
+def test_degree_view_matches_the_snapshot_degrees(parents, ratio, data):
+    # ratio 1 rebuilds the sorted key at every P, 2 is the default, 10**9 never rebuilds it
+    _check_degree_view(parents, ratio, lambda first, p: data.draw(st.integers(first, p)))
+
+
+def test_degree_view_takes_every_branch():
+    # a star: every late query is the root's, answered by a search or a walk
+    star = [0, 0] + [1] * 39
+    assert _check_degree_view(star, 2, lambda first, p: first) == {"count", "search", "walk"}
+    assert _check_degree_view(star, 10**9, lambda first, p: p) == {"count", "walk"}
+    assert _check_degree_view(star, 1, lambda first, p: (first + p) // 2) == {"count", "search"}
 
 
 # ---------------------------------------------------------------------------
