@@ -1,0 +1,173 @@
+"""Time the ``replicate-sweep`` plan end to end, its growth phase, and one large tree.
+
+    python3 bench/replicate_sweep.py --tree parent=OLD/src --tree change=src \
+        > BENCH_replicate_batches.json
+
+``--tree LABEL=SRC`` names a source directory holding the ``delaytree``
+package; give it twice to compare two versions on the same machine.  Each
+measurement is one fresh Python process with SRC first on ``sys.path``.
+It builds the benchmark's ``replicate-sweep`` plan (``perfbench``
+workload: preset ``grid-uniform01``, 1500 replicates at n = 2000,
+statistics ``degree,root,clt,delay-scan``, artifacts written) and runs it
+once through ``cli.main``, timing
+
+* ``wall_s``: the whole plan with ``time.perf_counter``, as the benchmark
+  times one execution;
+* ``grow_s``: the part of it spent inside ``harness.grow``, summed over
+  its calls (``grow_calls``);
+
+then records the peak RSS so far (``ru_maxrss``) and the SHA-256 over the
+plan's artifact files, and finally grows one ``grid-invpow2`` tree at
+n = 1e6 (``single_grow_s``, with the SHA-256 of its ``parents``), to show
+that single-tree growth is not slowed.  The trees take turns run by run so
+that host drift hits them alike, and the median of ``RUNS`` is recorded.
+
+The sweep then repeats the measurement with ``delaytree.growth._EDGE_BLOCK``
+set to each of ``BLOCKS`` before the plan runs: the arrivals one edge
+block holds, which also sets how many replicates grow together.  The JSON
+document goes to standard output, progress to standard error.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.metadata
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+CHILD = r"""
+import contextlib, hashlib, io, json, os, resource, sys, tempfile, time
+sys.path.insert(0, sys.argv[1])
+sys.path.insert(1, sys.argv[2])
+from delaytree import growth, harness
+from delaytree.cli import PRESETS
+from delaytree.configio import build_config, parse_config_text
+from perfbench import workloads
+
+if sys.argv[3] != "default":
+    growth._EDGE_BLOCK = int(sys.argv[3])
+grow, spent = harness.grow, []
+
+def timed(*args, **kwargs):
+    t0 = time.perf_counter()
+    try:
+        return grow(*args, **kwargs)
+    finally:
+        spent.append(time.perf_counter() - t0)
+
+harness.grow = timed
+with tempfile.TemporaryDirectory() as root:
+    step = workloads.prepare("replicate-sweep", int(sys.argv[4]), root)[0]
+    t0 = time.perf_counter()
+    ok = step.call()
+    wall = time.perf_counter() - t0
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(step.outdir)):
+        with open(os.path.join(step.outdir, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + fh.read())
+harness.grow = grow
+
+entries = parse_config_text(PRESETS["grid-invpow2"])
+entries["n_final"] = "1000000"
+entries["seed"] = sys.argv[4]
+config, _ = build_config(entries)
+t0 = time.perf_counter()
+trace = growth.grow(config)
+single = time.perf_counter() - t0
+print(json.dumps({
+    "ok": ok,
+    "edge_block": growth._EDGE_BLOCK,
+    "wall_s": wall,
+    "grow_s": sum(spent),
+    "grow_calls": len(spent),
+    "peak_rss_mb": rss,
+    "artifact_sha256": digest.hexdigest(),
+    "single_grow_s": single,
+    "single_parents_sha256": hashlib.sha256(trace.parents.astype("<i8").tobytes()).hexdigest(),
+}))
+"""
+
+RUNS = 7  # median of seven per tree (and per tree and block in the sweep)
+BLOCKS = (1 << 13, 1 << 14, 1 << 15, 1 << 16)
+SEED = 5
+
+# one client on a small machine: keep NumPy single-threaded
+ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def measure(src: str, block: str) -> dict:
+    env = dict(os.environ, **ENV)
+    env.pop("PYTHONPATH", None)
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD, os.path.abspath(src), REPO, block, str(SEED)],
+        check=True, capture_output=True, text=True, env=env,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def summary(got: list) -> dict:
+    def med(key):
+        return round(statistics.median(g[key] for g in got), 4)
+
+    return {
+        "edge_block": sorted({g["edge_block"] for g in got}),
+        "wall_s": [round(g["wall_s"], 4) for g in got],
+        "median_wall_s": med("wall_s"),
+        "median_grow_s": med("grow_s"),
+        "grow_calls": sorted({g["grow_calls"] for g in got}),
+        "median_peak_rss_mb": med("peak_rss_mb"),
+        "median_single_grow_s": med("single_grow_s"),
+        "failed_plans": sum(not g["ok"] for g in got),
+        "artifact_sha256": sorted({g["artifact_sha256"] for g in got}),
+        "single_parents_sha256": sorted({g["single_parents_sha256"] for g in got}),
+    }
+
+
+def alternate(trees: dict, block: str) -> dict:
+    runs: dict = {label: [] for label in trees}
+    for _ in range(RUNS):
+        for label, src in trees.items():
+            got = measure(src, block)
+            runs[label].append(got)
+            print(f"{label} block={block} wall {got['wall_s']:.3f} s grow {got['grow_s']:.3f} s "
+                  f"single {got['single_grow_s']:.3f} s", file=sys.stderr)
+    return {label: summary(got) for label, got in runs.items()}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--tree", action="append", required=True, metavar="LABEL=SRC")
+    args = ap.parse_args(argv)
+
+    trees = dict(t.split("=", 1) for t in args.tree)
+    compare = alternate(trees, "default")
+    sweep = {str(block): alternate(trees, str(block)) for block in BLOCKS}
+    digests = {h for row in [compare, *sweep.values()] for t in row.values() for h in t["artifact_sha256"]}
+    doc = {
+        "benchmark": "replicate-sweep plan end to end and its growth phase; one grid-invpow2 tree at n = 1e6",
+        "script": "bench/replicate_sweep.py",
+        "seed": SEED,
+        "runs": RUNS,
+        "host": {
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": importlib.metadata.version("numpy"),
+        },
+        "trees": compare,
+        "artifacts_identical": len(digests) == 1,
+        "edge_block_sweep": sweep,
+    }
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -36,6 +36,7 @@ from .theory import clt_constants
 __all__ = [
     "DegreeHist",
     "degree_hist",
+    "degree_hists",
     "FringeCensus",
     "fringe_census",
     "PairCensus",
@@ -45,6 +46,7 @@ __all__ = [
     "leaf_clt_statistic",
     "RootTrajectory",
     "root_trajectory",
+    "root_trajectories",
     "geometric_grid",
     "DelayScan",
     "delay_condition_scan",
@@ -78,11 +80,36 @@ class DegreeHist:
 
 
 def degree_hist(trace: TreeTrace) -> DegreeHist:
-    n = trace.n
-    cc = trace.children_count_final()
-    gdeg = cc[1 : n + 1].copy()
-    gdeg[1:] += 1  # every vertex but the root also has a parent edge
-    return DegreeHist(counts=np.bincount(gdeg), n=n)
+    return degree_hists([trace])[0]
+
+
+def _common_size(traces) -> int:
+    """The one vertex count n shared by every tree of a batch."""
+    sizes = {trace.n for trace in traces}
+    if len(sizes) != 1:
+        raise ArgumentError(f"a batch needs one or more trees of one size, got sizes {sorted(sizes)}")
+    return sizes.pop()
+
+
+def degree_hists(traces) -> list[DegreeHist]:
+    """:func:`degree_hist` of each tree of a batch of one size.
+
+    Each tree's children are counted on its own parent array, and every
+    histogram comes from one bincount with row offsets; each stops at its
+    own tree's largest degree.
+    """
+    n = _common_size(traces)
+    rows = len(traces)
+    children = np.stack([np.bincount(trace.parents[2 : n + 1], minlength=n + 1) for trace in traces])
+    # graph degree: children + 1 for every vertex but the root, which has no parent edge
+    root = children[:, 1]
+    tops = np.maximum(children[:, 2:].max(axis=1, initial=-1) + 1, root)
+    width = int(tops.max()) + 1
+    starts = np.arange(0, rows * width, width)
+    counts = np.bincount((children[:, 2:] + (starts + 1)[:, None]).ravel(), minlength=rows * width)
+    counts[starts + root] += 1
+    counts = counts.reshape(rows, width)
+    return [DegreeHist(counts=c[: top + 1], n=n) for c, top in zip(counts, tops.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +294,7 @@ class RootTrajectory:
     over_truncated_mean: np.ndarray | None  # values / E[min(X, n_j)], heavy regime
 
     def __post_init__(self) -> None:
-        if np.any(np.diff(self.values) < 0):
+        if (self.values[1:] < self.values[:-1]).any():
             raise ArgumentError("root degree can never decrease")
 
 
@@ -279,24 +306,33 @@ def root_trajectory(trace: TreeTrace, theta: float, grid=None, ex_x=None) -> Roo
     normalized by it.  In the light regime values/n^theta is the quantity
     that settles.
     """
-    ns = geometric_grid(trace.n) if grid is None else np.asarray(grid, dtype=np.int64)
-    if np.any(np.diff(ns) <= 0) or ns[0] < 1 or ns[-1] > trace.n:
+    return root_trajectories([trace], theta, grid=grid, ex_x=ex_x)[0]
+
+
+def root_trajectories(traces, theta: float, grid=None, ex_x=None) -> list[RootTrajectory]:
+    """:func:`root_trajectory` of each tree of a batch of one size, on one grid.
+
+    The grid and ``ex_x`` are checked once, and the root's children of
+    every row are found in one pass and counted at the grid by one search.
+    """
+    n = _common_size(traces)
+    ns = geometric_grid(n) if grid is None else np.asarray(grid, dtype=np.int64)
+    if np.any(np.diff(ns) <= 0) or ns[0] < 1 or ns[-1] > n:
         raise ArgumentError("grid must be strictly increasing within [1, n]")
-    root_births = np.flatnonzero(trace.parents[2 : trace.n + 1] == 1) + 2
-    values = 1.0 + np.searchsorted(root_births, ns, side="right")
-    over_ex = None
     if ex_x is not None:
         ex = np.asarray(ex_x, dtype=np.float64)
         if ex.shape != ns.shape:
             raise ArgumentError("ex_x needs one value per grid point")
-        over_ex = values / ex
-    return RootTrajectory(
-        ns=ns,
-        values=values,
-        theta=theta,
-        over_ntheta=values / ns.astype(np.float64) ** theta,
-        over_truncated_mean=over_ex,
-    )
+    # row r's child v of the root sits at r*(n-1) + v - 2, rows in order
+    births = np.flatnonzero(np.stack([trace.parents[2 : n + 1] for trace in traces]) == 1)
+    starts = np.arange(len(traces))[:, None] * (n - 1)
+    values = 1.0 + (np.searchsorted(births, starts + (ns - 2), "right") - np.searchsorted(births, starts))
+    over_ntheta = values / ns.astype(np.float64) ** theta
+    over_ex = values / ex if ex_x is not None else [None] * len(values)
+    return [
+        RootTrajectory(ns=ns, values=v, theta=theta, over_ntheta=o, over_truncated_mean=x)
+        for v, o, x in zip(values, over_ntheta, over_ex)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,11 @@ feeds every arrival and the tests call on a frozen tree.
   P(v) = (deg + alpha) / Psi(m) with no endpoint array stored.  Parents
   are resolved a block of arrivals at a time with NumPy: direct answers
   and copies of parents before the block in one pass, copies of parents
-  inside the block by pointer jumping.  Temporaries are O(block), and the
-  draws and the resulting tree equal those of one draw per arrival.
+  inside the block by pointer jumping.  A block is a run of columns of
+  one tree or, for trees of at most half a block, a band of whole trees
+  as rows: :func:`grow` given several seeds grows them side by side, each
+  drawing from its own generator.  Temporaries are O(block), and the
+  draws and the resulting trees equal those of one draw per arrival.
 * ``rejection`` -- thinning (Lewis & Shedler, Naval Res. Logist. Q. 26,
   1979) of the same endpoint proposal taken at the kernel's affine
   envelope f(d) <= a*d + b (``linear_bound``): propose v with probability
@@ -44,7 +47,7 @@ time 1 where nothing is sampled anyway).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -55,6 +58,7 @@ from .kernels import AttachmentKernel, GrowthConfig, snapshot_times
 __all__ = [
     "TreeTrace",
     "grow",
+    "batch_size",
     "trace_from_parents",
     "deg_at",
     "weight_degree",
@@ -84,11 +88,6 @@ class TreeTrace:
     snapshots: np.ndarray
     retries: int = 0
     config: GrowthConfig | None = None
-
-    def children_count_final(self) -> np.ndarray:
-        """c[v] = number of children of v at the final time (c[0] unused)."""
-        c = np.bincount(self.parents[2 : self.n + 1], minlength=self.n + 1)
-        return c[: self.n + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -243,39 +242,53 @@ class _DegreeView:
 def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, picks) -> np.ndarray:
     """Endpoint-list draws for f(k) = slope*k + alpha, one per arrival.
 
-    Arrival i is vertex base + i and draws from snapshot ms[i]; parents
-    below ``base`` must be final.  Psi(m) = slope*2(m-1) + alpha*m.  The
-    uniform ``branch`` sends a draw to a uniform vertex of [1..m] with
-    probability alpha*m/Psi(m), else to a uniform endpoint e among the
-    first 2(m-1); the uniform ``pick`` selects within either.  Kernels
-    without a mixture pass branch = 0.0, which always picks a vertex when
-    slope is 0 and an endpoint when alpha is 0.  At m = 1 both routes give
-    the root (the endpoint route reads e = -1, odd, naming k = 1).
+    ``ms``, ``branch`` and ``picks`` are a row of arrivals or a block of
+    rows, row i being arrivals base, base+1, ... of the tree in row i of
+    ``parents`` (a parent array or a stack of them); each draws from its
+    snapshot ms[i, j], and parents below ``base`` must be final.
+    Psi(m) = slope*2(m-1) + alpha*m.  The uniform ``branch`` sends a draw to
+    a uniform vertex of [1..m] with probability alpha*m/Psi(m), else to a
+    uniform endpoint e among the first 2(m-1); the uniform ``pick`` selects
+    within either.  Kernels without a mixture pass branch = None: every
+    draw picks a vertex when alpha > 0 (then slope is 0) and an endpoint
+    when alpha is 0.  At m = 1 both routes give the root (the endpoint
+    route reads e = -1, odd, naming k = 1).
 
     An odd e names vertex k = e//2 + 2; an even e copies the parent of
-    that k <= m.  Copies of a parent below ``base`` read ``parents``; the
-    rest copy an earlier arrival of the block, and pointer jumping walks
-    each chain down to a direct answer in O(log chain) rounds.
+    that k <= m.  Copies of a parent below ``base`` read their row of
+    ``parents``; the rest copy an earlier arrival of the same row, and
+    pointer jumping over the whole block walks each chain down to a direct
+    answer in O(log chain) rounds.
     """
+    if branch is None and alpha > 0.0:
+        return np.minimum((picks * ms).astype(np.int64), ms - 1) + 1
     top = 2 * (ms - 1)
-    to_vertex = branch * (slope * top + ms * alpha) < ms * alpha
     e = np.minimum((picks * top).astype(np.int64), top - 1)
-    out = e // 2 + 2
-    np.copyto(out, np.minimum((picks * ms).astype(np.int64), ms - 1) + 1, where=to_vertex)
-    copy = np.flatnonzero(~to_vertex & ((e & 1) == 0))
-    src = out[copy]
+    out = (e >> 1) + 2
+    copy = (e & 1) == 0
+    if branch is not None:
+        to_vertex = branch * (slope * top + ms * alpha) < ms * alpha
+        np.copyto(out, np.minimum((picks * ms).astype(np.int64), ms - 1) + 1, where=to_vertex)
+        copy &= ~to_vertex
+    flat, width = out.reshape(-1), ms.shape[-1]
+    copy = np.flatnonzero(copy)
+    src, row = flat[copy], copy // width
     early = src < base
-    out[copy[early]] = parents[src[early]]
-    # within the block: link each copy to the arrival it copies, then jump
-    copy, link = copy[~early], np.arange(len(out))
-    link[copy] = src[~early] - base
-    hops = link[copy]
+    flat[copy[early]] = parents.reshape(-1, parents.shape[-1])[row[early], src[early]]
+    # within the block: link each copy to the arrival it copies, then jump;
+    # a chain leaves the jumping once it reaches a direct answer (a self-link)
+    late = ~early
+    copy, link = copy[late], np.arange(len(flat))
+    link[copy] = hops = row[late] * width + (src[late] - base)
+    pending = copy
     while True:
         nxt = link[hops]
-        if np.array_equal(nxt, hops):
+        moving = (nxt != hops).nonzero()[0]
+        if not moving.size:
             break
-        link[copy] = hops = nxt
-    out[copy] = out[hops]
+        pending, hops = pending[moving], nxt[moving]
+        link[pending] = hops
+    flat[copy] = flat[link[copy]]
     return out
 
 
@@ -415,13 +428,20 @@ def thinning_distribution(trace: TreeTrace, m: int, kernel: AttachmentKernel) ->
 # ---------------------------------------------------------------------------
 
 
-def grow(config: GrowthConfig) -> TreeTrace:
+def grow(config: GrowthConfig, seeds=None):
     """Grow a tree to ``config.n_final`` vertices; deterministic in the seed.
 
-    Draw order is fixed: one vectorised block of delays for vertices
-    3..n_final, then the attachment draws.  The edge sampler draws every
-    branch uniform and then every pick.  Rejection takes its arrivals wave
-    by wave (see the module docstring): a long wave draws a (branch, pick,
+    Given ``seeds``, grow one tree per seed instead and return their list:
+    tree i equals ``grow(replace(config, seed=seeds[i]))`` field for field.
+    The edge sampler resolves such a batch as rows of shared blocks (see
+    :func:`batch_size`); the other samplers grow its trees one by one.
+
+    Draw order is fixed, and a batch draws each seed's stream in that
+    order from the seed's own generator, whatever the other seeds: one
+    vectorised block of delays for vertices 3..n_final, then the
+    attachment draws.  The edge sampler draws every branch
+    uniform and then every pick.  Rejection takes its arrivals wave by
+    wave (see the module docstring): a long wave draws a (branch, pick,
     accept) column per pending arrival and round from the generator, and
     everything drawn one arrival at a time (short waves and a long wave's
     last few stragglers) takes one triple per proposal from blocks of
@@ -430,51 +450,72 @@ def grow(config: GrowthConfig) -> TreeTrace:
     """
     strategy = config.resolve_sampler()
     n_final = config.n_final
-    rng = np.random.default_rng(config.seed)
+    configs = [config] if seeds is None else [replace(config, seed=s) for s in seeds]
+    rngs = [np.random.default_rng(c.seed) for c in configs]
 
-    parents = np.zeros(n_final + 1, dtype=np.int64)
-    xis = np.zeros(n_final + 1)
-    snaps = np.zeros(n_final + 1, dtype=np.int64)
-    parents[2] = 1
-    snaps[2] = 1
-    retries = 0
+    shape = (len(configs), n_final + 1)  # one row per tree
+    parents = np.zeros(shape, dtype=np.int64)
+    xis = np.zeros(shape)
+    snaps = np.zeros(shape, dtype=np.int64)
+    parents[:, 2] = 1
+    snaps[:, 2] = 1
+    retries = [0] * len(configs)
 
-    steps = n_final - 2
-    if steps > 0:
-        tail = config.delay.sample_many(rng, steps)
-        ms = snapshot_times(np.arange(2, n_final), tail, config.beta)
-        xis[3:] = tail
-        snaps[3:] = ms
-        loop = {"edge": _loop_edge, "rejection": _loop_rejection, "scan": _loop_scan}[strategy]
-        retries = loop(parents, config.kernel, ms, rng)
+    if n_final > 2:
+        for row, rng in zip(xis, rngs):
+            row[3:] = config.delay.sample_many(rng, n_final - 2)
+        ms = snaps[:, 3:]
+        ms[:] = snapshot_times(np.arange(2, n_final), xis[:, 3:], config.beta)
+        if strategy == "edge":
+            _loop_edge(parents, config.kernel, ms, rngs)
+        else:
+            loop = _loop_rejection if strategy == "rejection" else _loop_scan
+            retries = [loop(p, config.kernel, m, rng) for p, m, rng in zip(parents, ms, rngs)]
 
-    return TreeTrace(
-        kernel=config.kernel,
-        n=n_final,
-        parents=parents,
-        xis=xis,
-        snapshots=snaps,
-        retries=retries,
-        config=config,
-    )
-
-
-_EDGE_BLOCK = 1 << 16
+    traces = [
+        TreeTrace(config.kernel, n_final, p, x, m, r, c)
+        for p, x, m, r, c in zip(parents, xis, snaps, retries, configs)
+    ]
+    return traces[0] if seeds is None else traces
 
 
-def _loop_edge(parents, kernel, ms, rng) -> int:
+_EDGE_BLOCK = 1 << 14  # arrivals per edge block (BENCH_replicate_batches.json)
+
+
+def batch_size(n_final: int) -> int:
+    """Trees of ``n_final`` vertices that one edge block holds as rows: a batch for :func:`grow`."""
+    return max(1, _EDGE_BLOCK // n_final)
+
+
+def _loop_edge(parents, kernel, ms, rngs) -> None:
+    """Edge-sampler parents for every row of ``parents``, row i drawing from ``rngs[i]``.
+
+    A block is up to _EDGE_BLOCK arrivals: a band of whole rows when a row
+    holds at most half a block, else _EDGE_BLOCK columns of one row.  Each
+    block reads only final parents below it.
+    """
     slope, alpha = kernel.linear_bound()  # exact for uniform and affine kernels
-    steps = len(ms)
+
+    def uniforms():
+        out = np.empty(ms.shape)
+        for row, rng in zip(out, rngs):
+            rng.random(out=row)
+        return out
+
     # uniform kernels (slope 0) and alpha = 0 need no branch uniform
-    branch = rng.random(steps) if slope and alpha > 0.0 else np.broadcast_to(0.0, steps)
-    picks = rng.random(steps)
-    # blocks keep the temporaries small; each reads only final parents below it
-    for lo in range(0, steps, _EDGE_BLOCK):
-        hi = min(lo + _EDGE_BLOCK, steps)
-        parents[lo + 3 : hi + 3] = _resolve_edge(
-            parents, lo + 3, ms[lo:hi], slope, alpha, branch[lo:hi], picks[lo:hi]
-        )
-    return 0
+    branch = uniforms() if slope and alpha > 0.0 else None
+    picks = uniforms()
+    rows, steps = ms.shape
+    width = min(steps, _EDGE_BLOCK)
+    tall = _EDGE_BLOCK // width
+    for first in range(0, rows, tall):
+        band = slice(first, first + tall)
+        for lo in range(0, steps, width):
+            cols = slice(lo, lo + width)
+            parents[band, lo + 3 : lo + width + 3] = _resolve_edge(
+                parents[band], lo + 3, ms[band, cols], slope, alpha,
+                None if branch is None else branch[band, cols], picks[band, cols],
+            )
 
 
 _THIN_BLOCK = 1 << 13

@@ -2,10 +2,13 @@
 
 A plan bundles a growth configuration with a replicate count, a statistic
 selection, and tolerances.  Replicates get decorrelated seeds through a
-fixed splitmix64 mix of (base seed, replicate index), run independently
-(optionally in worker processes), and fold into aggregates in ascending
-replicate order regardless of completion order -- so a rerun of the same
-plan is byte-identical, and so is a rerun under any worker count.
+fixed splitmix64 mix of (base seed, replicate index) and are grown in
+batches of consecutive replicates, as many as one edge block of ``grow``
+holds (optionally a batch per worker process).  Each replicate still draws
+from its own generator, so its tree does not depend on the batching, and
+records fold into aggregates in ascending replicate order regardless of
+completion order -- so a rerun of the same plan is byte-identical, and so
+is a rerun under any worker count.
 
 Wall-clock time is kept on the in-memory summary only and never
 serialized; every serialized byte is a pure function of the plan.
@@ -13,7 +16,6 @@ serialized; every serialized byte is a pure function of the plan.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
@@ -27,7 +29,7 @@ from . import theory
 from .canonical import shape_labels
 from .configio import config_hash, render_config
 from .errors import ArgumentError
-from .growth import grow
+from .growth import batch_size, grow
 from .kernels import GrowthConfig
 
 __all__ = [
@@ -156,39 +158,45 @@ def tv_distance(empirical, theory_probs) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _replicate_record(args) -> dict:
-    """One replicate worth of raw statistics (picklable, order-agnostic).
+def _replicate_records(args) -> list:
+    """Raw statistics of a batch of replicates, one record each (picklable, order-agnostic).
 
+    The batch's trees are grown by one ``grow`` call, and their degree
+    histograms and root trajectories computed one batch at a time.
     ``root`` is the plan's (theta, time grid, E[min(X, n_j)] on the grid or
     None outside the heavy regime), or None without "root".
     """
-    config, stats, root, r = args
-    cfg = dataclasses.replace(config, seed=replicate_seed(config.seed, r))
-    trace = grow(cfg)
-    rec: dict = {"replicate": r, "retries": trace.retries}
-    hist = est.degree_hist(trace)
-    if "degree" in stats:
-        rec["degree_counts"] = hist.counts
-    if "fringe" in stats:
-        cap = cfg.fringe_cap
-        parents = trace.parents[: trace.n + 1]
-        labels, codes = shape_labels(parents, cap)
-        census = est.FringeCensus.from_labels(labels, codes, cap)
-        pairs = est.PairCensus.from_labels(labels, codes, parents, cap)
-        rec["fringe_counts"] = census.counts
-        rec["fringe_truncated"] = census.truncated
-        rec["pair_counts"] = pairs.counts
-        rec["pair_truncated"] = pairs.truncated
+    config, stats, root, reps = args
+    traces = grow(config, [replicate_seed(config.seed, r) for r in reps])
+    hists = est.degree_hists(traces)
+    trajs = [None] * len(traces)
     if "root" in stats:
         theta, grid, ex = root
-        traj = est.root_trajectory(trace, theta, grid=grid, ex_x=ex)
-        rec["root_ns"] = traj.ns
-        rec["root_values"] = traj.values
-        rec["root_over_ntheta"] = traj.over_ntheta
-        rec["root_over_ex"] = traj.over_truncated_mean
-    if "clt" in stats:
-        rec["n1"] = hist.count(1)
-    return rec
+        trajs = est.root_trajectories(traces, theta, grid=grid, ex_x=ex)
+    records = []
+    for r, trace, hist, traj in zip(reps, traces, hists, trajs):
+        rec: dict = {"replicate": r, "retries": trace.retries}
+        if "degree" in stats:
+            rec["degree_counts"] = hist.counts
+        if "fringe" in stats:
+            cap = config.fringe_cap
+            parents = trace.parents[: trace.n + 1]
+            labels, codes = shape_labels(parents, cap)
+            census = est.FringeCensus.from_labels(labels, codes, cap)
+            pairs = est.PairCensus.from_labels(labels, codes, parents, cap)
+            rec["fringe_counts"] = census.counts
+            rec["fringe_truncated"] = census.truncated
+            rec["pair_counts"] = pairs.counts
+            rec["pair_truncated"] = pairs.truncated
+        if traj is not None:
+            rec["root_ns"] = traj.ns
+            rec["root_values"] = traj.values
+            rec["root_over_ntheta"] = traj.over_ntheta
+            rec["root_over_ex"] = traj.over_truncated_mean
+        if "clt" in stats:
+            rec["n1"] = hist.count(1)
+        records.append(rec)
+    return records
 
 
 def _collect_records(plan: ExperimentPlan) -> list:
@@ -202,11 +210,18 @@ def _collect_records(plan: ExperimentPlan) -> list:
         if consts.regime == "heavy":
             ex = np.array([consts.ex_x_truncated(float(m)) for m in grid])
         root = (consts.theta, grid, ex)
-    jobs = [(config, plan.statistics, root, r) for r in range(plan.replicates)]
-    if plan.workers == 1 or plan.replicates == 1:
-        return [_replicate_record(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-        return list(pool.map(_replicate_record, jobs, chunksize=1))
+    # consecutive batches of replicates, each grown as rows of one edge block
+    size = batch_size(config.n_final)
+    jobs = [
+        (config, plan.statistics, root, range(lo, min(lo + size, plan.replicates)))
+        for lo in range(0, plan.replicates, size)
+    ]
+    if plan.workers == 1 or len(jobs) == 1:
+        batches = map(_replicate_records, jobs)
+    else:
+        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+            batches = list(pool.map(_replicate_records, jobs, chunksize=1))
+    return [rec for batch in batches for rec in batch]
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,8 @@ class TabulatedKernel(AttachmentKernel):
             k_next = len(vals) + 1
             if self.evaluate(k_next) < vals[-1] - 1e-12:
                 raise ArgumentError("monotone flag set but tail rule drops below the table")
+        # f(k) at index k for k = 1..K (index 0 holds f(K)), read by evaluate_array
+        object.__setattr__(self, "_table", np.array(vals[-1:] + vals, dtype=np.float64))
         object.__setattr__(self, "_envelope", self._tightest_envelope())
 
     def evaluate(self, k: int) -> float:
@@ -183,9 +185,10 @@ class TabulatedKernel(AttachmentKernel):
         return float(k) ** self.tail[1]
 
     def evaluate_array(self, ks: np.ndarray) -> np.ndarray:
-        ks = np.asarray(ks, dtype=np.int64)
-        table = np.asarray(self.values)
-        out = table[np.minimum(ks, len(self.values)) - 1].astype(np.float64)
+        ks = np.asarray(ks)
+        if ks.dtype.kind not in "iu":
+            ks = ks.astype(np.int64)
+        out = self._table.take(ks, mode="clip")
         if self.tail[0] == "pow":
             over = ks > len(self.values)
             if over.any():

@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaytree.errors import ArgumentError
 from delaytree.estimators import (
     RootTrajectory,
     degree_hist,
+    degree_hists,
     delay_condition_scan,
     extended_fringe_census,
     fringe_census,
     geometric_grid,
     leaf_clt_statistic,
     root_trajectory,
+    root_trajectories,
 )
 from delaytree.growth import grow, trace_from_parents
 from delaytree.kernels import (
@@ -184,6 +188,84 @@ def test_root_trajectory_validation():
             over_ntheta=np.array([1.0, 1.0]),
             over_truncated_mean=None,
         )
+
+
+# ---------------------------------------------------------------------------
+# batches of trees
+# ---------------------------------------------------------------------------
+
+
+def _reference_hist(parents):
+    """Graph-degree histogram of one tree, counted on its own."""
+    n = len(parents) - 1
+    gdeg = np.bincount(parents[2:], minlength=n + 1)[1:]
+    gdeg[1:] += 1
+    return np.bincount(gdeg)
+
+
+def _reference_root_values(parents, ns):
+    """1 + the root's children born by each n_j, searched on one tree."""
+    births = np.flatnonzero(np.asarray(parents[2:]) == 1) + 2
+    return 1.0 + np.searchsorted(births, ns, side="right")
+
+
+@st.composite
+def _one_size_batches(draw):
+    n = draw(st.integers(1, 60))
+    rows = draw(st.integers(1, 5))
+    return [[0, 0] + [draw(st.integers(1, v - 1)) for v in range(2, n + 1)] for _ in range(rows)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_one_size_batches(), st.data())
+def test_batch_estimators_match_one_tree_at_a_time(batch, data):
+    traces = [trace_from_parents(p, AFF) for p in batch]
+    n = traces[0].n
+    for trace, hist in zip(traces, degree_hists(traces)):
+        ref = _reference_hist(trace.parents)
+        assert len(hist.counts) == len(ref)  # each row stops at its own largest degree
+        np.testing.assert_array_equal(hist.counts, ref)
+        assert hist.n == n
+    grid = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
+    ex = data.draw(st.none() | st.lists(st.floats(0.5, 100.0), min_size=len(grid), max_size=len(grid)))
+    theta = data.draw(st.sampled_from((0.0, 0.5, 0.77)))
+    for trace, traj in zip(traces, root_trajectories(traces, theta, grid=grid, ex_x=ex)):
+        values = _reference_root_values(trace.parents, grid)
+        np.testing.assert_array_equal(traj.ns, grid)
+        np.testing.assert_array_equal(traj.values, values)
+        np.testing.assert_array_equal(traj.over_ntheta, values / np.asarray(grid, dtype=np.float64) ** theta)
+        if ex is None:
+            assert traj.over_truncated_mean is None
+        else:
+            np.testing.assert_array_equal(traj.over_truncated_mean, values / np.asarray(ex))
+        assert traj.theta == theta
+
+
+def test_batch_rows_keep_their_own_histogram_length_and_default_grid():
+    star = trace_from_parents([0, 0, 1, 1, 1], AFF)  # largest degree 3
+    hists = degree_hists([star, PATH4, star])
+    assert [len(h.counts) for h in hists] == [4, 3, 4]
+    assert [h.max_degree() for h in hists] == [degree_hist(t).max_degree() for t in (star, PATH4, star)]
+    trajs = root_trajectories([PATH4, star], theta=0.5)
+    for traj in trajs:
+        np.testing.assert_array_equal(traj.ns, geometric_grid(4))
+    np.testing.assert_array_equal(trajs[0].values, [2.0, 2.0, 2.0])
+    np.testing.assert_array_equal(trajs[1].values, [2.0, 3.0, 4.0])
+
+
+def test_batch_estimators_reject_bad_batches():
+    with pytest.raises(ArgumentError):
+        degree_hists([PATH4, trace_from_parents([0, 0, 1, 1], AFF)])  # sizes 4 and 3
+    with pytest.raises(ArgumentError):
+        degree_hists([])
+    with pytest.raises(ArgumentError):
+        root_trajectories([PATH4, trace_from_parents([0, 0, 1], AFF)], theta=0.5)
+    with pytest.raises(ArgumentError):
+        root_trajectories([PATH4, STAR4], theta=0.5, grid=[3, 2])
+    with pytest.raises(ArgumentError):
+        root_trajectories([PATH4, STAR4], theta=0.5, grid=[1, 99])
+    with pytest.raises(ArgumentError):
+        root_trajectories([PATH4, STAR4], theta=0.5, grid=[2, 4], ex_x=[1.0])
 
 
 # ---------------------------------------------------------------------------

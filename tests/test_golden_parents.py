@@ -6,8 +6,8 @@ single parent, or the order in which random numbers are drawn, fails here;
 a change that keeps the law but not the draws needs an exactness argument
 and new digests (see ROADMAP, "Correctness and robustness").
 
-The edge configs use n > 2 * _EDGE_BLOCK + 3, so the tree spans three
-growth blocks and copy pointers cross block boundaries.  The uniform01
+The edge configs use n > 2 * _EDGE_BLOCK + 3, so the tree spans at least
+three growth blocks and copy pointers cross block boundaries.  The uniform01
 rejection config draws every arrival one at a time; the invpow:1 one
 resolves half of its arrivals in NumPy waves.
 """

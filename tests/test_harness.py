@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from delaytree import estimators as est
-from delaytree import theory
+from delaytree import growth, harness, theory
 from delaytree.configio import config_hash
 from delaytree.errors import ArgumentError
 from delaytree.estimators import degree_hist, fringe_census, leaf_clt_statistic
@@ -192,6 +192,27 @@ def test_worker_count_does_not_change_results(tmp_path):
     assert r1.ok == r2.ok
     for name in ("summary.json", "degree_hist.csv", "root.csv"):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
+
+
+def test_batch_size_does_not_change_results(tmp_path):
+    # 17 replicates leave a ragged last batch at 2 and at 7 trees per batch
+    n, reps, stats = 400, 17, ("degree", "fringe", "root", "clt")
+    run(_plan(n=n, reps=reps, stats=stats, outdir=str(tmp_path / "ref")))
+    names = sorted(os.listdir(tmp_path / "ref"))
+    want = {name: (tmp_path / "ref" / name).read_bytes() for name in names}
+    for rows in (1, 2, 7):
+        with mock.patch.object(growth, "_EDGE_BLOCK", rows * n):
+            assert growth.batch_size(n) == rows
+            for workers in (1, 2):
+                out = tmp_path / f"rows{rows}-workers{workers}"
+                with mock.patch.object(harness, "grow", wraps=growth.grow) as spy:
+                    run(_plan(n=n, reps=reps, stats=stats, outdir=str(out), workers=workers))
+                if workers == 1:
+                    sizes = [len(call.args[1]) for call in spy.call_args_list]
+                    assert sizes == [rows] * (reps // rows) + ([reps % rows] if reps % rows else [])
+                assert sorted(os.listdir(out)) == names
+                for name in names:
+                    assert (out / name).read_bytes() == want[name], (rows, workers, name)
 
 
 def test_root_constants_once_per_plan():

@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -25,6 +26,8 @@ from delaytree.kernels import (
     ConstantDelay,
     GrowthConfig,
     InversePowerDelay,
+    ParetoDelay,
+    QuantileTableDelay,
     TabulatedKernel,
     Uniform01Delay,
     UniformKernel,
@@ -115,13 +118,17 @@ def _scalar_edge_draw(parents, m, slope, alpha, branch, pick):
 
 
 class _Tape:
-    """Stands in for a Generator: ``random(size)`` hands out the next values of a list."""
+    """Stands in for a Generator: ``random(size)`` or ``random(out=row)`` hands out the next values of a list."""
 
     def __init__(self, values):
         self.values = list(values)
 
-    def random(self, size):
-        out, self.values = np.array(self.values[:size]), self.values[size:]
+    def random(self, size=None, out=None):
+        size = len(out) if out is not None else size
+        got, self.values = np.array(self.values[:size]), self.values[size:]
+        if out is None:
+            return got
+        out[:] = got
         return out
 
 
@@ -131,33 +138,78 @@ _UNIFORMS = st.one_of(st.sampled_from((0.0, 0.5, 1.0 - 2.0**-53)), st.floats(0.0
 
 
 @st.composite
-def _edge_histories(draw):
-    n = draw(st.integers(3, 70))
+def _edge_histories(draw, n=None, bound=None):
+    n = draw(st.integers(3, 70)) if n is None else n
     ms = [draw(st.one_of(st.just(1), st.just(k - 1), st.integers(1, k - 1))) for k in range(3, n + 1)]
-    slope, alpha = draw(st.sampled_from(LINEAR_BOUNDS))
+    slope, alpha = draw(st.sampled_from(LINEAR_BOUNDS)) if bound is None else bound
     draws = 2 * len(ms) if slope and alpha > 0.0 else len(ms)
     return n, ms, slope, alpha, draw(st.lists(_UNIFORMS, min_size=draws, max_size=draws))
 
 
-@settings(max_examples=200, deadline=None)
-@given(_edge_histories())
-def test_block_resolver_matches_the_per_arrival_loop(history):
-    n, ms, slope, alpha, uniforms = history
-    steps = len(ms)
-    expected = np.zeros(n + 1, dtype=np.int64)
-    expected[2] = 1
-    branch = uniforms[:steps] if len(uniforms) > steps else [0.0] * steps
-    for k, m, b, u in zip(range(3, n + 1), ms, branch, uniforms[-steps:]):
-        expected[k] = _scalar_edge_draw(expected, m, slope, alpha, b, u)
+@st.composite
+def _edge_batches(draw):
+    """One to three histories of one tree size and one kernel, to grow as rows of one array."""
+    first = draw(_edge_histories())
+    n, _, slope, alpha, _ = first
+    return [first, *draw(st.lists(_edge_histories(n, (slope, alpha)), max_size=2))]
 
-    parents = np.zeros(n + 1, dtype=np.int64)
-    parents[2] = 1
+
+# a 7-arrival block makes copy chains cross many column blocks; a 210-arrival
+# block holds all three rows of any batch, so chains run within a row band
+@settings(max_examples=200, deadline=None)
+@given(_edge_batches(), st.sampled_from((7, 210)))
+def test_block_resolver_matches_the_per_arrival_loop(batch, block):
+    n, _, slope, alpha, _ = batch[0]
+    expected = np.zeros((len(batch), n + 1), dtype=np.int64)
+    expected[:, 2] = 1
+    for row, (_, ms, _, _, uniforms) in zip(expected, batch):
+        steps = len(ms)
+        branch = uniforms[:steps] if len(uniforms) > steps else [0.0] * steps
+        for k, m, b, u in zip(range(3, n + 1), ms, branch, uniforms[-steps:]):
+            row[k] = _scalar_edge_draw(row, m, slope, alpha, b, u)
+
+    parents = np.zeros_like(expected)
+    parents[:, 2] = 1
     kernel = mock.Mock(linear_bound=lambda: (slope, alpha))
-    tape = _Tape(uniforms)
-    with mock.patch.object(growth, "_EDGE_BLOCK", 7):  # copy chains cross many blocks
-        growth._loop_edge(parents, kernel, np.array(ms, dtype=np.int64), tape)
-    assert tape.values == []
+    tapes = [_Tape(uniforms) for *_, uniforms in batch]
+    ms = np.array([ms for _, ms, *_ in batch], dtype=np.int64)
+    with mock.patch.object(growth, "_EDGE_BLOCK", block):
+        growth._loop_edge(parents, kernel, ms, tapes)
+    assert all(tape.values == [] for tape in tapes)
     np.testing.assert_array_equal(parents, expected)
+
+
+# one of each delay kind
+ALL_DELAYS = (
+    ZeroDelay(beta=0.5),
+    ConstantDelay(c=3.0, beta=0.3),
+    Uniform01Delay(beta=0.5),
+    InversePowerDelay(2.0, beta=0.5),
+    ParetoDelay(tail_index=1.5, scale=2.0, beta=0.4),
+    QuantileTableDelay(us=(0.0, 0.5, 1.0), qs=(0.0, 1.0, 30.0), beta=0.5),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(KERNELS),
+    st.sampled_from(ALL_DELAYS),
+    st.sampled_from(("auto", "rejection", "scan")),
+    st.integers(3, 150),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=9),
+)
+def test_batch_growth_matches_growth_seed_by_seed(kernel, delay, sampler, n, seeds):
+    # auto is the edge sampler for the uniform and affine kernels
+    config = GrowthConfig(kernel, delay, n, seed=0, sampler=sampler)
+    # with 64-arrival blocks, trees below n = 35 share blocks as rows; larger ones split into columns
+    with mock.patch.object(growth, "_EDGE_BLOCK", 64):
+        batch = grow(config, seeds)
+        single = [grow(replace(config, seed=s)) for s in seeds]
+    assert len(batch) == len(seeds)
+    for got, want in zip(batch, single):
+        for name in ("parents", "xis", "snapshots"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert (got.n, got.retries, got.config) == (want.n, want.retries, want.config)
 
 
 @settings(max_examples=100, deadline=None)
