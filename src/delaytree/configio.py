@@ -36,7 +36,8 @@ __all__ = [
     "render_config",
     "load_config",
     "config_hash",
-    "delay_from_spec",
+    "delay_from_entries",
+    "int_from_entries",
     "kernel_from_entries",
 ]
 
@@ -142,7 +143,10 @@ def kernel_from_entries(entries: dict) -> AttachmentKernel:
     raise ArgumentError(f"unknown kernel.kind {kind!r}")
 
 
-def delay_from_spec(kind: str, entries: dict, beta: float) -> DelayLaw:
+def delay_from_entries(entries: dict) -> DelayLaw:
+    """The delay law of ``delay.*`` entries, carrying the lookback exponent ``beta``."""
+    kind = _get(entries, "delay.kind", default="zero")
+    beta = _float(_get(entries, "beta", default="0.5"), "beta")
     if kind == "zero":
         return ZeroDelay(beta=beta)
     if kind == "constant":
@@ -166,20 +170,26 @@ def delay_from_spec(kind: str, entries: dict, beta: float) -> DelayLaw:
     raise ArgumentError(f"unknown delay.kind {kind!r}")
 
 
+_INT_DEFAULTS = {"seed": "0", "fringe_cap": "6", "replicates": "1"}
+
+
+def int_from_entries(entries: dict, key: str) -> int:
+    """The integer setting ``key``; n_final has no default."""
+    default = _INT_DEFAULTS.get(key)
+    return _int(_get(entries, key, default=default, required=default is None), key)
+
+
 def build_config(entries: dict) -> tuple[GrowthConfig, int]:
     """(GrowthConfig, replicate count) from parsed entries."""
-    kernel = kernel_from_entries(entries)
-    beta = _float(_get(entries, "beta", default="0.5"), "beta")
-    delay = delay_from_spec(_get(entries, "delay.kind", default="zero"), entries, beta)
     config = GrowthConfig(
-        kernel=kernel,
-        delay=delay,
-        n_final=_int(_get(entries, "n_final", required=True), "n_final"),
-        seed=_int(_get(entries, "seed", default="0"), "seed"),
+        kernel=kernel_from_entries(entries),
+        delay=delay_from_entries(entries),
+        n_final=int_from_entries(entries, "n_final"),
+        seed=int_from_entries(entries, "seed"),
         sampler=_get(entries, "sampler", default="auto"),
-        fringe_cap=_int(_get(entries, "fringe_cap", default="6"), "fringe_cap"),
+        fringe_cap=int_from_entries(entries, "fringe_cap"),
     )
-    replicates = _int(_get(entries, "replicates", default="1"), "replicates")
+    replicates = int_from_entries(entries, "replicates")
     if replicates < 1:
         raise ArgumentError("replicates must be >= 1")
     return config, replicates

@@ -30,7 +30,7 @@ import numpy as np
 from .canonical import shape_labels, subtree_codes  # noqa: F401
 from .errors import ArgumentError
 from .growth import TreeTrace
-from .kernels import DelayLaw
+from .kernels import DelayLaw, check_seed
 from .theory import clt_constants
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "root_trajectory",
     "root_trajectories",
     "geometric_grid",
+    "half_decade_grid",
     "DelayScan",
     "delay_condition_scan",
 ]
@@ -285,6 +286,23 @@ def geometric_grid(n_final: int) -> np.ndarray:
     return np.array(pts, dtype=np.int64)
 
 
+def half_decade_grid(lo: float, hi: float) -> list:
+    """Sizes round(10^(e/2)) within [lo, hi], bracketed by int(lo) and int(hi)."""
+    if not (2.0 <= lo < hi):
+        raise ArgumentError(f"a size grid needs 2 <= lo < hi, got {lo:g}..{hi:g}")
+    grid = []
+    e = math.floor(2.0 * math.log10(lo))
+    while (v := round(10.0 ** (e / 2.0))) <= hi:
+        if v >= lo:
+            grid.append(v)
+        e += 1
+    if not grid or grid[0] > int(lo):
+        grid.insert(0, int(lo))
+    if grid[-1] < int(hi):
+        grid.append(int(hi))
+    return grid
+
+
 @dataclass(frozen=True)
 class RootTrajectory:
     ns: np.ndarray
@@ -399,6 +417,7 @@ def delay_condition_scan(delay: DelayLaw, n_grid, seed: int = 0) -> DelayScan:
     ns = np.asarray(list(n_grid), dtype=np.int64)
     if len(ns) < 2 or np.any(np.diff(ns) <= 0) or ns[0] < 2:
         raise ArgumentError("n_grid must be increasing with at least 2 values >= 2")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     evals = np.empty(len(ns))
     errs = np.zeros(len(ns))

@@ -47,13 +47,13 @@ time 1 where nothing is sampled anyway).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .canonical import check_parents
 from .errors import ArgumentError
-from .kernels import AttachmentKernel, GrowthConfig, snapshot_times
+from .kernels import AttachmentKernel, GrowthConfig, check_seed, snapshot_times
 
 __all__ = [
     "TreeTrace",
@@ -87,7 +87,6 @@ class TreeTrace:
     xis: np.ndarray
     snapshots: np.ndarray
     retries: int = 0
-    config: GrowthConfig | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -450,16 +449,18 @@ def grow(config: GrowthConfig, seeds=None):
     """
     strategy = config.resolve_sampler()
     n_final = config.n_final
-    configs = [config] if seeds is None else [replace(config, seed=s) for s in seeds]
-    rngs = [np.random.default_rng(c.seed) for c in configs]
+    batch = [config.seed] if seeds is None else list(seeds)
+    for seed in batch:
+        check_seed(seed)
+    rngs = [np.random.default_rng(seed) for seed in batch]
 
-    shape = (len(configs), n_final + 1)  # one row per tree
+    shape = (len(batch), n_final + 1)  # one row per tree
     parents = np.zeros(shape, dtype=np.int64)
     xis = np.zeros(shape)
     snaps = np.zeros(shape, dtype=np.int64)
     parents[:, 2] = 1
     snaps[:, 2] = 1
-    retries = [0] * len(configs)
+    retries = [0] * len(batch)
 
     if n_final > 2:
         for row, rng in zip(xis, rngs):
@@ -472,10 +473,7 @@ def grow(config: GrowthConfig, seeds=None):
             loop = _loop_rejection if strategy == "rejection" else _loop_scan
             retries = [loop(p, config.kernel, m, rng) for p, m, rng in zip(parents, ms, rngs)]
 
-    traces = [
-        TreeTrace(config.kernel, n_final, p, x, m, r, c)
-        for p, x, m, r, c in zip(parents, xis, snaps, retries, configs)
-    ]
+    traces = [TreeTrace(config.kernel, n_final, *row) for row in zip(parents, xis, snaps, retries)]
     return traces[0] if seeds is None else traces
 
 

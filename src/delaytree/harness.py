@@ -348,25 +348,11 @@ def _aggregate_clt(plan: ExperimentPlan, records: list) -> tuple[dict, dict]:
     return stat, check
 
 
-def _default_scan_grid(n_final: int) -> list:
-    top = max(10_000, min(n_final, 1_000_000))
-    grid = []
-    e = 4
-    while True:
-        v = int(round(10.0 ** (e / 2.0)))
-        if v > top:
-            break
-        grid.append(v)
-        e += 1
-    if grid[-1] != top:
-        grid.append(top)
-    return grid
-
-
 def _aggregate_scan(plan: ExperimentPlan) -> tuple[dict, dict]:
-    grid = list(plan.scan_grid) if plan.scan_grid is not None else _default_scan_grid(
-        plan.config.n_final
-    )
+    if plan.scan_grid is not None:
+        grid = list(plan.scan_grid)
+    else:
+        grid = est.half_decade_grid(100, max(10_000, min(plan.config.n_final, 1_000_000)))
     scan = est.delay_condition_scan(plan.config.delay, grid, seed=plan.config.seed)
     stat = {
         "ns": scan.ns,

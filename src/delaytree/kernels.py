@@ -42,6 +42,7 @@ __all__ = [
     "ParetoDelay",
     "QuantileTableDelay",
     "GrowthConfig",
+    "check_seed",
     "snapshot_time",
     "snapshot_times",
 ]
@@ -300,14 +301,7 @@ class DelayLaw:
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.sample_many(rng, 1)[0])
-
     # --- distribution ---------------------------------------------------
-    def quantile(self, u: float) -> float:
-        """Left-continuous inverse CDF, defined for u in [0, 1)."""
-        raise NotImplementedError
-
     def survival(self, x: float) -> float:
         """P(xi > x)."""
         raise NotImplementedError
@@ -358,9 +352,6 @@ class DelayLaw:
         """E[min(X, n)], exact per family (quadrature for table laws)."""
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return self.kind
-
 
 @dataclass(frozen=True)
 class ZeroDelay(DelayLaw):
@@ -374,9 +365,6 @@ class ZeroDelay(DelayLaw):
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.zeros(size)
-
-    def quantile(self, u: float) -> float:
-        return 0.0
 
     def survival(self, x: float) -> float:
         return 1.0 if x < 0.0 else 0.0
@@ -407,9 +395,6 @@ class ConstantDelay(DelayLaw):
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.c)
 
-    def quantile(self, u: float) -> float:
-        return self.c
-
     def survival(self, x: float) -> float:
         return 1.0 if x < self.c else 0.0
 
@@ -437,9 +422,6 @@ class Uniform01Delay(DelayLaw):
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.random(size)
-
-    def quantile(self, u: float) -> float:
-        return float(u)
 
     def survival(self, x: float) -> float:
         if x < 0.0:
@@ -486,9 +468,6 @@ class InversePowerDelay(DelayLaw):
         # 1 - U lies in (0, 1], avoiding a zero base under the negative power
         return (1.0 - rng.random(size)) ** (-self.p)
 
-    def quantile(self, u: float) -> float:
-        return (1.0 - u) ** (-self.p)
-
     def survival(self, x: float) -> float:
         if x <= 1.0:
             return 1.0
@@ -531,9 +510,6 @@ class ParetoDelay(DelayLaw):
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.scale * (1.0 - rng.random(size)) ** (-1.0 / self.tail_index)
-
-    def quantile(self, u: float) -> float:
-        return self.scale * (1.0 - u) ** (-1.0 / self.tail_index)
 
     def survival(self, x: float) -> float:
         if x <= self.scale:
@@ -593,9 +569,6 @@ class QuantileTableDelay(DelayLaw):
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.interp(rng.random(size), self.us, self.qs)
 
-    def quantile(self, u: float) -> float:
-        return float(np.interp(u, self.us, self.qs))
-
     def survival(self, x: float) -> float:
         if x < self.qs[0]:
             return 1.0
@@ -623,6 +596,12 @@ class QuantileTableDelay(DelayLaw):
 _SAMPLERS = ("auto", "edge", "rejection", "scan")
 
 
+def check_seed(seed: int) -> None:
+    """ArgumentError unless seed fits in an unsigned 64-bit integer."""
+    if not (0 <= seed < 2**64):
+        raise ArgumentError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class GrowthConfig:
     """Everything a single growth run depends on.
@@ -647,8 +626,7 @@ class GrowthConfig:
             raise ArgumentError(f"n_final must be >= 2, got {self.n_final}")
         if self.sampler not in _SAMPLERS:
             raise ArgumentError(f"sampler must be one of {_SAMPLERS}, got {self.sampler!r}")
-        if not (0 <= self.seed < 2**64):
-            raise ArgumentError("seed must fit in an unsigned 64-bit integer")
+        check_seed(self.seed)
         if self.fringe_cap < 1:
             raise ArgumentError("fringe_cap must be >= 1")
         self.resolve_sampler()

@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, output formats, config plumbing."""
 
+import argparse
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import delaytree
-from delaytree.cli import main
+from delaytree.cli import _build_parser, main
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -19,8 +21,19 @@ def test_no_arguments_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def test_four_subcommands_and_no_model_flags():
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"simulate", "theory", "fringe", "check-delay"}
+    for name, sp in sub.choices.items():
+        flags = {f for a in sp._actions for f in a.option_strings}
+        assert {"--config", "--preset", "--set"} <= flags, name
+        assert not flags & {"--kernel", "--alpha", "--table", "--tail", "--monotone", "--delay", "--beta", "--seed", "--cap"}, name
+
+
 def test_theory_affine(capsys):
-    rc = main(["theory", "--kernel", "affine", "--alpha", "0", "--kmax", "3"])
+    # no config: the defaults, affine alpha = 0
+    rc = main(["theory", "--kmax", "3"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "lambda_star=2" in out
@@ -31,7 +44,12 @@ def test_theory_affine(capsys):
 
 def test_theory_tabulated(capsys):
     rc = main(
-        ["theory", "--kernel", "tabulated", "--table", "1,2,2", "--monotone"]
+        [
+            "theory",
+            "--set", "kernel.kind=tabulated",
+            "--set", "kernel.table=1,2,2",
+            "--set", "kernel.monotone=true",
+        ]
     )
     out = capsys.readouterr().out
     assert rc == 0
@@ -39,14 +57,26 @@ def test_theory_tabulated(capsys):
 
 
 def test_fringe_table_output(capsys):
-    rc = main(["fringe", "--kernel", "affine", "--alpha", "0", "--cap", "3"])
+    rc = main(["fringe", "--set", "kernel.alpha=0", "--set", "fringe_cap=3"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "() 0.6666666667" in out
     assert "(()) 0.1333333333" in out
     assert "total_mass=" in out
     # deterministic: repeating the command reproduces the bytes
-    main(["fringe", "--kernel", "affine", "--alpha", "0", "--cap", "3"])
+    main(["fringe", "--set", "kernel.alpha=0", "--set", "fringe_cap=3"])
+    assert capsys.readouterr().out == out
+
+
+def test_fringe_reads_a_run_config_echo(tmp_path, capsys):
+    argv = ["simulate", "--preset", "grid-zero", "--set", "n_final=300", "--set", "fringe_cap=4"]
+    main(argv + ["--out", str(tmp_path / "run")])
+    capsys.readouterr()
+    assert main(["fringe", "--config", str(tmp_path / "run" / "config_echo.txt")]) == 0
+    out = capsys.readouterr().out
+    codes = [line.split()[0] for line in out.splitlines() if line.startswith("(")]
+    assert max(code.count("(") for code in codes) == 4
+    assert main(["fringe", "--set", "fringe_cap=4"]) == 0
     assert capsys.readouterr().out == out
 
 
@@ -165,8 +195,20 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_simulate_without_config_needs_n_final(capsys):
+    assert main(["simulate"]) == 2
+    assert "n_final" in capsys.readouterr().err
+
+
+def test_bad_tol_value_is_exit_2(capsys):
+    rc = main(["simulate", "--preset", "grid-zero", "--set", "n_final=100", "--tol", "degree_tv=abc"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "degree_tv" in err
+
+
 def test_check_delay_satisfied(capsys):
-    rc = main(["check-delay", "--delay", "zero", "--ngrid", "1e2..1e4"])
+    rc = main(["check-delay", "--preset", "grid-zero", "--ngrid", "1e2..1e4"])
     out = capsys.readouterr().out
     assert rc == 0
     assert out.startswith("n,e_n,stderr,lemma")
@@ -175,31 +217,44 @@ def test_check_delay_satisfied(capsys):
 
 
 def test_check_delay_inconclusive_exit_1(capsys):
-    rc = main(["check-delay", "--delay", "invpow:2", "--ngrid", "1e2..1e4"])
+    rc = main(["check-delay", "--preset", "grid-invpow2", "--ngrid", "1e2..1e4"])
     out = capsys.readouterr().out
     assert rc == 1
     assert "verdict=inconclusive" in out
 
 
 def test_check_delay_families_parse(capsys):
-    for spec in ("const:1.5", "uniform01", "invpow:1", "pareto:2.5,1.0"):
-        rc = main(["check-delay", "--delay", spec, "--ngrid", "1e2..1e3"])
-        assert rc in (0, 1), spec
-    with pytest.raises(SystemExit):
-        # argparse handles its own usage errors for missing --delay
-        main_argv_missing = ["check-delay"]
-        raise SystemExit(main(main_argv_missing))
-    capsys.readouterr()
+    families = (
+        ["delay.kind=constant", "delay.c=1.5"],
+        ["delay.kind=uniform01"],
+        ["delay.kind=invpow", "delay.p=1"],
+        ["delay.kind=pareto", "delay.tail_index=2.5", "delay.scale=1.0"],
+    )
+    for entries in families:
+        argv = ["check-delay", "--ngrid", "1e2..1e3"]
+        for entry in entries:
+            argv += ["--set", entry]
+        rc = main(argv)
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "n,e_n,stderr,lemma", entries
+        assert [row.split(",")[0] for row in out[1:4]] == ["100", "316", "1000"], entries
+        assert out[-2] == "method=exact", entries
+        assert out[-1].startswith("verdict=") and rc == (0 if out[-1] == "verdict=satisfied" else 1), entries
+    # no config: the default zero delay, whose condition holds
+    assert main(["check-delay", "--ngrid", "1e2..1e3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict=satisfied"
 
 
 def test_check_delay_bad_family(capsys):
-    assert main(["check-delay", "--delay", "lorentzian:3"]) == 2
+    assert main(["check-delay", "--set", "delay.kind=lorentzian"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["check-delay", "--set", "seed=-1"]) == 2
+    assert "seed" in capsys.readouterr().err
 
 
-def test_compare_pass_and_fail(tmp_path, capsys):
+def test_simulate_ends_with_pass_or_fail(capsys):
     base = [
-        "compare",
+        "simulate",
         "--preset",
         "grid-zero",
         "--set",
@@ -209,45 +264,83 @@ def test_compare_pass_and_fail(tmp_path, capsys):
     ]
     loose = ["--tol", "degree_tv=0.3", "--tol", "fringe_abs=0.3", "--tol", "pair_abs=0.3"]
     rc = main(base + loose)
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.strip().splitlines()
     assert rc == 0
-    assert out.strip().endswith("PASS")
+    assert lines[-2].startswith("config_hash=")
+    assert lines[-1] == "PASS"
     rc = main(base + ["--tol", "degree_tv=1e-9"])
-    out = capsys.readouterr().out
+    lines = capsys.readouterr().out.strip().splitlines()
     assert rc == 1
-    assert out.strip().endswith("FAIL")
+    assert lines[-1] == "FAIL"
 
 
-def test_clt_subcommand(capsys):
+def test_simulate_clt_statistic(tmp_path, capsys):
     rc = main(
         [
-            "clt",
+            "simulate",
             "--preset",
             "grid-uniform01",
             "--set",
             "n_final=400",
             "--set",
             "replicates=8",
+            "--stats",
+            "clt",
             "--tol",
             "clt_var_rel=50",
+            "--out",
+            str(tmp_path),
         ]
     )
     out = capsys.readouterr().out
     assert rc == 0
-    assert "variance=" in out and "sigma1_sq=0.111111" in out
+    assert "[clt] variance_rel_err=" in out
+    clt = json.loads((tmp_path / "summary.json").read_text())["statistics"]["clt"]
+    assert clt["sigma1_sq"] == pytest.approx(1.0 / 9.0)
+    assert len(clt["s_values"]) == 8
+    assert clt["variance"] > 0.0
 
 
-def test_rootdeg_subcommand(capsys):
+def test_simulate_root_statistic(tmp_path, capsys):
     rc = main(
-        ["rootdeg", "--preset", "grid-uniform01", "--set", "n_final=2000", "--set", "replicates=3"]
+        [
+            "simulate",
+            "--preset",
+            "grid-uniform01",
+            "--set",
+            "n_final=2000",
+            "--set",
+            "replicates=3",
+            "--stats",
+            "root",
+            "--out",
+            str(tmp_path),
+        ]
     )
-    out = capsys.readouterr().out
+    capsys.readouterr()
     assert rc == 0
-    assert "regime=l2" in out
-    assert "median_last_octave_drift=" in out
+    root = json.loads((tmp_path / "summary.json").read_text())["statistics"]["root"]
+    assert root["over_ex"] is None  # uniform01 is in the l2 regime
+    assert len(root["last_octave_drift"]) == 3
+    assert len(root["mean_over_ntheta"]) == len(root["ns"])
 
 
-ENTRY_ARGS = ["theory", "--kernel", "affine", "--alpha", "1"]
+def _readme_tour_commands() -> list:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## CLI tour", 1)[1].split("\n## ", 1)[0]
+    lines = tour.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("delaytree ")]
+
+
+def test_readme_cli_tour_parses():
+    parser = _build_parser()
+    commands = _readme_tour_commands()
+    assert {argv[0] for argv in commands} == {"simulate", "theory", "fringe", "check-delay"}
+    for argv in commands:
+        parser.parse_args(argv)
+
+
+ENTRY_ARGS = ["theory", "--set", "kernel.alpha=1"]
 
 
 def test_installed_entry_point():

@@ -14,6 +14,7 @@ from delaytree.estimators import (
     extended_fringe_census,
     fringe_census,
     geometric_grid,
+    half_decade_grid,
     leaf_clt_statistic,
     root_trajectory,
     root_trajectories,
@@ -161,6 +162,16 @@ def test_geometric_grid():
     np.testing.assert_array_equal(geometric_grid(2), [2])
     with pytest.raises(ArgumentError):
         geometric_grid(1)
+
+
+def test_half_decade_grid():
+    assert half_decade_grid(100, 1e6) == [100, 316, 1000, 3162, 10000, 31623, 100000, 316228, 1000000]
+    # the ends are kept even off the half-decade points
+    assert half_decade_grid(150, 20_000) == [150, 316, 1000, 3162, 10000, 20000]
+    assert half_decade_grid(2, 3) == [2, 3]
+    for lo, hi in ((1, 10), (10, 10), (50, 20)):
+        with pytest.raises(ArgumentError):
+            half_decade_grid(lo, hi)
 
 
 def test_root_trajectory_star():

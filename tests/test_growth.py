@@ -48,6 +48,12 @@ def test_grow_is_deterministic_in_the_seed():
     assert not np.array_equal(a.parents, c.parents)
 
 
+@pytest.mark.parametrize("bad", [-1, 2**64])
+def test_grow_checks_every_seed_of_a_batch(bad):
+    with pytest.raises(ArgumentError, match="seed"):
+        grow(_cfg(n=50), [0, 7, bad])
+
+
 def test_structural_invariants():
     tr = grow(_cfg(n=600, seed=1))
     n = tr.n

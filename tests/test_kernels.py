@@ -156,7 +156,6 @@ def test_zero_delay():
     d = ZeroDelay(beta=0.5)
     assert d.survival(0.0) == 0.0
     assert d.survival(-1.0) == 1.0
-    assert d.sample(np.random.default_rng(0)) == 0.0
     np.testing.assert_array_equal(d.sample_many(np.random.default_rng(0), 5), np.zeros(5))
     assert d.bounded_support() == 0.0
     assert d.ex_x_truncated(1e6) == 0.0
@@ -166,7 +165,6 @@ def test_constant_delay():
     d = ConstantDelay(c=1.5, beta=0.5)
     assert d.survival(1.0) == 1.0
     assert d.survival(1.5) == 0.0
-    assert d.quantile(0.7) == 1.5
     pm = d.partial_mean(np.array([0.0, 1.4, 1.5]), np.array([1.0, 2.0, 9.0]))
     np.testing.assert_allclose(pm, [0.0, 1.5, 0.0])  # mass sits at 1.5 exactly
 
@@ -175,7 +173,6 @@ def test_uniform01_delay():
     d = Uniform01Delay(beta=0.5)
     assert d.survival(0.25) == 0.75
     assert d.survival(2.0) == 0.0
-    assert d.quantile(0.3) == pytest.approx(0.3)
     xs = d.sample_many(np.random.default_rng(1), 20_000)
     assert 0.0 <= xs.min() and xs.max() <= 1.0
     assert abs(xs.mean() - 0.5) < 0.01
@@ -188,7 +185,6 @@ def test_inverse_power_delay_tail(p):
     d = InversePowerDelay(p=p, beta=0.5)
     assert d.survival(0.5) == 1.0
     assert d.survival(16.0) == pytest.approx(16.0 ** (-1.0 / p))
-    assert d.quantile(0.5) == pytest.approx(2.0**p)
     xs = d.sample_many(np.random.default_rng(2), 10_000)
     assert xs.min() >= 1.0
     emp = (xs > 4.0).mean()
@@ -223,8 +219,6 @@ def test_ex_x_truncated_against_quadrature_more_families():
 
 def test_quantile_table_delay():
     d = QuantileTableDelay(us=(0.0, 0.5, 1.0), qs=(0.0, 1.0, 3.0), beta=0.5)
-    assert d.quantile(0.25) == pytest.approx(0.5)
-    assert d.quantile(0.75) == pytest.approx(2.0)
     assert d.survival(1.0) == pytest.approx(0.5)
     assert d.bounded_support() == 3.0
     assert d.partial_mean(np.array([0.0]), np.array([1.0])) is None  # no closed form
