@@ -26,8 +26,7 @@ The configs:
 * ``tabulated-bumpy`` -- the non-monotone table (1, 2, 1.5, 1.2) with a
   ``const`` tail and a ``uniform01`` delay, its second plan.
 
-The tabulated configs run with ``sampler = auto``, so each tree uses the
-sampler it picks for them.
+The kernel picks the sampler, so both tabulated configs use rejection.
 """
 
 from __future__ import annotations
@@ -151,7 +150,7 @@ def main(argv=None) -> int:
             print(f"{label} {name} n={n} grow {big['grow_s']:.3f} s", file=sys.stderr)
             large[name]["trees"][label] = row([big], n)
     doc = {
-        "benchmark": "grow on grid-invpow2 (edge sampler) and the two tabulated-growth plans (sampler auto)",
+        "benchmark": "grow on grid-invpow2 (edge sampler) and the two tabulated-growth plans (rejection sampler)",
         "script": "bench/edge_growth.py",
         "seed": SEED,
         "runs_per_size": RUNS,

@@ -44,7 +44,6 @@ from .estimators import (
     delay_condition_scan,
     extended_fringe_census,
     fringe_census,
-    leaf_clt_statistic,
     root_trajectory,
 )
 from .harness import ExperimentPlan, RunSummary, run, tv_distance
@@ -83,7 +82,6 @@ __all__ = [
     "fringe_census",
     "fringe_recursion",
     "grow",
-    "leaf_clt_statistic",
     "rho_hat",
     "root_degree_constants",
     "root_trajectory",

@@ -64,6 +64,8 @@ PRESETS = {
 
 
 def _load_entries(args) -> dict:
+    if args.preset and args.config:
+        raise ArgumentError("give --config or --preset, not both")
     if args.preset:
         entries = parse_config_text(PRESETS[args.preset])
     elif args.config:
@@ -123,11 +125,13 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_theory(args) -> int:
+    if args.kmax < 1:
+        raise ArgumentError(f"--kmax must be >= 1, got {args.kmax}")
     kernel = kernel_from_entries(_load_entries(args))
     lam = theory.solve_malthusian(kernel).lambda_star
-    p = theory.degree_law(kernel, lam, max(args.kmax, 1))
+    p = theory.degree_law(kernel, lam, args.kmax)
     print(f"lambda_star={lam:g}")
-    for k in range(1, max(args.kmax, 1) + 1):
+    for k in range(1, args.kmax + 1):
         print(f"p_{k}={p[k - 1]:.6f}")
     return 0
 

@@ -34,7 +34,6 @@ __all__ = [
     "parse_config_text",
     "build_config",
     "render_config",
-    "load_config",
     "config_hash",
     "delay_from_entries",
     "int_from_entries",
@@ -58,7 +57,6 @@ _KNOWN_KEYS = {
     "beta",
     "n_final",
     "seed",
-    "sampler",
     "fringe_cap",
     "replicates",
 }
@@ -186,7 +184,6 @@ def build_config(entries: dict) -> tuple[GrowthConfig, int]:
         delay=delay_from_entries(entries),
         n_final=int_from_entries(entries, "n_final"),
         seed=int_from_entries(entries, "seed"),
-        sampler=_get(entries, "sampler", default="auto"),
         fringe_cap=int_from_entries(entries, "fringe_cap"),
     )
     replicates = int_from_entries(entries, "replicates")
@@ -228,17 +225,11 @@ def render_config(config: GrowthConfig, replicates: int = 1) -> str:
             f"beta = {_num(config.beta)}",
             f"n_final = {config.n_final}",
             f"seed = {config.seed}",
-            f"sampler = {config.sampler}",
             f"fringe_cap = {config.fringe_cap}",
             f"replicates = {replicates}",
         ]
     )
     return "\n".join(lines) + "\n"
-
-
-def load_config(path) -> tuple[GrowthConfig, int]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return build_config(parse_config_text(fh.read()))
 
 
 def config_hash(config: GrowthConfig, replicates: int = 1) -> str:

@@ -9,9 +9,5 @@ class ArgumentError(DelayTreeError, ValueError):
     """An operation was called with arguments outside its domain."""
 
 
-class StrategyError(DelayTreeError, RuntimeError):
-    """A parent-sampling strategy was requested for an incompatible kernel."""
-
-
 class AssumptionError(DelayTreeError, RuntimeError):
     """A kernel violates the standing assumptions (e.g. no Malthusian root)."""

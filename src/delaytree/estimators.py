@@ -1,7 +1,7 @@
 """Empirical statistics of grown traces.
 
 Degree histograms, fringe-subtree censuses (plain and parent-paired),
-root-degree trajectories, the leaf CLT statistic across replicates, and the
+root-degree trajectories, the leaf CLT statistic of one tree, and the
 analytic delay-condition scan.  Everything here is read-only over a trace.
 
 Both fringe censuses read one integer shape labelling of the trace
@@ -31,7 +31,6 @@ from .canonical import shape_labels, subtree_codes  # noqa: F401
 from .errors import ArgumentError
 from .growth import TreeTrace
 from .kernels import DelayLaw, check_seed
-from .theory import clt_constants
 
 __all__ = [
     "DegreeHist",
@@ -41,9 +40,7 @@ __all__ = [
     "fringe_census",
     "PairCensus",
     "extended_fringe_census",
-    "LeafCltResult",
     "leaf_clt_value",
-    "leaf_clt_statistic",
     "RootTrajectory",
     "root_trajectory",
     "root_trajectories",
@@ -220,50 +217,6 @@ def leaf_clt_value(n1: int, n: int, p1: float) -> float:
     return math.sqrt(n) * (n1 / n - p1)
 
 
-@dataclass(frozen=True)
-class LeafCltResult:
-    s_values: np.ndarray  # per replicate: sqrt(n) * (N_1/n - p1)
-    n: int
-    p1: float
-    sigma1_sq: float
-
-    @property
-    def mean(self) -> float:
-        return float(self.s_values.mean())
-
-    @property
-    def variance(self) -> float:
-        return float(self.s_values.var(ddof=1))
-
-    @property
-    def standardized(self) -> np.ndarray:
-        return self.s_values / math.sqrt(self.sigma1_sq)
-
-
-def leaf_clt_statistic(traces, alpha: float) -> LeafCltResult:
-    """sqrt(n)-scaled centered leaf counts across replicates at common n.
-
-    Accepts any iterable of traces (a generator keeps memory flat across
-    hundreds of replicates).  Centering is the deterministic limit p_1;
-    whether that centering is valid for the delay at hand is the business
-    of delay_condition_scan, not checked here.
-    """
-    consts = clt_constants(alpha)
-    svals = []
-    n_ref: int | None = None
-    for trace in traces:
-        if n_ref is None:
-            n_ref = trace.n
-        elif trace.n != n_ref:
-            raise ArgumentError(f"replicates at mixed sizes: {n_ref} vs {trace.n}")
-        svals.append(leaf_clt_value(degree_hist(trace).count(1), trace.n, consts.p1))
-    if n_ref is None or len(svals) < 2:
-        raise ArgumentError("need at least 2 replicates")
-    return LeafCltResult(
-        s_values=np.array(svals), n=n_ref, p1=consts.p1, sigma1_sq=consts.sigma1_sq
-    )
-
-
 # ---------------------------------------------------------------------------
 # Root-degree trajectory
 # ---------------------------------------------------------------------------
@@ -287,9 +240,9 @@ def geometric_grid(n_final: int) -> np.ndarray:
 
 
 def half_decade_grid(lo: float, hi: float) -> list:
-    """Sizes round(10^(e/2)) within [lo, hi], bracketed by int(lo) and int(hi)."""
-    if not (2.0 <= lo < hi):
-        raise ArgumentError(f"a size grid needs 2 <= lo < hi, got {lo:g}..{hi:g}")
+    """Sizes round(10^(e/2)) within [lo, hi], bracketed by the whole numbers lo and hi."""
+    if not (2.0 <= lo < hi and float(lo).is_integer() and float(hi).is_integer()):
+        raise ArgumentError(f"a size grid needs whole numbers 2 <= lo < hi, got {lo:g}..{hi:g}")
     grid = []
     e = math.floor(2.0 * math.log10(lo))
     while (v := round(10.0 ** (e / 2.0))) <= hi:

@@ -5,9 +5,11 @@ array plus, per vertex, the delay it drew and the snapshot time it
 consulted.  The parent array is the one stored form of the tree; degrees at
 any time, the total weight Psi(m) and the edge list are counts over it.
 
-Parent choice within a snapshot is implemented three ways, all exact for
-the kernels they accept.  Each has one draw routine, which :func:`grow`
-feeds every arrival and the tests call on a frozen tree.
+Parent choice within a snapshot is implemented two ways, and the kernel
+picks one (``GrowthConfig.resolve_sampler``).  Each is exact for the
+kernels it serves and has one draw routine, which :func:`grow` feeds every
+arrival and the tests call on a frozen tree; the referee of both is the
+exact law :func:`attachment_distribution`.
 
 * ``edge``   -- endpoint-list trick of Batagelj & Brandes (Phys. Rev. E 71,
   036113, 2005), exact for uniform and affine kernels.  The edge made by
@@ -36,8 +38,6 @@ feeds every arrival and the tests call on a frozen tree.
   proposed, thinned and retried in NumPy rounds; shorter ones are drawn
   one arrival at a time.  Snapshot degrees come from one array degree
   view (:class:`_DegreeView`) that both paths read.
-* ``scan`` -- linear scan of snapshot weights, O(m) per draw.  Exact for
-  every kernel and the oracle the other two are tested against.
 
 Degrees that enter attachment weights are graph degrees (child count, +1
 for the parent edge; the root simply has its child count, clamped to 1 at
@@ -361,15 +361,6 @@ def _thin_wave(parents, view, ms, slope: float, offset: float, kernel: Attachmen
     return out, rejected
 
 
-def _draw_scan(parents, m: int, kernel: AttachmentKernel, rng) -> int:
-    """Linear-scan oracle: exact inverse-CDF over snapshot weights."""
-    if m == 1:
-        return 1
-    cum = np.cumsum(kernel.evaluate_array(_weight_degrees(parents, m)))
-    v = int(np.searchsorted(cum, rng.random() * cum[-1], side="right")) + 1
-    return min(v, m)
-
-
 def sample_parent_rejection(
     trace: TreeTrace, m: int, kernel: AttachmentKernel, rng, size: int
 ) -> tuple[np.ndarray, int]:
@@ -433,7 +424,7 @@ def grow(config: GrowthConfig, seeds=None):
     Given ``seeds``, grow one tree per seed instead and return their list:
     tree i equals ``grow(replace(config, seed=seeds[i]))`` field for field.
     The edge sampler resolves such a batch as rows of shared blocks (see
-    :func:`batch_size`); the other samplers grow its trees one by one.
+    :func:`batch_size`); the rejection sampler grows its trees one by one.
 
     Draw order is fixed, and a batch draws each seed's stream in that
     order from the seed's own generator, whatever the other seeds: one
@@ -444,10 +435,9 @@ def grow(config: GrowthConfig, seeds=None):
     accept) column per pending arrival and round from the generator, and
     everything drawn one arrival at a time (short waves and a long wave's
     last few stragglers) takes one triple per proposal from blocks of
-    uniforms drawn ahead.  Scan draws one uniform per step.
+    uniforms drawn ahead.
     Vertex 2 attaches to the root deterministically.
     """
-    strategy = config.resolve_sampler()
     n_final = config.n_final
     batch = [config.seed] if seeds is None else list(seeds)
     for seed in batch:
@@ -467,11 +457,10 @@ def grow(config: GrowthConfig, seeds=None):
             row[3:] = config.delay.sample_many(rng, n_final - 2)
         ms = snaps[:, 3:]
         ms[:] = snapshot_times(np.arange(2, n_final), xis[:, 3:], config.beta)
-        if strategy == "edge":
+        if config.resolve_sampler() == "edge":
             _loop_edge(parents, config.kernel, ms, rngs)
         else:
-            loop = _loop_rejection if strategy == "rejection" else _loop_scan
-            retries = [loop(p, config.kernel, m, rng) for p, m, rng in zip(parents, ms, rngs)]
+            retries = [_loop_rejection(p, config.kernel, m, rng) for p, m, rng in zip(parents, ms, rngs)]
 
     traces = [TreeTrace(config.kernel, n_final, *row) for row in zip(parents, xis, snaps, retries)]
     return traces[0] if seeds is None else traces
@@ -572,12 +561,6 @@ def _loop_rejection(parents, kernel, ms, rng) -> int:
                 view.extend(parents, k, k + size)
                 k += size
     return retries
-
-
-def _loop_scan(parents, kernel, ms, rng) -> int:
-    for t in range(len(ms)):
-        parents[t + 3] = _draw_scan(parents, int(ms[t]), kernel, rng)
-    return 0
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .errors import ArgumentError, StrategyError
+from .errors import ArgumentError
 
 __all__ = [
     "AttachmentKernel",
@@ -593,8 +593,6 @@ class QuantileTableDelay(DelayLaw):
 # Run configuration
 # ---------------------------------------------------------------------------
 
-_SAMPLERS = ("auto", "edge", "rejection", "scan")
-
 
 def check_seed(seed: int) -> None:
     """ArgumentError unless seed fits in an unsigned 64-bit integer."""
@@ -606,40 +604,29 @@ def check_seed(seed: int) -> None:
 class GrowthConfig:
     """Everything a single growth run depends on.
 
-    sampler selects the parent-sampling strategy: "edge" is the
-    endpoint-list trick (exact for uniform/affine kernels only),
-    "rejection" thins an endpoint proposal from the kernel's affine
-    envelope (any kernel), "scan" is the linear-scan oracle (any kernel,
-    O(n) per step), and "auto" resolves to "edge" for uniform/affine
-    kernels and to "rejection" for every other kernel.
+    The kernel picks the parent sampler (:meth:`resolve_sampler`): "edge",
+    the endpoint-list trick, for uniform and affine kernels, and
+    "rejection", which thins an endpoint proposal from the kernel's affine
+    envelope, for every other kernel.
     """
 
     kernel: AttachmentKernel
     delay: DelayLaw
     n_final: int
     seed: int = 0
-    sampler: str = "auto"
     fringe_cap: int = 6
 
     def __post_init__(self) -> None:
         if self.n_final < 2:
             raise ArgumentError(f"n_final must be >= 2, got {self.n_final}")
-        if self.sampler not in _SAMPLERS:
-            raise ArgumentError(f"sampler must be one of {_SAMPLERS}, got {self.sampler!r}")
         check_seed(self.seed)
         if self.fringe_cap < 1:
             raise ArgumentError("fringe_cap must be >= 1")
-        self.resolve_sampler()
 
     @property
     def beta(self) -> float:
         return self.delay.beta
 
     def resolve_sampler(self) -> str:
-        """Concrete strategy name, validating kernel/sampler compatibility."""
-        affine = self.kernel.kind in ("uniform", "affine")
-        if self.sampler == "auto":
-            return "edge" if affine else "rejection"
-        if self.sampler == "edge" and not affine:
-            raise StrategyError("edge-endpoint sampling is exact only for uniform/affine kernels")
-        return self.sampler
+        """The sampler the kernel picks: "edge" or "rejection"."""
+        return "edge" if self.kernel.kind in ("uniform", "affine") else "rejection"

@@ -51,7 +51,6 @@ __all__ = [
     "fringe_bruteforce",
     "fringe_recursion",
     "FringeTable",
-    "q_matrix",
     "extended_fringe_law",
     "clt_constants",
     "CltConstants",
@@ -382,13 +381,6 @@ def fringe_recursion(size_cap: int, kernel: AttachmentKernel, lambda_star: float
     if not (0.0 < total <= 1.0 + 1e-12):
         raise AssumptionError(f"fringe table mass {total} outside (0, 1]")
     return table
-
-
-def q_matrix(host, sub) -> int:
-    """Number of root-children subtrees of host isomorphic to sub."""
-    host_code = host.code if hasattr(host, "code") else str(host)
-    sub_code = sub.code if hasattr(sub, "code") else str(sub)
-    return _canonical.q_count(host_code, sub_code)
 
 
 def extended_fringe_law(table: FringeTable, depth: int) -> dict:

@@ -31,7 +31,6 @@ from delaytree.estimators import (
     delay_condition_scan,
     extended_fringe_census,
     fringe_census,
-    leaf_clt_statistic,
     root_trajectory,
 )
 from delaytree.growth import (
@@ -274,15 +273,12 @@ def test_c4_fringe_and_pair_frequencies(regime_pool, report):
 
 
 def test_c5_leaf_count_clt(report):
+    # replicate r grows from replicate_seed(2024, r)
     R, n = 500, 10_000
-    delay = Uniform01Delay(beta=0.3)
-
-    def traces():
-        for r in range(R):
-            yield grow(GrowthConfig(ALPHA0, delay, n, seed=replicate_seed(2024, r)))
-
-    res = leaf_clt_statistic(traces(), alpha=0.0)
-    s = np.asarray(res.s_values)
+    plan = ExperimentPlan(
+        GrowthConfig(ALPHA0, Uniform01Delay(beta=0.3), n, seed=2024), replicates=R, statistics=("clt",)
+    )
+    s = run(plan).statistics["clt"]["s_values"]
     assert len(s) == R
     sigma2 = clt_constants(0.0).sigma1_sq
     var = s.var(ddof=1)

@@ -13,6 +13,8 @@ import pytest
 
 import delaytree
 from delaytree.cli import _build_parser, main
+from delaytree.configio import build_config, parse_config_text
+from delaytree.errors import ArgumentError
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -187,6 +189,32 @@ def test_unknown_config_key_is_exit_2(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "bogus" in err
+
+
+def test_sampler_key_is_unknown(capsys):
+    # the kernel picks the sampler, so an echo carrying a sampler line must drop it
+    with pytest.raises(ArgumentError, match="sampler"):
+        build_config(parse_config_text("n_final = 100\nsampler = auto\n"))
+    rc = main(["simulate", "--preset", "grid-zero", "--set", "n_final=100", "--set", "sampler=scan"])
+    assert rc == 2
+    assert "sampler" in capsys.readouterr().err
+
+
+def test_config_and_preset_together_is_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("kernel.kind = uniform\n")
+    assert main(["theory", "--config", str(cfg), "--preset", "grid-zero"]) == 2
+    assert "--preset" in capsys.readouterr().err
+
+
+def test_theory_kmax_below_one_is_exit_2(capsys):
+    assert main(["theory", "--kmax", "-3"]) == 2
+    assert "--kmax" in capsys.readouterr().err
+
+
+def test_check_delay_grid_bounds_are_whole_numbers(capsys):
+    assert main(["check-delay", "--ngrid", "2.5..40"]) == 2
+    assert "whole numbers" in capsys.readouterr().err
 
 
 def test_missing_config_file_is_exit_2(tmp_path, capsys):

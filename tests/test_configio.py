@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from delaytree.configio import (
     build_config,
     config_hash,
-    load_config,
     parse_config_text,
     render_config,
 )
@@ -49,7 +48,6 @@ def test_defaults_fill_in():
         parse_config_text("kernel.kind = uniform\ndelay.kind = zero\nbeta = 0.5\nn_final = 50")
     )
     assert cfg.seed == 0
-    assert cfg.sampler == "auto"
     assert cfg.fringe_cap == 6
     assert reps == 1
 
@@ -151,16 +149,11 @@ def delays(draw):
 
 @st.composite
 def configs(draw):
-    kernel = draw(kernels())
-    samplers = ("auto", "edge", "rejection", "scan")
-    if kernel.kind == "tabulated":
-        samplers = ("auto", "rejection", "scan")  # edge raises StrategyError
     config = GrowthConfig(
-        kernel=kernel,
+        kernel=draw(kernels()),
         delay=draw(delays()),
         n_final=draw(st.integers(2, 10**9)),
         seed=draw(st.integers(0, 2**64 - 1)),
-        sampler=draw(st.sampled_from(samplers)),
         fringe_cap=draw(st.integers(1, 12)),
     )
     return config, draw(st.integers(1, 10**6))
@@ -189,5 +182,5 @@ def test_config_hash_keys_on_content():
 def test_load_config_from_file(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text(BASIC)
-    cfg, reps = load_config(p)
+    cfg, reps = build_config(parse_config_text(p.read_text()))
     assert cfg.n_final == 1000 and reps == 2

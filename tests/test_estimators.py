@@ -15,7 +15,7 @@ from delaytree.estimators import (
     fringe_census,
     geometric_grid,
     half_decade_grid,
-    leaf_clt_statistic,
+    leaf_clt_value,
     root_trajectory,
     root_trajectories,
 )
@@ -126,27 +126,10 @@ def test_extended_census_matches_pair_freqs_on_grown_tree():
 
 
 def test_leaf_clt_statistic_values():
-    traces = [
-        grow(GrowthConfig(AFF, Uniform01Delay(beta=0.3), 900, seed=s)) for s in range(6)
-    ]
-    res = leaf_clt_statistic(traces, alpha=0.0)
-    assert res.n == 900
-    assert res.p1 == pytest.approx(2.0 / 3.0)
-    assert res.sigma1_sq == pytest.approx(1.0 / 9.0)
-    for s_val, tr in zip(res.s_values, traces):
+    for s in range(6):
+        tr = grow(GrowthConfig(AFF, Uniform01Delay(beta=0.3), 900, seed=s))
         n1 = degree_hist(tr).count(1)
-        assert s_val == pytest.approx(np.sqrt(900) * (n1 / 900 - 2.0 / 3.0))
-    assert res.variance == pytest.approx(np.var(res.s_values, ddof=1))
-    assert res.standardized == pytest.approx(res.s_values / np.sqrt(1.0 / 9.0))
-
-
-def test_leaf_clt_statistic_errors():
-    t1 = grow(GrowthConfig(AFF, Uniform01Delay(beta=0.3), 100, seed=1))
-    t2 = grow(GrowthConfig(AFF, Uniform01Delay(beta=0.3), 101, seed=2))
-    with pytest.raises(ArgumentError):
-        leaf_clt_statistic([t1, t2], alpha=0.0)
-    with pytest.raises(ArgumentError):
-        leaf_clt_statistic([t1], alpha=0.0)
+        assert leaf_clt_value(n1, 900, 2.0 / 3.0) == pytest.approx(np.sqrt(900) * (n1 / 900 - 2.0 / 3.0))
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +152,7 @@ def test_half_decade_grid():
     # the ends are kept even off the half-decade points
     assert half_decade_grid(150, 20_000) == [150, 316, 1000, 3162, 10000, 20000]
     assert half_decade_grid(2, 3) == [2, 3]
-    for lo, hi in ((1, 10), (10, 10), (50, 20)):
+    for lo, hi in ((1, 10), (10, 10), (50, 20), (2.5, 40), (100, 40.5), (100, float("inf"))):
         with pytest.raises(ArgumentError):
             half_decade_grid(lo, hi)
 

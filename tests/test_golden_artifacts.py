@@ -28,18 +28,18 @@ PLANS = {
 GOLDEN = {
     "uniform01": {
         "clt.csv": "50417bf7f5b0d57a29bbcac5d521cb8681bc4653b4aa67b9eefb5f95f842068c",
-        "config_echo.txt": "0ea3949e312881fb338c91fa52a24963ae62dfc96e8cdf7708f9d42a5ec49c80",
+        "config_echo.txt": "68cfc271c3a42df0172740311f786083edfa435705110207d5c65d699d1b22c1",
         "degree_hist.csv": "1ac01296ca951aad57dc575dd3c3382abfeb5cd4c28f3ba0ea10edde5bb9aa74",
         "delay_scan.csv": "172663965aa05f20003a47ae6ced4392eaed83f43f7c223f06d5fd5d732e3af3",
         "root.csv": "8dfe5653acf0d8888afbaca2f010abc3aa6b8ccee119c38b0c716070f79bfebf",
-        "summary.json": "23b301e92fb12a13be13a6946f4ba2fa7afc205273c7e4ac9500f3fc36db727f",
+        "summary.json": "fc31aaf28919fd5a780725098080431df2fc321aa65cbd3e1f8f0ecc30491cef",
     },
     "invpow2": {
-        "config_echo.txt": "902bf634ee3305b304ffd14642aaeacd1b1d6b0f3c8e4d16adcd33011bdeb10b",
+        "config_echo.txt": "1405d019b004569ac62c300f5b5ae9e1249e1d6b83f00e2d082d1da50d8b042f",
         "degree_hist.csv": "8855d905c7cc4456fc0fa522d25833ec29beaddb41eba9cb3a9381f13b3450c3",
         "fringe.csv": "754a507c7284e47f0ae7effa6f3d6bb1c4cd8194b336a10a22c828fb96487996",
         "root.csv": "f2f132eaa9a3238b19d1a7f137e063e00edaf24bf2153ac1851757c19be9feb4",
-        "summary.json": "24514d4f7c7b03858fdc6d1d83e6bef4eed62f8727a53dd885f78c3b36991a32",
+        "summary.json": "d995c67603f35ece430e1f3486d669a6887fce0e36950277af531322d2768fd0",
     },
 }
 

@@ -1,4 +1,4 @@
-"""Golden digests of grown trees: every sampler reproduces its parents bit for bit.
+"""Golden digests of grown trees: both samplers reproduce their parents bit for bit.
 
 The digests are SHA-256 over ``grow(cfg).parents`` as little-endian int64,
 next to the rejected proposals ``retries``.  A sampler change that alters a
@@ -71,13 +71,13 @@ def test_edge_configs_span_three_blocks():
 @pytest.mark.parametrize("key", sorted(EDGE_GOLDEN))
 def test_edge_sampler_parents_are_golden(key):
     kernel, delay, seed = key
-    tr = grow(GrowthConfig(KERNELS[kernel], DELAYS[delay], N_EDGE, seed=seed, sampler="edge"))
+    tr = grow(GrowthConfig(KERNELS[kernel], DELAYS[delay], N_EDGE, seed=seed))
     assert (_digest(tr.parents), tr.retries) == EDGE_GOLDEN[key]
 
 
 def test_rejection_sampler_parents_are_golden():
     kern = TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True)
-    tr = grow(GrowthConfig(kern, DELAYS["uniform01"], 5000, seed=1, sampler="rejection"))
+    tr = grow(GrowthConfig(kern, DELAYS["uniform01"], 5000, seed=1))
     assert (_digest(tr.parents), tr.retries) == (
         "7ada94f1b39d4972929e9a96431b2dff0a2f4350c8864dca4e151807132e40ad",
         300,
@@ -87,17 +87,8 @@ def test_rejection_sampler_parents_are_golden():
 def test_rejection_waves_parents_are_golden():
     # under invpow:1 half the arrivals resolve in NumPy waves (72 waves hold 10 072 of the 19 998)
     kern = TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True)
-    tr = grow(GrowthConfig(kern, InversePowerDelay(1.0, beta=0.5), 20_000, seed=1, sampler="rejection"))
+    tr = grow(GrowthConfig(kern, InversePowerDelay(1.0, beta=0.5), 20_000, seed=1))
     assert (_digest(tr.parents), tr.retries) == (
         "9a6444725cfe8cd7153b1a576adc347630a5bbf02d9daabefd6d7cd36857df5e",
         1335,
-    )
-
-
-def test_scan_sampler_parents_are_golden():
-    kern = TabulatedKernel((1.0, 2.0, 1.5, 1.2), tail=("const",), f_star=1.0)
-    tr = grow(GrowthConfig(kern, DELAYS["invpow2"], 1500, seed=1, sampler="scan"))
-    assert (_digest(tr.parents), tr.retries) == (
-        "b8e2c221a3bd7f776ba87a0ebcaf8e6ea332d5cf9cd09d4cbcd5d58d5ede03c0",
-        0,
     )

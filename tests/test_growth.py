@@ -127,7 +127,7 @@ def test_edge_trick_matches_oracle_on_grown_trees():
 
 def test_rejection_law_for_tabulated_kernel():
     kern = TabulatedKernel(values=(1.0, 1.6, 1.9, 2.0), tail=("const",), f_star=1.0, monotone=True)
-    tr = grow(_cfg(n=90, seed=6, kernel=kern, sampler="rejection"))
+    tr = grow(_cfg(n=90, seed=6, kernel=kern))
     assert tr.retries >= 0
     for m in (2, 10, 45, 90):
         np.testing.assert_allclose(
@@ -138,23 +138,20 @@ def test_rejection_law_for_tabulated_kernel():
 
 
 def test_samplers_draw_from_the_exact_law():
-    # empirical check on one fixed snapshot, all three strategies
+    # empirical check on one fixed snapshot, both strategies
     from scipy import stats
 
     kern = AffineKernel(0.5)
     draws = 40_000
-    for sampler in ("edge", "rejection", "scan"):
-        cfg = _cfg(n=40, seed=30, kernel=kern, sampler=sampler)
-        tr = grow(cfg)
-        probs = attachment_distribution(tr, 40, kern)
+    tr = grow(_cfg(n=40, seed=30, kernel=kern))
+    probs = attachment_distribution(tr, 40, kern)
+    for sampler in ("edge", "rejection"):
         rng = np.random.default_rng(99)
         if sampler == "edge":
             branch, picks = rng.random(draws), rng.random(draws)
             got = growth._resolve_edge(tr.parents, tr.n + 1, np.full(draws, 40), 1.0, kern.alpha, branch, picks)
-        elif sampler == "rejection":
-            got, _ = sample_parent_rejection(tr, 40, kern, rng, draws)
         else:
-            got = [growth._draw_scan(tr.parents, 40, kern, rng) for _ in range(draws)]
+            got, _ = sample_parent_rejection(tr, 40, kern, rng, draws)
         counts = np.bincount(got, minlength=41)[1:]
         res = stats.chisquare(counts, probs * draws)
         assert res.pvalue > 1e-3, (sampler, res)
@@ -165,7 +162,7 @@ def test_rejection_draw_thins_toward_an_earlier_snapshot():
     from scipy import stats
 
     kern = TabulatedKernel(values=(1.0, 1.6, 1.9, 2.0), tail=("const",), f_star=1.0, monotone=True)
-    tr = grow(_cfg(n=60, seed=31, kernel=kern, sampler="rejection"))
+    tr = grow(_cfg(n=60, seed=31, kernel=kern))
     m, draws = 20, 40_000
     got, rejected = sample_parent_rejection(tr, m, kern, np.random.default_rng(7), draws)
     counts = np.bincount(got, minlength=m + 1)[1:]

@@ -12,7 +12,7 @@ from delaytree import estimators as est
 from delaytree import growth, harness, theory
 from delaytree.configio import config_hash
 from delaytree.errors import ArgumentError
-from delaytree.estimators import degree_hist, fringe_census, leaf_clt_statistic
+from delaytree.estimators import degree_hist, fringe_census
 from delaytree.growth import grow
 from delaytree.harness import (
     ExperimentPlan,
@@ -263,8 +263,9 @@ def test_failing_tolerance_flips_ok():
 def test_clt_values_match_leaf_clt_statistic():
     plan = _plan(n=600, reps=4, stats=("clt",))
     s = run(plan).statistics["clt"]["s_values"]
-    traces = (
-        grow(dataclasses.replace(plan.config, seed=replicate_seed(plan.config.seed, r)))
-        for r in range(plan.replicates)
-    )
-    assert np.array_equal(s, leaf_clt_statistic(traces, alpha=0.0).s_values)
+    n, p1 = plan.config.n_final, theory.clt_constants(0.0).p1
+    want = []
+    for r in range(plan.replicates):
+        tr = grow(dataclasses.replace(plan.config, seed=replicate_seed(plan.config.seed, r)))
+        want.append(np.sqrt(n) * (degree_hist(tr).count(1) / n - p1))
+    np.testing.assert_array_equal(s, want)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from delaytree.errors import ArgumentError, StrategyError
+from delaytree.errors import ArgumentError
 from delaytree.kernels import (
     AffineKernel,
     ConstantDelay,
@@ -257,8 +257,6 @@ def test_growth_config_validation():
     with pytest.raises(ArgumentError):
         GrowthConfig(kern, delay, n_final=1)
     with pytest.raises(ArgumentError):
-        GrowthConfig(kern, delay, n_final=10, sampler="magic")
-    with pytest.raises(ArgumentError):
         GrowthConfig(kern, delay, n_final=10, seed=-1)
     with pytest.raises(ArgumentError):
         GrowthConfig(kern, delay, n_final=10, fringe_cap=0)
@@ -272,8 +270,3 @@ def test_sampler_resolution():
     assert GrowthConfig(UniformKernel(), delay, 10).resolve_sampler() == "edge"
     assert GrowthConfig(tab, delay, 10).resolve_sampler() == "rejection"
     assert GrowthConfig(bumpy, delay, 10).resolve_sampler() == "rejection"
-    assert GrowthConfig(bumpy, delay, 10, sampler="scan").resolve_sampler() == "scan"
-    with pytest.raises(StrategyError):
-        GrowthConfig(tab, delay, 10, sampler="edge")
-    with pytest.raises(StrategyError):
-        GrowthConfig(bumpy, delay, 10, sampler="edge")

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from delaytree.canonical import all_canonical_trees
+from delaytree.canonical import all_canonical_trees, q_count
 from delaytree.errors import ArgumentError
 from delaytree.kernels import (
     AffineKernel,
@@ -26,7 +26,6 @@ from delaytree.theory import (
     extended_fringe_law,
     fringe_bruteforce,
     fringe_recursion,
-    q_matrix,
     rho_hat,
     rho_hat_series,
     root_degree_constants,
@@ -228,10 +227,11 @@ def test_fringe_mass_by_size_proportional():
 
 
 def test_q_matrix():
-    assert q_matrix("((())())", "()") == 1
-    assert q_matrix("((())())", "(())") == 1
-    assert q_matrix("(()()())", "()") == 3
-    assert q_matrix("((()))", "()") == 0
+    # the Q matrix of the extended fringe law is the root-child subtree count
+    assert q_count("((())())", "()") == 1
+    assert q_count("((())())", "(())") == 1
+    assert q_count("(()()())", "()") == 3
+    assert q_count("((()))", "()") == 0
 
 
 def test_extended_law_depth0_is_the_table():
@@ -266,7 +266,7 @@ def test_extended_law_total_mass_identity():
 def test_extended_law_depth2_formula():
     table = fringe_recursion(5, AffineKernel(0.0), 2.0)
     chains = extended_fringe_law(table, 2)
-    want = table.prob("((())())") * q_matrix("((())())", "(())") * q_matrix("(())", "()")
+    want = table.prob("((())())") * q_count("((())())", "(())") * q_count("(())", "()")
     assert chains[("()", "(())", "((())())")] == pytest.approx(want, rel=1e-12)
 
 

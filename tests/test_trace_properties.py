@@ -194,13 +194,12 @@ ALL_DELAYS = (
 @given(
     st.sampled_from(KERNELS),
     st.sampled_from(ALL_DELAYS),
-    st.sampled_from(("auto", "rejection", "scan")),
     st.integers(3, 150),
     st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=9),
 )
-def test_batch_growth_matches_growth_seed_by_seed(kernel, delay, sampler, n, seeds):
-    # auto is the edge sampler for the uniform and affine kernels
-    config = GrowthConfig(kernel, delay, n, seed=0, sampler=sampler)
+def test_batch_growth_matches_growth_seed_by_seed(kernel, delay, n, seeds):
+    # the uniform and affine kernels take the edge sampler, the tabulated ones rejection
+    config = GrowthConfig(kernel, delay, n, seed=0)
     # with 64-arrival blocks, trees below n = 35 share blocks as rows; larger ones split into columns
     with mock.patch.object(growth, "_EDGE_BLOCK", 64):
         batch = grow(config, seeds)
