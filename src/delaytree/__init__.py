@@ -21,7 +21,6 @@ from .kernels import (
     Uniform01Delay,
     UniformKernel,
     ZeroDelay,
-    snapshot_time,
 )
 from .growth import TreeTrace, deg_at, grow, trace_from_parents, weight_degree
 from .canonical import CanonicalTree
@@ -86,7 +85,6 @@ __all__ = [
     "root_degree_constants",
     "root_trajectory",
     "run",
-    "snapshot_time",
     "solve_malthusian",
     "trace_from_parents",
     "tv_distance",

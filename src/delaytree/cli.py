@@ -149,21 +149,15 @@ def _cmd_fringe(args) -> int:
 
 
 def _cmd_check_delay(args) -> int:
-    entries = _load_entries(args)
+    delay = delay_from_entries(_load_entries(args))
     try:
         lo, hi = (float(t) for t in args.ngrid.split(".."))
     except ValueError:
         raise ArgumentError(f"--ngrid expects LO..HI, got {args.ngrid!r}") from None
-    scan = delay_condition_scan(
-        delay_from_entries(entries), half_decade_grid(lo, hi), seed=int_from_entries(entries, "seed")
-    )
-    print("n,e_n,stderr,lemma")
-    for i in range(len(scan.ns)):
-        print(
-            f"{int(scan.ns[i])},{scan.e_values[i]:.8g},"
-            f"{scan.stderrs[i]:.3g},{scan.lemma_values[i]:.8g}"
-        )
-    print(f"method={scan.method}")
+    scan = delay_condition_scan(delay, half_decade_grid(lo, hi))
+    print("n,e_n,lemma")
+    for n, e, lemma in zip(scan.ns, scan.e_values, scan.lemma_values):
+        print(f"{int(n)},{e:.8g},{lemma:.8g}")
     print(f"verdict={scan.verdict}")
     return 0 if scan.verdict == "satisfied" else 1
 

@@ -2,7 +2,7 @@
 
 Degree histograms, fringe-subtree censuses (plain and parent-paired),
 root-degree trajectories, the leaf CLT statistic of one tree, and the
-analytic delay-condition scan.  Everything here is read-only over a trace.
+exact delay-condition scan.  Everything here is read-only over a trace.
 
 Both fringe censuses read one integer shape labelling of the trace
 (``canonical.shape_labels``): the fringe counts are a bincount of the
@@ -30,7 +30,7 @@ import numpy as np
 from .canonical import shape_labels, subtree_codes  # noqa: F401
 from .errors import ArgumentError
 from .growth import TreeTrace
-from .kernels import DelayLaw, check_seed
+from .kernels import DelayLaw
 
 __all__ = [
     "DegreeHist",
@@ -311,7 +311,7 @@ def root_trajectories(traces, theta: float, grid=None, ex_x=None) -> list[RootTr
 # ---------------------------------------------------------------------------
 
 
-def _e_n_exact(delay: DelayLaw, n: int) -> float | None:
+def _e_n_exact(delay: DelayLaw, n: int) -> float:
     """E[n^beta xi / floor(n - n^beta xi); floor >= 1], by slab decomposition.
 
     The floor equals j on the xi-interval (a, b] below, for j = n-1 down to 1.
@@ -320,18 +320,7 @@ def _e_n_exact(delay: DelayLaw, n: int) -> float | None:
     j = np.arange(1, n, dtype=np.float64)
     b = (n - j) / nb  # inclusive right edge
     a = (n - j - 1.0) / nb
-    pm = delay.partial_mean(a, b)
-    if pm is None:
-        return None
-    return float(nb * np.sum(pm / j))
-
-
-def _e_n_montecarlo(delay: DelayLaw, n: int, rng: np.random.Generator, samples: int = 10**6):
-    nb = float(n) ** delay.beta
-    xi = delay.sample_many(rng, samples)
-    raw = n - nb * xi
-    vals = np.where(raw >= 1.0, nb * xi / np.maximum(np.floor(raw), 1.0), 0.0)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples))
+    return float(nb * np.sum(delay.partial_mean(a, b) / j))
 
 
 def _lemma_values(delay: DelayLaw, ns: np.ndarray) -> np.ndarray:
@@ -347,48 +336,29 @@ def _lemma_values(delay: DelayLaw, ns: np.ndarray) -> np.ndarray:
 class DelayScan:
     ns: np.ndarray
     e_values: np.ndarray
-    stderrs: np.ndarray  # zeros under exact quadrature
     lemma_values: np.ndarray
     verdict: str  # satisfied | violated | inconclusive
-    method: str  # exact | montecarlo
-
-    def rows(self):
-        for i in range(len(self.ns)):
-            yield (int(self.ns[i]), float(self.e_values[i]), float(self.stderrs[i]))
 
 
-def delay_condition_scan(delay: DelayLaw, n_grid, seed: int = 0) -> DelayScan:
+def delay_condition_scan(delay: DelayLaw, n_grid) -> DelayScan:
     """Decay table for the centering-error expectation, with a verdict.
 
-    e_n is computed exactly for the built-in families by decomposing over
-    the level sets of the floor (one slab per attainable snapshot time,
-    each an interval in xi with an analytic restricted mean); laws without
-    that closed form get a million-sample Monte Carlo estimate with its
-    standard error.  The verdict additionally consults the analytic
-    sufficient-condition sequence n log n P(ceil(X) = n).
+    e_n is exact for every delay family: it decomposes over the level sets
+    of the floor (one slab per attainable snapshot time, each an interval in
+    xi with a closed-form restricted mean, ``DelayLaw.partial_mean``).  The
+    verdict additionally consults the analytic sufficient-condition sequence
+    n log n P(ceil(X) = n).
     """
     ns = np.asarray(list(n_grid), dtype=np.int64)
     if len(ns) < 2 or np.any(np.diff(ns) <= 0) or ns[0] < 2:
         raise ArgumentError("n_grid must be increasing with at least 2 values >= 2")
-    check_seed(seed)
-    rng = np.random.default_rng(seed)
-    evals = np.empty(len(ns))
-    errs = np.zeros(len(ns))
-    method = "exact"
-    for i, n in enumerate(ns):
-        e = _e_n_exact(delay, int(n))
-        if e is None:
-            method = "montecarlo"
-            e, se = _e_n_montecarlo(delay, int(n), rng)
-            errs[i] = se
-        evals[i] = e
+    evals = np.array([_e_n_exact(delay, int(n)) for n in ns])
     lemma = _lemma_values(delay, ns)
 
-    slack = 1e-12 + 3.0 * errs[:-1] + 3.0 * errs[1:]
-    monotone = bool(np.all(np.diff(evals) <= slack))
+    monotone = bool(np.all(np.diff(evals) <= 1e-12))
     emax = float(evals.max())
     lmax = float(lemma.max())
-    e_vanishing = emax == 0.0 or evals[-1] <= 0.5 * emax + 3.0 * errs[-1]
+    e_vanishing = emax == 0.0 or evals[-1] <= 0.5 * emax
     lemma_vanishing = lmax == 0.0 or lemma[-1] <= 0.5 * lmax
     if monotone and e_vanishing and lemma_vanishing:
         verdict = "satisfied"
@@ -396,7 +366,4 @@ def delay_condition_scan(delay: DelayLaw, n_grid, seed: int = 0) -> DelayScan:
         verdict = "violated"
     else:
         verdict = "inconclusive"
-    return DelayScan(
-        ns=ns, e_values=evals, stderrs=errs, lemma_values=lemma, verdict=verdict, method=method
-    )
-
+    return DelayScan(ns=ns, e_values=evals, lemma_values=lemma, verdict=verdict)

@@ -50,6 +50,9 @@ _DEFAULT_TOLERANCES = {
     "clt_var_rel": 0.25,
 }
 
+# the largest degree the pooled degree table compares with the exact law
+_KMAX = 200
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
@@ -75,8 +78,6 @@ class ExperimentPlan:
     statistics: tuple = ("degree",)
     tolerances: dict = field(default_factory=dict)
     outdir: str | None = None
-    scan_grid: tuple | None = None
-    degree_kmax: int = 200
     workers: int = 1
 
     def __post_init__(self) -> None:
@@ -92,6 +93,9 @@ class ExperimentPlan:
         unknown = set(self.tolerances) - set(_DEFAULT_TOLERANCES)
         if unknown:
             raise ArgumentError(f"unknown tolerance keys: {sorted(unknown)}")
+        for key, value in self.tolerances.items():
+            if not (0.0 <= value < float("inf")):
+                raise ArgumentError(f"tolerance {key} must be finite and >= 0, got {value}")
         if ("clt" in stats or "root" in stats) and self.config.kernel.kind != "affine":
             raise ArgumentError(
                 "clt/root statistics rely on affine-kernel constants; use an affine kernel"
@@ -237,7 +241,7 @@ def _aggregate_degree(plan: ExperimentPlan, records: list, lam: float) -> tuple[
         c = r["degree_counts"]
         pooled[: len(c)] += c
     total = plan.replicates * config.n_final
-    kmax = min(plan.degree_kmax, maxlen - 1)
+    kmax = min(_KMAX, maxlen - 1)
     p_theory = theory.degree_law(config.kernel, lam, max(kmax, 1))
     emp = pooled[1 : kmax + 1] / total
     tv = tv_distance(emp, p_theory[:kmax])
@@ -349,18 +353,13 @@ def _aggregate_clt(plan: ExperimentPlan, records: list) -> tuple[dict, dict]:
 
 
 def _aggregate_scan(plan: ExperimentPlan) -> tuple[dict, dict]:
-    if plan.scan_grid is not None:
-        grid = list(plan.scan_grid)
-    else:
-        grid = est.half_decade_grid(100, max(10_000, min(plan.config.n_final, 1_000_000)))
-    scan = est.delay_condition_scan(plan.config.delay, grid, seed=plan.config.seed)
+    grid = est.half_decade_grid(100, max(10_000, min(plan.config.n_final, 1_000_000)))
+    scan = est.delay_condition_scan(plan.config.delay, grid)
     stat = {
         "ns": scan.ns,
         "e_values": scan.e_values,
-        "stderrs": scan.stderrs,
         "lemma_values": scan.lemma_values,
         "verdict": scan.verdict,
-        "method": scan.method,
     }
     return stat, {"verdict": scan.verdict, "ok": bool(scan.verdict == "satisfied")}
 
@@ -497,10 +496,9 @@ def _write_outputs(plan: ExperimentPlan, payload: dict, stats: dict) -> None:
         sc = stats["delay-scan"]
         _write_csv(
             os.path.join(outdir, "delay_scan.csv"),
-            "n,e_n,stderr,verdict",
+            "n,e_n,verdict",
             sc["ns"],
             sc["e_values"],
-            sc["stderrs"],
             [sc["verdict"]] * len(sc["ns"]),
         )
 

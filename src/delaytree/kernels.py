@@ -43,7 +43,6 @@ __all__ = [
     "QuantileTableDelay",
     "GrowthConfig",
     "check_seed",
-    "snapshot_time",
     "snapshot_times",
 ]
 
@@ -163,8 +162,8 @@ class TabulatedKernel(AttachmentKernel):
         if self.tail[0] == "pow":
             if len(self.tail) != 2 or not (0.0 < self.tail[1] < 1.0):
                 raise ArgumentError("power tail rule needs exponent a with 0 < a < 1")
-        if self.f_star <= 0.0:
-            raise ArgumentError("explicit f_star > 0 is required")
+        if not (0.0 < self.f_star < math.inf):
+            raise ArgumentError(f"explicit finite f_star > 0 is required, got {self.f_star}")
         if self.f_star > min(vals) + 1e-12:
             raise ArgumentError("declared f_star exceeds the table minimum")
         if self.monotone:
@@ -254,25 +253,12 @@ class TabulatedKernel(AttachmentKernel):
 # ---------------------------------------------------------------------------
 
 
-def snapshot_time(n: int, xi: float, beta: float) -> int:
-    """Time of the snapshot consulted by the vertex arriving at time n+1.
-
-    Returns max(floor(n - n**beta * xi), 1).  The product is formed in
-    double precision before flooring, so a delay that barely fails to reach
-    the previous integer is not rounded down twice.
-    """
-    if n < 1:
-        raise ArgumentError(f"current size must be >= 1, got {n}")
-    if xi < 0.0:
-        raise ArgumentError(f"delay must be >= 0, got {xi}")
-    if not (0.0 <= beta < 1.0):
-        raise ArgumentError(f"lookback exponent must lie in [0, 1), got {beta}")
-    m = math.floor(n - float(n) ** beta * xi)
-    return m if m > 1 else 1
-
-
 def snapshot_times(ns: np.ndarray, xis: np.ndarray, beta: float) -> np.ndarray:
-    """Vectorised :func:`snapshot_time` (clamping before integer cast)."""
+    """max(floor(n - n**beta * xi), 1): the snapshots the arrivals at times n+1 consult.
+
+    The product is formed in double precision before flooring, and the clamp
+    comes before the integer cast.
+    """
     if not (0.0 <= beta < 1.0):
         raise ArgumentError(f"lookback exponent must lie in [0, 1), got {beta}")
     ns = np.asarray(ns, dtype=np.float64)
@@ -306,15 +292,14 @@ class DelayLaw:
         """P(xi > x)."""
         raise NotImplementedError
 
-    def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Exact E[xi; a < xi <= b], elementwise over interval arrays.
 
-        Returns None when no closed form exists; callers fall back to
-        Monte Carlo.  This is the workhorse of the delay-condition scan,
-        which decomposes an expectation over the floor function into
-        O(n) such slabs.
+        Every family has this in closed form.  It is the workhorse of the
+        delay-condition scan, which decomposes an expectation over the floor
+        function into O(n) such slabs.
         """
-        return None
+        raise NotImplementedError
 
     def bounded_support(self) -> float | None:
         """Supremum of the support if finite, else None."""
@@ -505,8 +490,8 @@ class ParetoDelay(DelayLaw):
 
     def __post_init__(self) -> None:
         self._check_beta()
-        if self.tail_index <= 0.0 or self.scale <= 0.0:
-            raise ArgumentError("pareto delay needs tail_index > 0 and scale > 0")
+        if not (0.0 < self.tail_index < math.inf and 0.0 < self.scale < math.inf):
+            raise ArgumentError("pareto delay needs finite tail_index > 0 and scale > 0")
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return self.scale * (1.0 - rng.random(size)) ** (-1.0 / self.tail_index)
@@ -559,6 +544,8 @@ class QuantileTableDelay(DelayLaw):
         object.__setattr__(self, "qs", qs)
         if len(us) != len(qs) or len(us) < 2:
             raise ArgumentError("quantile table needs matching u/q lists with >= 2 knots")
+        if not all(map(math.isfinite, us + qs)):
+            raise ArgumentError("quantile table knots must be finite")
         if us[0] != 0.0 or us[-1] != 1.0:
             raise ArgumentError("quantile table must cover u = 0 .. 1")
         if any(b < a for a, b in zip(us, us[1:])):
@@ -568,6 +555,28 @@ class QuantileTableDelay(DelayLaw):
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.interp(rng.random(size), self.us, self.qs)
+
+    def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self._mean_below(b) - self._mean_below(a)
+
+    def _mean_below(self, x: np.ndarray) -> np.ndarray:
+        """G(x) = E[xi; xi <= x]: the knot segments wholly at or below x, plus part of the next.
+
+        On segment i the quantile runs linearly from q_i to q_i + dq_i over a
+        u-width w_i, and xi <= x on its first fraction t, which contributes
+        w_i t (q_i + dq_i t / 2).  A flat segment is an atom at q_i and counts
+        whole once x >= q_i; a zero-width segment is a gap and counts nothing.
+        A zero-width sentinel after the last knot serves x >= q(1).
+        """
+        qs = np.array(self.qs)
+        w = np.append(np.diff(self.us), 0.0)
+        dq = np.append(np.diff(qs), 0.0)
+        whole = np.concatenate(([0.0], np.cumsum(w * (qs + 0.5 * dq))[:-1]))
+        x = np.asarray(x, dtype=np.float64)
+        k = np.searchsorted(qs[1:], x, side="right")  # segments wholly at or below x
+        # x < q_{k+1}, so a flat segment k lies above x and takes t = 0
+        t = np.clip((x - qs[k]) / np.where(dq[k] > 0.0, dq[k], np.inf), 0.0, 1.0)
+        return whole[k] + w[k] * t * (qs[k] + 0.5 * dq[k] * t)
 
     def survival(self, x: float) -> float:
         if x < self.qs[0]:

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -12,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import delaytree
-from delaytree.cli import _build_parser, main
+from delaytree.cli import PRESETS, _build_parser, main
 from delaytree.configio import build_config, parse_config_text
 from delaytree.errors import ArgumentError
+from delaytree.harness import ExperimentPlan, run
 
 
 def test_no_arguments_is_usage_error(capsys):
@@ -235,13 +237,27 @@ def test_bad_tol_value_is_exit_2(capsys):
     assert "degree_tv" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_tol_outside_finite_nonnegative_is_exit_2(capsys, value):
+    rc = main(["simulate", "--preset", "grid-zero", "--set", "n_final=100", "--tol", f"degree_tv={value}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "degree_tv" in captured.err
+    assert "FAIL" not in captured.out
+
+
+def test_non_finite_delay_parameter_is_exit_2(capsys):
+    argv = ["simulate", "--set", "delay.kind=pareto", "--set", "delay.tail_index=nan", "--set", "n_final=200"]
+    assert main([*argv, "--stats", "degree"]) == 2
+    assert "tail_index" in capsys.readouterr().err
+
+
 def test_check_delay_satisfied(capsys):
     rc = main(["check-delay", "--preset", "grid-zero", "--ngrid", "1e2..1e4"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.startswith("n,e_n,stderr,lemma")
+    assert out.startswith("n,e_n,lemma\n")
     assert "verdict=satisfied" in out
-    assert "method=exact" in out
 
 
 def test_check_delay_inconclusive_exit_1(capsys):
@@ -257,6 +273,7 @@ def test_check_delay_families_parse(capsys):
         ["delay.kind=uniform01"],
         ["delay.kind=invpow", "delay.p=1"],
         ["delay.kind=pareto", "delay.tail_index=2.5", "delay.scale=1.0"],
+        ["delay.kind=qtable", "delay.us=0,0.5,0.5,1", "delay.qs=0,1,2,3"],
     )
     for entries in families:
         argv = ["check-delay", "--ngrid", "1e2..1e3"]
@@ -264,9 +281,9 @@ def test_check_delay_families_parse(capsys):
             argv += ["--set", entry]
         rc = main(argv)
         out = capsys.readouterr().out.splitlines()
-        assert out[0] == "n,e_n,stderr,lemma", entries
+        assert out[0] == "n,e_n,lemma", entries
+        assert len(out) == 5, entries
         assert [row.split(",")[0] for row in out[1:4]] == ["100", "316", "1000"], entries
-        assert out[-2] == "method=exact", entries
         assert out[-1].startswith("verdict=") and rc == (0 if out[-1] == "verdict=satisfied" else 1), entries
     # no config: the default zero delay, whose condition holds
     assert main(["check-delay", "--ngrid", "1e2..1e3"]) == 0
@@ -276,8 +293,6 @@ def test_check_delay_families_parse(capsys):
 def test_check_delay_bad_family(capsys):
     assert main(["check-delay", "--set", "delay.kind=lorentzian"]) == 2
     assert "error:" in capsys.readouterr().err
-    assert main(["check-delay", "--set", "seed=-1"]) == 2
-    assert "seed" in capsys.readouterr().err
 
 
 def test_simulate_ends_with_pass_or_fail(capsys):
@@ -366,6 +381,22 @@ def test_readme_cli_tour_parses():
     assert {argv[0] for argv in commands} == {"simulate", "theory", "fringe", "check-delay"}
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_artifact_headers_match_writer(tmp_path):
+    """Each CSV header in README's "Run artifacts" table is the first line the writer puts in that file."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Run artifacts", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `([\w.]+)` \|(.*)\|$", table, flags=re.M))
+    headers = {name: re.findall(r"\(`([^`]+)`\)", text)[-1] for name, text in rows.items() if name.endswith(".csv")}
+    entries = parse_config_text(PRESETS["grid-uniform01"])
+    entries.update(n_final="300", replicates="2")
+    config, replicates = build_config(entries)
+    stats = ("degree", "fringe", "root", "clt", "delay-scan")
+    run(ExperimentPlan(config, replicates, statistics=stats, outdir=str(tmp_path)))
+    assert set(rows) == set(os.listdir(tmp_path))
+    written = {name: (tmp_path / name).read_text().split("\n", 1)[0] for name in headers}
+    assert written == headers
 
 
 ENTRY_ARGS = ["theory", "--set", "kernel.alpha=1"]

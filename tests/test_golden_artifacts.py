@@ -30,9 +30,9 @@ GOLDEN = {
         "clt.csv": "50417bf7f5b0d57a29bbcac5d521cb8681bc4653b4aa67b9eefb5f95f842068c",
         "config_echo.txt": "68cfc271c3a42df0172740311f786083edfa435705110207d5c65d699d1b22c1",
         "degree_hist.csv": "1ac01296ca951aad57dc575dd3c3382abfeb5cd4c28f3ba0ea10edde5bb9aa74",
-        "delay_scan.csv": "172663965aa05f20003a47ae6ced4392eaed83f43f7c223f06d5fd5d732e3af3",
+        "delay_scan.csv": "3d80a4fe9f0b6f1052038b1d7f5a5837879641b4ec57bce635a25fc71d54f0e1",
         "root.csv": "8dfe5653acf0d8888afbaca2f010abc3aa6b8ccee119c38b0c716070f79bfebf",
-        "summary.json": "fc31aaf28919fd5a780725098080431df2fc321aa65cbd3e1f8f0ecc30491cef",
+        "summary.json": "291f7ded7e648697078b9793ca89a919e8ea6840f5eec4a4841d5173d72bcf5f",
     },
     "invpow2": {
         "config_echo.txt": "1405d019b004569ac62c300f5b5ae9e1249e1d6b83f00e2d082d1da50d8b042f",

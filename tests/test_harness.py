@@ -112,6 +112,9 @@ def test_plan_validation():
         ExperimentPlan(config=cfg, replicates=0)
     with pytest.raises(ArgumentError):
         ExperimentPlan(config=cfg, tolerances={"degree_tvv": 0.1})
+    for value in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ArgumentError, match="pair_abs"):
+            ExperimentPlan(config=cfg, tolerances={"degree_tv": 0.0, "pair_abs": value})
     with pytest.raises(ArgumentError):
         ExperimentPlan(config=cfg, statistics=("clt",), replicates=1)
     with pytest.raises(ArgumentError):
@@ -150,7 +153,6 @@ def test_run_all_statistics_with_outputs(tmp_path):
         reps=3,
         stats=("degree", "fringe", "root", "clt", "delay-scan"),
         outdir=str(tmp_path / "out"),
-        scan_grid=(100, 1000),
     )
     summary = run(plan)
     names = sorted(os.listdir(tmp_path / "out"))
@@ -170,7 +172,7 @@ def test_run_all_statistics_with_outputs(tmp_path):
     first = (tmp_path / "out" / "degree_hist.csv").read_text().splitlines()[0]
     assert first == "n,k,count,p_theory"
     assert (tmp_path / "out" / "clt.csv").read_text().splitlines()[0] == "replicate,s_r"
-    assert (tmp_path / "out" / "delay_scan.csv").read_text().splitlines()[0] == "n,e_n,stderr,verdict"
+    assert (tmp_path / "out" / "delay_scan.csv").read_text().splitlines()[0] == "n,e_n,verdict"
     echo = (tmp_path / "out" / "config_echo.txt").read_text()
     assert echo == summary.payload["config_echo"]
 
@@ -246,7 +248,7 @@ def test_root_grid_and_scales_once_per_plan():
 
 def test_delay_scan_only_skips_growth():
     cfg = GrowthConfig(AFF, Uniform01Delay(beta=0.5), 10**7, seed=1)  # growth would take minutes
-    plan = ExperimentPlan(config=cfg, statistics=("delay-scan",), scan_grid=(100, 1000, 10_000))
+    plan = ExperimentPlan(config=cfg, statistics=("delay-scan",))
     summary = run(plan)
     assert summary.wall_time < 5.0
     assert summary.checks["delay-scan"]["verdict"] == "satisfied"

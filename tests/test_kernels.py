@@ -1,5 +1,7 @@
 """Attachment kernels, delay laws, snapshot clamping, config validation."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -16,9 +18,10 @@ from delaytree.kernels import (
     Uniform01Delay,
     UniformKernel,
     ZeroDelay,
-    snapshot_time,
     snapshot_times,
 )
+
+NAN, INF = float("nan"), float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +104,22 @@ def test_tabulated_kernel_validation():
 # ---------------------------------------------------------------------------
 
 
+def snapshot_time(n: int, xi: float, beta: float) -> int:
+    """Scalar reference for snapshot_times: max(floor(n - n**beta * xi), 1)."""
+    assert n >= 1 and xi >= 0.0 and 0.0 <= beta < 1.0
+    return max(math.floor(n - float(n) ** beta * xi), 1)
+
+
 def test_snapshot_time_basic():
-    assert snapshot_time(100, 0.0, 0.5) == 100
-    assert snapshot_time(100, 2.5, 0.5) == 75  # 100 - 10*2.5
-    assert snapshot_time(100, 1e9, 0.5) == 1  # clamped at the root era
-    assert snapshot_time(7, 0.3, 0.0) == 6  # beta=0: floor(7 - 0.3)
+    cases = [
+        (100, 0.0, 0.5, 100),
+        (100, 2.5, 0.5, 75),  # 100 - 10*2.5
+        (100, 1e9, 0.5, 1),  # clamped at the root era
+        (7, 0.3, 0.0, 6),  # beta=0: floor(7 - 0.3)
+    ]
+    for n, xi, beta, want in cases:
+        assert snapshot_time(n, xi, beta) == want
+        assert snapshot_times(np.array([n]), np.array([xi]), beta).tolist() == [want]
 
 
 def test_snapshot_time_vectorized_matches_scalar():
@@ -139,6 +153,7 @@ def _partial_mean_by_quadrature(delay, a, b):
         InversePowerDelay(p=3.0, beta=0.3),
         ParetoDelay(tail_index=2.5, scale=1.0, beta=0.5),
         ParetoDelay(tail_index=1.0, scale=2.0, beta=0.5),
+        QuantileTableDelay(us=(0.0, 0.5, 1.0), qs=(0.0, 1.0, 3.0), beta=0.5),
     ],
 )
 def test_partial_mean_matches_quadrature(delay):
@@ -221,7 +236,8 @@ def test_quantile_table_delay():
     d = QuantileTableDelay(us=(0.0, 0.5, 1.0), qs=(0.0, 1.0, 3.0), beta=0.5)
     assert d.survival(1.0) == pytest.approx(0.5)
     assert d.bounded_support() == 3.0
-    assert d.partial_mean(np.array([0.0]), np.array([1.0])) is None  # no closed form
+    # E[xi; xi <= 1] = int_0^0.5 2u du; E[xi; 1 < xi <= 3] = int_0.5^1 (4u - 1) du
+    np.testing.assert_allclose(d.partial_mean(np.array([0.0, 1.0]), np.array([1.0, 3.0])), [0.25, 1.0])
     xs = d.sample_many(np.random.default_rng(3), 40_000)
     assert xs.max() <= 3.0
     assert abs((xs <= 1.0).mean() - 0.5) < 0.01
@@ -234,6 +250,45 @@ def test_quantile_table_validation():
         QuantileTableDelay(us=(0.0, 0.4), qs=(0.0, 1.0), beta=0.5)  # must reach u=1
     with pytest.raises(ArgumentError):
         QuantileTableDelay(us=(0.0, 1.0), qs=(1.0, 0.0), beta=0.5)  # decreasing q
+
+
+def test_quantile_table_atom_and_gap_partial_mean():
+    # a ramp 0..1 over u in [0, 0.25], an atom of mass 0.25 at 1, a gap (1, 2),
+    # then a ramp 2..3 over u in [0.5, 1]
+    d = QuantileTableDelay(us=(0.0, 0.25, 0.5, 0.5, 1.0), qs=(0.0, 1.0, 1.0, 2.0, 3.0), beta=0.5)
+    a = np.array([-1.0, 0.0, 0.5, 1.0, 1.2, 0.0, 2.5, 0.0])
+    b = np.array([0.0, 1.0, 1.0, 2.0, 1.8, 9.0, 3.0, 0.999])
+    # G(x) = E[xi; xi <= x] is x^2/8 below the atom, 0.375 from 1 to 2, and 1.625 from 3 on
+    want = [0.0, 0.375, 0.375 - 0.03125, 0.0, 0.0, 1.625, 1.625 - 0.9375, 0.125 * 0.999**2]
+    np.testing.assert_allclose(d.partial_mean(a, b), want, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ParetoDelay(tail_index=NAN, beta=0.5),
+        lambda: ParetoDelay(tail_index=INF, beta=0.5),
+        lambda: ParetoDelay(tail_index=2.0, scale=NAN, beta=0.5),
+        lambda: ParetoDelay(tail_index=2.0, scale=INF, beta=0.5),
+        lambda: QuantileTableDelay(us=(0.0, NAN, 1.0), qs=(0.0, 1.0, 2.0), beta=0.5),
+        lambda: QuantileTableDelay(us=(0.0, 1.0), qs=(0.0, NAN), beta=0.5),
+        lambda: QuantileTableDelay(us=(0.0, 1.0), qs=(0.0, INF), beta=0.5),
+        lambda: TabulatedKernel(values=(1.0, 2.0), f_star=NAN),
+    ],
+    ids=[
+        "pareto-tail_index-nan",
+        "pareto-tail_index-inf",
+        "pareto-scale-nan",
+        "pareto-scale-inf",
+        "qtable-us-nan",
+        "qtable-qs-nan",
+        "qtable-qs-inf",
+        "tabulated-f_star-nan",
+    ],
+)
+def test_non_finite_parameters_rejected(make):
+    with pytest.raises(ArgumentError):
+        make()
 
 
 def test_beta_range_enforced():
