@@ -28,6 +28,7 @@ from .kernels import (
     Uniform01Delay,
     UniformKernel,
     ZeroDelay,
+    check_count,
 )
 
 __all__ = [
@@ -187,8 +188,7 @@ def build_config(entries: dict) -> tuple[GrowthConfig, int]:
         fringe_cap=int_from_entries(entries, "fringe_cap"),
     )
     replicates = int_from_entries(entries, "replicates")
-    if replicates < 1:
-        raise ArgumentError("replicates must be >= 1")
+    check_count("replicates", replicates, 1)
     return config, replicates
 
 

@@ -150,7 +150,7 @@ class FringeCensus:
 
 
 def fringe_census(trace: TreeTrace, cap: int = 6) -> FringeCensus:
-    labels, codes = shape_labels(trace.parents[: trace.n + 1], cap)
+    labels, codes = shape_labels(trace.parents, cap)
     return FringeCensus.from_labels(labels, codes, cap)
 
 
@@ -202,9 +202,8 @@ class PairCensus:
 
 
 def extended_fringe_census(trace: TreeTrace, cap: int = 6) -> PairCensus:
-    parents = trace.parents[: trace.n + 1]
-    labels, codes = shape_labels(parents, cap)
-    return PairCensus.from_labels(labels, codes, parents, cap)
+    labels, codes = shape_labels(trace.parents, cap)
+    return PairCensus.from_labels(labels, codes, trace.parents, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -311,16 +310,23 @@ def root_trajectories(traces, theta: float, grid=None, ex_x=None) -> list[RootTr
 # ---------------------------------------------------------------------------
 
 
+_SCAN_BLOCK = 1 << 20  # slabs summed at once: every size up to 1e6 is one block
+
+
 def _e_n_exact(delay: DelayLaw, n: int) -> float:
     """E[n^beta xi / floor(n - n^beta xi); floor >= 1], by slab decomposition.
 
     The floor equals j on the xi-interval (a, b] below, for j = n-1 down to 1.
+    The slabs are summed _SCAN_BLOCK at a time, so memory stays bounded in n.
     """
     nb = float(n) ** delay.beta
-    j = np.arange(1, n, dtype=np.float64)
-    b = (n - j) / nb  # inclusive right edge
-    a = (n - j - 1.0) / nb
-    return float(nb * np.sum(delay.partial_mean(a, b) / j))
+    total = 0.0
+    for lo in range(1, n, _SCAN_BLOCK):
+        j = np.arange(lo, min(lo + _SCAN_BLOCK, n), dtype=np.float64)
+        b = (n - j) / nb  # inclusive right edge
+        a = (n - j - 1.0) / nb
+        total += np.sum(delay.partial_mean(a, b) / j)
+    return float(nb * total)
 
 
 def _lemma_values(delay: DelayLaw, ns: np.ndarray) -> np.ndarray:

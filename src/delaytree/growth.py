@@ -1,9 +1,10 @@
 """Tree growth engine: the trace, degree views and the parent samplers.
 
 A grown tree is recorded as a :class:`TreeTrace`: its birth-order parent
-array plus, per vertex, the delay it drew and the snapshot time it
-consulted.  The parent array is the one stored form of the tree; degrees at
-any time, the total weight Psi(m) and the edge list are counts over it.
+array plus, per vertex, the snapshot time it consulted.  A delay matters
+only through the snapshot it selects, so the delays are not kept.  The
+parent array is the one stored form of the tree; degrees at any time, the
+total weight Psi(m) and the edge list are counts over it.
 
 Parent choice within a snapshot is implemented two ways, and the kernel
 picks one (``GrowthConfig.resolve_sampler``).  Each is exact for the
@@ -66,27 +67,27 @@ __all__ = [
     "sample_parent_rejection",
     "attachment_distribution",
     "thinning_distribution",
-    "export_trace",
-    "load_trace",
 ]
 
 
 @dataclass
 class TreeTrace:
-    """Complete record of one growth run (or a hand-built tree).
+    """What growth decided for one tree (or a hand-built tree).
 
     ``parents[v]`` is the parent of vertex v (v >= 2; entries 0 and 1 are
-    0), ``xis[v]``/``snapshots[v]`` the delay drawn and snapshot consulted
-    by vertex v (0 for hand-built traces and for the deterministic vertex
-    2), ``retries`` the rejected proposals of the rejection sampler.
+    0), ``snapshots[v]`` the snapshot consulted by vertex v (0 for
+    hand-built traces, 1 for the deterministic vertex 2), ``retries`` the
+    rejected proposals of the rejection sampler.
     """
 
-    kernel: AttachmentKernel
-    n: int
     parents: np.ndarray
-    xis: np.ndarray
     snapshots: np.ndarray
     retries: int = 0
+
+    @property
+    def n(self) -> int:
+        """The number of vertices."""
+        return len(self.parents) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +135,11 @@ def _weight_degrees(parents: np.ndarray, m: int) -> np.ndarray:
     return counts
 
 
-def psi_recomputed(trace: TreeTrace, m: int) -> float:
-    """Psi(m), the total attachment weight of the time-m tree."""
+def psi_recomputed(trace: TreeTrace, m: int, kernel: AttachmentKernel) -> float:
+    """Psi(m), the total ``kernel`` weight of the time-m tree."""
     if m < 1 or m > trace.n:
         raise ArgumentError(f"snapshot time {m} outside 1..{trace.n}")
-    return float(np.sum(trace.kernel.evaluate_array(_weight_degrees(trace.parents, m))))
+    return float(np.sum(kernel.evaluate_array(_weight_degrees(trace.parents, m))))
 
 
 class _DegreeView:
@@ -371,10 +372,10 @@ def sample_parent_rejection(
     """
     if m < 1 or m > trace.n:
         raise ArgumentError(f"snapshot time {m} outside 1..{trace.n}")
-    parents = np.ascontiguousarray(trace.parents[: trace.n + 1], dtype=np.int64)
-    view = _DegreeView(trace.n + 1)
-    view.extend(parents, 2, trace.n + 1)
-    view.rebuild(parents, trace.n + 1)
+    parents = np.ascontiguousarray(trace.parents, dtype=np.int64)
+    view = _DegreeView(len(parents))
+    view.extend(parents, 2, len(parents))
+    view.rebuild(parents, len(parents))
     slope, offset = kernel.linear_bound()
     return _thin_wave(parents, view, np.full(size, m), slope, offset, kernel, rng, _uniform_triples(rng))
 
@@ -428,41 +429,40 @@ def grow(config: GrowthConfig, seeds=None):
 
     Draw order is fixed, and a batch draws each seed's stream in that
     order from the seed's own generator, whatever the other seeds: one
-    vectorised block of delays for vertices 3..n_final, then the
-    attachment draws.  The edge sampler draws every branch
-    uniform and then every pick.  Rejection takes its arrivals wave by
-    wave (see the module docstring): a long wave draws a (branch, pick,
-    accept) column per pending arrival and round from the generator, and
-    everything drawn one arrival at a time (short waves and a long wave's
-    last few stragglers) takes one triple per proposal from blocks of
-    uniforms drawn ahead.
-    Vertex 2 attaches to the root deterministically.
+    vectorised block of delays for vertices 3..n_final, which set the
+    snapshots and are then dropped, then the attachment draws.  The edge
+    sampler draws every branch uniform and then every pick.  Rejection
+    takes its arrivals wave by wave (see the module docstring): a long wave
+    draws a (branch, pick, accept) column per pending arrival and round
+    from the generator, and everything drawn one arrival at a time (short
+    waves and a long wave's last few stragglers) takes one triple per
+    proposal from blocks of uniforms drawn ahead.  Vertex 2 attaches to the
+    root deterministically.
     """
     n_final = config.n_final
-    batch = [config.seed] if seeds is None else list(seeds)
-    for seed in batch:
-        check_seed(seed)
+    batch = [config.seed] if seeds is None else [check_seed(seed) for seed in seeds]
     rngs = [np.random.default_rng(seed) for seed in batch]
 
     shape = (len(batch), n_final + 1)  # one row per tree
     parents = np.zeros(shape, dtype=np.int64)
-    xis = np.zeros(shape)
     snaps = np.zeros(shape, dtype=np.int64)
     parents[:, 2] = 1
     snaps[:, 2] = 1
     retries = [0] * len(batch)
 
     if n_final > 2:
-        for row, rng in zip(xis, rngs):
-            row[3:] = config.delay.sample_many(rng, n_final - 2)
         ms = snaps[:, 3:]
-        ms[:] = snapshot_times(np.arange(2, n_final), xis[:, 3:], config.beta)
+        delays = np.empty(ms.shape)
+        for row, rng in zip(delays, rngs):
+            row[:] = config.delay.sample_many(rng, n_final - 2)
+        ms[:] = snapshot_times(np.arange(2, n_final), delays, config.beta)
+        del delays
         if config.resolve_sampler() == "edge":
             _loop_edge(parents, config.kernel, ms, rngs)
         else:
             retries = [_loop_rejection(p, config.kernel, m, rng) for p, m, rng in zip(parents, ms, rngs)]
 
-    traces = [TreeTrace(config.kernel, n_final, *row) for row in zip(parents, xis, snaps, retries)]
+    traces = [TreeTrace(*row) for row in zip(parents, snaps, retries)]
     return traces[0] if seeds is None else traces
 
 
@@ -564,71 +564,16 @@ def _loop_rejection(parents, kernel, ms, rng) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Hand-built traces and export
+# Hand-built traces
 # ---------------------------------------------------------------------------
 
 
-def trace_from_parents(parents, kernel: AttachmentKernel) -> TreeTrace:
+def trace_from_parents(parents) -> TreeTrace:
     """Build a TreeTrace from explicit parent pointers.
 
     ``parents[v]`` is the parent of vertex v for v = 2..n (1-based; leading
-    entries ignored).  Delays and snapshots are recorded as zeros.
+    entries ignored).  Snapshots are recorded as zeros.
     """
     parr = check_parents(parents).copy()
     parr[:2] = 0
-    n = len(parr) - 1
-    return TreeTrace(
-        kernel=kernel,
-        n=n,
-        parents=parr,
-        xis=np.zeros(n + 1),
-        snapshots=np.zeros(n + 1, dtype=np.int64),
-    )
-
-
-def export_trace(trace: TreeTrace, path, config_hash: str = "") -> None:
-    """Write the trace as 'child parent xi m' lines, one vertex per line."""
-    with open(path, "w") as fh:
-        fh.write("# delaytree trace v1\n")
-        fh.write(f"# config_hash = {config_hash}\n")
-        fh.write(f"# n = {trace.n}\n")
-        fh.write("# columns: child parent xi m\n")
-        fh.write("1 0 0 0\n")
-        for v in range(2, trace.n + 1):
-            fh.write(f"{v} {int(trace.parents[v])} {float(trace.xis[v])!r} {int(trace.snapshots[v])}\n")
-
-
-def load_trace(path) -> dict:
-    """Read an exported trace back into plain arrays (for audits/tests).
-
-    Raises ArgumentError naming the line on a malformed line, and naming
-    the vertex when a parent is not an earlier vertex.
-    """
-    header: dict = {}
-    parents: list[int] = [0, 0]
-    xis: list[float] = [0.0, 0.0]
-    ms: list[int] = [0, 0]
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if "=" in line:
-                    key, _, val = line[1:].partition("=")
-                    header[key.strip()] = val.strip()
-                continue
-            try:
-                child, parent, xi, m = line.split()
-                v, p, x, s = int(child), int(parent), float(xi), int(m)
-            except ValueError:
-                raise ArgumentError(f"trace line {lineno}: expected 'child parent xi m', got {line!r}") from None
-            if v == 1:
-                continue
-            if v != len(parents):
-                raise ArgumentError(f"trace file out of birth order at vertex {v}")
-            parents.append(p)
-            xis.append(x)
-            ms.append(s)
-    check_parents(parents)
-    return {"header": header, "parents": parents, "xis": xis, "snapshots": ms}
+    return TreeTrace(parents=parr, snapshots=np.zeros(len(parr), dtype=np.int64))

@@ -17,6 +17,7 @@ serialized; every serialized byte is a pure function of the plan.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -30,7 +31,7 @@ from .canonical import shape_labels
 from .configio import config_hash, render_config
 from .errors import ArgumentError
 from .growth import batch_size, grow
-from .kernels import GrowthConfig
+from .kernels import GrowthConfig, check_count
 
 __all__ = [
     "ExperimentPlan",
@@ -81,8 +82,8 @@ class ExperimentPlan:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.replicates < 1:
-            raise ArgumentError("replicates must be >= 1")
+        object.__setattr__(self, "replicates", check_count("replicates", self.replicates, 1))
+        object.__setattr__(self, "workers", check_count("workers", self.workers, 1))
         stats = tuple(self.statistics)
         object.__setattr__(self, "statistics", stats)
         if not stats:
@@ -94,16 +95,14 @@ class ExperimentPlan:
         if unknown:
             raise ArgumentError(f"unknown tolerance keys: {sorted(unknown)}")
         for key, value in self.tolerances.items():
-            if not (0.0 <= value < float("inf")):
-                raise ArgumentError(f"tolerance {key} must be finite and >= 0, got {value}")
+            if not isinstance(value, numbers.Real) or not (0.0 <= value < float("inf")):
+                raise ArgumentError(f"tolerance {key} must be a finite number >= 0, got {value!r}")
         if ("clt" in stats or "root" in stats) and self.config.kernel.kind != "affine":
             raise ArgumentError(
                 "clt/root statistics rely on affine-kernel constants; use an affine kernel"
             )
         if "clt" in stats and self.replicates < 2:
             raise ArgumentError("clt statistic needs at least 2 replicates")
-        if self.workers < 1:
-            raise ArgumentError("workers must be >= 1")
 
     def resolved_tolerances(self) -> dict:
         out = dict(_DEFAULT_TOLERANCES)
@@ -184,10 +183,9 @@ def _replicate_records(args) -> list:
             rec["degree_counts"] = hist.counts
         if "fringe" in stats:
             cap = config.fringe_cap
-            parents = trace.parents[: trace.n + 1]
-            labels, codes = shape_labels(parents, cap)
+            labels, codes = shape_labels(trace.parents, cap)
             census = est.FringeCensus.from_labels(labels, codes, cap)
-            pairs = est.PairCensus.from_labels(labels, codes, parents, cap)
+            pairs = est.PairCensus.from_labels(labels, codes, trace.parents, cap)
             rec["fringe_counts"] = census.counts
             rec["fringe_truncated"] = census.truncated
             rec["pair_counts"] = pairs.counts

@@ -22,6 +22,7 @@ has a single vertex.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,7 @@ __all__ = [
     "ParetoDelay",
     "QuantileTableDelay",
     "GrowthConfig",
+    "check_count",
     "check_seed",
     "snapshot_times",
 ]
@@ -253,7 +255,7 @@ class TabulatedKernel(AttachmentKernel):
 # ---------------------------------------------------------------------------
 
 
-def snapshot_times(ns: np.ndarray, xis: np.ndarray, beta: float) -> np.ndarray:
+def snapshot_times(ns: np.ndarray, delays: np.ndarray, beta: float) -> np.ndarray:
     """max(floor(n - n**beta * xi), 1): the snapshots the arrivals at times n+1 consult.
 
     The product is formed in double precision before flooring, and the clamp
@@ -262,7 +264,7 @@ def snapshot_times(ns: np.ndarray, xis: np.ndarray, beta: float) -> np.ndarray:
     if not (0.0 <= beta < 1.0):
         raise ArgumentError(f"lookback exponent must lie in [0, 1), got {beta}")
     ns = np.asarray(ns, dtype=np.float64)
-    raw = np.floor(ns - ns**beta * np.asarray(xis, dtype=np.float64))
+    raw = np.floor(ns - ns**beta * np.asarray(delays, dtype=np.float64))
     return np.maximum(raw, 1.0).astype(np.int64)
 
 
@@ -603,10 +605,18 @@ class QuantileTableDelay(DelayLaw):
 # ---------------------------------------------------------------------------
 
 
-def check_seed(seed: int) -> None:
-    """ArgumentError unless seed fits in an unsigned 64-bit integer."""
-    if not (0 <= seed < 2**64):
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as an int; ArgumentError unless it is a Python or NumPy integer of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` as an int; ArgumentError unless it is an integer that fits in an unsigned 64-bit integer."""
+    if not isinstance(seed, numbers.Integral) or not (0 <= seed < 2**64):
         raise ArgumentError(f"seed must fit in an unsigned 64-bit integer, got {seed}")
+    return int(seed)
 
 
 @dataclass(frozen=True)
@@ -626,11 +636,10 @@ class GrowthConfig:
     fringe_cap: int = 6
 
     def __post_init__(self) -> None:
-        if self.n_final < 2:
-            raise ArgumentError(f"n_final must be >= 2, got {self.n_final}")
-        check_seed(self.seed)
-        if self.fringe_cap < 1:
-            raise ArgumentError("fringe_cap must be >= 1")
+        # NumPy integers are kept as Python ints
+        object.__setattr__(self, "n_final", check_count("n_final", self.n_final, 2))
+        object.__setattr__(self, "seed", check_seed(self.seed))
+        object.__setattr__(self, "fringe_cap", check_count("fringe_cap", self.fringe_cap, 1))
 
     @property
     def beta(self) -> float:

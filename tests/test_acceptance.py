@@ -351,7 +351,7 @@ def test_c7_sampler_distributions(report):
         for n in range(2, 9):
             for combo in itertools.product(*[range(1, v) for v in range(3, n + 1)]):
                 parents = [0, 0, 1, *combo]
-                tr = trace_from_parents(parents, kern)
+                tr = trace_from_parents(parents)
                 n_trees += 1
                 for m in range(1, n + 1):
                     base = attachment_distribution(tr, m, kern)

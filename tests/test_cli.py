@@ -383,6 +383,15 @@ def test_readme_cli_tour_parses():
         parser.parse_args(argv)
 
 
+def test_readme_library_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "leaf share:" in out and "P(leaf) =" in out
+
+
 def test_readme_artifact_headers_match_writer(tmp_path):
     """Each CSV header in README's "Run artifacts" table is the first line the writer puts in that file."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -1,10 +1,13 @@
 """Empirical statistics read off traces, and the delay-decay diagnostics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from delaytree import estimators
 from delaytree.errors import ArgumentError
 from delaytree.estimators import (
     RootTrajectory,
@@ -32,8 +35,8 @@ from delaytree.kernels import (
 
 AFF = AffineKernel(0.0)
 
-PATH4 = trace_from_parents([0, 0, 1, 2, 3], AFF)
-STAR4 = trace_from_parents([0, 0, 1, 1, 1], AFF)
+PATH4 = trace_from_parents([0, 0, 1, 2, 3])
+STAR4 = trace_from_parents([0, 0, 1, 1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +161,7 @@ def test_half_decade_grid():
 
 
 def test_root_trajectory_star():
-    star = trace_from_parents([0, 0] + [1] * 19, AFF)  # root with 19 children
+    star = trace_from_parents([0, 0] + [1] * 19)  # root with 19 children
     traj = root_trajectory(star, theta=0.5, grid=[1, 4, 9, 16, 20])
     np.testing.assert_allclose(traj.values, [1, 4, 9, 16, 20])
     np.testing.assert_allclose(traj.over_ntheta, [1.0, 2.0, 3.0, 4.0, 20 / np.sqrt(20)])
@@ -213,7 +216,7 @@ def _one_size_batches(draw):
 @settings(max_examples=100, deadline=None)
 @given(_one_size_batches(), st.data())
 def test_batch_estimators_match_one_tree_at_a_time(batch, data):
-    traces = [trace_from_parents(p, AFF) for p in batch]
+    traces = [trace_from_parents(p) for p in batch]
     n = traces[0].n
     for trace, hist in zip(traces, degree_hists(traces)):
         ref = _reference_hist(trace.parents)
@@ -236,7 +239,7 @@ def test_batch_estimators_match_one_tree_at_a_time(batch, data):
 
 
 def test_batch_rows_keep_their_own_histogram_length_and_default_grid():
-    star = trace_from_parents([0, 0, 1, 1, 1], AFF)  # largest degree 3
+    star = trace_from_parents([0, 0, 1, 1, 1])  # largest degree 3
     hists = degree_hists([star, PATH4, star])
     assert [len(h.counts) for h in hists] == [4, 3, 4]
     assert [h.max_degree() for h in hists] == [degree_hist(t).max_degree() for t in (star, PATH4, star)]
@@ -249,11 +252,11 @@ def test_batch_rows_keep_their_own_histogram_length_and_default_grid():
 
 def test_batch_estimators_reject_bad_batches():
     with pytest.raises(ArgumentError):
-        degree_hists([PATH4, trace_from_parents([0, 0, 1, 1], AFF)])  # sizes 4 and 3
+        degree_hists([PATH4, trace_from_parents([0, 0, 1, 1])])  # sizes 4 and 3
     with pytest.raises(ArgumentError):
         degree_hists([])
     with pytest.raises(ArgumentError):
-        root_trajectories([PATH4, trace_from_parents([0, 0, 1], AFF)], theta=0.5)
+        root_trajectories([PATH4, trace_from_parents([0, 0, 1])], theta=0.5)
     with pytest.raises(ArgumentError):
         root_trajectories([PATH4, STAR4], theta=0.5, grid=[3, 2])
     with pytest.raises(ArgumentError):
@@ -322,6 +325,26 @@ def test_scan_qtable_atom_and_gap_matches_midpoint_sum():
         floor = np.floor(n - nb * xi)
         want = np.mean(np.where(floor >= 1.0, nb * xi / np.maximum(floor, 1.0), 0.0))
         assert got == pytest.approx(want, rel=1e-7), n
+
+
+def test_scan_sums_its_slabs_in_bounded_blocks(monkeypatch):
+    # n = 1e6 is one default block; 2^14-slab blocks give the same sums in bounded memory
+    n = 1_000_000
+    delays = (
+        Uniform01Delay(beta=0.5),
+        InversePowerDelay(2.0, beta=0.5),
+        QuantileTableDelay(us=(0.0, 0.5, 1.0), qs=(0.0, 1.0, 30.0), beta=0.5),
+    )
+    whole = [estimators._e_n_exact(delay, n) for delay in delays]
+    monkeypatch.setattr(estimators, "_SCAN_BLOCK", 1 << 14)
+    tracemalloc.start()
+    try:
+        blocked = [estimators._e_n_exact(delay, n) for delay in delays]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0.0)
+    assert peak < 8 << 20, peak
 
 
 def test_scan_heavy_tail_inconclusive_on_short_grids():

@@ -12,9 +12,7 @@ from delaytree.errors import ArgumentError
 from delaytree.growth import (
     attachment_distribution,
     deg_at,
-    export_trace,
     grow,
-    load_trace,
     psi_recomputed,
     sample_parent_rejection,
     thinning_distribution,
@@ -44,7 +42,6 @@ def test_grow_is_deterministic_in_the_seed():
     b = grow(_cfg(seed=13))
     c = grow(_cfg(seed=14))
     np.testing.assert_array_equal(a.parents, b.parents)
-    np.testing.assert_array_equal(a.xis, b.xis)
     assert not np.array_equal(a.parents, c.parents)
 
 
@@ -72,7 +69,6 @@ def test_structural_invariants():
 def test_zero_delay_sees_the_present():
     tr = grow(_cfg(n=200, seed=5, delay=ZeroDelay(beta=0.5)))
     np.testing.assert_array_equal(tr.snapshots[3:], np.arange(2, 200))
-    assert np.all(tr.xis[3:] == 0.0)
 
 
 def test_huge_constant_delay_gives_a_star():
@@ -84,16 +80,17 @@ def test_huge_constant_delay_gives_a_star():
 
 def test_psi_closed_form_affine():
     for alpha in (0.0, 1.5):
-        tr = grow(_cfg(n=300, seed=8, kernel=AffineKernel(alpha)))
+        kern = AffineKernel(alpha)
+        tr = grow(_cfg(n=300, seed=8, kernel=kern))
         m = np.arange(2, 301)
-        psi = [psi_recomputed(tr, int(k)) for k in m]
+        psi = [psi_recomputed(tr, int(k), kern) for k in m]
         np.testing.assert_allclose(psi, 2.0 * (m - 1) + alpha * m, rtol=1e-12)
-        assert psi_recomputed(tr, 1) == 1.0 + alpha
+        assert psi_recomputed(tr, 1, kern) == 1.0 + alpha
 
 
 def test_degree_views():
     # root(1) with children 2, 3; 3 has child 4; 4 has child 5
-    tr = trace_from_parents([0, 0, 1, 1, 3, 4], AFF)
+    tr = trace_from_parents([0, 0, 1, 1, 3, 4])
     assert deg_at(tr, 1, 1) == 1
     assert deg_at(tr, 1, 2) == 2
     assert deg_at(tr, 1, 5) == 3  # 1 + two children
@@ -205,7 +202,7 @@ def test_thinning_waves_draw_the_model_law(monkeypatch):
     ms = (1, 1, 2, 2, 3, 4)
     law = {}
     for history in itertools.product(*[range(1, m + 1) for m in ms]):
-        tr = trace_from_parents([0, 0, 1, *history], kern)
+        tr = trace_from_parents([0, 0, 1, *history])
         law[history] = np.prod([attachment_distribution(tr, m, kern)[v - 1] for m, v in zip(ms, history)])
     reps, seen = 2000, dict.fromkeys(law, 0)
     for seed in range(reps):
@@ -225,7 +222,7 @@ def test_tight_envelope_keeps_rejections_rare():
 
 def test_trace_from_parents_matches_engine_bookkeeping():
     tr = grow(_cfg(n=70, seed=44, delay=ZeroDelay(beta=0.5)))
-    rebuilt = trace_from_parents(tr.parents, AFF)
+    rebuilt = trace_from_parents(tr.parents)
     assert rebuilt.n == tr.n
     np.testing.assert_array_equal(rebuilt.parents, tr.parents)
     assert rebuilt.parents is not tr.parents  # a copy, not a view of the grown tree
@@ -233,38 +230,11 @@ def test_trace_from_parents_matches_engine_bookkeeping():
 
 def test_trace_from_parents_rejects_bad_input():
     with pytest.raises(ArgumentError):
-        trace_from_parents([0, 0, 2], AFF)  # parent from the future
+        trace_from_parents([0, 0, 2])  # parent from the future
     with pytest.raises(ArgumentError):
-        trace_from_parents([0], AFF)
+        trace_from_parents([0])
     with pytest.raises(ArgumentError):
-        trace_from_parents([0, 0, 1, 5], AFF)
-
-
-def test_export_load_roundtrip(tmp_path):
-    tr = grow(_cfg(n=50, seed=77))
-    path = tmp_path / "trace.txt"
-    export_trace(tr, path, config_hash="cafe01")
-    blob = load_trace(path)
-    np.testing.assert_array_equal(np.asarray(blob["parents"]), tr.parents)
-    np.testing.assert_array_equal(np.asarray(blob["snapshots"]), tr.snapshots)
-    np.testing.assert_array_equal(np.asarray(blob["xis"]), tr.xis)  # repr floats survive
-    assert blob["header"]["config_hash"] == "cafe01"
-    assert blob["header"]["n"] == "50"
-
-
-@pytest.mark.parametrize(
-    "line, words",
-    [
-        ("2 1 0.0", "line 6"),  # a field short
-        ("2 x 0.0 1", "line 6"),  # a parent that is not an integer
-        ("2 5 0.0 1", "vertex 2 has invalid parent 5"),  # a parent from the future
-    ],
-)
-def test_load_trace_rejects_bad_lines(tmp_path, line, words):
-    path = tmp_path / "trace.txt"
-    path.write_text("# delaytree trace v1\n# n = 2\n# columns: child parent xi m\n\n1 0 0 0\n" + line + "\n")
-    with pytest.raises(ArgumentError, match=words):
-        load_trace(path)
+        trace_from_parents([0, 0, 1, 5])
 
 
 def test_grow_memory_is_linear_with_a_small_constant():
@@ -279,6 +249,22 @@ def test_grow_memory_is_linear_with_a_small_constant():
     finally:
         tracemalloc.stop()
     assert peak / cfg.n_final <= 128, peak / cfg.n_final
+
+
+@pytest.mark.parametrize("n, seeds", [(200_000, None), (2000, list(range(8)))], ids=["one-tree", "batch-of-8"])
+def test_grown_trees_keep_16_bytes_per_vertex(n, seeds):
+    # a tree keeps its parents and snapshots, two int64 per vertex; its delays are dropped
+    entries = parse_config_text(PRESETS["grid-invpow2"])
+    entries["n_final"] = str(n)
+    cfg, _ = build_config(entries)
+    tracemalloc.start()
+    try:
+        trees = grow(cfg, seeds)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    vertices = n if seeds is None else n * len(trees)
+    assert kept / vertices <= 17, kept / vertices
 
 
 def test_uniform_kernel_growth_smoke():

@@ -126,6 +126,33 @@ def test_plan_validation():
         ExperimentPlan(config=ucfg, statistics=("root",))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda cfg: ExperimentPlan(config=cfg, tolerances={"degree_tv": "0.1"}),
+        lambda cfg: ExperimentPlan(config=cfg, replicates="3"),
+        lambda cfg: ExperimentPlan(config=cfg, workers="2"),
+        lambda cfg: ExperimentPlan(config=cfg, replicates=2.5),
+        lambda cfg: dataclasses.replace(cfg, seed=1.5),
+        lambda cfg: dataclasses.replace(cfg, n_final=100.5),
+        lambda cfg: dataclasses.replace(cfg, fringe_cap=2.5),
+    ],
+    ids=["str-tolerance", "str-replicates", "str-workers", "float-replicates", "float-seed", "float-n_final",
+         "float-fringe_cap"],
+)
+def test_wrong_types_raise_argument_errors(make):
+    with pytest.raises(ArgumentError):
+        make(GrowthConfig(AFF, Uniform01Delay(beta=0.5), 100))
+
+
+def test_numpy_integers_count(tmp_path):
+    cfg = GrowthConfig(AFF, Uniform01Delay(beta=0.5), np.int64(100), seed=np.int64(5), fringe_cap=np.int32(4))
+    plan = ExperimentPlan(config=cfg, replicates=np.int64(2), workers=np.int32(1), outdir=str(tmp_path))
+    counts = (cfg.n_final, cfg.seed, cfg.fringe_cap, plan.replicates, plan.workers)
+    assert counts == (100, 5, 4, 2, 1) and all(type(c) is int for c in counts)
+    run(plan)  # a NumPy seed used to overflow in replicate_seed
+
+
 # ---------------------------------------------------------------------------
 # runs
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def test_invalid_input_raises(parents, cap, message):
 
 
 def test_censuses_reject_bad_cap():
-    trace = trace_from_parents([0, 0, 1, 1], AFF)
+    trace = trace_from_parents([0, 0, 1, 1])
     for census in (fringe_census, extended_fringe_census):
         with pytest.raises(ArgumentError, match="cap must be >= 1"):
             census(trace, cap=0)

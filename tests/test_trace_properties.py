@@ -1,11 +1,10 @@
-"""Property tests of the parent-array trace: degree views, Psi, export/load, sampler laws."""
+"""Property tests of the parent-array trace: degree views, Psi, sampler laws."""
 
-import os
-import tempfile
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +12,7 @@ from delaytree import growth
 from delaytree.growth import (
     attachment_distribution,
     deg_at,
-    export_trace,
     grow,
-    load_trace,
     psi_recomputed,
     thinning_distribution,
     trace_from_parents,
@@ -32,6 +29,7 @@ from delaytree.kernels import (
     Uniform01Delay,
     UniformKernel,
     ZeroDelay,
+    snapshot_times,
 )
 
 
@@ -44,7 +42,7 @@ def _parent_arrays(draw):
 @settings(max_examples=60, deadline=None)
 @given(_parent_arrays())
 def test_degree_views_match_a_birth_by_birth_count(parents):
-    tr = trace_from_parents(parents, AffineKernel(0.0))
+    tr = trace_from_parents(parents)
     n = tr.n
     children = [0] * (n + 1)
     for m in range(1, n + 1):
@@ -60,10 +58,10 @@ def test_degree_views_match_a_birth_by_birth_count(parents):
 @settings(max_examples=60, deadline=None)
 @given(_parent_arrays(), st.floats(0.0, 5.0))
 def test_psi_is_the_affine_closed_form(parents, alpha):
-    tr = trace_from_parents(parents, AffineKernel(alpha))
+    tr, kernel = trace_from_parents(parents), AffineKernel(alpha)
     for m in range(2, tr.n + 1):
-        assert np.isclose(psi_recomputed(tr, m), 2.0 * (m - 1) + alpha * m, rtol=1e-12, atol=0.0)
-    assert psi_recomputed(tr, 1) == 1.0 + alpha
+        assert np.isclose(psi_recomputed(tr, m, kernel), 2.0 * (m - 1) + alpha * m, rtol=1e-12, atol=0.0)
+    assert psi_recomputed(tr, 1, kernel) == 1.0 + alpha
 
 
 KERNELS = (
@@ -73,33 +71,6 @@ KERNELS = (
     TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True),
     TabulatedKernel((1.0, 2.0, 1.5, 1.2), tail=("const",), f_star=1.0),
 )
-DELAYS = (
-    ZeroDelay(beta=0.5),
-    Uniform01Delay(beta=0.5),
-    InversePowerDelay(2.0, beta=0.5),
-    ConstantDelay(c=3.0, beta=0.3),
-)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from(KERNELS),
-    st.sampled_from(DELAYS),
-    st.integers(2, 120),
-    st.integers(0, 2**64 - 1),
-)
-def test_export_load_roundtrip_on_grown_traces(kernel, delay, n, seed):
-    tr = grow(GrowthConfig(kernel, delay, n, seed=seed))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "trace.txt")
-        export_trace(tr, path, config_hash="beef")
-        blob = load_trace(path)
-    np.testing.assert_array_equal(blob["parents"], tr.parents)
-    np.testing.assert_array_equal(blob["snapshots"], tr.snapshots)
-    np.testing.assert_array_equal(blob["xis"], tr.xis)
-    assert blob["header"] == {"config_hash": "beef", "n": str(n)}
-
-
 # ---------------------------------------------------------------------------
 # Edge sampler: the block resolver against the per-arrival scalar draw
 # ---------------------------------------------------------------------------
@@ -206,16 +177,26 @@ def test_batch_growth_matches_growth_seed_by_seed(kernel, delay, n, seeds):
         single = [grow(replace(config, seed=s)) for s in seeds]
     assert len(batch) == len(seeds)
     for got, want in zip(batch, single):
-        for name in ("parents", "xis", "snapshots"):
+        for name in ("parents", "snapshots"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         assert (got.n, got.retries) == (want.n, want.retries)
+
+
+@pytest.mark.parametrize("kernel", (KERNELS[2], KERNELS[3]), ids=("edge", "rejection"))
+@pytest.mark.parametrize("delay", ALL_DELAYS, ids=lambda delay: delay.kind)
+def test_snapshots_come_from_the_first_draws(kernel, delay):
+    # each tree's generator first draws its n - 2 delays, which set the snapshots
+    n, seeds = 150, (0, 7, 2**64 - 1)
+    for seed, trace in zip(seeds, grow(GrowthConfig(kernel, delay, n), seeds)):
+        delays = delay.sample_many(np.random.default_rng(seed), n - 2)
+        np.testing.assert_array_equal(trace.snapshots[3:], snapshot_times(np.arange(2, n), delays, delay.beta))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_parent_arrays(), st.sampled_from((0.0, 0.7)), st.integers(0, 2**32 - 1), st.data())
 def test_single_affine_draw_matches_the_scalar_draw(parents, alpha, seed, data):
     # a frozen tree: with base past n every arrival draws from final parents only
-    tr = trace_from_parents(parents, AffineKernel(alpha))
+    tr = trace_from_parents(parents)
     m = data.draw(st.integers(1, tr.n))
     rng = np.random.default_rng(seed)
     branch, picks = rng.random(64) if alpha > 0.0 else np.zeros(64), rng.random(64)
@@ -225,11 +206,12 @@ def test_single_affine_draw_matches_the_scalar_draw(parents, alpha, seed, data):
     # the thinning draws propose by the same rule; accept = 0.0 takes every proposal
     view = _frozen_view(tr.parents)
     triples = iter([(b, u, 0.0) for b, u in zip(branch, picks)])
-    evaluate = tr.kernel.evaluate
+    kernel = AffineKernel(alpha)
+    evaluate = kernel.evaluate
     thinned = [growth._draw_thinning(tr.parents.tolist(), view, m, 1.0, alpha, evaluate, triples) for _ in picks]
     assert thinned == [(v, 0) for v in expected]
     columns = mock.Mock(random=lambda shape: np.stack([branch, picks, np.zeros(64)]))
-    waved = growth._thin_wave(tr.parents, view, np.full(64, m), 1.0, alpha, tr.kernel, columns, iter(()))
+    waved = growth._thin_wave(tr.parents, view, np.full(64, m), 1.0, alpha, kernel, columns, iter(()))
     np.testing.assert_array_equal(waved[0], expected)
     assert waved[1] == 0
 
@@ -321,7 +303,7 @@ def test_linear_bound_is_a_touching_envelope(kernel):
 @settings(max_examples=100, deadline=None)
 @given(_parent_arrays(), st.one_of(st.sampled_from(KERNELS), _tabulated_kernels()))
 def test_thinning_law_is_the_attachment_law(parents, kernel):
-    tr = trace_from_parents(parents, kernel)
+    tr = trace_from_parents(parents)
     for m in range(1, tr.n + 1):
         np.testing.assert_allclose(
             thinning_distribution(tr, m, kernel), attachment_distribution(tr, m, kernel), rtol=0.0, atol=1e-12
