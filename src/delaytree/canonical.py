@@ -40,6 +40,7 @@ __all__ = [
     "child_counts",
     "code_from_parents",
     "subtree_codes",
+    "MAX_VERTICES",
     "check_parents",
     "shape_labels",
     "all_canonical_trees",
@@ -47,6 +48,7 @@ __all__ = [
 ]
 
 SINGLETON = "()"
+MAX_VERTICES = 2**31 - 1  # vertex ids are int32
 
 
 def code_from_children(child_codes) -> str:
@@ -163,22 +165,26 @@ def subtree_codes(parents, cap: int | None = None) -> list:
 
 
 def check_parents(parents) -> np.ndarray:
-    """Validate a birth-order parent array and return it as int64.
+    """Validate a birth-order parent array and return it as int32 or int64.
 
     Every vertex v = 2..n needs 1 <= parents[v] < v (entries 0 and 1 are
     ignored); the first vertex that breaks this is named in the
-    ArgumentError.  The input array itself is returned when it already is
-    int64.
+    ArgumentError.  Vertex ids are int32, so n must stay below 2**31.  An
+    int32 or int64 array is returned as it is, with no copy; other
+    integer input is converted to int64.
     """
     par = np.asarray(parents)
     n = len(par) - 1
     if n < 1:
         raise ArgumentError("parent array must cover at least vertex 1")
+    if n > MAX_VERTICES:
+        raise ArgumentError(f"a tree holds at most 2**31 - 1 vertices (int32 ids), got {n}")
     if par.dtype.kind not in "iu":
         raise ArgumentError("parent array must hold integers")
-    par = par.astype(np.int64, copy=False)
+    if par.dtype not in (np.int32, np.int64):
+        par = par.astype(np.int64)
     up = par[2:]
-    bad = np.flatnonzero((up < 1) | (up >= np.arange(2, n + 1)))
+    bad = np.flatnonzero((up < 1) | (up >= np.arange(2, n + 1, dtype=par.dtype)))
     if bad.size:
         v = int(bad[0]) + 2
         raise ArgumentError(f"vertex {v} has invalid parent {par[v]}")
@@ -189,10 +195,10 @@ def shape_labels(parents, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """Integer shape label of the subtree below each vertex, up to ``cap``.
 
     ``parents`` is a birth-order parent array as for ``subtree_codes``.
-    Returns ``(labels, codes)``: ``labels[v]`` (entry 0 unused, -1) is an
-    index into ``codes``, the canonical codes of the distinct shapes met,
-    and equal labels mean isomorphic subtrees.  A vertex gets -1 instead
-    when its subtree has more than ``cap`` vertices.
+    Returns ``(labels, codes)``: ``labels[v]`` (int32; entry 0 unused, -1)
+    is an index into ``codes``, the canonical codes of the distinct shapes
+    met, and equal labels mean isomorphic subtrees.  A vertex gets -1
+    instead when its subtree has more than ``cap`` vertices.
 
     Round 0 labels the leaves; round r labels the vertices whose last child
     was labelled in round r-1 and whose subtree fits under the cap, so a
@@ -201,20 +207,25 @@ def shape_labels(parents, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
     Children are appended to their parent's slice of ``rows`` in ascending
     label order (a round's labels all exceed the previous round's), so
     every child-label row arrives sorted and is interned as a whole.
+
+    Every per-vertex array is int32: five of length n hold 20 B per vertex,
+    and a round's temporaries, each dropped once used, take the peak to
+    about 35 B per vertex.  Only the round's (parent, label) sort key is
+    int64, since parent*(n+1) passes 2**31 from n = 46 341 on.
     """
     if cap < 1:
         raise ArgumentError("cap must be >= 1")
     par = check_parents(parents)
     n = len(par) - 1
-    up = par[2:]
 
-    kids = np.bincount(up, minlength=n + 1)
+    kids = np.bincount(par[2:], minlength=n + 1).astype(np.int32)
     # the labels of u's children go to rows[start[u] : start[u] + kids[u]]
-    start = np.cumsum(kids) - kids
-    rows = np.empty(n - 1, dtype=np.int64)
-    filled = np.zeros(n + 1, dtype=np.int64)
-    labels = np.full(n + 1, -1, dtype=np.int64)
-    fresh = np.flatnonzero(kids[1:] == 0) + 1
+    start = np.cumsum(kids, dtype=np.int32)
+    start -= kids
+    rows = np.empty(n - 1, dtype=np.int32)
+    filled = np.zeros(n + 1, dtype=np.int32)
+    labels = np.full(n + 1, -1, dtype=np.int32)
+    fresh = (np.flatnonzero(kids[1:] == 0) + 1).astype(np.int32)
     labels[fresh] = 0
     codes = [SINGLETON]
     sizes = [1]  # vertex count of each shape
@@ -223,13 +234,23 @@ def shape_labels(parents, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
         if not fresh.size:
             break
         # hand the fresh labels to the parents, sorted by (parent, label)
-        key = np.sort(par[fresh] * (n + 1) + labels[fresh])
-        owner, label = np.divmod(key, n + 1)
+        key = par[fresh].astype(np.int64)
+        key *= n + 1
+        key += labels[fresh]
+        del fresh
+        key.sort()
+        owner, label = np.empty(len(key), dtype=np.int32), np.empty(len(key), dtype=np.int32)
+        np.divmod(key, n + 1, out=(owner, label), casting="unsafe")  # both fit in int32
+        del key
         first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-        count = np.diff(np.r_[first, owner.size])
         owners = owner[first]
-        rank = np.arange(owner.size) - np.repeat(first, count)
-        rows[start[owner] + filled[owner] + rank] = label
+        del owner
+        count = np.diff(np.r_[first, label.size])
+        # a label's slot in rows: its parent's start + filled, plus its rank among the parent's fresh labels
+        at = np.repeat((start[owners] + filled[owners] - first).astype(np.int32), count)
+        at += np.arange(at.size, dtype=np.int32)
+        rows[at] = label
+        del label, at
         filled[owners] += count
         ready = owners[(filled[owners] == kids[owners]) & (kids[owners] < cap)]
 
@@ -246,7 +267,7 @@ def shape_labels(parents, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
                 continue
             # intern the rows column by column: row ids stay below the row
             # count and child labels below base, so the keys fit in int64
-            row_id = child[:, 0]
+            row_id = child[:, 0].astype(np.int64)
             for j in range(1, k):
                 row_id = np.unique(row_id * base + child[:, j], return_inverse=True)[1]
             _, first_row, row_id = np.unique(row_id, return_index=True, return_inverse=True)

@@ -186,8 +186,9 @@ class PairCensus:
         n = len(labels) - 1
         up = labels[parents[2 : n + 1]]
         kept = up >= 0
+        # own*L + parent in int64: the int32 labels' product passes 2**31 once L > 46 340
         keys, counts = np.unique(
-            labels[2:][kept] * len(codes) + up[kept], return_counts=True
+            labels[2:][kept].astype(np.int64) * len(codes) + up[kept], return_counts=True
         )
         own, parent = np.divmod(keys, len(codes))
         return cls(

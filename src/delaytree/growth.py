@@ -77,7 +77,9 @@ class TreeTrace:
     ``parents[v]`` is the parent of vertex v (v >= 2; entries 0 and 1 are
     0), ``snapshots[v]`` the snapshot consulted by vertex v (0 for
     hand-built traces, 1 for the deterministic vertex 2), ``retries`` the
-    rejected proposals of the rejection sampler.
+    rejected proposals of the rejection sampler.  Grown and hand-built
+    traces store both arrays as int32 (vertex ids stay below 2**31), so a
+    tree keeps 8 B per vertex.
     """
 
     parents: np.ndarray
@@ -262,7 +264,7 @@ def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, pi
     """
     if branch is None and alpha > 0.0:
         return np.minimum((picks * ms).astype(np.int64), ms - 1) + 1
-    top = 2 * (ms - 1)
+    top = 2 * (ms.astype(np.int64) - 1)  # passes 2**31 in int32 from m = 2**30 + 1 on
     e = np.minimum((picks * top).astype(np.int64), top - 1)
     out = (e >> 1) + 2
     copy = (e & 1) == 0
@@ -372,7 +374,7 @@ def sample_parent_rejection(
     """
     if m < 1 or m > trace.n:
         raise ArgumentError(f"snapshot time {m} outside 1..{trace.n}")
-    parents = np.ascontiguousarray(trace.parents, dtype=np.int64)
+    parents = trace.parents
     view = _DegreeView(len(parents))
     view.extend(parents, 2, len(parents))
     view.rebuild(parents, len(parents))
@@ -427,36 +429,40 @@ def grow(config: GrowthConfig, seeds=None):
     The edge sampler resolves such a batch as rows of shared blocks (see
     :func:`batch_size`); the rejection sampler grows its trees one by one.
 
-    Draw order is fixed, and a batch draws each seed's stream in that
-    order from the seed's own generator, whatever the other seeds: one
-    vectorised block of delays for vertices 3..n_final, which set the
-    snapshots and are then dropped, then the attachment draws.  The edge
-    sampler draws every branch uniform and then every pick.  Rejection
+    Draw order is fixed, and a batch draws each seed's stream in that order
+    from the seed's own generator, whatever the other seeds: one vectorised
+    draw of delays for vertices 3..n_final, which set the snapshots (an edge
+    block at a time) and are then dropped, then the attachment draws.  The
+    edge sampler draws every branch uniform and then every pick.  Rejection
     takes its arrivals wave by wave (see the module docstring): a long wave
-    draws a (branch, pick, accept) column per pending arrival and round
-    from the generator, and everything drawn one arrival at a time (short
-    waves and a long wave's last few stragglers) takes one triple per
-    proposal from blocks of uniforms drawn ahead.  Vertex 2 attaches to the
-    root deterministically.
+    draws a (branch, pick, accept) column per pending arrival and round from
+    the generator, and everything drawn one arrival at a time (short waves
+    and a long wave's last few stragglers) takes one triple per proposal
+    from blocks of uniforms drawn ahead.  Vertex 2 attaches to the root
+    deterministically.  Trees are int32 (see :class:`TreeTrace`); the peak,
+    about 28 B per vertex, is the delay draw.
     """
     n_final = config.n_final
     batch = [config.seed] if seeds is None else [check_seed(seed) for seed in seeds]
     rngs = [np.random.default_rng(seed) for seed in batch]
 
     shape = (len(batch), n_final + 1)  # one row per tree
-    parents = np.zeros(shape, dtype=np.int64)
-    snaps = np.zeros(shape, dtype=np.int64)
-    parents[:, 2] = 1
+    snaps = np.zeros(shape, dtype=np.int32)
     snaps[:, 2] = 1
-    retries = [0] * len(batch)
-
+    ms = snaps[:, 3:]
     if n_final > 2:
-        ms = snaps[:, 3:]
         delays = np.empty(ms.shape)
         for row, rng in zip(delays, rngs):
             row[:] = config.delay.sample_many(rng, n_final - 2)
-        ms[:] = snapshot_times(np.arange(2, n_final), delays, config.beta)
+        for band, lo, hi in _blocks(ms.shape):
+            ms[band, lo:hi] = snapshot_times(np.arange(lo + 2, hi + 2), delays[band, lo:hi], config.beta)
         del delays
+    # allocated once the delays are gone, so that their draw alone sets the peak
+    parents = np.zeros(shape, dtype=np.int32)
+    parents[:, 2] = 1
+    retries = [0] * len(batch)
+
+    if n_final > 2:
         if config.resolve_sampler() == "edge":
             _loop_edge(parents, config.kernel, ms, rngs)
         else:
@@ -474,12 +480,26 @@ def batch_size(n_final: int) -> int:
     return max(1, _EDGE_BLOCK // n_final)
 
 
+def _blocks(shape):
+    """(band of rows, lo, hi) covering a (rows, arrivals) array in blocks of up to _EDGE_BLOCK arrivals.
+
+    A block is a band of whole rows when a row holds at most half a block,
+    else columns lo..hi-1 of one row; blocks come in row order, columns
+    ascending.
+    """
+    rows, steps = shape
+    width = min(steps, _EDGE_BLOCK)
+    tall = _EDGE_BLOCK // width
+    for first in range(0, rows, tall):
+        for lo in range(0, steps, width):
+            yield slice(first, first + tall), lo, min(lo + width, steps)
+
+
 def _loop_edge(parents, kernel, ms, rngs) -> None:
     """Edge-sampler parents for every row of ``parents``, row i drawing from ``rngs[i]``.
 
-    A block is up to _EDGE_BLOCK arrivals: a band of whole rows when a row
-    holds at most half a block, else _EDGE_BLOCK columns of one row.  Each
-    block reads only final parents below it.
+    The blocks are those of :func:`_blocks`; each reads only final parents
+    below it.
     """
     slope, alpha = kernel.linear_bound()  # exact for uniform and affine kernels
 
@@ -492,17 +512,12 @@ def _loop_edge(parents, kernel, ms, rngs) -> None:
     # uniform kernels (slope 0) and alpha = 0 need no branch uniform
     branch = uniforms() if slope and alpha > 0.0 else None
     picks = uniforms()
-    rows, steps = ms.shape
-    width = min(steps, _EDGE_BLOCK)
-    tall = _EDGE_BLOCK // width
-    for first in range(0, rows, tall):
-        band = slice(first, first + tall)
-        for lo in range(0, steps, width):
-            cols = slice(lo, lo + width)
-            parents[band, lo + 3 : lo + width + 3] = _resolve_edge(
-                parents[band], lo + 3, ms[band, cols], slope, alpha,
-                None if branch is None else branch[band, cols], picks[band, cols],
-            )
+    for band, lo, hi in _blocks(ms.shape):
+        cols = slice(lo, hi)
+        parents[band, lo + 3 : hi + 3] = _resolve_edge(
+            parents[band], lo + 3, ms[band, cols], slope, alpha,
+            None if branch is None else branch[band, cols], picks[band, cols],
+        )
 
 
 _THIN_BLOCK = 1 << 13
@@ -572,8 +587,9 @@ def trace_from_parents(parents) -> TreeTrace:
     """Build a TreeTrace from explicit parent pointers.
 
     ``parents[v]`` is the parent of vertex v for v = 2..n (1-based; leading
-    entries ignored).  Snapshots are recorded as zeros.
+    entries ignored).  The trace holds an int32 copy, as a grown one does;
+    snapshots are recorded as zeros.
     """
-    parr = check_parents(parents).copy()
+    parr = check_parents(parents).astype(np.int32)
     parr[:2] = 0
-    return TreeTrace(parents=parr, snapshots=np.zeros(len(parr), dtype=np.int64))
+    return TreeTrace(parents=parr, snapshots=np.zeros(len(parr), dtype=np.int32))

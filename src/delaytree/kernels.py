@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
+from .canonical import MAX_VERTICES
 from .errors import ArgumentError
 
 __all__ = [
@@ -637,7 +638,10 @@ class GrowthConfig:
 
     def __post_init__(self) -> None:
         # NumPy integers are kept as Python ints
-        object.__setattr__(self, "n_final", check_count("n_final", self.n_final, 2))
+        n_final = check_count("n_final", self.n_final, 2)
+        if n_final > MAX_VERTICES:
+            raise ArgumentError(f"n_final must be below 2**31 (vertex ids are int32), got {n_final}")
+        object.__setattr__(self, "n_final", n_final)
         object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "fringe_cap", check_count("fringe_cap", self.fringe_cap, 1))
 

@@ -225,6 +225,12 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_n_final_of_2_to_the_31_is_exit_2(capsys):
+    # vertex ids are int32, so the config is refused before anything is grown
+    assert main(["simulate", "--preset", "grid-zero", "--set", "n_final=2147483648"]) == 2
+    assert "n_final" in capsys.readouterr().err
+
+
 def test_simulate_without_config_needs_n_final(capsys):
     assert main(["simulate"]) == 2
     assert "n_final" in capsys.readouterr().err

@@ -226,6 +226,11 @@ def test_trace_from_parents_matches_engine_bookkeeping():
     assert rebuilt.n == tr.n
     np.testing.assert_array_equal(rebuilt.parents, tr.parents)
     assert rebuilt.parents is not tr.parents  # a copy, not a view of the grown tree
+    # hand-built and grown trees share one representation, whatever the input dtype
+    for given in (tr.parents, tr.parents.astype(np.int64), tr.parents.tolist()):
+        rebuilt = trace_from_parents(given)
+        assert rebuilt.parents.dtype == rebuilt.snapshots.dtype == np.int32
+        np.testing.assert_array_equal(rebuilt.parents, tr.parents)
 
 
 def test_trace_from_parents_rejects_bad_input():
@@ -248,12 +253,13 @@ def test_grow_memory_is_linear_with_a_small_constant():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / cfg.n_final <= 128, peak / cfg.n_final
+    # the int32 tree (8 B) and the float64 delays with their draw's temporaries
+    assert peak / cfg.n_final <= 32, peak / cfg.n_final
 
 
 @pytest.mark.parametrize("n, seeds", [(200_000, None), (2000, list(range(8)))], ids=["one-tree", "batch-of-8"])
-def test_grown_trees_keep_16_bytes_per_vertex(n, seeds):
-    # a tree keeps its parents and snapshots, two int64 per vertex; its delays are dropped
+def test_grown_trees_keep_8_bytes_per_vertex(n, seeds):
+    # a tree keeps its parents and snapshots, two int32 per vertex; its delays are dropped
     entries = parse_config_text(PRESETS["grid-invpow2"])
     entries["n_final"] = str(n)
     cfg, _ = build_config(entries)
@@ -264,7 +270,9 @@ def test_grown_trees_keep_16_bytes_per_vertex(n, seeds):
     finally:
         tracemalloc.stop()
     vertices = n if seeds is None else n * len(trees)
-    assert kept / vertices <= 17, kept / vertices
+    assert kept / vertices <= 9, kept / vertices
+    for tree in [trees] if seeds is None else trees:
+        assert tree.parents.dtype == tree.snapshots.dtype == np.int32
 
 
 def test_uniform_kernel_growth_smoke():

@@ -136,13 +136,20 @@ def test_plan_validation():
         lambda cfg: dataclasses.replace(cfg, seed=1.5),
         lambda cfg: dataclasses.replace(cfg, n_final=100.5),
         lambda cfg: dataclasses.replace(cfg, fringe_cap=2.5),
+        lambda cfg: dataclasses.replace(cfg, n_final=2**31),
+        lambda cfg: dataclasses.replace(cfg, n_final=np.int64(2**40)),
     ],
     ids=["str-tolerance", "str-replicates", "str-workers", "float-replicates", "float-seed", "float-n_final",
-         "float-fringe_cap"],
+         "float-fringe_cap", "n_final-2**31", "numpy-n_final-2**40"],
 )
 def test_wrong_types_raise_argument_errors(make):
     with pytest.raises(ArgumentError):
         make(GrowthConfig(AFF, Uniform01Delay(beta=0.5), 100))
+
+
+def test_n_final_reaches_2_to_the_31_minus_1():
+    # vertex ids are int32: the largest tree has 2**31 - 1 vertices, and one more is refused (above)
+    assert GrowthConfig(AFF, Uniform01Delay(beta=0.5), 2**31 - 1).n_final == 2**31 - 1
 
 
 def test_numpy_integers_count(tmp_path):

@@ -5,6 +5,7 @@ code string at every vertex and serves as the reference here.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaytree import harness
-from delaytree.canonical import shape_labels, subtree_codes
+from delaytree.canonical import check_parents, shape_labels, subtree_codes
 from delaytree.cli import PRESETS
 from delaytree.configio import build_config, parse_config_text
 from delaytree.errors import ArgumentError
@@ -47,7 +48,7 @@ def _reference(parents, cap):
 
 
 def _check_against_reference(parents, cap):
-    parents = np.asarray(parents, dtype=np.int64)
+    parents = np.asarray(parents)
     n = len(parents) - 1
     codes, counts, truncated, pairs, pair_truncated = _reference(parents, cap)
     labels, shapes = shape_labels(parents, cap)
@@ -153,6 +154,61 @@ def test_invalid_input_raises(parents, cap, message):
     if cap >= 1 and not isinstance(parents[-1], float):
         with pytest.raises(ArgumentError, match=message):
             subtree_codes(parents, cap)  # the same boundary as the reference
+
+
+def _grown_parents(preset, n):
+    entries = parse_config_text(PRESETS[preset])
+    entries["n_final"] = str(n)
+    config, _ = build_config(entries)
+    return grow(config).parents
+
+
+def test_int32_and_int64_parents_past_the_int32_key_range():
+    # the round's sort key parent*(n+1) + label passes 2**31 from n = 46 341 on
+    parents = _grown_parents("grid-invpow2", 60_000)
+    assert parents.dtype == np.int32
+    assert int(parents.max()) * len(parents) > 2**31
+    _check_against_reference(parents, 6)
+    results = []
+    for par in (parents, parents.astype(np.int64)):
+        labels, shapes = shape_labels(par, 6)
+        assert labels.dtype == np.int32
+        fc = FringeCensus.from_labels(labels, shapes, 6)
+        pc = PairCensus.from_labels(labels, shapes, par, 6)
+        results.append((labels.tolist(), shapes, fc, pc))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_check_parents_keeps_int32_and_int64_input(dtype):
+    parents = np.array([0, 0, 1, 1, 2], dtype=dtype)
+    assert check_parents(parents) is parents  # no copy
+    assert check_parents(parents.astype(np.uint16)).dtype == np.int64
+    assert check_parents([0, 0, 1, 1, 2]).dtype == np.int64
+    with pytest.raises(ArgumentError, match="vertex 4 has invalid parent 4"):
+        check_parents(np.array([0, 0, 1, 1, 4], dtype=dtype))
+
+
+def test_check_parents_refuses_2_to_the_31_vertices():
+    # a zero-stride view: 2**31 + 1 entries that take no memory
+    parents = np.broadcast_to(np.int32(1), (2**31 + 1,))
+    for check in (check_parents, lambda p: shape_labels(p, 6)):
+        with pytest.raises(ArgumentError, match=r"2\*\*31"):
+            check(parents)
+
+
+def test_labelling_and_censuses_stay_under_40_bytes_per_vertex():
+    # five int32 arrays of length n, plus a round's int64 sort key and its split
+    parents = _grown_parents("grid-invpow2", 200_000)
+    tracemalloc.start()
+    try:
+        labels, shapes = shape_labels(parents, 6)
+        FringeCensus.from_labels(labels, shapes, 6)
+        PairCensus.from_labels(labels, shapes, parents, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (len(parents) - 1) <= 40, peak / (len(parents) - 1)
 
 
 def test_censuses_reject_bad_cap():
