@@ -1,7 +1,10 @@
 """Time and weigh one ``grid-invpow2`` replicate (degree + fringe), stage by stage.
 
     python3 bench/bytes_per_vertex.py --tree parent=OLD/src --tree change=src \
-        > BENCH_bytes_per_vertex.json
+        > BENCH_census.json
+
+(``BENCH_bytes_per_vertex.json`` and ``BENCH_census.json`` each hold one
+such document, for the change each one measured.)
 
 ``--tree LABEL=SRC`` names a source directory holding the ``delaytree``
 package; give it twice to compare two versions on the same machine.  Each
@@ -13,7 +16,8 @@ one replicate with statistics ``degree,fringe``, one stage at a time:
 * ``grow``: ``growth.grow``;
 * ``degree``: ``estimators.degree_hists`` of the tree;
 * ``labels``: ``canonical.shape_labels`` of its parents;
-* ``censuses``: ``FringeCensus.from_labels`` and ``PairCensus.from_labels``.
+* ``censuses``: ``FringeCensus.from_labels``, then ``PairCensus.from_fringe``
+  of that census (``PairCensus.from_labels`` on a tree that predates it).
 
 A timed run records each stage's ``time.perf_counter`` seconds and the
 process's peak RSS (``ru_maxrss``) after imports, after ``grow`` and at the
@@ -79,10 +83,14 @@ trace = stage("grow", lambda: grow(config))
 rss("grow")
 hist = stage("degree", lambda: est.degree_hists([trace])[0])
 labels, codes = stage("labels", lambda: shape_labels(trace.parents, cap))
-fringe, pairs = stage("censuses", lambda: (
-    est.FringeCensus.from_labels(labels, codes, cap),
-    est.PairCensus.from_labels(labels, codes, trace.parents, cap),
-))
+
+def censuses():
+    fringe = est.FringeCensus.from_labels(labels, codes, cap)
+    if hasattr(est.PairCensus, "from_fringe"):
+        return fringe, est.PairCensus.from_fringe(fringe)
+    return fringe, est.PairCensus.from_labels(labels, codes, trace.parents, cap)  # a tree without from_fringe
+
+fringe, pairs = stage("censuses", censuses)
 rss("peak")
 counts = [hist.counts.tolist(), sorted(fringe.counts.items()), fringe.truncated,
           sorted(pairs.counts.items()), pairs.truncated]

@@ -14,7 +14,9 @@ censuses.  ``shape_labels`` is the one the fringe estimators use: it gives
 every vertex an integer label for the shape of its fringe (the subtree
 below it), interning sorted child-label rows level by level with NumPy in
 the manner of Aho, Hopcroft & Ullman's tree-isomorphism algorithm, and
-writes a parenthesis code only once per distinct shape.  ``subtree_codes``
+writes a parenthesis code only once per distinct shape.  The leaves and
+the stars above them are labelled by counting children, with no sort, and
+the labelling peaks at about 24 B per vertex.  ``subtree_codes``
 builds a code string at every vertex; it is the plain reference the
 labelling is tested against, and backs ``code_from_parents``.
 """
@@ -208,10 +210,20 @@ def shape_labels(parents, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
     label order (a round's labels all exceed the previous round's), so
     every child-label row arrives sorted and is interned as a whole.
 
+    The leaves are counted, not sorted: label 0 is the least, so a
+    vertex's leaf children fill the head of its zeroed slice of ``rows``,
+    and their count is its child count less its internal children.  Round
+    1 labels the stars whose children are all leaves; a star's label
+    depends on its child count alone and is looked up by it.  Round r >= 2
+    sorts a (parent, label) key of the labels fresh from round r-1, less
+    those whose parent has more than cap - r children: such a label heads
+    at least r vertices, so its parent outgrows the cap.
+
     Every per-vertex array is int32: five of length n hold 20 B per vertex,
-    and a round's temporaries, each dropped once used, take the peak to
-    about 35 B per vertex.  Only the round's (parent, label) sort key is
-    int64, since parent*(n+1) passes 2**31 from n = 46 341 on.
+    and the temporaries of the child counts and of round 1, each dropped
+    once used, take the peak to about 24 B per vertex.  Only a later
+    round's sort key is int64, since parent*(n+1) passes 2**31 from
+    n = 46 341 on.
     """
     if cap < 1:
         raise ArgumentError("cap must be >= 1")
@@ -222,22 +234,38 @@ def shape_labels(parents, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
     # the labels of u's children go to rows[start[u] : start[u] + kids[u]]
     start = np.cumsum(kids, dtype=np.int32)
     start -= kids
-    rows = np.empty(n - 1, dtype=np.int32)
-    filled = np.zeros(n + 1, dtype=np.int32)
-    labels = np.full(n + 1, -1, dtype=np.int32)
-    fresh = (np.flatnonzero(kids[1:] == 0) + 1).astype(np.int32)
-    labels[fresh] = 0
+    # round 0: u's leaf children, all labelled 0, fill rows[start[u] : start[u] + filled[u]]
+    up = np.compress(kids[2:] > 0, par[2:])  # the parents of the internal vertices
+    filled = np.subtract(kids, np.bincount(up, minlength=n + 1), dtype=np.int32)
+    del up
+    rows = np.zeros(n - 1, dtype=np.int32)
+    labels = (kids == 0).astype(np.int32)
+    labels -= 1  # 0 at the leaves, -1 elsewhere
+    labels[0] = -1
     codes = [SINGLETON]
     sizes = [1]  # vertex count of each shape
-    for _ in range(1, cap):
+
+    # round 1: the stars of 2..cap vertices, labelled by child count
+    fresh = np.flatnonzero((filled == kids) & (kids > 0) & (kids < cap)).astype(np.int32)
+    width = kids[fresh]
+    present = np.bincount(width, minlength=cap) > 0
+    labels[fresh] = np.cumsum(present, dtype=np.int32)[width]  # k's rank among the star widths met
+    for k in np.flatnonzero(present).tolist():
+        codes.append(code_from_children([SINGLETON] * k))
+        sizes.append(1 + k)
+
+    for r in range(2, cap):
         fresh = fresh[fresh > 1]
+        up = par[fresh]
+        keep = kids[up] <= cap - r  # a parent with more children outgrows the cap
+        fresh, up = fresh[keep], up[keep]
         if not fresh.size:
             break
         # hand the fresh labels to the parents, sorted by (parent, label)
-        key = par[fresh].astype(np.int64)
+        key = up.astype(np.int64)
         key *= n + 1
         key += labels[fresh]
-        del fresh
+        del fresh, up
         key.sort()
         owner, label = np.empty(len(key), dtype=np.int32), np.empty(len(key), dtype=np.int32)
         np.divmod(key, n + 1, out=(owner, label), casting="unsafe")  # both fit in int32
@@ -252,7 +280,7 @@ def shape_labels(parents, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
         rows[at] = label
         del label, at
         filled[owners] += count
-        ready = owners[(filled[owners] == kids[owners]) & (kids[owners] < cap)]
+        ready = owners[filled[owners] == kids[owners]]
 
         shape_size = np.asarray(sizes)
         base = len(codes)

@@ -4,11 +4,13 @@ Degree histograms, fringe-subtree censuses (plain and parent-paired),
 root-degree trajectories, the leaf CLT statistic of one tree, and the
 exact delay-condition scan.  Everything here is read-only over a trace.
 
-Both fringe censuses read one integer shape labelling of the trace
-(``canonical.shape_labels``): the fringe counts are a bincount of the
-labels and the pair counts a count of (own label, parent's label) keys, so
-a caller that wants both labels the trace once and builds each census with
-``from_labels``.  Code strings appear only as the keys of the result.
+Both fringe censuses come from one integer shape labelling of the trace
+(``canonical.shape_labels``): the fringe counts are one bincount of the
+labels, and the pair counts follow from the fringe counts alone, since a
+vertex of shape s has exactly the children of s.  So a caller that wants
+both labels the trace once, builds ``FringeCensus.from_labels`` and then
+``PairCensus.from_fringe``, with no second pass over the vertices.  Code
+strings appear only as the keys of the result.
 
 Degree conventions, fixed once for the whole package: the histogram counts
 *graph* degrees (children plus the parent edge, root has no parent edge),
@@ -27,7 +29,7 @@ import numpy as np
 
 # subtree_codes is not called here; it stays importable under this module
 # because perfbench/tracer.py wraps it at delaytree.estimators.subtree_codes
-from .canonical import shape_labels, subtree_codes  # noqa: F401
+from .canonical import shape_labels, subtree_codes, top_level_children  # noqa: F401
 from .errors import ArgumentError
 from .growth import TreeTrace
 from .kernels import DelayLaw
@@ -92,21 +94,39 @@ def _common_size(traces) -> int:
 def degree_hists(traces) -> list[DegreeHist]:
     """:func:`degree_hist` of each tree of a batch of one size.
 
-    Each tree's children are counted on its own parent array, and every
-    histogram comes from one bincount with row offsets; each stops at its
-    own tree's largest degree.
+    Each row of the batch's parents is sorted in an int32 copy, so a
+    vertex's children form one run of equal entries: the runs' lengths,
+    plus one for every parent edge, give the degrees of the vertices with
+    children, every other vertex has degree 1, and the root comes first in
+    its row.  Every histogram comes from one bincount with row offsets and
+    stops at its own tree's largest degree.  The sorted copy, then two
+    int64 arrays over the vertices with children, hold the peak near 8 B
+    per vertex.
     """
     n = _common_size(traces)
     rows = len(traces)
-    children = np.stack([np.bincount(trace.parents[2 : n + 1], minlength=n + 1) for trace in traces])
-    # graph degree: children + 1 for every vertex but the root, which has no parent edge
-    root = children[:, 1]
-    tops = np.maximum(children[:, 2:].max(axis=1, initial=-1) + 1, root)
+    if n == 1:  # a lone root, of degree 0
+        return [DegreeHist(counts=np.ones(1, dtype=np.int64), n=1) for _ in traces]
+    par = np.stack([trace.parents[2 : n + 1] for trace in traces])
+    par.sort(axis=1)
+    # a run of equal entries is one vertex's children; each row opens with its root's run
+    head = np.empty(par.size, dtype=bool)
+    np.not_equal(par.ravel()[1:], par.ravel()[:-1], out=head[1:])
+    head[:: n - 1] = True
+    start = np.flatnonzero(head)
+    del par, head
+    first = np.searchsorted(start, np.arange(0, rows * (n - 1), n - 1))  # each row's root run
+    degree = np.empty_like(start)
+    np.subtract(start[1:], start[:-1], out=degree[:-1])
+    degree[-1] = rows * (n - 1) - start[-1]
+    degree += 1  # the parent edge
+    degree[first] -= 1  # which the root lacks
+    tops = np.maximum.reduceat(degree, first)
     width = int(tops.max()) + 1
-    starts = np.arange(0, rows * width, width)
-    counts = np.bincount((children[:, 2:] + (starts + 1)[:, None]).ravel(), minlength=rows * width)
-    counts[starts + root] += 1
-    counts = counts.reshape(rows, width)
+    runs = np.diff(first, append=degree.size)
+    degree += np.repeat(np.arange(0, rows * width, width), runs)
+    counts = np.bincount(degree, minlength=rows * width).reshape(rows, width)
+    counts[:, 1] += n - runs  # the vertices with no children
     return [DegreeHist(counts=c[: top + 1], n=n) for c, top in zip(counts, tops.tolist())]
 
 
@@ -138,13 +158,12 @@ class FringeCensus:
     @classmethod
     def from_labels(cls, labels: np.ndarray, codes, cap: int) -> "FringeCensus":
         """Census of a ``shape_labels(parents, cap)`` result."""
-        own = labels[1:]
-        kept = own[own >= 0]
-        counts = np.bincount(kept, minlength=len(codes))
+        # bin 0 holds the -1 labels, the vertices whose fringe outgrew the cap
+        counts = np.bincount(labels[1:] + 1, minlength=len(codes) + 1).tolist()
         return cls(
-            counts={codes[i]: c for i, c in enumerate(counts.tolist())},
-            n=len(own),
-            truncated=len(own) - len(kept),
+            counts=dict(zip(codes, counts[1:])),
+            n=len(labels) - 1,
+            truncated=counts[0],
             cap=cap,
         )
 
@@ -181,30 +200,25 @@ class PairCensus:
         return sum(c for (t0, _), c in self.counts.items() if t0 == code)
 
     @classmethod
-    def from_labels(cls, labels: np.ndarray, codes, parents, cap: int) -> "PairCensus":
-        """Pair census of a ``shape_labels(parents, cap)`` result."""
-        n = len(labels) - 1
-        up = labels[parents[2 : n + 1]]
-        kept = up >= 0
-        # own*L + parent in int64: the int32 labels' product passes 2**31 once L > 46 340
-        keys, counts = np.unique(
-            labels[2:][kept].astype(np.int64) * len(codes) + up[kept], return_counts=True
-        )
-        own, parent = np.divmod(keys, len(codes))
-        return cls(
-            counts={
-                (codes[a], codes[b]): c
-                for a, b, c in zip(own.tolist(), parent.tolist(), counts.tolist())
-            },
-            n=n,
-            truncated=int(np.count_nonzero(~kept)),
-            cap=cap,
-        )
+    def from_fringe(cls, fringe: FringeCensus) -> "PairCensus":
+        """Pair census of the tree that ``fringe`` counted.
+
+        A vertex of fringe shape s has exactly the children of s, so the
+        N_s such vertices pair N_s times with each child of s, and every
+        vertex whose parent is truncated is a truncated pair.
+        """
+        counts: dict = {}
+        paired = 0
+        for shape, count in fringe.counts.items():
+            children = top_level_children(shape)
+            paired += count * len(children)
+            for child in children:
+                counts[(child, shape)] = counts.get((child, shape), 0) + count
+        return cls(counts=counts, n=fringe.n, truncated=fringe.n - 1 - paired, cap=fringe.cap)
 
 
 def extended_fringe_census(trace: TreeTrace, cap: int = 6) -> PairCensus:
-    labels, codes = shape_labels(trace.parents, cap)
-    return PairCensus.from_labels(labels, codes, trace.parents, cap)
+    return PairCensus.from_fringe(fringe_census(trace, cap))
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def _replicate_records(args) -> list:
             cap = config.fringe_cap
             labels, codes = shape_labels(trace.parents, cap)
             census = est.FringeCensus.from_labels(labels, codes, cap)
-            pairs = est.PairCensus.from_labels(labels, codes, trace.parents, cap)
+            pairs = est.PairCensus.from_fringe(census)
             rec["fringe_counts"] = census.counts
             rec["fringe_truncated"] = census.truncated
             rec["pair_counts"] = pairs.counts

@@ -64,6 +64,19 @@ def test_degree_sum_closes_on_grown_trees():
     assert int(h.counts.sum()) == tr.n
 
 
+def test_degree_hist_stays_under_9_bytes_per_vertex():
+    # a sorted int32 copy of the parents, then two int64 arrays over the vertices with children
+    tr = grow(GrowthConfig(AFF, InversePowerDelay(2.0, beta=0.5), 200_000, seed=5))
+    tracemalloc.start()
+    try:
+        h = degree_hist(tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(h.counts.sum()) == tr.n
+    assert peak / tr.n <= 9, peak / tr.n
+
+
 # ---------------------------------------------------------------------------
 # fringe censuses
 # ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@ code string at every vertex and serves as the reference here.
 """
 
 import dataclasses
+import hashlib
+import importlib.util
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from delaytree.errors import ArgumentError
 from delaytree.estimators import (
     FringeCensus,
     PairCensus,
+    degree_hist,
     extended_fringe_census,
     fringe_census,
 )
@@ -57,7 +62,7 @@ def _check_against_reference(parents, cap):
     for v in range(1, n + 1):
         assert (shapes[labels[v]] if labels[v] >= 0 else None) == codes[v]
     fc = FringeCensus.from_labels(labels, shapes, cap)
-    pc = PairCensus.from_labels(labels, shapes, parents, cap)
+    pc = PairCensus.from_fringe(fc)
     assert (fc.counts, fc.truncated, fc.n) == (counts, truncated, n)
     assert (pc.counts, pc.truncated, pc.n) == (pairs, pair_truncated, n)
     assert sum(fc.counts.values()) + fc.truncated == n
@@ -93,14 +98,70 @@ def _caterpillar(spine, legs):
     return parents
 
 
+def _star_of_stars(*legs):
+    """A root whose i-th child is a hub with legs[i] leaf children."""
+    parents = [0, 0] + [1] * len(legs)
+    for hub, k in enumerate(legs, start=2):
+        parents += [hub] * k
+    return parents
+
+
 @pytest.mark.parametrize(
     "parents",
-    [[0, 0], _path(12), _star(12), _caterpillar(6, 2), _caterpillar(4, 3)],
-    ids=["singleton", "path", "star", "caterpillar-6x2", "caterpillar-4x3"],
+    [
+        [0, 0],
+        _path(12),
+        _star(12),
+        _caterpillar(6, 2),
+        _caterpillar(4, 3),
+        _star_of_stars(4, 4, 4),
+        _star_of_stars(1, 2, 5, 7),
+    ],
+    ids=["singleton", "path", "star", "caterpillar-6x2", "caterpillar-4x3", "hubs-3x4", "hubs-1-2-5-7"],
 )
 @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8, 40])
 def test_labels_match_reference_on_hand_trees(parents, cap):
     _check_against_reference(parents, cap)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 6])
+def test_round_one_labels_nothing_when_every_leaf_parent_reaches_the_cap(cap):
+    parents = _star_of_stars(cap, cap, cap)
+    _check_against_reference(parents, cap)
+    labels, shapes = shape_labels(parents, cap)
+    assert shapes == ("()",)
+    assert labels.tolist() == [-1] * 5 + [0] * (3 * cap)
+    pc = PairCensus.from_fringe(FringeCensus.from_labels(labels, shapes, cap))
+    assert pc.counts == {} and pc.truncated == len(parents) - 2
+
+
+def test_hubs_over_the_cap_leave_their_small_siblings_unpaired():
+    # the hubs of 1 and 2 leaves are labelled; the root, with 4 children, never is
+    parents = _star_of_stars(1, 2, 5, 7)
+    _check_against_reference(parents, 4)
+    labels, shapes = shape_labels(parents, 4)
+    assert [shapes[i] if i >= 0 else None for i in labels[1:6]] == [None, "(())", "(()())", None, None]
+    pc = PairCensus.from_fringe(FringeCensus.from_labels(labels, shapes, 4))
+    assert pc.counts == {("()", "(())"): 1, ("()", "(()())"): 2}
+    assert pc.truncated == 4 + 5 + 7
+
+
+@settings(max_examples=100, deadline=None)
+@given(_parent_arrays(), st.sampled_from([1, 2]))
+def test_labels_match_reference_at_caps_1_and_2(case, cap):
+    _check_against_reference(case[0], cap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_parent_arrays())
+def test_a_tree_within_the_cap_pairs_every_vertex(case):
+    parents = case[0]
+    n = len(parents) - 1
+    _check_against_reference(parents, n)
+    labels, shapes = shape_labels(parents, n)
+    assert labels[1] >= 0
+    pc = PairCensus.from_fringe(FringeCensus.from_labels(labels, shapes, n))
+    assert pc.truncated == 0 and sum(pc.counts.values()) == n - 1
 
 
 def test_hand_tree_labels():
@@ -174,7 +235,7 @@ def test_int32_and_int64_parents_past_the_int32_key_range():
         labels, shapes = shape_labels(par, 6)
         assert labels.dtype == np.int32
         fc = FringeCensus.from_labels(labels, shapes, 6)
-        pc = PairCensus.from_labels(labels, shapes, par, 6)
+        pc = PairCensus.from_fringe(fc)
         results.append((labels.tolist(), shapes, fc, pc))
     assert results[0] == results[1]
 
@@ -197,18 +258,17 @@ def test_check_parents_refuses_2_to_the_31_vertices():
             check(parents)
 
 
-def test_labelling_and_censuses_stay_under_40_bytes_per_vertex():
-    # five int32 arrays of length n, plus a round's int64 sort key and its split
+def test_labelling_and_censuses_stay_under_25_bytes_per_vertex():
+    # five int32 arrays of length n, plus the int64 child counts or round 1's temporaries
     parents = _grown_parents("grid-invpow2", 200_000)
     tracemalloc.start()
     try:
         labels, shapes = shape_labels(parents, 6)
-        FringeCensus.from_labels(labels, shapes, 6)
-        PairCensus.from_labels(labels, shapes, parents, 6)
+        PairCensus.from_fringe(FringeCensus.from_labels(labels, shapes, 6))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (len(parents) - 1) <= 40, peak / (len(parents) - 1)
+    assert peak / (len(parents) - 1) <= 25, peak / (len(parents) - 1)
 
 
 def test_censuses_reject_bad_cap():
@@ -245,3 +305,23 @@ def test_harness_labels_each_replicate_once(monkeypatch):
         for pair, c in extended_fringe_census(trace, cfg.fringe_cap).counts.items():
             expect_pairs[pair] = expect_pairs.get(pair, 0) + c
     assert f["counts"] == expect and f["pair_counts"] == expect_pairs
+
+
+def test_bytes_per_vertex_bench_measures_this_tree():
+    # the bench script's measurement child at n = 2000, so an API change cannot break it unseen
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("bytes_per_vertex", root / "bench" / "bytes_per_vertex.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    entries = parse_config_text(PRESETS["grid-invpow2"])
+    entries["n_final"] = "2000"
+    entries["seed"] = str(bench.SEED)
+    config, _ = build_config(entries)
+    trace = grow(config)
+    fc, pc = fringe_census(trace, config.fringe_cap), extended_fringe_census(trace, config.fringe_cap)
+    counts = [degree_hist(trace).counts.tolist(), sorted(fc.counts.items()), fc.truncated,
+              sorted(pc.counts.items()), pc.truncated]
+    got = bench.measure(str(root / "src"), 2000, "traced")  # a traced run also times every stage
+    for stage in bench.STAGES:
+        assert stage + "_s" in got and stage + "_traced_b_per_vertex" in got, sorted(got)
+    assert got["census_sha256"] == hashlib.sha256(json.dumps(counts).encode()).hexdigest()
