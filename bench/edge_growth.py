@@ -1,20 +1,26 @@
 """Time ``grow`` on the edge sampler's preset and on the two tabulated-growth plans.
 
     python3 bench/edge_growth.py --tree parent=OLD/src --tree change=src \
-        > BENCH_wave_thinning.json
+        > BENCH_speculative_thinning.json
 
 ``--tree LABEL=SRC`` names a source directory holding the ``delaytree``
 package; give it twice to compare two versions on the same machine.  Each
 measurement is one fresh Python process with SRC first on ``sys.path``: it
 builds one of the ``CONFIGS`` at size n, times one ``grow`` call with
-``time.perf_counter``, and reports that time, its own peak RSS
-(``ru_maxrss``), the rejected proposals ``retries`` and the SHA-256 of
-``parents``.  Every (config, size) pair in ``SIZES`` is grown ``RUNS``
-times per tree, the trees taking turns run by run so that host drift hits
-them alike, and the median is recorded.  The ``LARGE`` runs grow once more
-with every tree, to record time and peak memory at a size too slow to
-repeat.  The JSON document goes to standard output, progress to standard
-error.
+``time.perf_counter``, and reports that time, its peak RSS at that point
+(``ru_maxrss``), the rejected proposals ``retries``, the SHA-256 of
+``parents`` and the tree's degree TV: ``harness.tv_distance`` between its
+degree histogram and ``theory.degree_law`` up to its largest degree.  The
+TV shows that a tree grown by another sampler is still drawn from the
+model when its parents differ.  Every (config, size) pair in ``SIZES`` is
+grown ``RUNS`` times per tree, on seeds ``SEED``, ``SEED + 1``, ..., the
+trees taking turns run by run so that host drift hits them alike, and the
+median time is recorded.  The ``LARGE`` runs grow once more with every
+tree, on ``SEED``, to record time and peak memory at a size too slow to
+repeat.  ``LAW`` grows ``LAW_SEEDS`` trees per tree source in one more
+process each, untimed after the first, and records the mean, standard
+deviation and range of their degree TVs.  The JSON document goes to
+standard output, progress to standard error.
 
 The configs:
 
@@ -45,22 +51,37 @@ import hashlib, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 from delaytree.cli import PRESETS
 from delaytree.configio import build_config, parse_config_text
+from delaytree.estimators import degree_hist
 from delaytree.growth import grow
+from delaytree.harness import tv_distance
+from delaytree.theory import degree_law, solve_malthusian
 
 entries = parse_config_text(PRESETS["grid-invpow2"])
 entries.update(json.loads(sys.argv[2]))
 entries["n_final"] = sys.argv[3]
-entries["seed"] = sys.argv[4]
+first, count = map(int, sys.argv[4].split(":"))
+entries["seed"] = str(first)
 config, _ = build_config(entries)
 t0 = time.perf_counter()
 trace = grow(config)
 seconds = time.perf_counter() - t0
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+lam = solve_malthusian(config.kernel).lambda_star
+
+
+def tv(trace):
+    hist = degree_hist(trace)
+    return tv_distance(hist, degree_law(config.kernel, lam, hist.max_degree()))
+
+
+more = grow(config, range(first + 1, first + count)) if count > 1 else []
 print(json.dumps({
     "grow_s": seconds,
     "sampler": config.resolve_sampler(),
     "retries": trace.retries,
-    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "peak_rss_mb": peak,
     "parents_sha256": hashlib.sha256(trace.parents.astype("<i8").tobytes()).hexdigest(),
+    "degree_tv": [tv(t) for t in (trace, *more)],
 }))
 """
 
@@ -90,18 +111,21 @@ SIZES = {
     "tabulated-bumpy": (20_000,),
 }
 LARGE = {"grid-invpow2": 10_000_000, "tabulated-pow": 3_000_000, "tabulated-bumpy": 1_000_000}
-RUNS = 3  # median of three per config, size and tree
+RUNS = 5  # median of five per config, size and tree, on seeds SEED .. SEED + RUNS - 1
 SEED = 1
+LAW = {"tabulated-pow": 300_000, "tabulated-bumpy": 20_000}  # degree TV over LAW_SEEDS trees per tree source
+LAW_SEEDS = 20
 
 # one client on a small machine: keep NumPy single-threaded
 ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def measure(src: str, name: str, n: int, seed: int) -> dict:
+def measure(src: str, name: str, n: int, seed: int, count: int = 1) -> dict:
+    """One fresh process: grow seed ``seed`` timed, then seeds up to ``seed + count - 1`` for their degree TV."""
     env = dict(os.environ, **ENV)
     env.pop("PYTHONPATH", None)
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, os.path.abspath(src), json.dumps(CONFIGS[name]), str(n), str(seed)],
+        [sys.executable, "-c", CHILD, os.path.abspath(src), json.dumps(CONFIGS[name]), str(n), f"{seed}:{count}"],
         check=True, capture_output=True, text=True, env=env,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -117,6 +141,7 @@ def row(got: list, n: int) -> dict:
         "retries_per_arrival": round(statistics.median(g["retries"] for g in got) / (n - 2), 4),
         "peak_rss_mb": round(max(g["peak_rss_mb"] for g in got), 1),
         "parents_sha256": sorted({g["parents_sha256"] for g in got}),
+        "degree_tv": [round(g["degree_tv"][0], 5) for g in got],
     }
 
 
@@ -130,14 +155,14 @@ def main(argv=None) -> int:
     for name, sizes in SIZES.items():
         runs: dict = {label: {n: [] for n in sizes} for label in trees}
         for n in sizes:
-            for _ in range(RUNS):
+            for run in range(RUNS):
                 for label, src in trees.items():
-                    got = measure(src, name, n, SEED)
+                    got = measure(src, name, n, SEED + run)
                     runs[label][n].append(got)
                     print(f"{label} {name} n={n} grow {got['grow_s']:.3f} s", file=sys.stderr)
         results = {label: {str(n): row(runs[label][n], n) for n in sizes} for label in trees}
-        identical = {
-            str(n): len({h for label in trees for h in results[label][str(n)]["parents_sha256"]}) == 1
+        identical = {  # the same seed grows the same tree under every source
+            str(n): len({tuple(results[label][str(n)]["parents_sha256"]) for label in trees}) == 1
             for n in sizes
         }
         configs[name] = {"trees": results, "parents_identical_across_trees": identical}
@@ -149,6 +174,19 @@ def main(argv=None) -> int:
             big = measure(src, name, n, SEED)
             print(f"{label} {name} n={n} grow {big['grow_s']:.3f} s", file=sys.stderr)
             large[name]["trees"][label] = row([big], n)
+
+    law = {}
+    for name, n in LAW.items():
+        law[name] = {"n": n, "seeds": [SEED, SEED + LAW_SEEDS - 1], "trees": {}}
+        for label, src in trees.items():
+            tvs = measure(src, name, n, SEED, LAW_SEEDS)["degree_tv"]
+            print(f"{label} {name} n={n} degree TV mean {statistics.mean(tvs):.5f}", file=sys.stderr)
+            law[name]["trees"][label] = {
+                "mean": round(statistics.mean(tvs), 5),
+                "sd": round(statistics.stdev(tvs), 5),
+                "range": [round(min(tvs), 5), round(max(tvs), 5)],
+                "degree_tv": [round(t, 5) for t in tvs],
+            }
     doc = {
         "benchmark": "grow on grid-invpow2 (edge sampler) and the two tabulated-growth plans (rejection sampler)",
         "script": "bench/edge_growth.py",
@@ -162,6 +200,7 @@ def main(argv=None) -> int:
         },
         "configs": configs,
         "large": large,
+        "degree_tv": law,
     }
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     return 0

@@ -22,8 +22,7 @@ from .kernels import (
     UniformKernel,
     ZeroDelay,
 )
-from .growth import TreeTrace, deg_at, grow, trace_from_parents, weight_degree
-from .canonical import CanonicalTree
+from .growth import TreeTrace, deg_at, grow, trace_from_parents
 from .theory import (
     FringeTable,
     MalthusianResult,
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineKernel",
     "AttachmentKernel",
-    "CanonicalTree",
     "ConstantDelay",
     "DegreeHist",
     "DelayLaw",
@@ -88,6 +86,5 @@ __all__ = [
     "solve_malthusian",
     "trace_from_parents",
     "tv_distance",
-    "weight_degree",
     "__version__",
 ]

@@ -23,7 +23,6 @@ labelling is tested against, and backs ``code_from_parents``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -31,7 +30,6 @@ import numpy as np
 from .errors import ArgumentError
 
 __all__ = [
-    "CanonicalTree",
     "SINGLETON",
     "code_from_children",
     "top_level_children",
@@ -352,34 +350,3 @@ def q_count(host: str, sub: str) -> int:
     _validate(host)
     _validate(sub)
     return sum(1 for c in top_level_children(host) if c == sub)
-
-
-@dataclass(frozen=True)
-class CanonicalTree:
-    """Immutable wrapper around a canonical code with derived views."""
-
-    code: str
-
-    def __post_init__(self) -> None:
-        _validate(self.code)
-        if self.code != code_of_nested(decode(self.code)):
-            raise ArgumentError(f"code {self.code!r} is not in canonical (sorted) form")
-
-    @classmethod
-    def from_parents(cls, parents) -> "CanonicalTree":
-        return cls(code_from_parents(parents))
-
-    @classmethod
-    def singleton(cls) -> "CanonicalTree":
-        return cls(SINGLETON)
-
-    @property
-    def size(self) -> int:
-        return self.code.count("(")
-
-    @property
-    def root_child_count(self) -> int:
-        return len(top_level_children(self.code))
-
-    def children(self) -> tuple["CanonicalTree", ...]:
-        return tuple(CanonicalTree(c) for c in top_level_children(self.code))

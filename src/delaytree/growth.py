@@ -33,12 +33,15 @@ exact law :func:`attachment_distribution`.
   snapshot m.  Exact for every kernel, monotone or not; for uniform and
   affine kernels the acceptance is 1 and it draws the edge law.  A
   proposal reads only parents[k] with k <= m, so no copy chain arises.
-  Growth goes by waves: the wave at the first unresolved arrival P is the
-  run of arrivals k >= P with m_k < P, which read only final parents and
-  are independent given them.  Waves of at least _WAVE_MIN arrivals are
-  proposed, thinned and retried in NumPy rounds; shorter ones are drawn
-  one arrival at a time.  Snapshot degrees come from one array degree
-  view (:class:`_DegreeView`) that both paths read.
+  Growth goes by blocks of arrivals past the first unresolved arrival P,
+  a quarter of P long.  Each arrival owns its (branch, pick, accept)
+  triples, a budget drawn with the block and then overflow drawn in birth
+  order, so its parent is a function of its triples and of earlier
+  parents.  A block guesses every parent at once in NumPy, then redoes
+  only the arrivals whose reads changed until a round changes nothing:
+  that fixed point is the one-at-a-time answer.  Small blocks are drawn
+  one arrival at a time from the same triples.  Snapshot degrees come
+  from one array degree view (:class:`_DegreeView`) that both paths read.
 
 Degrees that enter attachment weights are graph degrees (child count, +1
 for the parent edge; the root simply has its child count, clamped to 1 at
@@ -47,8 +50,10 @@ time 1 where nothing is sampled anyway).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -62,8 +67,6 @@ __all__ = [
     "batch_size",
     "trace_from_parents",
     "deg_at",
-    "weight_degree",
-    "psi_recomputed",
     "sample_parent_rejection",
     "attachment_distribution",
     "thinning_distribution",
@@ -97,35 +100,17 @@ class TreeTrace:
 # ---------------------------------------------------------------------------
 
 
-def _children_by(trace: TreeTrace, v: int, m: int) -> int:
-    """Children of v born by time m, for 1 <= m <= n."""
-    if m < 1 or m > trace.n:
-        raise ArgumentError(f"snapshot time {m} outside 1..{trace.n}")
-    return int(np.count_nonzero(trace.parents[2 : m + 1] == v))
-
-
 def deg_at(trace: TreeTrace, v: int, m: int) -> int:
     """Reported degree of v at time m: 1 + children born by m; 0 if unborn.
 
     The root counts like everyone else (degree 1 at birth), so on the
     3-chain deg_at(1, 3) == 2.
     """
-    cnt = _children_by(trace, v, m)
+    if m < 1 or m > trace.n:
+        raise ArgumentError(f"snapshot time {m} outside 1..{trace.n}")
     if v < 1 or v > trace.n:
         raise ArgumentError(f"vertex {v} outside 1..{trace.n}")
-    return 0 if v > m else 1 + cnt
-
-
-def weight_degree(trace: TreeTrace, v: int, m: int) -> int:
-    """Graph degree of v in the time-m snapshot, as used by the samplers.
-
-    Equals deg_at for every vertex except the root, which has no parent
-    edge; at m = 1 the lone root is clamped to degree 1 by convention.
-    """
-    cnt = _children_by(trace, v, m)
-    if v < 1 or v > m:
-        raise ArgumentError(f"vertex {v} not alive at time {m}")
-    return max(cnt, 1) if v == 1 else cnt + 1
+    return 0 if v > m else 1 + int(np.count_nonzero(trace.parents[2 : m + 1] == v))
 
 
 def _weight_degrees(parents: np.ndarray, m: int) -> np.ndarray:
@@ -135,13 +120,6 @@ def _weight_degrees(parents: np.ndarray, m: int) -> np.ndarray:
     if counts[0] < 1:
         counts[0] = 1
     return counts
-
-
-def psi_recomputed(trace: TreeTrace, m: int, kernel: AttachmentKernel) -> float:
-    """Psi(m), the total ``kernel`` weight of the time-m tree."""
-    if m < 1 or m > trace.n:
-        raise ArgumentError(f"snapshot time {m} outside 1..{trace.n}")
-    return float(np.sum(kernel.evaluate_array(_weight_degrees(trace.parents, m))))
 
 
 class _DegreeView:
@@ -155,7 +133,8 @@ class _DegreeView:
     otherwise one search of ``key`` answers when m < ``frozen``, and a
     walk back over v's siblings born after m when not.  ``counts``,
     ``lasts`` and ``prevs`` are memoryviews for scalar reads and writes
-    without NumPy boxing.
+    without NumPy boxing.  ``mark`` is per-vertex working space for
+    :func:`_thin_block`.
     """
 
     def __init__(self, size: int):
@@ -163,6 +142,7 @@ class _DegreeView:
         self.last = np.zeros(size, dtype=np.int32)
         self.prev = np.zeros(size, dtype=np.int32)
         self.counts, self.lasts, self.prevs = map(memoryview, (self.count, self.last, self.prev))
+        self.mark = np.full(size + 1, _NEVER, dtype=np.int32)  # _NEVER between uses
         self.rebuild(np.zeros(2, dtype=np.int64), 1)
 
     def add(self, k: int, v: int) -> None:
@@ -175,8 +155,10 @@ class _DegreeView:
         """Add arrivals lo..hi-1 at once: :meth:`add` of each, in birth order."""
         if hi <= lo:
             return
-        order = np.argsort(parents[lo:hi], kind="stable")
-        vs, ks = parents[lo:hi][order], (order + lo).astype(np.int32)
+        width = hi - lo
+        key = parents[lo:hi].astype(np.int64) * width + np.arange(width)
+        key.sort()  # by parent, then birth
+        vs, ks = key // width, (key % width + lo).astype(np.int32)
         head = np.empty(len(vs), dtype=bool)  # first of its parent in the batch
         head[0] = True
         np.not_equal(vs[1:], vs[:-1], out=head[1:])
@@ -189,8 +171,10 @@ class _DegreeView:
 
     def rebuild(self, parents, frozen: int) -> None:
         """Sort the children born before ``frozen``, all of them final, into ``key``."""
-        key = parents[2:frozen].astype(np.int64) * frozen
-        key += np.arange(2, frozen)
+        self.key = self.keys = None  # the old key goes before the new one is built
+        key = parents[2:frozen].astype(np.int64)
+        key *= frozen
+        key += np.arange(2, frozen, dtype=np.int32)
         key.sort()
         self.key, self.keys, self.frozen = key, memoryview(key), frozen
 
@@ -294,14 +278,20 @@ def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, pi
     return out
 
 
-def _uniform_triples(rng):
-    """Endless (branch, pick, accept) uniforms, drawn from ``rng`` a block at a time.
+def _triples(uniforms):
+    """(branch, pick, accept) triples from rows of uniforms: branches, picks, accepts, or picks and accepts only.
 
-    A block is _THIN_BLOCK branch uniforms, then as many picks, then as
-    many accepts; zipping the three columns is cheaper than row lists.
+    Without a branch row the branch is 0.0, which sends :func:`_draw_thinning`
+    to the vertex pick when the kernel's envelope is constant and to the
+    endpoint pick when it has no constant term: the only route either has.
     """
+    return zip(*uniforms) if len(uniforms) == 3 else zip(repeat(0.0), *uniforms)
+
+
+def _overflow(rng, rows: int, width: int):
+    """Endless triples past an arrival's budget: chunks of ``width``, each ``rng.random((rows, width))``."""
     while True:
-        yield from zip(*rng.random((3, _THIN_BLOCK)).tolist())
+        yield from _triples(rng.random((rows, width)).tolist())
 
 
 def _draw_thinning(par, view, m: int, slope: float, offset: float, evaluate, triples) -> tuple[int, int]:
@@ -311,7 +301,8 @@ def _draw_thinning(par, view, m: int, slope: float, offset: float, evaluate, tri
     v's weight degree in snapshot m, by the endpoint rule of
     :func:`_resolve_edge` on Python scalars: every ``par[k]`` it reads has
     k <= m and is final.  Accepts with probability f(d)/(slope*d + offset),
-    reading d off the degree view.
+    reading d off the degree view.  Takes one (branch, pick, accept) triple
+    per proposal; m = 1 takes none.
     """
     if m == 1:
         return 1, 0
@@ -332,36 +323,146 @@ def _draw_thinning(par, view, m: int, slope: float, offset: float, evaluate, tri
         rejected += 1
 
 
-def _thin_wave(parents, view, ms, slope: float, offset: float, kernel: AttachmentKernel, rng, triples):
-    """Thinning draws for arrivals whose snapshots ``ms`` hold only final parents.
+def _thin_block(parents, view, base: int, out, ms, slope: float, offset: float, kernel: AttachmentKernel, budget, rng):
+    """Thinning draws for a block of arrivals base, base+1, ... with snapshots ``ms``; returns rejected proposals.
 
-    Returns (parents drawn, rejected proposals).  Each round draws a
-    (branch, pick, accept) column per pending arrival from ``rng``,
-    proposes by :func:`_resolve_edge` (every parent it reads is final, so
-    no copy chain arises), reads snapshot degrees off the degree view and
-    thins; the rejected go to the next round.  The last few stragglers
-    finish through :func:`_draw_thinning` on ``triples``.  Given the final
-    parents the draws are independent, so each has the thinning law of its
-    own snapshot whatever the order.
+    ``out`` receives the parents: ``parents[base:base + len(ms)]`` when the
+    block grows the tree, a separate array when it draws from a frozen one
+    (base past its end, so that every read is final).  ``budget`` holds
+    rows of uniforms by slot and arrival, (rows, width, len(ms)), that
+    :func:`_triples` reads as triples: arrival i owns ``budget[:, s, i]``
+    for s < width and then, once all of them are rejected, the chunks of
+    :func:`_overflow` drawn from ``rng`` in birth order.  So its parent is a
+    function of its own triples and the parents of earlier arrivals.
+
+    Every arrival starts unknown (0).  A round recomputes the pending
+    arrivals from the current guesses, all at once: proposals by
+    :func:`_resolve_edge` (a copy of an unknown parent proposes 0 and stops
+    the arrival for the round), degrees off the view plus the guessed
+    children born into the block by the snapshot, then thinning, slot by
+    slot.  An arrival is pending again when a vertex it proposed
+    gained or lost a guessed child born by its snapshot; that covers copies
+    too, since a copy proposes the copied arrival's old guess.  Arrivals
+    before the first pending one read only settled guesses and are final;
+    when the first unknown one among them has spent its budget, its
+    overflow is drawn and thinned now.  When nothing is pending or unknown,
+    each guess equals its recomputation, and by induction over birth order
+    that fixed point is the one-at-a-time answer.
     """
-    out = np.ones(len(ms), dtype=np.int64)  # m = 1 sees only the root
-    pending = (ms > 1).nonzero()[0]
-    m = ms[pending]
-    rejected = 0
-    while len(pending) > _STRAGGLERS:
-        branch, pick, u = rng.random((3, len(pending)))
-        v = _resolve_edge(parents, len(parents), m, slope, offset, branch, pick)
-        d = view.degrees(v, m)
-        ok = u * (slope * d + offset) < kernel.evaluate_array(d)
-        out[pending[ok]] = v[ok]
-        np.logical_not(ok, out=ok)
-        pending, m = pending[ok], m[ok]
-        rejected += len(pending)
-    par = memoryview(parents)
-    for i, mi in zip(pending.tolist(), m.tolist()):
-        out[i], r = _draw_thinning(par, view, mi, slope, offset, kernel.evaluate, triples)
-        rejected += r
-    return out, rejected
+    rows, width, size = budget.shape
+    *branch, pick, accept = budget
+    branch = branch[0] if branch else None
+    ms = ms.astype(np.int64)
+    tried = np.empty((width, size), dtype=np.int32)  # proposals read, by slot: the first reads[i] of column i
+    reads = np.zeros(size, dtype=np.int64)
+    rejected = np.zeros(size, dtype=np.int64)
+    mark = view.mark
+    bits = max(size - 1, 1).bit_length()  # keys pack (vertex, arrival i) as vertex << bits | i
+    keys = None  # the guesses as sorted keys (parent, i), once there are any
+
+    def guesses():
+        """The current guesses as sorted keys (parent, i)."""
+        keys = (out.astype(np.int64) << bits) | np.arange(size)
+        keys.sort()
+        return keys
+
+    def thin(vs, m, u):
+        """Accept flags of proposals ``vs`` from snapshots ``m``: degrees off the view plus the guessed children."""
+        d = view.degrees(vs, m)
+        if keys is not None:
+            lo = vs << bits
+            d += np.searchsorted(keys, lo + np.maximum(m - base, -1), "right") - np.searchsorted(keys, lo)
+        return u * (slope * d + offset) < kernel.evaluate_array(d)
+
+    def draw(pending):
+        """New guesses for the arrivals ``pending``, from the current ones; records what each reads."""
+        new = np.zeros(len(pending), dtype=out.dtype)
+        reads[pending] = rejected[pending] = width
+        live, s = np.arange(len(pending)), 0
+        while live.size and s < width:
+            # a slot at a time while many arrivals are live, then all their remaining slots at once
+            span = width - s if len(live) * (width - s) <= max(len(pending) // 4, 2048) else 1
+            i = pending[live]
+            m = np.tile(ms[i], span)
+            b, p, u = (None if row is None else row[s : s + span].take(i, axis=1).reshape(-1) for row in (branch, pick, accept))
+            vs = _resolve_edge(parents, len(parents), m, slope, offset, b, p)
+            stop = vs == 0  # copied an unknown parent
+            if stop.any():
+                known = ~stop
+                stop[known] = thin(vs[known], m[known], u[known])
+            else:
+                stop = thin(vs, m, u)
+            if span == 1:
+                tried[s, i] = vs
+                done, last, vs = stop, 0, vs[stop]
+            else:  # the first stop of each arrival among its span slots
+                vs, stop = vs.reshape(span, -1), stop.reshape(span, -1)
+                tried[s : s + span, i] = vs
+                last = stop.argmax(axis=0)
+                done = stop[last, np.arange(len(i))]
+                last = last[done]
+                vs = vs[last, done.nonzero()[0]]
+            reads[i[done]] = s + last + 1
+            rejected[i[done]] = s + last
+            new[live[done]] = vs
+            live, s = live[~done], s + span
+        return new
+
+    def readers(changed, old, new):
+        """Arrivals whose proposals saw a vertex gain or lose a guessed child at the births ``base + changed``."""
+        if not changed.size:
+            return changed
+        changes = (np.concatenate([old, new]).astype(np.int64) << bits) | np.tile(changed, 2)
+        changes.sort()
+        verts = changes >> bits
+        head = np.ones(len(changes), dtype=bool)
+        np.not_equal(verts[1:], verts[:-1], out=head[1:])
+        verts = verts[head]
+        mark[verts] = (changes[head] & ((1 << bits) - 1)) + base  # each vertex's first change
+        hit = np.zeros(size, dtype=bool)
+        cols = np.arange(changed.min() + 1, size)
+        for s in range(width):
+            cols = cols[reads[cols] > s]
+            hit[cols[mark[tried[s, cols]] <= ms[cols]]] = True
+        mark[verts] = _NEVER
+        return np.flatnonzero(hit)
+
+    # round one: no guesses yet, so every arrival reads the view alone; m = 1 takes the root
+    out[:] = 0
+    pending = np.flatnonzero(ms > 1)
+    out[pending] = draw(pending)
+    out[ms == 1] = 1
+    changed = np.flatnonzero(out)
+    pending = readers(changed, np.zeros(len(changed), dtype=np.int64), out[changed])
+    while True:
+        unknown = np.flatnonzero(out == 0)
+        if unknown.size and (not pending.size or unknown[0] < pending[0]):
+            # every arrival before q is final and q spent its budget: draw its overflow
+            q = int(unknown[0])
+            keys = guesses()
+            m = np.full(width, ms[q])
+            while True:
+                *b, p, u = rng.random((rows, width))
+                vs = _resolve_edge(parents, len(parents), m, slope, offset, b[0] if b else None, p)
+                ok = thin(vs, m, u)
+                if ok.any():
+                    break
+                rejected[q] += width
+            s = int(np.argmax(ok))
+            rejected[q] += s
+            out[q] = vs[s]
+            hit = readers(np.array([q]), np.zeros(1, dtype=np.int64), vs[s : s + 1])
+            pending = np.union1d(pending, hit)
+            continue
+        if not pending.size:
+            return int(rejected.sum())
+        keys = guesses()
+        new = draw(pending)
+        moved = new != out[pending]
+        changed = pending[moved]
+        old = out[changed]
+        out[pending] = new
+        pending = readers(changed, old, new[moved])
 
 
 def sample_parent_rejection(
@@ -369,8 +470,10 @@ def sample_parent_rejection(
 ) -> tuple[np.ndarray, int]:
     """``size`` thinning draws from snapshot m of a frozen trace.
 
-    Every parent of a frozen tree is final, so the draws are one wave.
-    Returns (parents drawn, rejected proposals).
+    Every parent of a frozen tree is final, so the draws go through
+    :func:`_thin_block` in blocks of up to _BLOCK_MAX whose reads are all
+    final, each settled in one round, with budgets sized as :func:`grow`
+    sizes them.  Returns (parents drawn, rejected proposals).
     """
     if m < 1 or m > trace.n:
         raise ArgumentError(f"snapshot time {m} outside 1..{trace.n}")
@@ -379,7 +482,14 @@ def sample_parent_rejection(
     view.extend(parents, 2, len(parents))
     view.rebuild(parents, len(parents))
     slope, offset = kernel.linear_bound()
-    return _thin_wave(parents, view, np.full(size, m), slope, offset, kernel, rng, _uniform_triples(rng))
+    rows = _rows(slope, offset)
+    out = np.empty(size, dtype=np.int64)
+    rejected = 0
+    for lo in range(0, size, _BLOCK_MAX):
+        hi = min(lo + _BLOCK_MAX, size)
+        budget = rng.random((rows, _budget(rejected, rejected + lo * (m > 1), hi - lo), hi - lo))
+        rejected += _thin_block(parents, view, len(parents), out[lo:hi], np.full(hi - lo, m), slope, offset, kernel, budget, rng)
+    return out, rejected
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +544,14 @@ def grow(config: GrowthConfig, seeds=None):
     draw of delays for vertices 3..n_final, which set the snapshots (an edge
     block at a time) and are then dropped, then the attachment draws.  The
     edge sampler draws every branch uniform and then every pick.  Rejection
-    takes its arrivals wave by wave (see the module docstring): a long wave
-    draws a (branch, pick, accept) column per pending arrival and round from
-    the generator, and everything drawn one arrival at a time (short waves
-    and a long wave's last few stragglers) takes one triple per proposal
-    from blocks of uniforms drawn ahead.  Vertex 2 attaches to the root
-    deterministically.  Trees are int32 (see :class:`TreeTrace`); the peak,
-    about 28 B per vertex, is the delay draw.
+    takes its arrivals block by block (see the module docstring): each
+    block draws its budget of uniforms, and an arrival that rejects all of
+    its budget draws overflow chunks when it is resolved, in birth order,
+    whichever path resolves the block.  Vertex 2 attaches to the root
+    deterministically.  Trees are int32 (see :class:`TreeTrace`).  The edge
+    sampler peaks at about 28 B per vertex, in the delay draw; the rejection
+    sampler at about 42, in its degree view and sorted key, plus a few MB
+    for a block.
     """
     n_final = config.n_final
     batch = [config.seed] if seeds is None else [check_seed(seed) for seed in seeds]
@@ -520,61 +631,70 @@ def _loop_edge(parents, kernel, ms, rngs) -> None:
         )
 
 
-_THIN_BLOCK = 1 << 13
-_WAVE_MIN = 128  # shorter waves are drawn one arrival at a time
-_STRAGGLERS = 8  # a NumPy round with this few draws or sibling walks left hands them to scalar code
+_BLOCK_MAX = 1 << 14  # thinning blocks hold P/4 arrivals past the first unresolved arrival P, up to this many
+_NUMPY_MIN = 128  # smaller blocks are drawn one arrival at a time
+_BUDGET_MAX = 32  # triples drawn ahead per arrival at most
+_STRAGGLERS = 8  # a NumPy round with this few sibling walks left hands them to scalar code
+_NEVER = np.iinfo(np.int32).max  # a birth later than any vertex
 _REBUILD = 2  # the degree view rebuilds its sorted key once P doubles (this ratio) since the last rebuild
 
 
-def _wave_starts(ms, lo: int, hi: int) -> list:
-    """Arrivals P in [lo, hi) whose wave holds at least _WAVE_MIN arrivals.
+def _block_size(first: int) -> int:
+    """Arrivals in the thinning block that starts at the first unresolved arrival ``first``."""
+    return max(1, min(first >> 2, _BLOCK_MAX))
 
-    The wave at P is the run of arrivals k = P, P+1, ... with m_k < P
-    (``ms[k - 3]`` is m_k); it reaches _WAVE_MIN when the largest snapshot
-    of arrivals P+1 .. P+_WAVE_MIN-1 is below P.
+
+def _budget(rejected: int, proposals: int, size: int) -> int:
+    """Triples drawn ahead per arrival for a block of ``size``, from the proposals and rejections so far.
+
+    At the smoothed rejection rate r = (rejected + 1)/(proposals + 2), the
+    smallest width w with size * r**w <= 1: at most about one arrival per
+    block overflows its budget.
     """
-    span = _WAVE_MIN - 1
-    reach, width = ms[lo - 2 : hi + span - 3], 1
-    if len(reach) < span:
-        return []
-    while 2 * width < span:  # reach[i] is the largest of the width snapshots from arrival lo + 1 + i
-        reach, width = np.maximum(reach[:-width], reach[width:]), 2 * width
-    reach = np.maximum(reach[: len(reach) - span + width], reach[span - width :])
-    return (np.flatnonzero(reach < np.arange(lo, lo + len(reach))) + lo).tolist()
+    rate = (rejected + 1) / (proposals + 2)
+    return min(_BUDGET_MAX, max(1, math.ceil(math.log(size) / -math.log(rate))))
+
+
+def _rows(slope: float, offset: float) -> int:
+    """Uniforms per triple: a mixed envelope needs the branch, a pure one (slope or offset 0) does not."""
+    return 3 if slope and offset else 2
 
 
 def _loop_rejection(parents, kernel, ms, rng) -> int:
+    """Thinning parents for one tree, a block at a time; returns the rejected proposals.
+
+    Each block draws its budget from ``rng`` (:func:`_budget` triples per
+    arrival, sized by the rejections so far) and resolves through
+    :func:`_thin_block`, or, below _NUMPY_MIN arrivals, one arrival at a
+    time through :func:`_draw_thinning` on the same triples and overflow
+    chunks, which gives the same parents.
+    """
     slope, offset = kernel.linear_bound()
+    rows = _rows(slope, offset)
     evaluate = kernel.evaluate
     par = memoryview(parents)  # scalar reads and writes without NumPy boxing
     view = _DegreeView(len(parents))
     view.add(2, 1)
-    triples = _uniform_triples(rng)
-    retries = 0
+    retries = accepted = 0
     k, end = 3, len(parents)  # k: the first unresolved arrival, P
-    # ms is read a block at a time to keep the Python ints few
     while k < end:
+        size = min(_block_size(k), end - k)
+        width = _budget(retries, retries + accepted, size)
+        budget = rng.random((rows, width, size))
         view.refresh(parents, k)
-        hi = min(k + _THIN_BLOCK, end)
-        for start in [*_wave_starts(ms, k, hi), hi]:
-            if start < k:
-                continue  # resolved with the wave before
-            for k, m in enumerate(ms[k - 3 : start - 3].tolist(), start=k):
+        block = ms[k - 3 : k - 3 + size]
+        if size >= _NUMPY_MIN:
+            retries += _thin_block(parents, view, k, parents[k : k + size], block, slope, offset, kernel, budget, rng)
+            view.extend(parents, k, k + size)
+        else:
+            for j, m, uniforms in zip(range(k, k + size), block.tolist(), budget.transpose(2, 0, 1).tolist()):
+                triples = chain(_triples(uniforms), _overflow(rng, rows, width))
                 v, rejected = _draw_thinning(par, view, m, slope, offset, evaluate, triples)
                 retries += rejected
-                par[k] = v
-                view.add(k, v)
-            k = start
-            if start < hi:
-                view.refresh(parents, k)
-                ahead = ms[k - 3 : k - 3 + _THIN_BLOCK]
-                size = int(np.argmax(ahead >= k)) or len(ahead)  # ahead[0] < k always
-                parents[k : k + size], rejected = _thin_wave(
-                    parents, view, ahead[:size], slope, offset, kernel, rng, triples
-                )
-                retries += rejected
-                view.extend(parents, k, k + size)
-                k += size
+                par[j] = v
+                view.add(j, v)
+        accepted += int(np.count_nonzero(block > 1))
+        k += size
     return retries
 
 

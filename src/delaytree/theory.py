@@ -305,7 +305,7 @@ def fringe_bruteforce(tree, kernel: AttachmentKernel, lambda_star: float) -> flo
 
     Exponential in the tree size; intended as the oracle for sizes <= 7.
     """
-    code = tree.code if hasattr(tree, "code") else str(tree)
+    code = str(tree)
     size = code.count("(")
     if size < 1:
         raise ArgumentError("empty tree code")
@@ -326,19 +326,13 @@ class FringeTable:
     kernel: AttachmentKernel
 
     def prob(self, tree) -> float:
-        code = tree.code if hasattr(tree, "code") else str(tree)
+        code = str(tree)
         if code.count("(") > self.size_cap:
             raise ArgumentError(f"tree larger than table cap {self.size_cap}")
         return self.probs[code]
 
     def total_mass(self) -> float:
         return float(sum(self.probs.values()))
-
-    def root_child_marginal(self, c: int) -> float:
-        """Mass of trees whose root has exactly c children."""
-        return float(
-            sum(p for code, p in self.probs.items() if len(top_level_children(code)) == c)
-        )
 
 
 def fringe_recursion(size_cap: int, kernel: AttachmentKernel, lambda_star: float) -> FringeTable:

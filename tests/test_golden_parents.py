@@ -7,9 +7,9 @@ a change that keeps the law but not the draws needs an exactness argument
 and new digests (see ROADMAP, "Correctness and robustness").
 
 The edge configs use n > 2 * _EDGE_BLOCK + 3, so the tree spans at least
-three growth blocks and copy pointers cross block boundaries.  The uniform01
-rejection config draws every arrival one at a time; the invpow:1 one
-resolves half of its arrivals in NumPy waves.
+three growth blocks and copy pointers cross block boundaries.  Both
+rejection configs draw their first arrivals one at a time and the rest in
+NumPy thinning blocks.
 """
 
 import hashlib
@@ -76,19 +76,20 @@ def test_edge_sampler_parents_are_golden(key):
 
 
 def test_rejection_sampler_parents_are_golden():
+    # under uniform01, 4430 of the 4998 arrivals resolve in 10 NumPy blocks, the rest one at a time
     kern = TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True)
     tr = grow(GrowthConfig(kern, DELAYS["uniform01"], 5000, seed=1))
     assert (_digest(tr.parents), tr.retries) == (
-        "7ada94f1b39d4972929e9a96431b2dff0a2f4350c8864dca4e151807132e40ad",
-        300,
+        "f68f530d580846874ffaaba3344b395d19157cf55f746be79694ad4f1d173e6f",
+        304,
     )
 
 
-def test_rejection_waves_parents_are_golden():
-    # under invpow:1 half the arrivals resolve in NumPy waves (72 waves hold 10 072 of the 19 998)
+def test_rejection_blocks_parents_are_golden():
+    # under invpow:1, 19 430 of the 19 998 arrivals resolve in 16 NumPy blocks
     kern = TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True)
     tr = grow(GrowthConfig(kern, InversePowerDelay(1.0, beta=0.5), 20_000, seed=1))
     assert (_digest(tr.parents), tr.retries) == (
-        "9a6444725cfe8cd7153b1a576adc347630a5bbf02d9daabefd6d7cd36857df5e",
-        1335,
+        "ea1dad7ecd80c537c9447e798ab124c2d27ff7264b3f38b18d69ac2183e0ee76",
+        1316,
     )

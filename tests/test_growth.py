@@ -10,14 +10,13 @@ from delaytree.cli import PRESETS
 from delaytree.configio import build_config, parse_config_text
 from delaytree.errors import ArgumentError
 from delaytree.growth import (
+    _weight_degrees,
     attachment_distribution,
     deg_at,
     grow,
-    psi_recomputed,
     sample_parent_rejection,
     thinning_distribution,
     trace_from_parents,
-    weight_degree,
 )
 from delaytree.kernels import (
     AffineKernel,
@@ -82,10 +81,10 @@ def test_psi_closed_form_affine():
     for alpha in (0.0, 1.5):
         kern = AffineKernel(alpha)
         tr = grow(_cfg(n=300, seed=8, kernel=kern))
+        psi = [kern.evaluate_array(_weight_degrees(tr.parents, m)).sum() for m in range(1, 301)]
         m = np.arange(2, 301)
-        psi = [psi_recomputed(tr, int(k), kern) for k in m]
-        np.testing.assert_allclose(psi, 2.0 * (m - 1) + alpha * m, rtol=1e-12)
-        assert psi_recomputed(tr, 1, kern) == 1.0 + alpha
+        np.testing.assert_allclose(psi[1:], 2.0 * (m - 1) + alpha * m, rtol=1e-12)
+        assert psi[0] == 1.0 + alpha
 
 
 def test_degree_views():
@@ -98,10 +97,9 @@ def test_degree_views():
     assert deg_at(tr, 4, 4) == 1
     assert deg_at(tr, 4, 5) == 2
     # attachment weights use the graph degree, clamped at the root
-    assert weight_degree(tr, 1, 1) == 1
-    assert weight_degree(tr, 1, 5) == 2  # two children, no parent edge
-    assert weight_degree(tr, 3, 5) == 2  # parent edge + one child
-    assert weight_degree(tr, 5, 5) == 1
+    assert _weight_degrees(tr.parents, 1).tolist() == [1]
+    # the root has two children and no parent edge, 3 a parent edge and one child
+    assert _weight_degrees(tr.parents, 5).tolist() == [2, 1, 2, 2, 1]
 
 
 def test_distributions_sum_to_one_and_respect_snapshot():
@@ -183,32 +181,37 @@ def test_rejection_draw_needs_no_monotone_kernel():
         sample_parent_rejection(tr, tr.n + 1, kern, np.random.default_rng(0), 1)
 
 
-def test_thinning_waves_draw_the_model_law(monkeypatch):
-    # n = 8 under const:1 has snapshots 1,1,2,2,3,4: waves {3..6} at P = 3 and {7, 8} at P = 7
+@pytest.mark.parametrize("budget", (growth._BUDGET_MAX, 1), ids=("budget", "overflow"))
+def test_thinning_blocks_draw_the_model_law(monkeypatch, budget):
+    # n = 8 under const:1 has snapshots 1,1,2,2,3,4: blocks {3..6} and {7, 8}, drawn in NumPy rounds;
+    # a budget of one triple per arrival sends every first rejection to the overflow draws
     import itertools
 
     from scipy import stats
 
-    monkeypatch.setattr(growth, "_WAVE_MIN", 2)
-    monkeypatch.setattr(growth, "_STRAGGLERS", 0)  # every draw goes through the NumPy rounds
-    waves, thin_wave = [], growth._thin_wave
+    monkeypatch.setattr(growth, "_block_size", lambda first: 4)
+    monkeypatch.setattr(growth, "_NUMPY_MIN", 1)
+    monkeypatch.setattr(growth, "_BUDGET_MAX", budget)
+    blocks, thin_block = [], growth._thin_block
 
-    def spy(parents, view, ms, *args):
-        waves.append(len(ms))
-        return thin_wave(parents, view, ms, *args)
+    def spy(parents, view, base, out, ms, *args):
+        blocks.append(len(ms))
+        return thin_block(parents, view, base, out, ms, *args)
 
-    monkeypatch.setattr(growth, "_thin_wave", spy)
+    monkeypatch.setattr(growth, "_thin_block", spy)
     kern = TabulatedKernel(values=(1.0, 2.0, 1.5, 1.2), tail=("const",), f_star=1.0)
     ms = (1, 1, 2, 2, 3, 4)
     law = {}
     for history in itertools.product(*[range(1, m + 1) for m in ms]):
         tr = trace_from_parents([0, 0, 1, *history])
         law[history] = np.prod([attachment_distribution(tr, m, kern)[v - 1] for m, v in zip(ms, history)])
-    reps, seen = 2000, dict.fromkeys(law, 0)
+    reps, seen, retries = 2000, dict.fromkeys(law, 0), 0
     for seed in range(reps):
         tr = grow(_cfg(n=8, seed=seed, delay=ConstantDelay(1.0, beta=0.5), kernel=kern))
         seen[tuple(tr.parents[3:].tolist())] += 1
-    assert tuple(tr.snapshots[3:].tolist()) == ms and waves == [4, 2] * reps
+        retries += tr.retries
+    assert tuple(tr.snapshots[3:].tolist()) == ms and blocks == [4, 2] * reps
+    assert retries > 0
     res = stats.chisquare(list(seen.values()), [reps * law[h] for h in seen])
     assert res.pvalue > 1e-3, res
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from delaytree.canonical import all_canonical_trees, q_count
+from delaytree.canonical import all_canonical_trees, q_count, top_level_children
 from delaytree.errors import ArgumentError
 from delaytree.kernels import (
     AffineKernel,
@@ -202,14 +202,19 @@ def test_recursion_equals_bruteforce(kern, lam):
             ), code
 
 
+def _root_child_marginal(table, c: int) -> float:
+    """Reference: the mass of the table's trees whose root has exactly c children."""
+    return float(sum(p for code, p in table.probs.items() if len(top_level_children(code)) == c))
+
+
 def test_table_shape_and_marginals():
     table = fringe_recursion(5, AffineKernel(0.0), 2.0)
     sizes = all_canonical_trees(5)
     assert set(table.probs) == {c for codes in sizes.values() for c in codes}
     assert table.prob("()") == 2.0 / 3.0  # boundary value, exact
     assert 0.9 < table.total_mass() < 1.0
-    assert table.root_child_marginal(0) == pytest.approx(2.0 / 3.0)
-    per_c = sum(table.root_child_marginal(c) for c in range(5))
+    assert _root_child_marginal(table, 0) == pytest.approx(2.0 / 3.0)
+    per_c = sum(_root_child_marginal(table, c) for c in range(5))
     assert per_c == pytest.approx(table.total_mass())
     with pytest.raises(ArgumentError):
         table.prob("(((((())))))")  # larger than the cap

@@ -5,18 +5,17 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delaytree import growth
 from delaytree.growth import (
+    _weight_degrees,
     attachment_distribution,
     deg_at,
     grow,
-    psi_recomputed,
     thinning_distribution,
     trace_from_parents,
-    weight_degree,
 )
 from delaytree.kernels import (
     AffineKernel,
@@ -52,16 +51,17 @@ def test_degree_views_match_a_birth_by_birth_count(parents):
             assert deg_at(tr, v, m) == (1 + children[v] if v <= m else 0)
             if v <= m:
                 expected = max(children[v], 1) if v == 1 else children[v] + 1
-                assert weight_degree(tr, v, m) == expected
+                assert _weight_degrees(tr.parents, m)[v - 1] == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(_parent_arrays(), st.floats(0.0, 5.0))
 def test_psi_is_the_affine_closed_form(parents, alpha):
     tr, kernel = trace_from_parents(parents), AffineKernel(alpha)
+    psi = [kernel.evaluate_array(_weight_degrees(tr.parents, m)).sum() for m in range(1, tr.n + 1)]
     for m in range(2, tr.n + 1):
-        assert np.isclose(psi_recomputed(tr, m, kernel), 2.0 * (m - 1) + alpha * m, rtol=1e-12, atol=0.0)
-    assert psi_recomputed(tr, 1, kernel) == 1.0 + alpha
+        assert np.isclose(psi[m - 1], 2.0 * (m - 1) + alpha * m, rtol=1e-12, atol=0.0)
+    assert psi[0] == 1.0 + alpha
 
 
 KERNELS = (
@@ -71,6 +71,15 @@ KERNELS = (
     TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True),
     TabulatedKernel((1.0, 2.0, 1.5, 1.2), tail=("const",), f_star=1.0),
 )
+
+
+@st.composite
+def _tabulated_kernels(draw):
+    values = draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=6))
+    tail = draw(st.one_of(st.just(("const",)), st.tuples(st.just("pow"), st.floats(0.05, 0.95))))
+    return TabulatedKernel(tuple(values), tail=tail, f_star=min(values))
+
+
 # ---------------------------------------------------------------------------
 # Edge sampler: the block resolver against the per-arrival scalar draw
 # ---------------------------------------------------------------------------
@@ -150,6 +159,88 @@ def test_block_resolver_matches_the_per_arrival_loop(batch, block):
     np.testing.assert_array_equal(parents, expected)
 
 
+# ---------------------------------------------------------------------------
+# Rejection sampler: thinning blocks against the per-arrival loop
+# ---------------------------------------------------------------------------
+
+
+def _reference_thinning(n, ms, kernel, rng):
+    """Thinning parents and rejected proposals of arrivals 3..n, drawn one arrival at a time.
+
+    The uniforms come from ``rng`` laid out as the sampler lays them out:
+    each block of arrivals draws ``rng.random((rows, width, size))``, arrival
+    i of the block owns column i slot by slot, and an arrival past its
+    budget draws ``rng.random((rows, width))`` chunks.  Without a branch row
+    the branch is 0.  Degrees are counted from the parents themselves.
+    """
+    slope, alpha = kernel.linear_bound()
+    rows = 3 if slope and alpha else 2
+    parents = [0, 0, 1] + [0] * (n - 2)
+    retries = accepted = 0
+    k = 3
+    while k <= n:
+        size = min(growth._block_size(k), n + 1 - k)
+        width = growth._budget(retries, retries + accepted, size)
+        budget = rng.random((rows, width, size))
+        for i in range(size):
+            m = ms[k + i - 3]
+            if m == 1:
+                parents[k + i] = 1
+                continue
+            accepted += 1
+            slots = list(budget[:, :, i].T)
+            while True:
+                if not slots:
+                    slots = list(rng.random((rows, width)).T)
+                *branch, pick, u = slots.pop(0)
+                v = _scalar_edge_draw(parents, m, slope, alpha, branch[0] if branch else 0.0, pick)
+                d = parents[2 : m + 1].count(v) + (v != 1)
+                if u * (slope * d + alpha) < kernel.evaluate(d):
+                    parents[k + i] = v
+                    break
+                retries += 1
+        k += size
+    return parents, retries
+
+
+@st.composite
+def _thinning_histories(draw):
+    n = draw(st.integers(3, 60))
+    ms = [draw(st.one_of(st.just(1), st.just(k - 1), st.integers(1, k - 1))) for k in range(3, n + 1)]
+    return n, ms
+
+
+# a table whose acceptance swings with the degree: one guessed child more or less flips many draws
+SWINGING = TabulatedKernel((0.2, 5.0, 0.2), tail=("const",), f_star=0.2)
+
+
+# blocks of up to 3 or 7 arrivals cross each other's snapshots; a budget of
+# one or two triples sends rejections to the overflow chunks; _NUMPY_MIN of
+# 1 resolves every block in NumPy rounds, 10**9 one arrival at a time
+@settings(max_examples=150, deadline=None)
+@given(
+    _thinning_histories(),
+    st.one_of(st.sampled_from((*KERNELS, SWINGING)), _tabulated_kernels()),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((3, 7)),
+    st.sampled_from((1, 2, 32)),
+    st.sampled_from((1, 10**9)),
+)
+# an arrival that rejects its first proposal reads a second vertex, which gains a guessed child
+@example((14, [2, 1, 1, 1, 1, 1, 1, 1, 1, 11, 12, 1]), SWINGING, 197, 3, 2, 1)
+def test_thinning_blocks_match_the_per_arrival_loop(history, kernel, seed, block, budget, numpy_min):
+    n, ms = history
+    parents = np.zeros(n + 1, dtype=np.int32)
+    parents[2] = 1
+    rng, tape = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.multiple(growth, _BLOCK_MAX=block, _BUDGET_MAX=budget, _NUMPY_MIN=numpy_min):
+        expected, rejected = _reference_thinning(n, ms, kernel, tape)
+        retries = growth._loop_rejection(parents, kernel, np.array(ms, dtype=np.int32), rng)
+    assert parents.tolist() == expected
+    assert retries == rejected
+    assert rng.bit_generator.state == tape.bit_generator.state  # the same uniforms were drawn
+
+
 # one of each delay kind
 ALL_DELAYS = (
     ZeroDelay(beta=0.5),
@@ -210,10 +301,11 @@ def test_single_affine_draw_matches_the_scalar_draw(parents, alpha, seed, data):
     evaluate = kernel.evaluate
     thinned = [growth._draw_thinning(tr.parents.tolist(), view, m, 1.0, alpha, evaluate, triples) for _ in picks]
     assert thinned == [(v, 0) for v in expected]
-    columns = mock.Mock(random=lambda shape: np.stack([branch, picks, np.zeros(64)]))
-    waved = growth._thin_wave(tr.parents, view, np.full(64, m), 1.0, alpha, kernel, columns, iter(()))
-    np.testing.assert_array_equal(waved[0], expected)
-    assert waved[1] == 0
+    # a block of one budget slot per draw: without the constant term it holds no branch uniforms
+    budget = np.stack([branch, picks, np.zeros(64)] if alpha > 0.0 else [picks, np.zeros(64)])[:, None, :]
+    out = np.empty(64, dtype=np.int64)
+    assert growth._thin_block(tr.parents, view, tr.n + 1, out, np.full(64, m), 1.0, alpha, kernel, budget, None) == 0
+    np.testing.assert_array_equal(out, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +370,6 @@ def test_degree_view_takes_every_branch():
 # ---------------------------------------------------------------------------
 # The affine envelope and the thinning law, on random kernels
 # ---------------------------------------------------------------------------
-
-
-@st.composite
-def _tabulated_kernels(draw):
-    values = draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=6))
-    tail = draw(st.one_of(st.just(("const",)), st.tuples(st.just("pow"), st.floats(0.05, 0.95))))
-    return TabulatedKernel(tuple(values), tail=tail, f_star=min(values))
 
 
 @settings(max_examples=200, deadline=None)
