@@ -17,7 +17,7 @@ one replicate with statistics ``degree,fringe``, one stage at a time:
 * ``degree``: ``estimators.degree_hists`` of the tree;
 * ``labels``: ``canonical.shape_labels`` of its parents;
 * ``censuses``: ``FringeCensus.from_labels``, then ``PairCensus.from_fringe``
-  of that census (``PairCensus.from_labels`` on a tree that predates it).
+  of that census.
 
 A timed run records each stage's ``time.perf_counter`` seconds and the
 process's peak RSS (``ru_maxrss``) after imports, after ``grow`` and at the
@@ -86,9 +86,7 @@ labels, codes = stage("labels", lambda: shape_labels(trace.parents, cap))
 
 def censuses():
     fringe = est.FringeCensus.from_labels(labels, codes, cap)
-    if hasattr(est.PairCensus, "from_fringe"):
-        return fringe, est.PairCensus.from_fringe(fringe)
-    return fringe, est.PairCensus.from_labels(labels, codes, trace.parents, cap)  # a tree without from_fringe
+    return fringe, est.PairCensus.from_fringe(fringe)
 
 fringe, pairs = stage("censuses", censuses)
 rss("peak")

@@ -34,14 +34,14 @@ exact law :func:`attachment_distribution`.
   affine kernels the acceptance is 1 and it draws the edge law.  A
   proposal reads only parents[k] with k <= m, so no copy chain arises.
   Growth goes by blocks of arrivals past the first unresolved arrival P,
-  a quarter of P long.  Each arrival owns its (branch, pick, accept)
-  triples, a budget drawn with the block and then overflow drawn in birth
-  order, so its parent is a function of its triples and of earlier
-  parents.  A block guesses every parent at once in NumPy, then redoes
-  only the arrivals whose reads changed until a round changes nothing:
-  that fixed point is the one-at-a-time answer.  Small blocks are drawn
-  one arrival at a time from the same triples.  Snapshot degrees come
-  from one array degree view (:class:`_DegreeView`) that both paths read.
+  a quarter of P long (one arrival while P < 8).  Each arrival owns its
+  (branch, pick, accept) triples, a budget drawn with the block and then
+  overflow drawn in birth order, so its parent is a function of its
+  triples and of earlier parents.  Every block, the one-arrival blocks
+  included, guesses every parent at once in NumPy, then redoes only the
+  arrivals whose reads changed until a round changes nothing: that fixed
+  point is the one-at-a-time answer.  Snapshot degrees come from one
+  array degree view (:class:`_DegreeView`).
 
 Degrees that enter attachment weights are graph degrees (child count, +1
 for the parent edge; the root simply has its child count, clamped to 1 at
@@ -51,15 +51,14 @@ time 1 where nothing is sampled anyway).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+import numbers
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
 from .canonical import check_parents
 from .errors import ArgumentError
-from .kernels import AttachmentKernel, GrowthConfig, check_seed, snapshot_times
+from .kernels import AttachmentKernel, GrowthConfig, check_count, check_seed, snapshot_times
 
 __all__ = [
     "TreeTrace",
@@ -100,14 +99,20 @@ class TreeTrace:
 # ---------------------------------------------------------------------------
 
 
+def _check_snapshot(trace: TreeTrace, m) -> int:
+    """``m`` as an int; ArgumentError unless it is an integer snapshot time 1..n of ``trace``."""
+    if not isinstance(m, numbers.Integral) or not 1 <= m <= trace.n:
+        raise ArgumentError(f"snapshot time must be an integer in 1..{trace.n}, got {m!r}")
+    return int(m)
+
+
 def deg_at(trace: TreeTrace, v: int, m: int) -> int:
     """Reported degree of v at time m: 1 + children born by m; 0 if unborn.
 
     The root counts like everyone else (degree 1 at birth), so on the
     3-chain deg_at(1, 3) == 2.
     """
-    if m < 1 or m > trace.n:
-        raise ArgumentError(f"snapshot time {m} outside 1..{trace.n}")
+    m = _check_snapshot(trace, m)
     if v < 1 or v > trace.n:
         raise ArgumentError(f"vertex {v} outside 1..{trace.n}")
     return 0 if v > m else 1 + int(np.count_nonzero(trace.parents[2 : m + 1] == v))
@@ -131,8 +136,9 @@ class _DegreeView:
     children born before ``frozen`` as parent*frozen + birth, sorted.
     v's children born by m number ``count[v]`` when ``last[v] <= m``;
     otherwise one search of ``key`` answers when m < ``frozen``, and a
-    walk back over v's siblings born after m when not.  ``counts``,
-    ``lasts`` and ``prevs`` are memoryviews for scalar reads and writes
+    walk back over v's siblings born after m when not.  Arrivals enter a
+    block at a time through :meth:`extend`.  ``counts``, ``lasts`` and
+    ``prevs`` are memoryviews for the scalar walks of :meth:`children`
     without NumPy boxing.  ``mark`` is per-vertex working space for
     :func:`_thin_block`.
     """
@@ -145,14 +151,8 @@ class _DegreeView:
         self.mark = np.full(size + 1, _NEVER, dtype=np.int32)  # _NEVER between uses
         self.rebuild(np.zeros(2, dtype=np.int64), 1)
 
-    def add(self, k: int, v: int) -> None:
-        """Vertex k is born a child of v."""
-        self.prevs[k] = self.lasts[v]
-        self.lasts[v] = k
-        self.counts[v] += 1
-
     def extend(self, parents, lo: int, hi: int) -> None:
-        """Add arrivals lo..hi-1 at once: :meth:`add` of each, in birth order."""
+        """Add arrivals lo..hi-1, born in that order, at once."""
         if hi <= lo:
             return
         width = hi - lo
@@ -171,12 +171,12 @@ class _DegreeView:
 
     def rebuild(self, parents, frozen: int) -> None:
         """Sort the children born before ``frozen``, all of them final, into ``key``."""
-        self.key = self.keys = None  # the old key goes before the new one is built
+        self.key = None  # the old key goes before the new one is built
         key = parents[2:frozen].astype(np.int64)
         key *= frozen
         key += np.arange(2, frozen, dtype=np.int32)
         key.sort()
-        self.key, self.keys, self.frozen = key, memoryview(key), frozen
+        self.key, self.frozen = key, frozen
 
     def refresh(self, parents, first: int) -> None:
         """Rebuild ``key`` once the first unresolved arrival is _REBUILD times the last rebuild's."""
@@ -184,14 +184,8 @@ class _DegreeView:
             self.rebuild(parents, first)
 
     def children(self, v: int, m: int) -> int:
-        """Children of v born by time m, for a vertex v <= m whose children by m are all in."""
-        c, k = self.counts[v], self.lasts[v]
-        if k <= m:
-            return c
-        if m < self.frozen:
-            lo = v * self.frozen
-            return bisect_right(self.keys, lo + m) - bisect_left(self.keys, lo)
-        prev = self.prevs
+        """Children of v born by time m, by a walk back over its siblings; v <= m, its children by m all in."""
+        c, k, prev = self.counts[v], self.lasts[v], self.prevs
         while k > m:
             c -= 1
             k = prev[k]
@@ -278,62 +272,18 @@ def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, pi
     return out
 
 
-def _triples(uniforms):
-    """(branch, pick, accept) triples from rows of uniforms: branches, picks, accepts, or picks and accepts only.
-
-    Without a branch row the branch is 0.0, which sends :func:`_draw_thinning`
-    to the vertex pick when the kernel's envelope is constant and to the
-    endpoint pick when it has no constant term: the only route either has.
-    """
-    return zip(*uniforms) if len(uniforms) == 3 else zip(repeat(0.0), *uniforms)
-
-
-def _overflow(rng, rows: int, width: int):
-    """Endless triples past an arrival's budget: chunks of ``width``, each ``rng.random((rows, width))``."""
-    while True:
-        yield from _triples(rng.random((rows, width)).tolist())
-
-
-def _draw_thinning(par, view, m: int, slope: float, offset: float, evaluate, triples) -> tuple[int, int]:
-    """Envelope proposal plus thinning; returns (parent, rejected proposals).
-
-    Proposes v <= m with probability (slope*d + offset)/Psi_g(m), d being
-    v's weight degree in snapshot m, by the endpoint rule of
-    :func:`_resolve_edge` on Python scalars: every ``par[k]`` it reads has
-    k <= m and is final.  Accepts with probability f(d)/(slope*d + offset),
-    reading d off the degree view.  Takes one (branch, pick, accept) triple
-    per proposal; m = 1 takes none.
-    """
-    if m == 1:
-        return 1, 0
-    top = 2 * (m - 1)
-    mix = offset * m
-    psi = slope * top + mix
-    count, last = view.counts, view.lasts
-    rejected = 0
-    for branch, pick, u in triples:
-        if branch * psi < mix:
-            v = min(int(pick * m), m - 1) + 1
-        else:
-            e = min(int(pick * top), top - 1)
-            v = e // 2 + 2 if e & 1 else par[e // 2 + 2]
-        d = (count[v] if last[v] <= m else view.children(v, m)) + (v != 1)  # the root has no parent edge
-        if u * (slope * d + offset) < evaluate(d):
-            return v, rejected
-        rejected += 1
-
-
 def _thin_block(parents, view, base: int, out, ms, slope: float, offset: float, kernel: AttachmentKernel, budget, rng):
     """Thinning draws for a block of arrivals base, base+1, ... with snapshots ``ms``; returns rejected proposals.
 
     ``out`` receives the parents: ``parents[base:base + len(ms)]`` when the
     block grows the tree, a separate array when it draws from a frozen one
     (base past its end, so that every read is final).  ``budget`` holds
-    rows of uniforms by slot and arrival, (rows, width, len(ms)), that
-    :func:`_triples` reads as triples: arrival i owns ``budget[:, s, i]``
-    for s < width and then, once all of them are rejected, the chunks of
-    :func:`_overflow` drawn from ``rng`` in birth order.  So its parent is a
-    function of its own triples and the parents of earlier arrivals.
+    rows of uniforms by slot and arrival, (rows, width, len(ms)): branch
+    (for a mixed envelope, see :func:`_rows`), pick and accept.  Arrival i
+    owns the triples ``budget[:, s, i]`` for s < width and then, once all
+    of them are rejected, the columns of ``rng.random((rows, width))``
+    chunks drawn in birth order.  So its parent is a function of its own
+    triples and the parents of earlier arrivals.
 
     Every arrival starts unknown (0).  A round recomputes the pending
     arrivals from the current guesses, all at once: proposals by
@@ -475,8 +425,8 @@ def sample_parent_rejection(
     final, each settled in one round, with budgets sized as :func:`grow`
     sizes them.  Returns (parents drawn, rejected proposals).
     """
-    if m < 1 or m > trace.n:
-        raise ArgumentError(f"snapshot time {m} outside 1..{trace.n}")
+    m = _check_snapshot(trace, m)
+    size = check_count("size", size, 0)
     parents = trace.parents
     view = _DegreeView(len(parents))
     view.extend(parents, 2, len(parents))
@@ -499,7 +449,7 @@ def sample_parent_rejection(
 
 def attachment_distribution(trace: TreeTrace, m: int, kernel: AttachmentKernel) -> np.ndarray:
     """P(parent = v) over v = 1..m from snapshot weights (ground truth)."""
-    if m == 1:
+    if _check_snapshot(trace, m) == 1:
         return np.array([1.0])
     w = kernel.evaluate_array(_weight_degrees(trace.parents, m)).astype(np.float64)
     return w / w.sum()
@@ -513,7 +463,7 @@ def thinning_distribution(trace: TreeTrace, m: int, kernel: AttachmentKernel) ->
     for uniform and affine kernels (acceptance 1) this is the edge law.  It
     equals :func:`attachment_distribution` exactly when the envelope holds.
     """
-    if m == 1:
+    if _check_snapshot(trace, m) == 1:
         return np.array([1.0])
     slope, offset = kernel.linear_bound()
     e = np.arange(2 * (m - 1))
@@ -546,12 +496,11 @@ def grow(config: GrowthConfig, seeds=None):
     edge sampler draws every branch uniform and then every pick.  Rejection
     takes its arrivals block by block (see the module docstring): each
     block draws its budget of uniforms, and an arrival that rejects all of
-    its budget draws overflow chunks when it is resolved, in birth order,
-    whichever path resolves the block.  Vertex 2 attaches to the root
-    deterministically.  Trees are int32 (see :class:`TreeTrace`).  The edge
-    sampler peaks at about 28 B per vertex, in the delay draw; the rejection
-    sampler at about 42, in its degree view and sorted key, plus a few MB
-    for a block.
+    its budget draws overflow chunks when it is resolved, in birth order.
+    Vertex 2 attaches to the root deterministically.  Trees are int32 (see
+    :class:`TreeTrace`).  The edge sampler peaks at about 28 B per vertex,
+    in the delay draw; the rejection sampler at about 42, in its degree
+    view and sorted key, plus a few MB for a block.
     """
     n_final = config.n_final
     batch = [config.seed] if seeds is None else [check_seed(seed) for seed in seeds]
@@ -632,7 +581,6 @@ def _loop_edge(parents, kernel, ms, rngs) -> None:
 
 
 _BLOCK_MAX = 1 << 14  # thinning blocks hold P/4 arrivals past the first unresolved arrival P, up to this many
-_NUMPY_MIN = 128  # smaller blocks are drawn one arrival at a time
 _BUDGET_MAX = 32  # triples drawn ahead per arrival at most
 _STRAGGLERS = 8  # a NumPy round with this few sibling walks left hands them to scalar code
 _NEVER = np.iinfo(np.int32).max  # a birth later than any vertex
@@ -664,17 +612,13 @@ def _loop_rejection(parents, kernel, ms, rng) -> int:
     """Thinning parents for one tree, a block at a time; returns the rejected proposals.
 
     Each block draws its budget from ``rng`` (:func:`_budget` triples per
-    arrival, sized by the rejections so far) and resolves through
-    :func:`_thin_block`, or, below _NUMPY_MIN arrivals, one arrival at a
-    time through :func:`_draw_thinning` on the same triples and overflow
-    chunks, which gives the same parents.
+    arrival, sized by the rejections so far), resolves through
+    :func:`_thin_block` and then enters the degree view.
     """
     slope, offset = kernel.linear_bound()
     rows = _rows(slope, offset)
-    evaluate = kernel.evaluate
-    par = memoryview(parents)  # scalar reads and writes without NumPy boxing
     view = _DegreeView(len(parents))
-    view.add(2, 1)
+    view.extend(parents, 2, 3)  # vertex 2, the root's child
     retries = accepted = 0
     k, end = 3, len(parents)  # k: the first unresolved arrival, P
     while k < end:
@@ -683,16 +627,8 @@ def _loop_rejection(parents, kernel, ms, rng) -> int:
         budget = rng.random((rows, width, size))
         view.refresh(parents, k)
         block = ms[k - 3 : k - 3 + size]
-        if size >= _NUMPY_MIN:
-            retries += _thin_block(parents, view, k, parents[k : k + size], block, slope, offset, kernel, budget, rng)
-            view.extend(parents, k, k + size)
-        else:
-            for j, m, uniforms in zip(range(k, k + size), block.tolist(), budget.transpose(2, 0, 1).tolist()):
-                triples = chain(_triples(uniforms), _overflow(rng, rows, width))
-                v, rejected = _draw_thinning(par, view, m, slope, offset, evaluate, triples)
-                retries += rejected
-                par[j] = v
-                view.add(j, v)
+        retries += _thin_block(parents, view, k, parents[k : k + size], block, slope, offset, kernel, budget, rng)
+        view.extend(parents, k, k + size)
         accepted += int(np.count_nonzero(block > 1))
         k += size
     return retries

@@ -63,6 +63,10 @@ __all__ = [
 # The kernel transform and its Malthusian root
 # ---------------------------------------------------------------------------
 
+_PROD_FLOOR = 1e-15  # the series stops once its running product is below this and its tail is certified
+_HARD_CAP = 10**6  # terms summed at most
+_MALTHUS_TOL = 1e-10  # solve_malthusian's bound on |rho(lambda*) - 1|
+
 
 @dataclass(frozen=True)
 class SeriesDetail:
@@ -100,18 +104,16 @@ def rho_hat_series(
     kernel: AttachmentKernel,
     lam: float,
     tol: float = 1e-12,
-    prod_floor: float = 1e-15,
-    hard_cap: int = 10**6,
     stop_above: float | None = None,
 ) -> SeriesDetail:
     """Direct series evaluation with adaptive, certified truncation.
 
     Terms are accumulated until the running product drops below
-    ``prod_floor`` *and* the tail certificate is below ``tol``.  Partial
-    sums beyond 1e6 abort with an infinite flag (divergence).  When
-    ``stop_above`` is set, accumulation ends early as soon as the partial
-    sum (a lower bound on the true value) exceeds it -- handy when only
-    the comparison against 1 matters.
+    _PROD_FLOOR *and* the tail certificate is below ``tol``, or for
+    _HARD_CAP terms.  Partial sums beyond 1e6 abort with an infinite flag
+    (divergence).  When ``stop_above`` is set, accumulation ends early as
+    soon as the partial sum (a lower bound on the true value) exceeds it --
+    handy when only the comparison against 1 matters.
     """
     if lam <= 0.0:
         return SeriesDetail(math.inf, 0, math.inf)
@@ -128,13 +130,13 @@ def rho_hat_series(
             return SeriesDetail(math.inf, k, math.inf)
         if stop_above is not None and s > stop_above:
             return SeriesDetail(s, k, math.inf)
-        if prod < prod_floor:
+        if prod < _PROD_FLOOR:
             bound = _tail_bound(kernel, lam, k, prod)
             if bound < tol:
                 return SeriesDetail(s, k, bound)
         if prod == 0.0:
             return SeriesDetail(s, k, 0.0)
-        if k >= hard_cap:
+        if k >= _HARD_CAP:
             return SeriesDetail(s, k, _tail_bound(kernel, lam, k, prod))
 
 
@@ -184,8 +186,8 @@ class MalthusianResult:
     bracket: tuple[float, float]
 
 
-def solve_malthusian(kernel: AttachmentKernel, tol: float = 1e-10) -> MalthusianResult:
-    """Bisection for the root of rho(lam) = 1 (rho is strictly decreasing).
+def solve_malthusian(kernel: AttachmentKernel) -> MalthusianResult:
+    """Bisection for the root of rho(lam) = 1 (rho is strictly decreasing), to |rho - 1| <= _MALTHUS_TOL.
 
     Raises AssumptionError when no bracket exists on the feasible ray,
     which for admissible kernels (positive, at most linear) cannot happen.
@@ -223,8 +225,8 @@ def solve_malthusian(kernel: AttachmentKernel, tol: float = 1e-10) -> Malthusian
         else SeriesDetail(rho_hat(kernel, lam), 0, 0.0)
     )
     rho_val = detail.value if math.isfinite(detail.tail_bound) else detail.partial
-    if not (abs(rho_val - 1.0) <= tol):
-        raise AssumptionError(f"bisection failed to reach |rho - 1| <= {tol}: got {rho_val}")
+    if not (abs(rho_val - 1.0) <= _MALTHUS_TOL):
+        raise AssumptionError(f"bisection failed to reach |rho - 1| <= {_MALTHUS_TOL}: got {rho_val}")
     return MalthusianResult(
         lambda_star=lam,
         rho_at_solution=rho_val,

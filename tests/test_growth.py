@@ -102,6 +102,34 @@ def test_degree_views():
     assert _weight_degrees(tr.parents, 5).tolist() == [2, 1, 2, 2, 1]
 
 
+@pytest.mark.parametrize("m", (0, 6, 2.5, np.float64(3.0), "3"), ids=("zero", "past-n", "float", "np-float", "str"))
+def test_snapshot_entry_points_take_integer_times_in_1_to_n(m):
+    # on a 5-vertex tree, a snapshot outside 1..5 or not an integer is refused at every entry point
+    tr = trace_from_parents([0, 0, 1, 1, 3, 4])
+    kern = TabulatedKernel(values=(1.0, 2.0, 1.5), tail=("const",), f_star=1.0)
+    calls = (
+        lambda: deg_at(tr, 1, m),
+        lambda: attachment_distribution(tr, m, kern),
+        lambda: thinning_distribution(tr, m, kern),
+        lambda: sample_parent_rejection(tr, m, kern, np.random.default_rng(0), 1),
+    )
+    for call in calls:
+        with pytest.raises(ArgumentError, match="snapshot time"):
+            call()
+    # NumPy integers are integers
+    np.testing.assert_array_equal(attachment_distribution(tr, np.int64(5), kern), attachment_distribution(tr, 5, kern))
+    assert deg_at(tr, 1, np.int32(5)) == 3
+
+
+@pytest.mark.parametrize("size", (-1, 2.0, None))
+def test_rejection_draw_takes_a_count_of_draws(size):
+    tr = trace_from_parents([0, 0, 1, 1, 3, 4])
+    with pytest.raises(ArgumentError, match="size"):
+        sample_parent_rejection(tr, 3, AFF, np.random.default_rng(0), size)
+    got, rejected = sample_parent_rejection(tr, 3, AFF, np.random.default_rng(0), 0)
+    assert (got.tolist(), rejected) == ([], 0)
+
+
 def test_distributions_sum_to_one_and_respect_snapshot():
     tr = grow(_cfg(n=64, seed=21))
     for m in (1, 2, 5, 33, 64):
@@ -190,7 +218,6 @@ def test_thinning_blocks_draw_the_model_law(monkeypatch, budget):
     from scipy import stats
 
     monkeypatch.setattr(growth, "_block_size", lambda first: 4)
-    monkeypatch.setattr(growth, "_NUMPY_MIN", 1)
     monkeypatch.setattr(growth, "_BUDGET_MAX", budget)
     blocks, thin_block = [], growth._thin_block
 

@@ -215,8 +215,7 @@ SWINGING = TabulatedKernel((0.2, 5.0, 0.2), tail=("const",), f_star=0.2)
 
 
 # blocks of up to 3 or 7 arrivals cross each other's snapshots; a budget of
-# one or two triples sends rejections to the overflow chunks; _NUMPY_MIN of
-# 1 resolves every block in NumPy rounds, 10**9 one arrival at a time
+# one or two triples sends rejections to the overflow chunks
 @settings(max_examples=150, deadline=None)
 @given(
     _thinning_histories(),
@@ -224,16 +223,17 @@ SWINGING = TabulatedKernel((0.2, 5.0, 0.2), tail=("const",), f_star=0.2)
     st.integers(0, 2**32 - 1),
     st.sampled_from((3, 7)),
     st.sampled_from((1, 2, 32)),
-    st.sampled_from((1, 10**9)),
 )
 # an arrival that rejects its first proposal reads a second vertex, which gains a guessed child
-@example((14, [2, 1, 1, 1, 1, 1, 1, 1, 1, 11, 12, 1]), SWINGING, 197, 3, 2, 1)
-def test_thinning_blocks_match_the_per_arrival_loop(history, kernel, seed, block, budget, numpy_min):
+@example((14, [2, 1, 1, 1, 1, 1, 1, 1, 1, 11, 12, 1]), SWINGING, 197, 3, 2)
+# arrivals 3..6 are one-arrival blocks (P < 8), and their four rejections overflow a one-triple budget
+@example((6, [2, 2, 3, 4]), SWINGING, 0, 3, 1)
+def test_thinning_blocks_match_the_per_arrival_loop(history, kernel, seed, block, budget):
     n, ms = history
     parents = np.zeros(n + 1, dtype=np.int32)
     parents[2] = 1
     rng, tape = np.random.default_rng(seed), np.random.default_rng(seed)
-    with mock.patch.multiple(growth, _BLOCK_MAX=block, _BUDGET_MAX=budget, _NUMPY_MIN=numpy_min):
+    with mock.patch.multiple(growth, _BLOCK_MAX=block, _BUDGET_MAX=budget):
         expected, rejected = _reference_thinning(n, ms, kernel, tape)
         retries = growth._loop_rejection(parents, kernel, np.array(ms, dtype=np.int32), rng)
     assert parents.tolist() == expected
@@ -294,16 +294,12 @@ def test_single_affine_draw_matches_the_scalar_draw(parents, alpha, seed, data):
     got = growth._resolve_edge(tr.parents, tr.n + 1, np.full(64, m), 1.0, alpha, branch, picks)
     expected = [_scalar_edge_draw(tr.parents, m, 1.0, alpha, b, u) for b, u in zip(branch, picks)]
     np.testing.assert_array_equal(got, expected)
-    # the thinning draws propose by the same rule; accept = 0.0 takes every proposal
+    # the thinning draws propose by the same rule; accept = 0.0 takes every proposal, so a
+    # block of one budget slot per draw suffices: without the constant term it holds no branch uniforms
     view = _frozen_view(tr.parents)
-    triples = iter([(b, u, 0.0) for b, u in zip(branch, picks)])
-    kernel = AffineKernel(alpha)
-    evaluate = kernel.evaluate
-    thinned = [growth._draw_thinning(tr.parents.tolist(), view, m, 1.0, alpha, evaluate, triples) for _ in picks]
-    assert thinned == [(v, 0) for v in expected]
-    # a block of one budget slot per draw: without the constant term it holds no branch uniforms
     budget = np.stack([branch, picks, np.zeros(64)] if alpha > 0.0 else [picks, np.zeros(64)])[:, None, :]
     out = np.empty(64, dtype=np.int64)
+    kernel = AffineKernel(alpha)
     assert growth._thin_block(tr.parents, view, tr.n + 1, out, np.full(64, m), 1.0, alpha, kernel, budget, None) == 0
     np.testing.assert_array_equal(out, expected)
 
@@ -324,8 +320,8 @@ def _check_degree_view(parents, ratio, batch) -> set:
     """Grow a degree view arrival by arrival and query it at every P, m < P and v <= m.
 
     ``batch(first, p)`` says how far past ``first`` to add with one
-    ``extend``; the rest of the arrivals below P go in one ``add`` at a
-    time.  Returns the branches the queries took.
+    ``extend``; the rest of the arrivals below P go in a second one.
+    Returns the branches the queries took.
     """
     parents = np.asarray(parents, dtype=np.int64)
     n = len(parents) - 1
@@ -336,8 +332,7 @@ def _check_degree_view(parents, ratio, batch) -> set:
         for p in range(3, n + 2):
             upto = batch(first, p)
             view.extend(parents, first, upto)
-            for k in range(upto, p):
-                view.add(k, int(parents[k]))
+            view.extend(parents, upto, p)
             first = p
             view.refresh(parents, p)
             ms = np.concatenate([np.full(m, m) for m in range(1, p)])
