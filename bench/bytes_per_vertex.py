@@ -16,8 +16,13 @@ one replicate with statistics ``degree,fringe``, one stage at a time:
 * ``grow``: ``growth.grow``;
 * ``degree``: ``estimators.degree_hists`` of the tree;
 * ``labels``: ``canonical.shape_labels`` of its parents;
-* ``censuses``: ``FringeCensus.from_labels``, then ``PairCensus.from_fringe``
-  of that census.
+* ``censuses``: ``FringeCensus.from_labels``, then the pair counts,
+  ``theory.extended_fringe_law`` of its counts at depth 1 (the harness
+  applies this map to the pooled counts of a plan; for one replicate that
+  is the same work).
+
+The child script needs a ``delaytree`` whose ``extended_fringe_law``
+takes a mapping of masses; older trees need the script of their own time.
 
 A timed run records each stage's ``time.perf_counter`` seconds and the
 process's peak RSS (``ru_maxrss``) after imports, after ``grow`` and at the
@@ -50,6 +55,7 @@ import hashlib, json, resource, sys, time, tracemalloc
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from delaytree import estimators as est
+from delaytree import theory
 from delaytree.canonical import shape_labels
 from delaytree.cli import PRESETS
 from delaytree.configio import build_config, parse_config_text
@@ -86,12 +92,12 @@ labels, codes = stage("labels", lambda: shape_labels(trace.parents, cap))
 
 def censuses():
     fringe = est.FringeCensus.from_labels(labels, codes, cap)
-    return fringe, est.PairCensus.from_fringe(fringe)
+    return fringe, theory.extended_fringe_law(fringe.counts, 1)
 
 fringe, pairs = stage("censuses", censuses)
 rss("peak")
 counts = [hist.counts.tolist(), sorted(fringe.counts.items()), fringe.truncated,
-          sorted(pairs.counts.items()), pairs.truncated]
+          sorted(pairs.items()), n - 1 - sum(pairs.values())]
 out["parents_sha256"] = hashlib.sha256(trace.parents.astype("<i8").tobytes()).hexdigest()
 out["census_sha256"] = hashlib.sha256(json.dumps(counts).encode()).hexdigest()
 print(json.dumps(out))

@@ -40,7 +40,6 @@ from .estimators import (
     FringeCensus,
     degree_hist,
     delay_condition_scan,
-    extended_fringe_census,
     fringe_census,
     root_trajectory,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "degree_hist",
     "degree_law",
     "delay_condition_scan",
-    "extended_fringe_census",
     "extended_fringe_law",
     "fringe_bruteforce",
     "fringe_census",

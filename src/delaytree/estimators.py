@@ -1,16 +1,15 @@
 """Empirical statistics of grown traces.
 
-Degree histograms, fringe-subtree censuses (plain and parent-paired),
-root-degree trajectories, the leaf CLT statistic of one tree, and the
-exact delay-condition scan.  Everything here is read-only over a trace.
+Degree histograms, the fringe-subtree census, root-degree trajectories,
+the leaf CLT statistic of one tree, and the exact delay-condition scan.
+Everything here is read-only over a trace.
 
-Both fringe censuses come from one integer shape labelling of the trace
-(``canonical.shape_labels``): the fringe counts are one bincount of the
-labels, and the pair counts follow from the fringe counts alone, since a
-vertex of shape s has exactly the children of s.  So a caller that wants
-both labels the trace once, builds ``FringeCensus.from_labels`` and then
-``PairCensus.from_fringe``, with no second pass over the vertices.  Code
-strings appear only as the keys of the result.
+The fringe counts are one bincount of an integer shape labelling of the
+trace (``canonical.shape_labels``).  Parent-paired counts are no census
+of their own: a vertex of shape s has exactly the children of s, so they
+are ``theory.extended_fringe_law`` applied to the fringe counts, the one
+map that also turns the limit law pi into the pair law.  Code strings
+appear only as the keys of the result.
 
 Degree conventions, fixed once for the whole package: the histogram counts
 *graph* degrees (children plus the parent edge, root has no parent edge),
@@ -29,10 +28,11 @@ import numpy as np
 
 # subtree_codes is not called here; it stays importable under this module
 # because perfbench/tracer.py wraps it at delaytree.estimators.subtree_codes
-from .canonical import shape_labels, subtree_codes, top_level_children  # noqa: F401
+from .canonical import shape_labels, subtree_codes  # noqa: F401
 from .errors import ArgumentError
 from .growth import TreeTrace
 from .kernels import DelayLaw
+from .theory import extended_fringe_law
 
 __all__ = [
     "DegreeHist",
@@ -40,7 +40,6 @@ __all__ = [
     "degree_hists",
     "FringeCensus",
     "fringe_census",
-    "PairCensus",
     "extended_fringe_census",
     "leaf_clt_value",
     "RootTrajectory",
@@ -71,9 +70,6 @@ class DegreeHist:
         if k >= len(self.counts):
             return 0
         return int(self.counts[k])
-
-    def probs(self) -> np.ndarray:
-        return self.counts / self.n
 
     def max_degree(self) -> int:
         return len(self.counts) - 1
@@ -131,7 +127,7 @@ def degree_hists(traces) -> list[DegreeHist]:
 
 
 # ---------------------------------------------------------------------------
-# Fringe censuses
+# Fringe census
 # ---------------------------------------------------------------------------
 
 
@@ -147,13 +143,6 @@ class FringeCensus:
     n: int
     truncated: int
     cap: int
-
-    @property
-    def truncated_mass(self) -> float:
-        return self.truncated / self.n
-
-    def freq(self, code: str) -> float:
-        return self.counts.get(code, 0) / self.n
 
     @classmethod
     def from_labels(cls, labels: np.ndarray, codes, cap: int) -> "FringeCensus":
@@ -173,52 +162,10 @@ def fringe_census(trace: TreeTrace, cap: int = 6) -> FringeCensus:
     return FringeCensus.from_labels(labels, codes, cap)
 
 
-@dataclass(frozen=True)
-class PairCensus:
-    """Counts of (own fringe, parent's fringe) shape pairs.
-
-    Keys are (child_code, parent_code); a vertex enters only when its
-    parent's fringe fits under the cap (its own then fits automatically,
-    being a strict subtree).  Frequencies are per vertex, count/n, which
-    is the normalization under which they converge to the depth-1 chain
-    masses pi(parent) * Q(parent, child).
-    """
-
-    counts: dict
-    n: int
-    truncated: int
-    cap: int
-
-    @property
-    def truncated_mass(self) -> float:
-        return self.truncated / self.n
-
-    def freq(self, pair) -> float:
-        return self.counts.get(tuple(pair), 0) / self.n
-
-    def child_marginal(self, code: str) -> int:
-        return sum(c for (t0, _), c in self.counts.items() if t0 == code)
-
-    @classmethod
-    def from_fringe(cls, fringe: FringeCensus) -> "PairCensus":
-        """Pair census of the tree that ``fringe`` counted.
-
-        A vertex of fringe shape s has exactly the children of s, so the
-        N_s such vertices pair N_s times with each child of s, and every
-        vertex whose parent is truncated is a truncated pair.
-        """
-        counts: dict = {}
-        paired = 0
-        for shape, count in fringe.counts.items():
-            children = top_level_children(shape)
-            paired += count * len(children)
-            for child in children:
-                counts[(child, shape)] = counts.get((child, shape), 0) + count
-        return cls(counts=counts, n=fringe.n, truncated=fringe.n - 1 - paired, cap=fringe.cap)
-
-
-def extended_fringe_census(trace: TreeTrace, cap: int = 6) -> PairCensus:
-    return PairCensus.from_fringe(fringe_census(trace, cap))
+# extended_fringe_census is not called in the package; it stays, as the pair
+# counts of one tree, because perfbench/tracer.py wraps it as a boundary
+def extended_fringe_census(trace: TreeTrace, cap: int = 6) -> dict:
+    return extended_fringe_law(fringe_census(trace, cap).counts, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,13 @@ class TreeTrace:
 # ---------------------------------------------------------------------------
 
 
-def _check_snapshot(trace: TreeTrace, m) -> int:
-    """``m`` as an int; ArgumentError unless it is an integer snapshot time 1..n of ``trace``."""
+def _check_snapshot(trace: TreeTrace, m, name: str = "snapshot time") -> int:
+    """``m`` as an int; ArgumentError unless it is an integer in 1..n of ``trace``.
+
+    ``name`` says what ``m`` is in the message: a snapshot time or a vertex.
+    """
     if not isinstance(m, numbers.Integral) or not 1 <= m <= trace.n:
-        raise ArgumentError(f"snapshot time must be an integer in 1..{trace.n}, got {m!r}")
+        raise ArgumentError(f"{name} must be an integer in 1..{trace.n}, got {m!r}")
     return int(m)
 
 
@@ -113,8 +116,7 @@ def deg_at(trace: TreeTrace, v: int, m: int) -> int:
     3-chain deg_at(1, 3) == 2.
     """
     m = _check_snapshot(trace, m)
-    if v < 1 or v > trace.n:
-        raise ArgumentError(f"vertex {v} outside 1..{trace.n}")
+    v = _check_snapshot(trace, v, "vertex")
     return 0 if v > m else 1 + int(np.count_nonzero(trace.parents[2 : m + 1] == v))
 
 

@@ -133,9 +133,8 @@ class RunSummary:
 def tv_distance(empirical, theory_probs) -> float:
     """Half-L1 over the compared support, plus the lumped remainder gap.
 
-    empirical may be a DegreeHist (compared on degrees 1..len(theory)),
-    a FringeCensus (compared on the theory table's codes), or a plain
-    probability vector aligned with theory_probs.
+    empirical may be a DegreeHist (compared on degrees 1..len(theory)) or
+    a plain probability vector aligned with theory_probs.
     """
     if isinstance(empirical, est.DegreeHist):
         th = np.asarray(theory_probs, dtype=np.float64)
@@ -143,10 +142,6 @@ def tv_distance(empirical, theory_probs) -> float:
         upto = min(len(th) + 1, len(empirical.counts))
         emp[: upto - 1] = empirical.counts[1:upto]
         emp = emp / empirical.n
-    elif isinstance(empirical, est.FringeCensus):
-        codes = sorted(theory_probs)
-        th = np.array([theory_probs[c] for c in codes])
-        emp = np.array([empirical.freq(c) for c in codes])
     else:
         emp = np.asarray(empirical, dtype=np.float64)
         th = np.asarray(theory_probs, dtype=np.float64)
@@ -185,11 +180,8 @@ def _replicate_records(args) -> list:
             cap = config.fringe_cap
             labels, codes = shape_labels(trace.parents, cap)
             census = est.FringeCensus.from_labels(labels, codes, cap)
-            pairs = est.PairCensus.from_fringe(census)
             rec["fringe_counts"] = census.counts
             rec["fringe_truncated"] = census.truncated
-            rec["pair_counts"] = pairs.counts
-            rec["pair_truncated"] = pairs.truncated
         if traj is not None:
             rec["root_ns"] = traj.ns
             rec["root_values"] = traj.values
@@ -258,19 +250,17 @@ def _aggregate_degree(plan: ExperimentPlan, records: list, lam: float) -> tuple[
 def _aggregate_fringe(plan: ExperimentPlan, records: list, lam: float) -> tuple[dict, dict]:
     config = plan.config
     counts: dict = {}
-    pair_counts: dict = {}
     truncated = 0
-    pair_truncated = 0
     for r in records:
         for code, c in r["fringe_counts"].items():
             counts[code] = counts.get(code, 0) + c
         truncated += r["fringe_truncated"]
-        for pair, c in r["pair_counts"].items():
-            pair_counts[pair] = pair_counts.get(pair, 0) + c
-        pair_truncated += r["pair_truncated"]
     total = plan.replicates * config.n_final
     table = theory.fringe_recursion(config.fringe_cap, config.kernel, lam)
-    chain = theory.extended_fringe_law(table, 1)
+    # one map turns the limit law into the pair law and the pooled counts into pair counts
+    chain = theory.extended_fringe_law(table.probs, 1)
+    pair_counts = theory.extended_fringe_law(counts, 1)
+    pair_truncated = plan.replicates * (config.n_final - 1) - sum(pair_counts.values())
     gaps = {
         code: abs(counts.get(code, 0) / total - p) for code, p in table.probs.items()
     }

@@ -379,16 +379,21 @@ def fringe_recursion(size_cap: int, kernel: AttachmentKernel, lambda_star: float
     return table
 
 
-def extended_fringe_law(table: FringeTable, depth: int) -> dict:
+def extended_fringe_law(masses, depth: int) -> dict:
     """Joint law of the fringe chain (t_0, ..., t_depth) along ancestors.
 
+    ``masses`` maps each code to its mass: the limit law pi
+    (``FringeTable.probs``), or the fringe counts of one or more trees.
     Keys are tuples of codes ordered child-first; the mass of
-    (t_0, ..., t_d) is pi(t_d) * prod_{j=1}^{d} Q(t_j, t_{j-1}), where
-    Q counts root-children subtrees.  Depth 0 recovers the plain table.
+    (t_0, ..., t_d) is masses(t_d) * prod_{j=1}^{d} Q(t_j, t_{j-1}), where
+    Q counts root-children subtrees.  Depth 0 recovers the plain masses.
+    A vertex of shape s has exactly the children of s, so integer fringe
+    counts give the integer counts of the chains that fit under the cap:
+    at depth 1, the (own shape, parent's shape) pair counts.
     """
     if depth < 0:
         raise ArgumentError("depth must be >= 0")
-    level = {(code,): p for code, p in table.probs.items()}
+    level = {(code,): p for code, p in masses.items()}
     for _ in range(depth):
         nxt: dict = {}
         for key, mass in level.items():

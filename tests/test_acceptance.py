@@ -29,7 +29,6 @@ from delaytree.canonical import all_canonical_trees
 from delaytree.estimators import (
     degree_hist,
     delay_condition_scan,
-    extended_fringe_census,
     fringe_census,
     root_trajectory,
 )
@@ -159,8 +158,8 @@ def _grow_pool(delay, base: int, n: int, codes, pair_keys) -> dict:
         pooled[: len(counts)] += counts
         cen = fringe_census(tr, cap=4)
         code_rows[r] = [cen.counts.get(c, 0) / n for c in codes]
-        pc = extended_fringe_census(tr, cap=4)
-        pair_rows[r] = [pc.counts.get(k, 0) / n for k in pair_keys]
+        pairs = extended_fringe_law(cen.counts, 1)
+        pair_rows[r] = [pairs.get(k, 0) / n for k in pair_keys]
     return {"degree": pooled / pooled.sum(), "code_rows": code_rows, "pair_rows": pair_rows}
 
 
@@ -174,7 +173,7 @@ def regime_pool():
     """
     table = fringe_recursion(4, ALPHA0, 2.0)
     codes = [c for s in range(1, 5) for c in all_canonical_trees(4)[s]]
-    pair_theory = {k: v for k, v in extended_fringe_law(table, 1).items() if v >= 0.01}
+    pair_theory = {k: v for k, v in extended_fringe_law(table.probs, 1).items() if v >= 0.01}
     pair_keys = sorted(pair_theory)
     t0 = time.perf_counter()
     pool = {"codes": codes, "table": table, "pair_theory": pair_theory, "pair_keys": pair_keys}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaytree import estimators
+from delaytree.canonical import shape_labels
 from delaytree.errors import ArgumentError
 from delaytree.estimators import (
     RootTrajectory,
@@ -32,6 +33,7 @@ from delaytree.kernels import (
     Uniform01Delay,
     ZeroDelay,
 )
+from delaytree.theory import extended_fringe_law
 
 AFF = AffineKernel(0.0)
 
@@ -48,7 +50,7 @@ def test_degree_hist_hand_trees():
     h = degree_hist(PATH4)
     assert h.count(1) == 2 and h.count(2) == 2 and h.count(3) == 0
     assert h.max_degree() == 2
-    assert h.probs().sum() == pytest.approx(1.0)
+    assert (h.counts / h.n).sum() == pytest.approx(1.0)
     s = degree_hist(STAR4)
     assert s.count(1) == 3 and s.count(3) == 1
     assert s.max_degree() == 3
@@ -89,9 +91,9 @@ def test_fringe_census_path():
     capped = fringe_census(PATH4, cap=2)
     assert capped.counts == {"()": 1, "(())": 1}
     assert capped.truncated == 2
-    assert capped.truncated_mass == pytest.approx(0.5)
-    assert capped.freq("(())") == pytest.approx(0.25)
-    assert capped.freq("nonexistent-is-zero" * 0 + "((()))") == 0.0
+    assert capped.truncated / capped.n == pytest.approx(0.5)
+    assert capped.counts["(())"] / capped.n == pytest.approx(0.25)
+    assert capped.counts.get("((()))", 0) / capped.n == 0.0
 
 
 def test_singleton_count_identity():
@@ -114,26 +116,27 @@ def test_singleton_count_identity():
 
 
 def test_extended_census_star():
-    pc = extended_fringe_census(STAR4, cap=4)
-    assert pc.counts == {("()", "(()()())"): 3}
-    assert pc.truncated == 0
-    assert pc.freq(("()", "(()()())")) == pytest.approx(0.75)
-    assert pc.child_marginal("()") == 3
-    tight = extended_fringe_census(STAR4, cap=3)
-    assert tight.counts == {}
-    assert tight.truncated == 3  # parent shape no longer fits the cap
+    pairs = extended_fringe_law(fringe_census(STAR4, cap=4).counts, 1)
+    assert pairs == {("()", "(()()())"): 3}
+    assert STAR4.n - 1 - sum(pairs.values()) == 0  # no vertex with a truncated parent
+    assert pairs[("()", "(()()())")] / STAR4.n == pytest.approx(0.75)
+    assert sum(c for (child, _), c in pairs.items() if child == "()") == 3
+    tight = extended_fringe_law(fringe_census(STAR4, cap=3).counts, 1)
+    assert tight == {}
+    assert STAR4.n - 1 - sum(tight.values()) == 3  # parent shape no longer fits the cap
+    assert extended_fringe_census(STAR4, cap=4) == pairs  # the one-tree form of the map
 
 
 def test_extended_census_matches_pair_freqs_on_grown_tree():
     tr = grow(GrowthConfig(AFF, ZeroDelay(beta=0.5), 4000, seed=23))
-    pc = extended_fringe_census(tr, cap=4)
     fc = fringe_census(tr, cap=4)
-    # child marginal of the pair census never exceeds the child's own count
+    pairs = extended_fringe_law(fc.counts, 1)
+    # the child marginal of the pair counts never exceeds the child's own count
     for code, cnt in fc.counts.items():
-        assert pc.child_marginal(code) <= cnt
-    assert pc.n == tr.n
-    # everything either contributes a pair or is truncated (root included)
-    assert sum(pc.counts.values()) + pc.truncated == tr.n - 1
+        assert sum(c for (child, _), c in pairs.items() if child == code) <= cnt
+    # a non-root vertex is paired exactly when its parent's fringe fits the cap
+    labels, _ = shape_labels(tr.parents, 4)
+    assert sum(pairs.values()) == int(np.count_nonzero(labels[tr.parents[2:]] >= 0))
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,13 @@ def test_snapshot_entry_points_take_integer_times_in_1_to_n(m):
     for call in calls:
         with pytest.raises(ArgumentError, match="snapshot time"):
             call()
-    # NumPy integers are integers
+    # deg_at's vertex follows the same rule
+    with pytest.raises(ArgumentError, match="vertex must be an integer in 1..5"):
+        deg_at(tr, m, 5)
+    # NumPy integers are integers, and so is a bool
     np.testing.assert_array_equal(attachment_distribution(tr, np.int64(5), kern), attachment_distribution(tr, 5, kern))
-    assert deg_at(tr, 1, np.int32(5)) == 3
+    assert deg_at(tr, 1, np.int32(5)) == deg_at(tr, True, 5) == 3
+    assert deg_at(tr, np.int64(4), 5) == 2
 
 
 @pytest.mark.parametrize("size", (-1, 2.0, None))

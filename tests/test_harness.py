@@ -91,10 +91,12 @@ def test_tv_distance_degree_hist():
 
 
 def test_tv_distance_fringe_census():
+    # a fringe census is compared as a vector of count / n over the theory's codes
     tr = grow(GrowthConfig(AFF, ZeroDelay(beta=0.5), 4000, seed=9))
     cen = fringe_census(tr, cap=3)
     theory = {"()": 2 / 3, "(())": 2 / 15, "((()))": 2 / 105, "(()())": 4 / 105}
-    assert tv_distance(cen, theory) < 0.05
+    emp = [cen.counts.get(code, 0) / cen.n for code in theory]
+    assert tv_distance(emp, list(theory.values())) < 0.05
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The integer shape labelling against the string-code reference.
 
-``shape_labels`` feeds both fringe censuses; ``subtree_codes`` builds a
-code string at every vertex and serves as the reference here.
+``shape_labels`` feeds the fringe census, and ``extended_fringe_law``
+maps its counts to pair counts; ``subtree_codes`` builds a code string at
+every vertex and serves as the reference for both here.
 """
 
 import dataclasses
@@ -23,7 +24,6 @@ from delaytree.configio import build_config, parse_config_text
 from delaytree.errors import ArgumentError
 from delaytree.estimators import (
     FringeCensus,
-    PairCensus,
     degree_hist,
     extended_fringe_census,
     fringe_census,
@@ -31,6 +31,7 @@ from delaytree.estimators import (
 from delaytree.growth import grow, trace_from_parents
 from delaytree.harness import ExperimentPlan
 from delaytree.kernels import AffineKernel, GrowthConfig, Uniform01Delay
+from delaytree.theory import extended_fringe_law
 
 AFF = AffineKernel(0.0)
 
@@ -52,6 +53,12 @@ def _reference(parents, cap):
     return codes, counts, truncated, pairs, pair_truncated
 
 
+def _pairs(fc):
+    """Pair counts of a fringe census by the fringe-to-pair map, and the unpaired vertices."""
+    pairs = extended_fringe_law(fc.counts, 1)
+    return pairs, fc.n - 1 - sum(pairs.values())
+
+
 def _check_against_reference(parents, cap):
     parents = np.asarray(parents)
     n = len(parents) - 1
@@ -62,11 +69,11 @@ def _check_against_reference(parents, cap):
     for v in range(1, n + 1):
         assert (shapes[labels[v]] if labels[v] >= 0 else None) == codes[v]
     fc = FringeCensus.from_labels(labels, shapes, cap)
-    pc = PairCensus.from_fringe(fc)
     assert (fc.counts, fc.truncated, fc.n) == (counts, truncated, n)
-    assert (pc.counts, pc.truncated, pc.n) == (pairs, pair_truncated, n)
+    got = _pairs(fc)
+    assert got == (pairs, pair_truncated)
+    assert all(type(c) is int for c in got[0].values())
     assert sum(fc.counts.values()) + fc.truncated == n
-    assert sum(pc.counts.values()) + pc.truncated == n - 1
 
 
 @st.composite
@@ -131,8 +138,8 @@ def test_round_one_labels_nothing_when_every_leaf_parent_reaches_the_cap(cap):
     labels, shapes = shape_labels(parents, cap)
     assert shapes == ("()",)
     assert labels.tolist() == [-1] * 5 + [0] * (3 * cap)
-    pc = PairCensus.from_fringe(FringeCensus.from_labels(labels, shapes, cap))
-    assert pc.counts == {} and pc.truncated == len(parents) - 2
+    pairs, pair_truncated = _pairs(FringeCensus.from_labels(labels, shapes, cap))
+    assert pairs == {} and pair_truncated == len(parents) - 2
 
 
 def test_hubs_over_the_cap_leave_their_small_siblings_unpaired():
@@ -141,9 +148,9 @@ def test_hubs_over_the_cap_leave_their_small_siblings_unpaired():
     _check_against_reference(parents, 4)
     labels, shapes = shape_labels(parents, 4)
     assert [shapes[i] if i >= 0 else None for i in labels[1:6]] == [None, "(())", "(()())", None, None]
-    pc = PairCensus.from_fringe(FringeCensus.from_labels(labels, shapes, 4))
-    assert pc.counts == {("()", "(())"): 1, ("()", "(()())"): 2}
-    assert pc.truncated == 4 + 5 + 7
+    pairs, pair_truncated = _pairs(FringeCensus.from_labels(labels, shapes, 4))
+    assert pairs == {("()", "(())"): 1, ("()", "(()())"): 2}
+    assert pair_truncated == 4 + 5 + 7
 
 
 @settings(max_examples=100, deadline=None)
@@ -160,8 +167,8 @@ def test_a_tree_within_the_cap_pairs_every_vertex(case):
     _check_against_reference(parents, n)
     labels, shapes = shape_labels(parents, n)
     assert labels[1] >= 0
-    pc = PairCensus.from_fringe(FringeCensus.from_labels(labels, shapes, n))
-    assert pc.truncated == 0 and sum(pc.counts.values()) == n - 1
+    pairs, pair_truncated = _pairs(FringeCensus.from_labels(labels, shapes, n))
+    assert pair_truncated == 0 and sum(pairs.values()) == n - 1
 
 
 def test_hand_tree_labels():
@@ -191,9 +198,9 @@ def test_census_matches_reference_on_presets(preset):
     for cap in (4, 6):
         _, counts, truncated, pairs, pair_truncated = _reference(parents, cap)
         fc = fringe_census(trace, cap=cap)
-        pc = extended_fringe_census(trace, cap=cap)
         assert (fc.counts, fc.truncated) == (counts, truncated)
-        assert (pc.counts, pc.truncated) == (pairs, pair_truncated)
+        assert _pairs(fc) == (pairs, pair_truncated)
+        assert extended_fringe_census(trace, cap=cap) == pairs
 
 
 @pytest.mark.parametrize(
@@ -235,8 +242,7 @@ def test_int32_and_int64_parents_past_the_int32_key_range():
         labels, shapes = shape_labels(par, 6)
         assert labels.dtype == np.int32
         fc = FringeCensus.from_labels(labels, shapes, 6)
-        pc = PairCensus.from_fringe(fc)
-        results.append((labels.tolist(), shapes, fc, pc))
+        results.append((labels.tolist(), shapes, fc, _pairs(fc)))
     assert results[0] == results[1]
 
 
@@ -264,7 +270,7 @@ def test_labelling_and_censuses_stay_under_25_bytes_per_vertex():
     tracemalloc.start()
     try:
         labels, shapes = shape_labels(parents, 6)
-        PairCensus.from_fringe(FringeCensus.from_labels(labels, shapes, 6))
+        extended_fringe_law(FringeCensus.from_labels(labels, shapes, 6).counts, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -278,7 +284,7 @@ def test_censuses_reject_bad_cap():
             census(trace, cap=0)
 
 
-def test_harness_labels_each_replicate_once(monkeypatch):
+def test_harness_labels_each_replicate_once(monkeypatch, tmp_path):
     calls = []
 
     def counting(parents, cap):
@@ -292,19 +298,27 @@ def test_harness_labels_each_replicate_once(monkeypatch):
         replicates=3,
         statistics=("degree", "fringe"),
         tolerances={"degree_tv": 1.0, "fringe_abs": 1.0, "pair_abs": 1.0},
+        outdir=str(tmp_path),
     )
-    summary = harness.run(plan)
+    harness.run(plan)
     assert calls == [800, 800, 800]
-    f = summary.statistics["fringe"]
-    # the pooled counts are those of the two public censuses, replicate by replicate
+    f = json.loads((tmp_path / "summary.json").read_text())["statistics"]["fringe"]
+    # the pooled counts in summary.json are the per-vertex reference's, summed over the
+    # replicates: the pair theory comes from the same map as the pooled pairs, so the pair
+    # gate cannot catch a bug in that map, and this comparison can
     expect, expect_pairs = {}, {}
+    truncated = pair_truncated = 0
     for r in range(3):
         trace = grow(dataclasses.replace(cfg, seed=harness.replicate_seed(cfg.seed, r)))
-        for code, c in fringe_census(trace, cfg.fringe_cap).counts.items():
+        _, counts, trunc, pairs, pair_trunc = _reference(trace.parents, cfg.fringe_cap)
+        for code, c in counts.items():
             expect[code] = expect.get(code, 0) + c
-        for pair, c in extended_fringe_census(trace, cfg.fringe_cap).counts.items():
-            expect_pairs[pair] = expect_pairs.get(pair, 0) + c
-    assert f["counts"] == expect and f["pair_counts"] == expect_pairs
+        for (child, up), c in pairs.items():
+            expect_pairs[f"{child}|{up}"] = expect_pairs.get(f"{child}|{up}", 0) + c
+        truncated += trunc
+        pair_truncated += pair_trunc
+    assert (f["counts"], f["truncated"]) == (expect, truncated)
+    assert (f["pair_counts"], f["pair_truncated"]) == (expect_pairs, pair_truncated)
 
 
 def test_bytes_per_vertex_bench_measures_this_tree():
@@ -318,9 +332,10 @@ def test_bytes_per_vertex_bench_measures_this_tree():
     entries["seed"] = str(bench.SEED)
     config, _ = build_config(entries)
     trace = grow(config)
-    fc, pc = fringe_census(trace, config.fringe_cap), extended_fringe_census(trace, config.fringe_cap)
+    fc = fringe_census(trace, config.fringe_cap)
+    pairs, pair_truncated = _pairs(fc)
     counts = [degree_hist(trace).counts.tolist(), sorted(fc.counts.items()), fc.truncated,
-              sorted(pc.counts.items()), pc.truncated]
+              sorted(pairs.items()), pair_truncated]
     got = bench.measure(str(root / "src"), 2000, "traced")  # a traced run also times every stage
     for stage in bench.STAGES:
         assert stage + "_s" in got and stage + "_traced_b_per_vertex" in got, sorted(got)

@@ -241,13 +241,13 @@ def test_q_matrix():
 
 def test_extended_law_depth0_is_the_table():
     table = fringe_recursion(4, AffineKernel(0.0), 2.0)
-    chains = extended_fringe_law(table, 0)
+    chains = extended_fringe_law(table.probs, 0)
     assert chains == {(code,): p for code, p in table.probs.items()}
 
 
 def test_extended_law_depth1_anchors():
     table = fringe_recursion(5, AffineKernel(0.0), 2.0)
-    chains = extended_fringe_law(table, 1)
+    chains = extended_fringe_law(table.probs, 1)
     # child-first keys: (own shape, parent shape)
     assert chains[("()", "(())")] == pytest.approx(2.0 / 15.0)
     assert chains[("()", "(()())")] == pytest.approx(8.0 / 105.0)  # two leaf slots
@@ -262,7 +262,7 @@ def test_extended_law_total_mass_identity():
     from delaytree.canonical import top_level_children
 
     table = fringe_recursion(7, AffineKernel(0.0), 2.0)
-    chains = extended_fringe_law(table, 1)
+    chains = extended_fringe_law(table.probs, 1)
     total = sum(chains.values())
     by_hand = sum(p * len(top_level_children(code)) for code, p in table.probs.items())
     assert total == pytest.approx(by_hand, abs=1e-14)
@@ -270,7 +270,7 @@ def test_extended_law_total_mass_identity():
 
 def test_extended_law_depth2_formula():
     table = fringe_recursion(5, AffineKernel(0.0), 2.0)
-    chains = extended_fringe_law(table, 2)
+    chains = extended_fringe_law(table.probs, 2)
     want = table.prob("((())())") * q_count("((())())", "(())") * q_count("(())", "()")
     assert chains[("()", "(())", "((())())")] == pytest.approx(want, rel=1e-12)
 
