@@ -14,8 +14,9 @@ beta = 0.5, fringe cap 6) at size n and runs what ``harness.run`` does for
 one replicate with statistics ``degree,fringe``, one stage at a time:
 
 * ``grow``: ``growth.grow``;
-* ``degree``: ``estimators.degree_hists`` of the tree;
-* ``labels``: ``canonical.shape_labels`` of its parents;
+* ``degree``: the tree's child counts, ``TreeTrace.child_counts``, and
+  ``DegreeHist.from_children`` of them;
+* ``labels``: ``canonical.shape_labels`` of its parents and those counts;
 * ``censuses``: ``FringeCensus.from_labels``, then the pair counts,
   ``theory.extended_fringe_law`` of its counts at depth 1 (the harness
   applies this map to the pooled counts of a plan; for one replicate that
@@ -23,6 +24,9 @@ one replicate with statistics ``degree,fringe``, one stage at a time:
 
 The child script needs a ``delaytree`` whose ``extended_fringe_law``
 takes a mapping of masses; older trees need the script of their own time.
+A tree without ``TreeTrace.child_counts`` counts the children in each
+stage on its own: ``estimators.degree_hists`` for the degree stage and
+``shape_labels(parents, cap)`` for the labels.
 
 A timed run records each stage's ``time.perf_counter`` seconds and the
 process's peak RSS (``ru_maxrss``) after imports, after ``grow`` and at the
@@ -35,7 +39,8 @@ can be compared across source trees.
 
 Every size in ``SIZES`` is timed ``RUNS`` times per source tree, the trees
 taking turns run by run so that host drift hits them alike, and the median
-of each number is recorded; ``TRACED`` sizes get one traced run per tree.
+of each number is recorded, with every run's replicate time
+(``replicate_s_runs``); ``TRACED`` sizes get one traced run per tree.
 The JSON document goes to standard output, progress to standard error.
 """
 
@@ -59,7 +64,7 @@ from delaytree import theory
 from delaytree.canonical import shape_labels
 from delaytree.cli import PRESETS
 from delaytree.configio import build_config, parse_config_text
-from delaytree.growth import grow
+from delaytree.growth import TreeTrace, grow
 
 entries = parse_config_text(PRESETS["grid-invpow2"])
 entries["n_final"] = sys.argv[2]
@@ -87,8 +92,16 @@ def stage(name, run):
 rss("import")
 trace = stage("grow", lambda: grow(config))
 rss("grow")
-hist = stage("degree", lambda: est.degree_hists([trace])[0])
-labels, codes = stage("labels", lambda: shape_labels(trace.parents, cap))
+if hasattr(TreeTrace, "child_counts"):  # one child count, which both stages read
+    def degree():
+        kids = trace.child_counts()
+        return kids, est.DegreeHist.from_children(kids)
+
+    kids, hist = stage("degree", degree)
+    labels, codes = stage("labels", lambda: shape_labels(trace.parents, kids, cap))
+else:  # a tree whose degree histogram and labelling count the children each
+    hist = stage("degree", lambda: est.degree_hists([trace])[0])
+    labels, codes = stage("labels", lambda: shape_labels(trace.parents, cap))
 
 def censuses():
     fringe = est.FringeCensus.from_labels(labels, codes, cap)
@@ -105,7 +118,7 @@ print(json.dumps(out))
 
 SIZES = (1_000_000, 10_000_000)
 TRACED = (1_000_000,)
-RUNS = 3  # median of three per size and tree
+RUNS = 5  # median of five per size and tree: one run's replicate time spreads by about 20% on a 2-core host
 SEED = 1
 STAGES = ("grow", "degree", "labels", "censuses")
 
@@ -133,7 +146,9 @@ def summary(got: list) -> dict:
         else:
             row[key] = round(statistics.median(values), 4)
     if "grow_s" in row:
-        row["replicate_s"] = round(statistics.median(sum(g[s + "_s"] for s in STAGES) for g in got), 4)
+        runs = [round(sum(g[s + "_s"] for s in STAGES), 4) for g in got]
+        row["replicate_s"] = round(statistics.median(runs), 4)
+        row["replicate_s_runs"] = runs
     return row
 
 

@@ -10,14 +10,15 @@ builds one of the ``CONFIGS`` at size n, times one ``grow`` call with
 ``time.perf_counter``, and reports that time, its peak RSS at that point
 (``ru_maxrss``), the rejected proposals ``retries``, the SHA-256 of
 ``parents`` and the tree's degree TV: ``harness.tv_distance`` between its
-degree histogram and ``theory.degree_law`` up to its largest degree.  The
-TV shows that a tree grown by another sampler is still drawn from the
-model when its parents differ.  Every (config, size) pair in ``SIZES`` is
-grown ``RUNS`` times per tree, on seeds ``SEED``, ``SEED + 1``, ..., the
-trees taking turns run by run so that host drift hits them alike, and the
-median time is recorded.  The ``LARGE`` runs grow once more with every
-tree, on ``SEED``, to record time and peak memory at a size too slow to
-repeat.  ``LAW`` grows ``LAW_SEEDS`` trees per tree source in one more
+degree shares (degrees 1 up to its largest) and ``theory.degree_law`` on
+the same degrees.  The TV shows that a tree grown by another sampler is
+still drawn from the model when its parents differ.  Every (config, size)
+pair in ``SIZES`` is grown ``RUNS`` times per tree, on seeds ``SEED``,
+``SEED + 1``, ..., the trees taking turns run by run so that host drift
+hits them alike, and the median time is recorded.  The ``LARGE`` sizes,
+too slow to repeat five times, are grown the same way ``LARGE_RUNS``
+times per tree: a single run per tree falls within the host's run-to-run
+spread.  ``LAW`` grows ``LAW_SEEDS`` trees per tree source in one more
 process each, untimed after the first, and records the mean, standard
 deviation and range of their degree TVs.  The JSON document goes to
 standard output, progress to standard error.
@@ -71,7 +72,7 @@ lam = solve_malthusian(config.kernel).lambda_star
 
 def tv(trace):
     hist = degree_hist(trace)
-    return tv_distance(hist, degree_law(config.kernel, lam, hist.max_degree()))
+    return tv_distance(hist.counts[1:] / hist.n, degree_law(config.kernel, lam, hist.max_degree()))
 
 
 more = grow(config, range(first + 1, first + count)) if count > 1 else []
@@ -111,6 +112,7 @@ SIZES = {
     "tabulated-bumpy": (20_000,),
 }
 LARGE = {"grid-invpow2": 10_000_000, "tabulated-pow": 3_000_000, "tabulated-bumpy": 1_000_000}
+LARGE_RUNS = 3  # median of three per LARGE config and tree, on seeds SEED .. SEED + LARGE_RUNS - 1
 RUNS = 5  # median of five per config, size and tree, on seeds SEED .. SEED + RUNS - 1
 SEED = 1
 LAW = {"tabulated-pow": 300_000, "tabulated-bumpy": 20_000}  # degree TV over LAW_SEEDS trees per tree source
@@ -169,11 +171,13 @@ def main(argv=None) -> int:
 
     large = {}
     for name, n in LARGE.items():
-        large[name] = {"n": n, "trees": {}}
-        for label, src in trees.items():
-            big = measure(src, name, n, SEED)
-            print(f"{label} {name} n={n} grow {big['grow_s']:.3f} s", file=sys.stderr)
-            large[name]["trees"][label] = row([big], n)
+        runs = {label: [] for label in trees}
+        for run in range(LARGE_RUNS):
+            for label, src in trees.items():
+                got = measure(src, name, n, SEED + run)
+                runs[label].append(got)
+                print(f"{label} {name} n={n} grow {got['grow_s']:.3f} s", file=sys.stderr)
+        large[name] = {"n": n, "trees": {label: row(got, n) for label, got in runs.items()}}
 
     law = {}
     for name, n in LAW.items():
@@ -192,6 +196,7 @@ def main(argv=None) -> int:
         "script": "bench/edge_growth.py",
         "seed": SEED,
         "runs_per_size": RUNS,
+        "runs_per_large_size": LARGE_RUNS,
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),

@@ -16,9 +16,11 @@ below it), interning sorted child-label rows level by level with NumPy in
 the manner of Aho, Hopcroft & Ullman's tree-isomorphism algorithm, and
 writes a parenthesis code only once per distinct shape.  The leaves and
 the stars above them are labelled by counting children, with no sort, and
-the labelling peaks at about 24 B per vertex.  ``subtree_codes``
-builds a code string at every vertex; it is the plain reference the
-labelling is tested against, and backs ``code_from_parents``.
+the labelling peaks at about 24 B per vertex.  It is handed the tree's
+child counts (``TreeTrace.child_counts``, a ``tally`` of the parents),
+which the degree histogram reads too.  ``subtree_codes`` builds a code
+string at every vertex; it is the plain reference the labelling is tested
+against, and backs ``code_from_parents``.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ __all__ = [
     "subtree_codes",
     "MAX_VERTICES",
     "check_parents",
+    "tally",
     "shape_labels",
     "all_canonical_trees",
     "q_count",
@@ -191,14 +194,29 @@ def check_parents(parents) -> np.ndarray:
     return par
 
 
-def shape_labels(parents, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
+def tally(index, size: int) -> np.ndarray:
+    """int32 counts, in ``size`` bins, of the entries of ``index``.
+
+    One ``np.add.at`` of an int32 one: NumPy casts the index to intp through
+    a bounded buffer, so no int64 copy of ``index`` is made.  A negative
+    index counts from the end.
+    """
+    out = np.zeros(size, dtype=np.int32)
+    np.add.at(out, index, np.int32(1))
+    return out
+
+
+def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """Integer shape label of the subtree below each vertex, up to ``cap``.
 
-    ``parents`` is a birth-order parent array as for ``subtree_codes``.
-    Returns ``(labels, codes)``: ``labels[v]`` (int32; entry 0 unused, -1)
-    is an index into ``codes``, the canonical codes of the distinct shapes
-    met, and equal labels mean isomorphic subtrees.  A vertex gets -1
-    instead when its subtree has more than ``cap`` vertices.
+    ``parents`` is a birth-order parent array as for ``subtree_codes``, and
+    ``kids[v]`` the number of children of vertex v: the tree's
+    ``TreeTrace.child_counts()``, which the degree histogram reads too;
+    only its length is checked.  Returns ``(labels, codes)``: ``labels[v]``
+    (int32; entry 0 unused, -1) is an index into ``codes``, the canonical
+    codes of the distinct shapes met, and equal labels mean isomorphic
+    subtrees.  A vertex gets -1 instead when its subtree has more than
+    ``cap`` vertices.
 
     Round 0 labels the leaves; round r labels the vertices whose last child
     was labelled in round r-1 and whose subtree fits under the cap, so a
@@ -210,32 +228,31 @@ def shape_labels(parents, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
 
     The leaves are counted, not sorted: label 0 is the least, so a
     vertex's leaf children fill the head of its zeroed slice of ``rows``,
-    and their count is its child count less its internal children.  Round
-    1 labels the stars whose children are all leaves; a star's label
-    depends on its child count alone and is looked up by it.  Round r >= 2
+    and their count is a tally of the leaves' parents.  Round 1 labels the
+    stars whose children are all leaves; a star's label depends on its
+    child count alone and is looked up by it.  Round r >= 2
     sorts a (parent, label) key of the labels fresh from round r-1, less
     those whose parent has more than cap - r children: such a label heads
     at least r vertices, so its parent outgrows the cap.
 
-    Every per-vertex array is int32: five of length n hold 20 B per vertex,
-    and the temporaries of the child counts and of round 1, each dropped
-    once used, take the peak to about 24 B per vertex.  Only a later
-    round's sort key is int64, since parent*(n+1) passes 2**31 from
-    n = 46 341 on.
+    Every per-vertex array is int32: ``kids`` and four of length n made
+    here hold 20 B per vertex, and the temporaries of the leaf tally and of
+    round 1, each dropped once used, take the peak to about 24 B per
+    vertex.  Only a later round's sort key is int64, since parent*(n+1)
+    passes 2**31 from n = 46 341 on.
     """
     if cap < 1:
         raise ArgumentError("cap must be >= 1")
     par = check_parents(parents)
     n = len(par) - 1
+    if len(kids) != n + 1:
+        raise ArgumentError(f"a tree of {n} vertices needs {n + 1} child counts, got {len(kids)}")
 
-    kids = np.bincount(par[2:], minlength=n + 1).astype(np.int32)
     # the labels of u's children go to rows[start[u] : start[u] + kids[u]]
     start = np.cumsum(kids, dtype=np.int32)
     start -= kids
     # round 0: u's leaf children, all labelled 0, fill rows[start[u] : start[u] + filled[u]]
-    up = np.compress(kids[2:] > 0, par[2:])  # the parents of the internal vertices
-    filled = np.subtract(kids, np.bincount(up, minlength=n + 1), dtype=np.int32)
-    del up
+    filled = tally(np.compress(kids[2:] == 0, par[2:]), n + 1)  # the leaves' parents
     rows = np.zeros(n - 1, dtype=np.int32)
     labels = (kids == 0).astype(np.int32)
     labels -= 1  # 0 at the leaves, -1 elsewhere

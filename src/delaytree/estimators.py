@@ -4,8 +4,10 @@ Degree histograms, the fringe-subtree census, root-degree trajectories,
 the leaf CLT statistic of one tree, and the exact delay-condition scan.
 Everything here is read-only over a trace.
 
-The fringe counts are one bincount of an integer shape labelling of the
-trace (``canonical.shape_labels``).  Parent-paired counts are no census
+A tree's children are counted once (``TreeTrace.child_counts``), and the
+degree histogram and the shape labelling both read that count.  The
+fringe counts are one tally of the integer shape labelling of the trace
+(``canonical.shape_labels``).  Parent-paired counts are no census
 of their own: a vertex of shape s has exactly the children of s, so they
 are ``theory.extended_fringe_law`` applied to the fringe counts, the one
 map that also turns the limit law pi into the pair law.  Code strings
@@ -28,7 +30,7 @@ import numpy as np
 
 # subtree_codes is not called here; it stays importable under this module
 # because perfbench/tracer.py wraps it at delaytree.estimators.subtree_codes
-from .canonical import shape_labels, subtree_codes  # noqa: F401
+from .canonical import shape_labels, subtree_codes, tally  # noqa: F401
 from .errors import ArgumentError
 from .growth import TreeTrace
 from .kernels import DelayLaw
@@ -37,7 +39,6 @@ from .theory import extended_fringe_law
 __all__ = [
     "DegreeHist",
     "degree_hist",
-    "degree_hists",
     "FringeCensus",
     "fringe_census",
     "extended_fringe_census",
@@ -74,9 +75,24 @@ class DegreeHist:
     def max_degree(self) -> int:
         return len(self.counts) - 1
 
+    @classmethod
+    def from_children(cls, kids: np.ndarray) -> "DegreeHist":
+        """Histogram of a ``TreeTrace.child_counts()`` result.
+
+        A vertex's graph degree is its children plus the parent edge, which
+        the root lacks.  The counts stop at the tree's largest degree.
+        """
+        root = int(kids[1])
+        # the other vertices by child count: c children make degree c + 1
+        below = tally(kids[2:], int(kids[2:].max(initial=-1)) + 1)
+        counts = np.zeros(max(len(below), root) + 1, dtype=np.int64)
+        counts[1 : len(below) + 1] = below
+        counts[root] += 1
+        return cls(counts=counts, n=len(kids) - 1)
+
 
 def degree_hist(trace: TreeTrace) -> DegreeHist:
-    return degree_hists([trace])[0]
+    return DegreeHist.from_children(trace.child_counts())
 
 
 def _common_size(traces) -> int:
@@ -85,45 +101,6 @@ def _common_size(traces) -> int:
     if len(sizes) != 1:
         raise ArgumentError(f"a batch needs one or more trees of one size, got sizes {sorted(sizes)}")
     return sizes.pop()
-
-
-def degree_hists(traces) -> list[DegreeHist]:
-    """:func:`degree_hist` of each tree of a batch of one size.
-
-    Each row of the batch's parents is sorted in an int32 copy, so a
-    vertex's children form one run of equal entries: the runs' lengths,
-    plus one for every parent edge, give the degrees of the vertices with
-    children, every other vertex has degree 1, and the root comes first in
-    its row.  Every histogram comes from one bincount with row offsets and
-    stops at its own tree's largest degree.  The sorted copy, then two
-    int64 arrays over the vertices with children, hold the peak near 8 B
-    per vertex.
-    """
-    n = _common_size(traces)
-    rows = len(traces)
-    if n == 1:  # a lone root, of degree 0
-        return [DegreeHist(counts=np.ones(1, dtype=np.int64), n=1) for _ in traces]
-    par = np.stack([trace.parents[2 : n + 1] for trace in traces])
-    par.sort(axis=1)
-    # a run of equal entries is one vertex's children; each row opens with its root's run
-    head = np.empty(par.size, dtype=bool)
-    np.not_equal(par.ravel()[1:], par.ravel()[:-1], out=head[1:])
-    head[:: n - 1] = True
-    start = np.flatnonzero(head)
-    del par, head
-    first = np.searchsorted(start, np.arange(0, rows * (n - 1), n - 1))  # each row's root run
-    degree = np.empty_like(start)
-    np.subtract(start[1:], start[:-1], out=degree[:-1])
-    degree[-1] = rows * (n - 1) - start[-1]
-    degree += 1  # the parent edge
-    degree[first] -= 1  # which the root lacks
-    tops = np.maximum.reduceat(degree, first)
-    width = int(tops.max()) + 1
-    runs = np.diff(first, append=degree.size)
-    degree += np.repeat(np.arange(0, rows * width, width), runs)
-    counts = np.bincount(degree, minlength=rows * width).reshape(rows, width)
-    counts[:, 1] += n - runs  # the vertices with no children
-    return [DegreeHist(counts=c[: top + 1], n=n) for c, top in zip(counts, tops.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -146,19 +123,19 @@ class FringeCensus:
 
     @classmethod
     def from_labels(cls, labels: np.ndarray, codes, cap: int) -> "FringeCensus":
-        """Census of a ``shape_labels(parents, cap)`` result."""
-        # bin 0 holds the -1 labels, the vertices whose fringe outgrew the cap
-        counts = np.bincount(labels[1:] + 1, minlength=len(codes) + 1).tolist()
+        """Census of a ``shape_labels(parents, kids, cap)`` result."""
+        # the last bin takes the -1 labels, the vertices whose fringe outgrew the cap
+        counts = tally(labels[1:], len(codes) + 1).tolist()
         return cls(
-            counts=dict(zip(codes, counts[1:])),
+            counts=dict(zip(codes, counts)),
             n=len(labels) - 1,
-            truncated=counts[0],
+            truncated=counts[-1],
             cap=cap,
         )
 
 
 def fringe_census(trace: TreeTrace, cap: int = 6) -> FringeCensus:
-    labels, codes = shape_labels(trace.parents, cap)
+    labels, codes = shape_labels(trace.parents, trace.child_counts(), cap)
     return FringeCensus.from_labels(labels, codes, cap)
 
 

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import check_parents
+from .canonical import check_parents, tally
 from .errors import ArgumentError
 from .kernels import AttachmentKernel, GrowthConfig, check_count, check_seed, snapshot_times
 
@@ -92,6 +92,10 @@ class TreeTrace:
     def n(self) -> int:
         """The number of vertices."""
         return len(self.parents) - 1
+
+    def child_counts(self) -> np.ndarray:
+        """int32 ``kids[v]``, the children of vertex v (entry 0 is 0); not stored."""
+        return tally(self.parents[2:], len(self.parents))
 
 
 # ---------------------------------------------------------------------------

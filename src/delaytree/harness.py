@@ -133,20 +133,12 @@ class RunSummary:
 def tv_distance(empirical, theory_probs) -> float:
     """Half-L1 over the compared support, plus the lumped remainder gap.
 
-    empirical may be a DegreeHist (compared on degrees 1..len(theory)) or
-    a plain probability vector aligned with theory_probs.
+    empirical is a probability vector aligned with theory_probs.
     """
-    if isinstance(empirical, est.DegreeHist):
-        th = np.asarray(theory_probs, dtype=np.float64)
-        emp = np.zeros(len(th))
-        upto = min(len(th) + 1, len(empirical.counts))
-        emp[: upto - 1] = empirical.counts[1:upto]
-        emp = emp / empirical.n
-    else:
-        emp = np.asarray(empirical, dtype=np.float64)
-        th = np.asarray(theory_probs, dtype=np.float64)
-        if emp.shape != th.shape:
-            raise ArgumentError("probability vectors must share a support")
+    emp = np.asarray(empirical, dtype=np.float64)
+    th = np.asarray(theory_probs, dtype=np.float64)
+    if emp.shape != th.shape:
+        raise ArgumentError("probability vectors must share a support")
     rem_gap = abs((1.0 - emp.sum()) - (1.0 - th.sum()))
     return 0.5 * (float(np.abs(emp - th).sum()) + rem_gap)
 
@@ -159,26 +151,29 @@ def tv_distance(empirical, theory_probs) -> float:
 def _replicate_records(args) -> list:
     """Raw statistics of a batch of replicates, one record each (picklable, order-agnostic).
 
-    The batch's trees are grown by one ``grow`` call, and their degree
-    histograms and root trajectories computed one batch at a time.
+    The batch's trees are grown by one ``grow`` call and their root
+    trajectories computed one batch at a time.  Each tree's children are
+    counted once, and its degree histogram and shape labelling read that
+    count.
     ``root`` is the plan's (theta, time grid, E[min(X, n_j)] on the grid or
     None outside the heavy regime), or None without "root".
     """
     config, stats, root, reps = args
     traces = grow(config, [replicate_seed(config.seed, r) for r in reps])
-    hists = est.degree_hists(traces)
     trajs = [None] * len(traces)
     if "root" in stats:
         theta, grid, ex = root
         trajs = est.root_trajectories(traces, theta, grid=grid, ex_x=ex)
     records = []
-    for r, trace, hist, traj in zip(reps, traces, hists, trajs):
+    for r, trace, traj in zip(reps, traces, trajs):
+        kids = trace.child_counts()
+        hist = est.DegreeHist.from_children(kids)
         rec: dict = {"replicate": r, "retries": trace.retries}
         if "degree" in stats:
             rec["degree_counts"] = hist.counts
         if "fringe" in stats:
             cap = config.fringe_cap
-            labels, codes = shape_labels(trace.parents, cap)
+            labels, codes = shape_labels(trace.parents, kids, cap)
             census = est.FringeCensus.from_labels(labels, codes, cap)
             rec["fringe_counts"] = census.counts
             rec["fringe_truncated"] = census.truncated
@@ -198,7 +193,7 @@ def _collect_records(plan: ExperimentPlan) -> list:
     root = None
     if "root" in plan.statistics:
         # once per plan: every replicate shares the grid and its growth scales
-        consts = theory.root_degree_constants(config.kernel.alpha, config.beta, config.delay)
+        consts = theory.root_degree_constants(config.kernel.alpha, config.delay)
         grid = est.geometric_grid(config.n_final)
         ex = None
         if consts.regime == "heavy":

@@ -448,13 +448,9 @@ class RootDegreeConstants:
         return self.delay.ex_x_truncated(n)
 
 
-def root_degree_constants(alpha: float, beta: float, delay: DelayLaw) -> RootDegreeConstants:
+def root_degree_constants(alpha: float, delay: DelayLaw) -> RootDegreeConstants:
     if alpha < 0.0:
         raise ArgumentError("alpha must be >= 0")
-    if abs(delay.beta - beta) > 1e-12:
-        raise ArgumentError(
-            f"delay carries beta={delay.beta} but {beta} was requested; build the delay with the right beta"
-        )
     theta = 1.0 / (2.0 + alpha)
     light = delay.x_power_moment_finite(1.0 - theta)
     return RootDegreeConstants(

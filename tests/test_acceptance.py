@@ -301,7 +301,7 @@ def test_c6_root_degree_regimes(report):
     grid = np.array([1_000, 10_000, 100_000])
     reps = 50
 
-    light = root_degree_constants(0.0, 0.5, Uniform01Delay(beta=0.5))
+    light = root_degree_constants(0.0, Uniform01Delay(beta=0.5))
     assert light.regime == "l2"
     stable = 0
     for r in range(reps):
@@ -310,7 +310,7 @@ def test_c6_root_degree_regimes(report):
         stable += abs(v[-1] - v[-2]) / v[-2] < 0.10
     light_frac = stable / reps
 
-    heavy = root_degree_constants(0.0, 0.5, InversePowerDelay(2.0, beta=0.5))
+    heavy = root_degree_constants(0.0, InversePowerDelay(2.0, beta=0.5))
     assert heavy.regime == "heavy"
     floor = 0.5 * heavy.ex_x_truncated(100_000)
     grew, above = 0, 0

@@ -4,16 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delaytree import estimators
-from delaytree.canonical import shape_labels
+from delaytree.canonical import shape_labels, tally
 from delaytree.errors import ArgumentError
 from delaytree.estimators import (
+    DegreeHist,
     RootTrajectory,
     degree_hist,
-    degree_hists,
     delay_condition_scan,
     extended_fringe_census,
     fringe_census,
@@ -67,7 +67,7 @@ def test_degree_sum_closes_on_grown_trees():
 
 
 def test_degree_hist_stays_under_9_bytes_per_vertex():
-    # a sorted int32 copy of the parents, then two int64 arrays over the vertices with children
+    # the int32 child counts; tally casts its index through NumPy's bounded buffer, not a copy
     tr = grow(GrowthConfig(AFF, InversePowerDelay(2.0, beta=0.5), 200_000, seed=5))
     tracemalloc.start()
     try:
@@ -135,7 +135,7 @@ def test_extended_census_matches_pair_freqs_on_grown_tree():
     for code, cnt in fc.counts.items():
         assert sum(c for (child, _), c in pairs.items() if child == code) <= cnt
     # a non-root vertex is paired exactly when its parent's fringe fits the cap
-    labels, _ = shape_labels(tr.parents, 4)
+    labels, _ = shape_labels(tr.parents, tr.child_counts(), 4)
     assert sum(pairs.values()) == int(np.count_nonzero(labels[tr.parents[2:]] >= 0))
 
 
@@ -216,6 +216,48 @@ def _reference_hist(parents):
     return np.bincount(gdeg)
 
 
+def _reference_kids(parents):
+    """Children of every vertex of one tree, counted vertex by vertex."""
+    kids = [0] * len(parents)
+    for v in range(2, len(parents)):
+        kids[parents[v]] += 1
+    return kids
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda n: st.tuples(*[st.integers(1, v - 1) for v in range(2, n + 1)])))
+@example(())  # n = 1, a lone root
+@example((1,))  # n = 2
+def test_child_counts_match_a_per_vertex_count(up):
+    parents = [0, 0, *up]
+    kids = trace_from_parents(parents).child_counts()
+    assert kids.dtype == np.int32
+    assert kids.tolist() == _reference_kids(parents)
+
+
+def test_child_counts_of_a_tree_longer_than_numpys_index_buffer():
+    n = 50_000  # add.at casts the index 8192 entries at a time
+    rng = np.random.default_rng(7)
+    parents = np.zeros(n + 1, dtype=np.int32)
+    parents[2:] = np.floor(rng.random(n - 1) * np.arange(1, n)).astype(np.int32) + 1  # 1 <= parents[v] < v
+    kids = trace_from_parents(parents).child_counts()
+    assert kids.tolist() == _reference_kids(parents.tolist())
+
+
+def test_tally_makes_no_intp_copy_of_its_index():
+    index = np.arange(1_000_000, dtype=np.int32) % 1000
+    index[0] = -1  # a negative index counts from the end
+    tracemalloc.start()
+    try:
+        counts = tally(index, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.dtype == np.int32
+    assert counts.tolist() == [999] + [1000] * 998 + [1001]
+    assert peak / len(index) <= 0.5, peak / len(index)  # an intp copy would take 8 B per entry
+
+
 def _reference_root_values(parents, ns):
     """1 + the root's children born by each n_j, searched on one tree."""
     births = np.flatnonzero(np.asarray(parents[2:]) == 1) + 2
@@ -234,9 +276,10 @@ def _one_size_batches(draw):
 def test_batch_estimators_match_one_tree_at_a_time(batch, data):
     traces = [trace_from_parents(p) for p in batch]
     n = traces[0].n
-    for trace, hist in zip(traces, degree_hists(traces)):
+    for trace in traces:
+        hist = DegreeHist.from_children(trace.child_counts())
         ref = _reference_hist(trace.parents)
-        assert len(hist.counts) == len(ref)  # each row stops at its own largest degree
+        assert len(hist.counts) == len(ref)  # each tree stops at its own largest degree
         np.testing.assert_array_equal(hist.counts, ref)
         assert hist.n == n
     grid = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
@@ -256,9 +299,9 @@ def test_batch_estimators_match_one_tree_at_a_time(batch, data):
 
 def test_batch_rows_keep_their_own_histogram_length_and_default_grid():
     star = trace_from_parents([0, 0, 1, 1, 1])  # largest degree 3
-    hists = degree_hists([star, PATH4, star])
+    hists = [degree_hist(t) for t in (star, PATH4, star)]
     assert [len(h.counts) for h in hists] == [4, 3, 4]
-    assert [h.max_degree() for h in hists] == [degree_hist(t).max_degree() for t in (star, PATH4, star)]
+    assert [h.max_degree() for h in hists] == [3, 2, 3]
     trajs = root_trajectories([PATH4, star], theta=0.5)
     for traj in trajs:
         np.testing.assert_array_equal(traj.ns, geometric_grid(4))
@@ -268,11 +311,9 @@ def test_batch_rows_keep_their_own_histogram_length_and_default_grid():
 
 def test_batch_estimators_reject_bad_batches():
     with pytest.raises(ArgumentError):
-        degree_hists([PATH4, trace_from_parents([0, 0, 1, 1])])  # sizes 4 and 3
-    with pytest.raises(ArgumentError):
-        degree_hists([])
-    with pytest.raises(ArgumentError):
         root_trajectories([PATH4, trace_from_parents([0, 0, 1])], theta=0.5)
+    with pytest.raises(ArgumentError):
+        root_trajectories([], theta=0.5)
     with pytest.raises(ArgumentError):
         root_trajectories([PATH4, STAR4], theta=0.5, grid=[3, 2])
     with pytest.raises(ArgumentError):

@@ -1,6 +1,10 @@
 """The growth engine: trace invariants, degree views, exact sampler laws."""
 
+import hashlib
+import importlib.util
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,3 +317,22 @@ def test_uniform_kernel_growth_smoke():
     tr = grow(_cfg(n=500, seed=12, kernel=UniformKernel()))
     # uniform attachment: root degree grows like log n, far below sqrt(n)
     assert deg_at(tr, 1, 500) < 30
+
+
+def test_edge_growth_bench_grows_this_tree():
+    # the bench script's measurement child at n = 2000, so an API change cannot break it unseen
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("edge_growth", root / "bench" / "edge_growth.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    got = bench.measure(str(root / "src"), "tabulated-bumpy", 2000, bench.SEED)
+    assert sorted(got) == ["degree_tv", "grow_s", "parents_sha256", "peak_rss_mb", "retries", "sampler"]
+    assert got["sampler"] == "rejection" and len(got["degree_tv"]) == 1
+    entries = parse_config_text(PRESETS["grid-invpow2"])
+    entries.update(bench.CONFIGS["tabulated-bumpy"])
+    entries["n_final"] = "2000"
+    entries["seed"] = str(bench.SEED)
+    config, _ = build_config(entries)
+    trace = grow(config)
+    assert got["retries"] == trace.retries
+    assert got["parents_sha256"] == hashlib.sha256(trace.parents.astype("<i8").tobytes()).hexdigest()

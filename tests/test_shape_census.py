@@ -53,6 +53,11 @@ def _reference(parents, cap):
     return codes, counts, truncated, pairs, pair_truncated
 
 
+def _kids(parents):
+    """The tree's child counts, as the harness hands them to the labelling."""
+    return trace_from_parents(parents).child_counts()
+
+
 def _pairs(fc):
     """Pair counts of a fringe census by the fringe-to-pair map, and the unpaired vertices."""
     pairs = extended_fringe_law(fc.counts, 1)
@@ -63,7 +68,7 @@ def _check_against_reference(parents, cap):
     parents = np.asarray(parents)
     n = len(parents) - 1
     codes, counts, truncated, pairs, pair_truncated = _reference(parents, cap)
-    labels, shapes = shape_labels(parents, cap)
+    labels, shapes = shape_labels(parents, _kids(parents), cap)
     assert len(set(shapes)) == len(shapes)  # one label per shape
     assert labels[0] == -1
     for v in range(1, n + 1):
@@ -135,7 +140,7 @@ def test_labels_match_reference_on_hand_trees(parents, cap):
 def test_round_one_labels_nothing_when_every_leaf_parent_reaches_the_cap(cap):
     parents = _star_of_stars(cap, cap, cap)
     _check_against_reference(parents, cap)
-    labels, shapes = shape_labels(parents, cap)
+    labels, shapes = shape_labels(parents, _kids(parents), cap)
     assert shapes == ("()",)
     assert labels.tolist() == [-1] * 5 + [0] * (3 * cap)
     pairs, pair_truncated = _pairs(FringeCensus.from_labels(labels, shapes, cap))
@@ -146,7 +151,7 @@ def test_hubs_over_the_cap_leave_their_small_siblings_unpaired():
     # the hubs of 1 and 2 leaves are labelled; the root, with 4 children, never is
     parents = _star_of_stars(1, 2, 5, 7)
     _check_against_reference(parents, 4)
-    labels, shapes = shape_labels(parents, 4)
+    labels, shapes = shape_labels(parents, _kids(parents), 4)
     assert [shapes[i] if i >= 0 else None for i in labels[1:6]] == [None, "(())", "(()())", None, None]
     pairs, pair_truncated = _pairs(FringeCensus.from_labels(labels, shapes, 4))
     assert pairs == {("()", "(())"): 1, ("()", "(()())"): 2}
@@ -165,26 +170,26 @@ def test_a_tree_within_the_cap_pairs_every_vertex(case):
     parents = case[0]
     n = len(parents) - 1
     _check_against_reference(parents, n)
-    labels, shapes = shape_labels(parents, n)
+    labels, shapes = shape_labels(parents, _kids(parents), n)
     assert labels[1] >= 0
     pairs, pair_truncated = _pairs(FringeCensus.from_labels(labels, shapes, n))
     assert pair_truncated == 0 and sum(pairs.values()) == n - 1
 
 
 def test_hand_tree_labels():
-    labels, shapes = shape_labels(_path(4), cap=3)
+    labels, shapes = shape_labels(_path(4), _kids(_path(4)), cap=3)
     assert [shapes[i] if i >= 0 else None for i in labels[1:]] == [
         None,
         "((()))",
         "(())",
         "()",
     ]
-    labels, shapes = shape_labels([0, 0], cap=1)
+    labels, shapes = shape_labels([0, 0], _kids([0, 0]), cap=1)
     assert labels.tolist() == [-1, 0] and shapes == ("()",)
-    labels, shapes = shape_labels(_star(5), cap=5)
+    labels, shapes = shape_labels(_star(5), _kids(_star(5)), cap=5)
     assert shapes == ("()", "(()()()())")
     assert labels.tolist() == [-1, 1, 0, 0, 0, 0]
-    labels, _ = shape_labels(_star(5), cap=4)  # root has 4 children: size 5
+    labels, _ = shape_labels(_star(5), _kids(_star(5)), cap=4)  # root has 4 children: size 5
     assert labels.tolist() == [-1, -1, 0, 0, 0, 0]
 
 
@@ -218,10 +223,18 @@ def test_census_matches_reference_on_presets(preset):
 )
 def test_invalid_input_raises(parents, cap, message):
     with pytest.raises(ArgumentError, match=message):
-        shape_labels(parents, cap)
+        shape_labels(parents, np.zeros(len(parents), dtype=np.int32), cap)
     if cap >= 1 and not isinstance(parents[-1], float):
         with pytest.raises(ArgumentError, match=message):
             subtree_codes(parents, cap)  # the same boundary as the reference
+
+
+@pytest.mark.parametrize("size", [0, 5, 7], ids=["empty", "short", "long"])
+def test_labelling_refuses_child_counts_of_the_wrong_length(size):
+    parents = _star(5)  # 5 vertices: 6 counts
+    with pytest.raises(ArgumentError, match=f"needs 6 child counts, got {size}"):
+        shape_labels(parents, np.zeros(size, dtype=np.int32), 3)
+    shape_labels(parents, _kids(parents), 3)  # the right length passes
 
 
 def _grown_parents(preset, n):
@@ -237,9 +250,10 @@ def test_int32_and_int64_parents_past_the_int32_key_range():
     assert parents.dtype == np.int32
     assert int(parents.max()) * len(parents) > 2**31
     _check_against_reference(parents, 6)
+    kids = _kids(parents)
     results = []
     for par in (parents, parents.astype(np.int64)):
-        labels, shapes = shape_labels(par, 6)
+        labels, shapes = shape_labels(par, kids, 6)
         assert labels.dtype == np.int32
         fc = FringeCensus.from_labels(labels, shapes, 6)
         results.append((labels.tolist(), shapes, fc, _pairs(fc)))
@@ -259,17 +273,19 @@ def test_check_parents_keeps_int32_and_int64_input(dtype):
 def test_check_parents_refuses_2_to_the_31_vertices():
     # a zero-stride view: 2**31 + 1 entries that take no memory
     parents = np.broadcast_to(np.int32(1), (2**31 + 1,))
-    for check in (check_parents, lambda p: shape_labels(p, 6)):
+    # the counts are of the wrong length: the parents are refused before they are read
+    for check in (check_parents, lambda p: shape_labels(p, np.zeros(2, dtype=np.int32), 6)):
         with pytest.raises(ArgumentError, match=r"2\*\*31"):
             check(parents)
 
 
 def test_labelling_and_censuses_stay_under_25_bytes_per_vertex():
-    # five int32 arrays of length n, plus the int64 child counts or round 1's temporaries
+    # the child counts and four int32 arrays of length n, plus the leaf tally's or round 1's temporaries
     parents = _grown_parents("grid-invpow2", 200_000)
+    trace = trace_from_parents(parents)
     tracemalloc.start()
     try:
-        labels, shapes = shape_labels(parents, 6)
+        labels, shapes = shape_labels(parents, trace.child_counts(), 6)
         extended_fringe_law(FringeCensus.from_labels(labels, shapes, 6).counts, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -287,9 +303,9 @@ def test_censuses_reject_bad_cap():
 def test_harness_labels_each_replicate_once(monkeypatch, tmp_path):
     calls = []
 
-    def counting(parents, cap):
+    def counting(parents, kids, cap):
         calls.append(len(parents) - 1)
-        return shape_labels(parents, cap)
+        return shape_labels(parents, kids, cap)
 
     monkeypatch.setattr(harness, "shape_labels", counting)
     cfg = GrowthConfig(AFF, Uniform01Delay(beta=0.5), 800, seed=3)
