@@ -1,4 +1,4 @@
-"""Time the ``replicate-sweep`` plan end to end, its growth phase, and one large tree.
+"""Time the ``replicate-sweep`` plan end to end, its growth and its writing, and one large tree.
 
     python3 bench/replicate_sweep.py --tree parent=OLD/src --tree change=src \
         > BENCH_replicate_batches.json
@@ -15,6 +15,8 @@ once through ``cli.main``, timing
   times one execution;
 * ``grow_s``: the part of it spent inside ``harness.grow``, summed over
   its calls (``grow_calls``);
+* ``write_s``: the part of it spent inside ``harness._write_outputs``,
+  writing the plan's artifact files;
 
 then records the peak RSS so far (``ru_maxrss``) and the SHA-256 over the
 plan's artifact files, and finally grows one ``grid-invpow2`` tree at
@@ -52,16 +54,20 @@ from perfbench import workloads
 
 if sys.argv[3] != "default":
     growth._EDGE_BLOCK = int(sys.argv[3])
-grow, spent = harness.grow, []
+grow, write = harness.grow, harness._write_outputs
+spent = {"grow": [], "write": []}
 
-def timed(*args, **kwargs):
-    t0 = time.perf_counter()
-    try:
-        return grow(*args, **kwargs)
-    finally:
-        spent.append(time.perf_counter() - t0)
+def timed(name, call):
+    def wrapper(*args, **kwargs):
+        t0 = time.perf_counter()
+        try:
+            return call(*args, **kwargs)
+        finally:
+            spent[name].append(time.perf_counter() - t0)
+    return wrapper
 
-harness.grow = timed
+harness.grow = timed("grow", grow)
+harness._write_outputs = timed("write", write)
 with tempfile.TemporaryDirectory() as root:
     step = workloads.prepare("replicate-sweep", int(sys.argv[4]), root)[0]
     t0 = time.perf_counter()
@@ -72,7 +78,7 @@ with tempfile.TemporaryDirectory() as root:
     for name in sorted(os.listdir(step.outdir)):
         with open(os.path.join(step.outdir, name), "rb") as fh:
             digest.update(name.encode() + b"\0" + fh.read())
-harness.grow = grow
+harness.grow, harness._write_outputs = grow, write
 
 entries = parse_config_text(PRESETS["grid-invpow2"])
 entries["n_final"] = "1000000"
@@ -85,8 +91,9 @@ print(json.dumps({
     "ok": ok,
     "edge_block": growth._EDGE_BLOCK,
     "wall_s": wall,
-    "grow_s": sum(spent),
-    "grow_calls": len(spent),
+    "grow_s": sum(spent["grow"]),
+    "grow_calls": len(spent["grow"]),
+    "write_s": sum(spent["write"]),
     "peak_rss_mb": rss,
     "artifact_sha256": digest.hexdigest(),
     "single_grow_s": single,
@@ -121,6 +128,7 @@ def summary(got: list) -> dict:
         "wall_s": [round(g["wall_s"], 4) for g in got],
         "median_wall_s": med("wall_s"),
         "median_grow_s": med("grow_s"),
+        "median_write_s": med("write_s"),
         "grow_calls": sorted({g["grow_calls"] for g in got}),
         "median_peak_rss_mb": med("peak_rss_mb"),
         "median_single_grow_s": med("single_grow_s"),
@@ -137,7 +145,7 @@ def alternate(trees: dict, block: str) -> dict:
             got = measure(src, block)
             runs[label].append(got)
             print(f"{label} block={block} wall {got['wall_s']:.3f} s grow {got['grow_s']:.3f} s "
-                  f"single {got['single_grow_s']:.3f} s", file=sys.stderr)
+                  f"write {got['write_s']:.3f} s single {got['single_grow_s']:.3f} s", file=sys.stderr)
     return {label: summary(got) for label, got in runs.items()}
 
 
@@ -151,7 +159,7 @@ def main(argv=None) -> int:
     sweep = {str(block): alternate(trees, str(block)) for block in BLOCKS}
     digests = {h for row in [compare, *sweep.values()] for t in row.values() for h in t["artifact_sha256"]}
     doc = {
-        "benchmark": "replicate-sweep plan end to end and its growth phase; one grid-invpow2 tree at n = 1e6",
+        "benchmark": "replicate-sweep plan end to end, its growth phase and its artifact writing; one grid-invpow2 tree at n = 1e6",
         "script": "bench/replicate_sweep.py",
         "seed": SEED,
         "runs": RUNS,

@@ -45,6 +45,7 @@ __all__ = [
     "MAX_VERTICES",
     "check_parents",
     "tally",
+    "tally_rows",
     "shape_labels",
     "all_canonical_trees",
     "q_count",
@@ -204,6 +205,18 @@ def tally(index, size: int) -> np.ndarray:
     out = np.zeros(size, dtype=np.int32)
     np.add.at(out, index, np.int32(1))
     return out
+
+
+def tally_rows(rows, size: int) -> np.ndarray:
+    """int32 ``(len(rows), size)`` counts: row r tallies the entries of ``rows[r]``, all by one tally.
+
+    Row r's entries, each in 0..size-1, are shifted into bins r*size and up.
+    A single row is tallied as it is, so a batch of one copies nothing.
+    """
+    if len(rows) == 1:
+        return tally(rows[0], size)[None]
+    shifted = np.concatenate([row + np.intp(r * size) for r, row in enumerate(rows)])
+    return tally(shifted, len(rows) * size).reshape(len(rows), size)
 
 
 def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:

@@ -4,8 +4,9 @@ Degree histograms, the fringe-subtree census, root-degree trajectories,
 the leaf CLT statistic of one tree, and the exact delay-condition scan.
 Everything here is read-only over a trace.
 
-A tree's children are counted once (``TreeTrace.child_counts``), and the
-degree histogram and the shape labelling both read that count.  The
+A tree's children are counted once (``TreeTrace.child_counts``, or
+``growth.child_counts`` for a batch), and the degree histogram and the
+shape labelling both read that count.  The
 fringe counts are one tally of the integer shape labelling of the trace
 (``canonical.shape_labels``).  Parent-paired counts are no census
 of their own: a vertex of shape s has exactly the children of s, so they
@@ -30,15 +31,16 @@ import numpy as np
 
 # subtree_codes is not called here; it stays importable under this module
 # because perfbench/tracer.py wraps it at delaytree.estimators.subtree_codes
-from .canonical import shape_labels, subtree_codes, tally  # noqa: F401
+from .canonical import shape_labels, subtree_codes, tally, tally_rows  # noqa: F401
 from .errors import ArgumentError
-from .growth import TreeTrace
+from .growth import TreeTrace, common_size
 from .kernels import DelayLaw
 from .theory import extended_fringe_law
 
 __all__ = [
     "DegreeHist",
     "degree_hist",
+    "degree_counts",
     "FringeCensus",
     "fringe_census",
     "extended_fringe_census",
@@ -77,30 +79,32 @@ class DegreeHist:
 
     @classmethod
     def from_children(cls, kids: np.ndarray) -> "DegreeHist":
-        """Histogram of a ``TreeTrace.child_counts()`` result.
+        """Histogram of a ``TreeTrace.child_counts()`` result: :func:`degree_counts` of a batch of one.
 
-        A vertex's graph degree is its children plus the parent edge, which
-        the root lacks.  The counts stop at the tree's largest degree.
+        The counts stop at the tree's largest degree.
         """
-        root = int(kids[1])
-        # the other vertices by child count: c children make degree c + 1
-        below = tally(kids[2:], int(kids[2:].max(initial=-1)) + 1)
-        counts = np.zeros(max(len(below), root) + 1, dtype=np.int64)
-        counts[1 : len(below) + 1] = below
-        counts[root] += 1
-        return cls(counts=counts, n=len(kids) - 1)
+        return cls(counts=degree_counts(kids[None])[0], n=len(kids) - 1)
 
 
 def degree_hist(trace: TreeTrace) -> DegreeHist:
     return DegreeHist.from_children(trace.child_counts())
 
 
-def _common_size(traces) -> int:
-    """The one vertex count n shared by every tree of a batch."""
-    sizes = {trace.n for trace in traces}
-    if len(sizes) != 1:
-        raise ArgumentError(f"a batch needs one or more trees of one size, got sizes {sorted(sizes)}")
-    return sizes.pop()
+def degree_counts(kids: np.ndarray) -> np.ndarray:
+    """int64 ``counts[r, k]``, the vertices of graph degree k in tree r, from child counts.
+
+    ``kids`` holds one ``child_counts`` row per tree; one tally counts the
+    whole batch, and the columns stop at the batch's largest degree.  A
+    vertex's graph degree is its children plus the parent edge, which the
+    root lacks.
+    """
+    roots = kids[:, 1]
+    top = max(int(kids[:, 2:].max(initial=-1)) + 1, int(roots.max()))
+    counts = np.zeros((len(kids), top + 1), dtype=np.int64)
+    # the other vertices by child count: c children make degree c + 1
+    counts[:, 1:] = tally_rows(kids[:, 2:], top)
+    counts[np.arange(len(kids)), roots] += 1
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +228,7 @@ def root_trajectories(traces, theta: float, grid=None, ex_x=None) -> list[RootTr
     The grid and ``ex_x`` are checked once, and the root's children of
     every row are found in one pass and counted at the grid by one search.
     """
-    n = _common_size(traces)
+    n = common_size(traces)
     ns = geometric_grid(n) if grid is None else np.asarray(grid, dtype=np.int64)
     if np.any(np.diff(ns) <= 0) or ns[0] < 1 or ns[-1] > n:
         raise ArgumentError("grid must be strictly increasing within [1, n]")

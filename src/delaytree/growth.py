@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .canonical import check_parents, tally
+from .canonical import check_parents, tally_rows
 from .errors import ArgumentError
 from .kernels import AttachmentKernel, GrowthConfig, check_count, check_seed, snapshot_times
 
@@ -64,6 +64,7 @@ __all__ = [
     "TreeTrace",
     "grow",
     "batch_size",
+    "child_counts",
     "trace_from_parents",
     "deg_at",
     "sample_parent_rejection",
@@ -95,7 +96,24 @@ class TreeTrace:
 
     def child_counts(self) -> np.ndarray:
         """int32 ``kids[v]``, the children of vertex v (entry 0 is 0); not stored."""
-        return tally(self.parents[2:], len(self.parents))
+        return child_counts([self])[0]
+
+
+def common_size(traces) -> int:
+    """The one vertex count n shared by every tree of a batch."""
+    sizes = {trace.n for trace in traces}
+    if len(sizes) != 1:
+        raise ArgumentError(f"a batch needs one or more trees of one size, got sizes {sorted(sizes)}")
+    return sizes.pop()
+
+
+def child_counts(traces) -> np.ndarray:
+    """int32 ``kids[r, v]``, the children of vertex v in tree r, for a batch of one size.
+
+    One tally counts the whole batch; :meth:`TreeTrace.child_counts` is the
+    batch of one.
+    """
+    return tally_rows([trace.parents[2:] for trace in traces], common_size(traces) + 1)
 
 
 # ---------------------------------------------------------------------------

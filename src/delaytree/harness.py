@@ -30,7 +30,7 @@ from . import theory
 from .canonical import shape_labels
 from .configio import config_hash, render_config
 from .errors import ArgumentError
-from .growth import batch_size, grow
+from .growth import batch_size, child_counts, grow
 from .kernels import GrowthConfig, check_count
 
 __all__ = [
@@ -148,47 +148,33 @@ def tv_distance(empirical, theory_probs) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _replicate_records(args) -> list:
-    """Raw statistics of a batch of replicates, one record each (picklable, order-agnostic).
+def _batch_records(args) -> dict:
+    """Raw statistics of a batch of replicates, one row or item each, in replicate order (picklable).
 
-    The batch's trees are grown by one ``grow`` call and their root
-    trajectories computed one batch at a time.  Each tree's children are
-    counted once, and its degree histogram and shape labelling read that
-    count.
+    The batch's trees are grown by one ``grow`` call, their children counted
+    by one tally and their degrees by another, and their root trajectories
+    computed together.  Each tree's shape labelling reads its row of the
+    child counts.
     ``root`` is the plan's (theta, time grid, E[min(X, n_j)] on the grid or
     None outside the heavy regime), or None without "root".
     """
     config, stats, root, reps = args
     traces = grow(config, [replicate_seed(config.seed, r) for r in reps])
-    trajs = [None] * len(traces)
+    kids = child_counts(traces)
+    batch: dict = {"retries": [trace.retries for trace in traces], "degree_counts": est.degree_counts(kids)}
+    if "fringe" in stats:
+        cap = config.fringe_cap
+        batch["fringe"] = []
+        for trace, row in zip(traces, kids):
+            labels, codes = shape_labels(trace.parents, row, cap)
+            batch["fringe"].append(est.FringeCensus.from_labels(labels, codes, cap))
     if "root" in stats:
         theta, grid, ex = root
-        trajs = est.root_trajectories(traces, theta, grid=grid, ex_x=ex)
-    records = []
-    for r, trace, traj in zip(reps, traces, trajs):
-        kids = trace.child_counts()
-        hist = est.DegreeHist.from_children(kids)
-        rec: dict = {"replicate": r, "retries": trace.retries}
-        if "degree" in stats:
-            rec["degree_counts"] = hist.counts
-        if "fringe" in stats:
-            cap = config.fringe_cap
-            labels, codes = shape_labels(trace.parents, kids, cap)
-            census = est.FringeCensus.from_labels(labels, codes, cap)
-            rec["fringe_counts"] = census.counts
-            rec["fringe_truncated"] = census.truncated
-        if traj is not None:
-            rec["root_ns"] = traj.ns
-            rec["root_values"] = traj.values
-            rec["root_over_ntheta"] = traj.over_ntheta
-            rec["root_over_ex"] = traj.over_truncated_mean
-        if "clt" in stats:
-            rec["n1"] = hist.count(1)
-        records.append(rec)
-    return records
+        batch["root"] = est.root_trajectories(traces, theta, grid=grid, ex_x=ex)
+    return batch
 
 
-def _collect_records(plan: ExperimentPlan) -> list:
+def _collect_batches(plan: ExperimentPlan) -> list:
     config = plan.config
     root = None
     if "root" in plan.statistics:
@@ -206,11 +192,9 @@ def _collect_records(plan: ExperimentPlan) -> list:
         for lo in range(0, plan.replicates, size)
     ]
     if plan.workers == 1 or len(jobs) == 1:
-        batches = map(_replicate_records, jobs)
-    else:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            batches = list(pool.map(_replicate_records, jobs, chunksize=1))
-    return [rec for batch in batches for rec in batch]
+        return list(map(_batch_records, jobs))
+    with ProcessPoolExecutor(max_workers=plan.workers) as pool:
+        return list(pool.map(_batch_records, jobs, chunksize=1))
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +202,13 @@ def _collect_records(plan: ExperimentPlan) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _aggregate_degree(plan: ExperimentPlan, records: list, lam: float) -> tuple[dict, dict]:
+def _aggregate_degree(plan: ExperimentPlan, batches: list, lam: float) -> tuple[dict, dict]:
     config = plan.config
-    maxlen = max(len(r["degree_counts"]) for r in records)
+    maxlen = max(b["degree_counts"].shape[1] for b in batches)
     pooled = np.zeros(maxlen, dtype=np.int64)
-    for r in records:
-        c = r["degree_counts"]
-        pooled[: len(c)] += c
+    for b in batches:
+        c = b["degree_counts"]
+        pooled[: c.shape[1]] += c.sum(axis=0)
     total = plan.replicates * config.n_final
     kmax = min(_KMAX, maxlen - 1)
     p_theory = theory.degree_law(config.kernel, lam, max(kmax, 1))
@@ -242,14 +226,14 @@ def _aggregate_degree(plan: ExperimentPlan, records: list, lam: float) -> tuple[
     return stat, check
 
 
-def _aggregate_fringe(plan: ExperimentPlan, records: list, lam: float) -> tuple[dict, dict]:
+def _aggregate_fringe(plan: ExperimentPlan, batches: list, lam: float) -> tuple[dict, dict]:
     config = plan.config
     counts: dict = {}
     truncated = 0
-    for r in records:
-        for code, c in r["fringe_counts"].items():
+    for census in [census for b in batches for census in b["fringe"]]:
+        for code, c in census.counts.items():
             counts[code] = counts.get(code, 0) + c
-        truncated += r["fringe_truncated"]
+        truncated += census.truncated
     total = plan.replicates * config.n_final
     table = theory.fringe_recursion(config.fringe_cap, config.kernel, lam)
     # one map turns the limit law into the pair law and the pooled counts into pair counts
@@ -288,13 +272,14 @@ def _aggregate_fringe(plan: ExperimentPlan, records: list, lam: float) -> tuple[
     return stat, check
 
 
-def _aggregate_root(plan: ExperimentPlan, records: list) -> tuple[dict, dict]:
-    ns = records[0]["root_ns"]
-    values = np.stack([r["root_values"] for r in records])
-    over_ntheta = np.stack([r["root_over_ntheta"] for r in records])
+def _aggregate_root(plan: ExperimentPlan, batches: list) -> tuple[dict, dict]:
+    trajs = [traj for b in batches for traj in b["root"]]
+    ns = trajs[0].ns
+    values = np.stack([t.values for t in trajs])
+    over_ntheta = np.stack([t.over_ntheta for t in trajs])
     over_ex = None
-    if records[0]["root_over_ex"] is not None:
-        over_ex = np.stack([r["root_over_ex"] for r in records])
+    if trajs[0].over_truncated_mean is not None:
+        over_ex = np.stack([t.over_truncated_mean for t in trajs])
     # relative drift of the normalized trajectory over the last grid octave
     if over_ntheta.shape[1] >= 2:
         drift = np.abs(over_ntheta[:, -1] - over_ntheta[:, -2]) / np.maximum(
@@ -313,14 +298,14 @@ def _aggregate_root(plan: ExperimentPlan, records: list) -> tuple[dict, dict]:
     return stat, {"ok": True, "informational": True}
 
 
-def _aggregate_clt(plan: ExperimentPlan, records: list) -> tuple[dict, dict]:
+def _aggregate_clt(plan: ExperimentPlan, batches: list) -> tuple[dict, dict]:
     config = plan.config
     alpha = config.kernel.alpha
     consts = theory.clt_constants(alpha)
     n = config.n_final
-    s = np.array(
-        [est.leaf_clt_value(r["n1"], n, consts.p1) for r in records], dtype=np.float64
-    )
+    # n >= 2, so every tree has a degree-1 column: its leaves
+    leaves = [n1 for b in batches for n1 in b["degree_counts"][:, 1].tolist()]
+    s = np.array([est.leaf_clt_value(n1, n, consts.p1) for n1 in leaves], dtype=np.float64)
     var = float(s.var(ddof=1))
     rel = abs(var - consts.sigma1_sq) / consts.sigma1_sq
     tol = plan.resolved_tolerances()["clt_var_rel"]
@@ -356,6 +341,31 @@ def _aggregate_scan(plan: ExperimentPlan) -> tuple[dict, dict]:
 # never built whole in memory.
 _CHUNK = 4096
 
+# how json spells the floats that repr spells nan, inf and -inf
+_JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _is_numbers(obj) -> bool:
+    """True for an int or float ndarray: one written through :func:`_spellings`."""
+    return isinstance(obj, np.ndarray) and obj.dtype.kind in "iuf"
+
+
+def _spellings(arr: np.ndarray, names: dict) -> tuple[np.ndarray, np.ndarray]:
+    """``(table, index)`` with ``table[index]`` the spellings of ``arr``'s entries.
+
+    Each distinct number is spelled once, by ``repr`` of its Python value
+    and then ``names``.  Floats are told apart by their bits, so -0.0 and
+    0.0 keep their own spellings; ``np.unique`` sees a 1-D view, whose
+    inverse is 1-D under every NumPy version.  ``index`` has ``arr``'s shape
+    and the narrowest unsigned type that holds it, so the indexes of a CSV's
+    columns, alive together, stay small.
+    """
+    flat = arr.reshape(-1)
+    bits = flat.view(f"i{flat.itemsize}") if flat.dtype.kind == "f" else flat
+    keys, index = np.unique(bits, return_inverse=True)
+    table = [names.get(s, s) for s in map(repr, keys.view(flat.dtype).tolist())]
+    return np.array(table, dtype=object), index.astype(np.min_scalar_type(len(table))).reshape(arr.shape)
+
 
 def _json_key(key) -> str:
     if isinstance(key, tuple):
@@ -363,13 +373,34 @@ def _json_key(key) -> str:
     return str(key)
 
 
+def _json_list(table: np.ndarray, index: np.ndarray, pad: str):
+    """JSON list text of ``table[index]``, nested along ``index``'s axes, _CHUNK numbers a piece."""
+    if not len(index):
+        yield "[]"
+        return
+    inner = pad + "  "
+    sep = ",\n" + inner
+    yield "[\n" + inner
+    if index.ndim == 1:
+        for start in range(0, len(index), _CHUNK):
+            yield (sep if start else "") + sep.join(table[index[start : start + _CHUNK]].tolist())
+    else:
+        for i, row in enumerate(index):
+            if i:
+                yield sep
+            yield from _json_list(table, row, inner)
+    yield f"\n{pad}]"
+
+
 def _json_pieces(obj, pad: str = ""):
     """Text of ``json.dumps(obj, sort_keys=True, indent=2)``, in pieces.
 
     Dict keys are spelled by ``_json_key``, NumPy arrays become lists and
-    NumPy scalars Python numbers.  A list of plain ints and floats is
-    spelled a chunk at a time by one ``repr`` map (NaN and the infinities
-    renamed as ``json`` spells them); every other scalar by ``json.dumps``.
+    NumPy scalars Python numbers.  An int or float array is spelled from
+    its table of distinct numbers (:func:`_spellings`), and a list of plain
+    ints and floats from one spelling per item, both with NaN and the
+    infinities named as ``json`` names them; every other scalar is spelled
+    by ``json.dumps``.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -383,24 +414,26 @@ def _json_pieces(obj, pad: str = ""):
             lead = ",\n"
         yield f"\n{pad}}}"
         return
+    if _is_numbers(obj) and obj.ndim:
+        yield from _json_list(*_spellings(obj, _JSON_NAMES), pad)
+        return
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
+        if obj and set(map(type, obj)) <= {int, float}:
+            table = [_JSON_NAMES.get(s, s) for s in map(repr, obj)]
+            yield from _json_list(np.array(table, dtype=object), np.arange(len(obj)), pad)
+            return
         if not obj:
             yield "[]"
             return
         inner = pad + "  "
         sep = ",\n" + inner
         yield "[\n" + inner
-        if set(map(type, obj)) <= {int, float}:
-            for start in range(0, len(obj), _CHUNK):
-                text = sep.join(map(repr, obj[start : start + _CHUNK]))
-                yield (sep if start else "") + text.replace("nan", "NaN").replace("inf", "Infinity")
-        else:
-            for i, value in enumerate(obj):
-                if i:
-                    yield sep
-                yield from _json_pieces(value, inner)
+        for i, value in enumerate(obj):
+            if i:
+                yield sep
+            yield from _json_pieces(value, inner)
         yield f"\n{pad}]"
         return
     if isinstance(obj, np.integer):
@@ -418,14 +451,16 @@ def _write_csv(path: str, header: str, *columns) -> None:
     """CSV of equal-length columns (arrays, lists or ranges), _CHUNK rows at a time.
 
     A cell is ``str`` of the column's Python value, which for a float is
-    its shortest round-trip spelling (``str(float) == repr(float)``).
+    its shortest round-trip spelling (``str(float) == repr(float)``); an
+    int or float array's cells come from its table of distinct numbers.
     """
+    cells = [_spellings(c, {}) if _is_numbers(c) else (None, c) for c in columns]
     with _open(path) as fh:
         fh.write(header + "\n")
         for start in range(0, len(columns[0]), _CHUNK):
-            parts = [c[start : start + _CHUNK] for c in columns]
-            cells = [map(str, p.tolist() if isinstance(p, np.ndarray) else p) for p in parts]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            rows = slice(start, start + _CHUNK)
+            parts = [map(str, c[rows]) if t is None else t[c[rows]].tolist() for t, c in cells]
+            fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
 
 
 def _write_outputs(plan: ExperimentPlan, payload: dict, stats: dict) -> None:
@@ -495,7 +530,7 @@ def run(plan: ExperimentPlan) -> RunSummary:
     t0 = time.perf_counter()
     config = plan.config
     needs_growth = any(s != "delay-scan" for s in plan.statistics)
-    records = _collect_records(plan) if needs_growth else []
+    batches = _collect_batches(plan) if needs_growth else []
 
     lam = None
     if "degree" in plan.statistics or "fringe" in plan.statistics:
@@ -504,17 +539,18 @@ def run(plan: ExperimentPlan) -> RunSummary:
     stats: dict = {}
     checks: dict = {}
     if "degree" in plan.statistics:
-        stats["degree"], checks["degree"] = _aggregate_degree(plan, records, lam)
+        stats["degree"], checks["degree"] = _aggregate_degree(plan, batches, lam)
     if "fringe" in plan.statistics:
-        stats["fringe"], checks["fringe"] = _aggregate_fringe(plan, records, lam)
+        stats["fringe"], checks["fringe"] = _aggregate_fringe(plan, batches, lam)
     if "root" in plan.statistics:
-        stats["root"], checks["root"] = _aggregate_root(plan, records)
+        stats["root"], checks["root"] = _aggregate_root(plan, batches)
     if "clt" in plan.statistics:
-        stats["clt"], checks["clt"] = _aggregate_clt(plan, records)
+        stats["clt"], checks["clt"] = _aggregate_clt(plan, batches)
     if "delay-scan" in plan.statistics:
         stats["delay-scan"], checks["delay-scan"] = _aggregate_scan(plan)
 
-    retries = [r["retries"] for r in records] or [0]
+    retries = [r for b in batches for r in b["retries"]] or [0]
+    del batches  # the raw records end here, before the artifacts are written
     ok = all(c["ok"] for c in checks.values())
     payload = {
         "config_hash": config_hash(config, plan.replicates),

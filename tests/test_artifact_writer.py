@@ -3,16 +3,22 @@
 ``summary.json`` was once ``json.dumps(_jsonable(payload), sort_keys=True,
 indent=2)`` and each CSV a row-by-row join of ``_cell`` spellings.  Those
 reference versions are kept below; the writer must reproduce them for any
-payload and any column set, at any chunk size.
+payload and any column set, at any chunk size.  The writer spells an
+array's distinct numbers once, so arrays are drawn of several widths and
+often from a small pool of values (signed zeros, NaN, the infinities, the
+smallest subnormal), where its table of spellings really repeats.
 """
 
+import io
 import json
 import os
+import re
 import tempfile
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -69,7 +75,25 @@ def _ref_csv(rows, header: str) -> str:
 
 FLOATS = st.floats(allow_nan=True, allow_infinity=True)
 INTS = st.integers(-(2**63), 2**63 - 1)
-SIDES = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=7)
+# 1-D and 2-D shapes, 2-D ones with zero columns among them
+SIDES = st.one_of(
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=7),
+    st.tuples(st.integers(0, 4), st.just(0)),
+)
+ARRAY_DTYPES = (np.int32, np.int64, np.uint64, np.float32, np.float64)
+FLOAT_POOL = (0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-5, 0.1, 2.0, 1.0, 3.0)
+INT_POOL = (0, 1, 2, 3, 7, 1000)
+
+
+def _arrays(dtype, shape):
+    """Arrays of ``dtype``: entries from its whole range, or from a small pool cast to it."""
+    pool = FLOAT_POOL if np.dtype(dtype).kind == "f" else INT_POOL
+    elements = st.one_of(
+        st.just(hnp.from_dtype(np.dtype(dtype))),
+        st.just(st.sampled_from(np.array(pool, dtype=dtype).tolist())),
+    )
+    return elements.flatmap(lambda e: hnp.arrays(dtype, shape, elements=e))
+
 
 SCALARS = st.one_of(
     st.none(),
@@ -81,10 +105,7 @@ SCALARS = st.one_of(
     FLOATS.map(np.float64),
     st.floats(width=32).map(np.float32),
 )
-ARRAYS = st.one_of(
-    hnp.arrays(np.int64, SIDES, elements=INTS),
-    hnp.arrays(np.float64, SIDES, elements=FLOATS),
-)
+ARRAYS = st.sampled_from(ARRAY_DTYPES).flatmap(lambda dtype: _arrays(dtype, SIDES))
 NUMBER_LISTS = st.lists(st.one_of(INTS, FLOATS), max_size=12)
 KEYS = st.one_of(
     st.text(max_size=4),
@@ -103,6 +124,8 @@ PAYLOADS = st.recursive(
 
 @settings(max_examples=100, deadline=None)
 @given(payload=st.dictionaries(KEYS, PAYLOADS, max_size=6), chunk=st.integers(1, 5))
+@example(payload={"z": np.array([0.0, -0.0, 0.0], dtype=np.float32)}, chunk=1)
+@example(payload={"z": np.zeros((3, 0), dtype=np.uint64), "y": np.zeros((0, 2))}, chunk=2)
 def test_summary_text_matches_json_dumps(payload, chunk):
     with mock.patch.object(harness, "_CHUNK", chunk):
         got = "".join(harness._json_pieces(payload)) + "\n"
@@ -128,12 +151,9 @@ def test_summary_text_spells_specials_as_json_does():
 # ---------------------------------------------------------------------------
 
 
-def _column(kind: str, length: int):
-    size = st.just(length)
-    if kind == "int array":
-        return hnp.arrays(np.int64, size, elements=INTS)
-    if kind == "float array":
-        return hnp.arrays(np.float64, size, elements=FLOATS)
+def _column(kind, length: int):
+    if kind in ARRAY_DTYPES:
+        return _arrays(kind, st.just((length,)))
     if kind == "float list":
         return st.lists(FLOATS, min_size=length, max_size=length)
     if kind == "int list":
@@ -141,7 +161,7 @@ def _column(kind: str, length: int):
     return st.lists(st.text(max_size=5), min_size=length, max_size=length)
 
 
-KINDS = ("int array", "float array", "float list", "int list", "str list")
+KINDS = (*ARRAY_DTYPES, "float list", "int list", "str list")
 
 
 @st.composite
@@ -163,3 +183,40 @@ def test_csv_matches_row_by_row_cells(columns, chunk):
         with open(path, "rb") as fh:
             got = fh.read()
     assert got == _ref_csv(zip(*columns), header).encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# streaming
+# ---------------------------------------------------------------------------
+
+NUMBER = re.compile(r"-?(?:Infinity|NaN|\d+(?:\.\d+)?(?:e[+-]?\d+)?)")
+
+
+class _Writes(io.StringIO):
+    """A text file that keeps every ``write`` call's text."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def write(self, text):
+        self.calls.append(text)
+        return super().write(text)
+
+
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_no_piece_or_write_holds_more_than_a_chunk(k):
+    long = np.resize(np.array([0.5, -0.0, np.nan, 7.0, np.inf]), 50)
+    wide = np.arange(3 * (2 * k + 1), dtype=np.uint64).reshape(3, -1)  # rows wider than a chunk
+    payload = {"long": long, "wide": wide, "ints": np.arange(40, dtype=np.int32) % 6, "list": [0.25, 3] * 20}
+    with mock.patch.object(harness, "_CHUNK", k):
+        pieces = list(harness._json_pieces(payload))
+        out = _Writes()
+        with mock.patch.object(harness, "_open", lambda path: out):
+            harness._write_csv("t.csv", "i,x,y", range(50), long, np.arange(50) % 4)
+    assert "".join(pieces) + "\n" == _ref_summary(payload)
+    assert max(len(NUMBER.findall(piece)) for piece in pieces) == k
+    header, *rows = out.calls
+    assert header == "i,x,y\n"
+    assert "".join(rows) == _ref_csv(zip(range(50), long, np.arange(50) % 4), "i,x,y")[len(header) :]
+    assert max(text.count("\n") for text in rows) == k

@@ -13,6 +13,7 @@ from delaytree.errors import ArgumentError
 from delaytree.estimators import (
     DegreeHist,
     RootTrajectory,
+    degree_counts,
     degree_hist,
     delay_condition_scan,
     extended_fringe_census,
@@ -23,7 +24,7 @@ from delaytree.estimators import (
     root_trajectory,
     root_trajectories,
 )
-from delaytree.growth import grow, trace_from_parents
+from delaytree.growth import child_counts, grow, trace_from_parents
 from delaytree.kernels import (
     AffineKernel,
     ConstantDelay,
@@ -276,12 +277,19 @@ def _one_size_batches(draw):
 def test_batch_estimators_match_one_tree_at_a_time(batch, data):
     traces = [trace_from_parents(p) for p in batch]
     n = traces[0].n
-    for trace in traces:
+    kids = child_counts(traces)  # one tally for the batch, one for its degrees
+    counts = degree_counts(kids)
+    assert kids.dtype == np.int32 and counts.dtype == np.int64
+    refs = [_reference_hist(trace.parents) for trace in traces]
+    assert counts.shape == (len(traces), max(map(len, refs)))  # up to the batch's largest degree
+    for trace, row, counted, ref in zip(traces, kids, counts, refs):
+        assert row.tolist() == trace.child_counts().tolist() == _reference_kids(trace.parents)
         hist = DegreeHist.from_children(trace.child_counts())
-        ref = _reference_hist(trace.parents)
         assert len(hist.counts) == len(ref)  # each tree stops at its own largest degree
         np.testing.assert_array_equal(hist.counts, ref)
         assert hist.n == n
+        np.testing.assert_array_equal(counted[: len(ref)], ref)
+        assert not counted[len(ref) :].any()
     grid = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
     ex = data.draw(st.none() | st.lists(st.floats(0.5, 100.0), min_size=len(grid), max_size=len(grid)))
     theta = data.draw(st.sampled_from((0.0, 0.5, 0.77)))
@@ -312,6 +320,10 @@ def test_batch_rows_keep_their_own_histogram_length_and_default_grid():
 def test_batch_estimators_reject_bad_batches():
     with pytest.raises(ArgumentError):
         root_trajectories([PATH4, trace_from_parents([0, 0, 1])], theta=0.5)
+    with pytest.raises(ArgumentError):
+        child_counts([PATH4, trace_from_parents([0, 0, 1])])
+    with pytest.raises(ArgumentError):
+        child_counts([])
     with pytest.raises(ArgumentError):
         root_trajectories([], theta=0.5)
     with pytest.raises(ArgumentError):
