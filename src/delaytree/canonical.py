@@ -225,11 +225,11 @@ def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
     ``parents`` is a birth-order parent array as for ``subtree_codes``, and
     ``kids[v]`` the number of children of vertex v: the tree's
     ``TreeTrace.child_counts()``, which the degree histogram reads too;
-    only its length is checked.  Returns ``(labels, codes)``: ``labels[v]``
-    (int32; entry 0 unused, -1) is an index into ``codes``, the canonical
-    codes of the distinct shapes met, and equal labels mean isomorphic
-    subtrees.  A vertex gets -1 instead when its subtree has more than
-    ``cap`` vertices.
+    only its length and its integer dtype are checked.  Returns
+    ``(labels, codes)``: ``labels[v]`` (int32; entry 0 unused, -1) is an
+    index into ``codes``, the canonical codes of the distinct shapes met,
+    and equal labels mean isomorphic subtrees.  A vertex gets -1 instead
+    when its subtree has more than ``cap`` vertices.
 
     Round 0 labels the leaves; round r labels the vertices whose last child
     was labelled in round r-1 and whose subtree fits under the cap, so a
@@ -260,6 +260,8 @@ def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
     n = len(par) - 1
     if len(kids) != n + 1:
         raise ArgumentError(f"a tree of {n} vertices needs {n + 1} child counts, got {len(kids)}")
+    if np.asarray(kids).dtype.kind not in "iu":
+        raise ArgumentError(f"child counts must be integers, got dtype {np.asarray(kids).dtype}")
 
     # the labels of u's children go to rows[start[u] : start[u] + kids[u]]
     start = np.cumsum(kids, dtype=np.int32)
@@ -321,13 +323,22 @@ def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
             group, child = group[fits], child[fits]
             if not group.size:
                 continue
-            # intern the rows column by column: row ids stay below the row
-            # count and child labels below base, so the keys fit in int64
-            row_id = child[:, 0].astype(np.int64)
+            # intern the rows by one mixed-radix key, first child most
+            # significant (child labels stay below base), so that key order
+            # is row order; a key about to pass 2**63 is first re-ranked
+            key, bound = child[:, 0].astype(np.int64), base
             for j in range(1, k):
-                row_id = np.unique(row_id * base + child[:, j], return_inverse=True)[1]
-            _, first_row, row_id = np.unique(row_id, return_index=True, return_inverse=True)
-            labels[group] = len(codes) + row_id.reshape(-1)
+                if bound * base > 2**63:
+                    distinct, key = np.unique(key, return_inverse=True)
+                    bound = len(distinct)
+                key *= base
+                key += child[:, j]
+                bound *= base
+            distinct = np.unique(key)
+            row_id = np.searchsorted(distinct, key)
+            labels[group] = len(codes) + row_id
+            first_row = np.empty(len(distinct), dtype=np.int64)
+            first_row[row_id] = np.arange(len(key))  # a row of each key, any of its equal rows
             for row in child[first_row].tolist():
                 codes.append(code_from_children(codes[c] for c in row))
                 sizes.append(1 + sum(sizes[c] for c in row))

@@ -40,8 +40,12 @@ exact law :func:`attachment_distribution`.
   triples and of earlier parents.  Every block, the one-arrival blocks
   included, guesses every parent at once in NumPy, then redoes only the
   arrivals whose reads changed until a round changes nothing: that fixed
-  point is the one-at-a-time answer.  Snapshot degrees come from one
-  array degree view (:class:`_DegreeView`).
+  point is the one-at-a-time answer.  Each round is a few full-width
+  passes: proposals read the current guesses as final parents, one
+  gather each (:func:`_resolve_edge`); snapshot degrees come from one
+  array degree view (:class:`_DegreeView`); the acceptance is a lookup in
+  per-tree tables of the envelope and the kernel (:class:`_Acceptance`);
+  and the readers of a round's changes come from one masked gather.
 
 Degrees that enter attachment weights are graph degrees (child count, +1
 for the parent edge; the root simply has its child count, clamped to 1 at
@@ -180,18 +184,17 @@ class _DegreeView:
         if hi <= lo:
             return
         width = hi - lo
-        key = parents[lo:hi].astype(np.int64) * width + np.arange(width)
+        bits = max(width - 1, 1).bit_length()  # keys pack (parent, birth - lo) as parent << bits | birth - lo
+        key = (parents[lo:hi].astype(np.int64) << bits) | np.arange(width)
         key.sort()  # by parent, then birth
-        vs, ks = key // width, (key % width + lo).astype(np.int32)
-        head = np.empty(len(vs), dtype=bool)  # first of its parent in the batch
-        head[0] = True
-        np.not_equal(vs[1:], vs[:-1], out=head[1:])
-        self.prev[ks[1:]] = ks[:-1]
-        self.prev[ks[head]] = self.last[vs[head]]
-        heads = np.flatnonzero(head)
+        vs, ks = key >> bits, (key & ((1 << bits) - 1)) + lo  # int64 indexes, the faster kind
+        heads = np.append(0, np.flatnonzero(vs[1:] != vs[:-1]) + 1)  # each parent's first child in the batch
         tails = np.append(heads[1:], len(vs)) - 1
-        self.count[vs[heads]] += (tails - heads + 1).astype(np.int32)
-        self.last[vs[heads]] = ks[tails]
+        self.prev[ks[1:]] = ks[:-1]
+        vs = vs[heads]
+        self.prev[ks[heads]] = self.last[vs]
+        self.count[vs] += (tails - heads + 1).astype(np.int32)
+        self.last[vs] = ks[tails]
 
     def rebuild(self, parents, frozen: int) -> None:
         """Sort the children born before ``frozen``, all of them final, into ``key``."""
@@ -270,13 +273,21 @@ def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, pi
     e = np.minimum((picks * top).astype(np.int64), top - 1)
     out = (e >> 1) + 2
     copy = (e & 1) == 0
-    if branch is not None:
-        to_vertex = branch * (slope * top + ms * alpha) < ms * alpha
-        np.copyto(out, np.minimum((picks * ms).astype(np.int64), ms - 1) + 1, where=to_vertex)
-        copy &= ~to_vertex
     flat, width = out.reshape(-1), ms.shape[-1]
+    if branch is not None:  # the vertex route, taken only where the branch sends a draw
+        to_vertex = branch * (slope * top + ms * alpha) < ms * alpha
+        copy &= ~to_vertex
+        to_vertex = np.flatnonzero(to_vertex)
+        m = ms.reshape(-1)[to_vertex]
+        flat[to_vertex] = np.minimum((picks.reshape(-1)[to_vertex] * m).astype(np.int64), m - 1) + 1
     copy = np.flatnonzero(copy)
-    src, row = flat[copy], copy // width
+    src = flat[copy]
+    if base >= parents.shape[-1]:  # every parent is final: one gather answers every copy
+        if parents.ndim > 1:
+            src += copy // width * parents.shape[-1]
+        flat[copy] = parents.reshape(-1)[src]
+        return out
+    row = copy // width
     early = src < base
     flat[copy[early]] = parents.reshape(-1, parents.shape[-1])[row[early], src[early]]
     # within the block: link each copy to the arrival it copies, then jump;
@@ -296,18 +307,47 @@ def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, pi
     return out
 
 
-def _thin_block(parents, view, base: int, out, ms, slope: float, offset: float, kernel: AttachmentKernel, budget, rng):
+class _Acceptance:
+    """The thinning test u * (a*d + b) < f(d) of a kernel, by lookup in tables indexed by weight degree d.
+
+    ``env[d] = a*d + b`` and ``f[d] = kernel.evaluate_array(d)`` are built
+    from degree 1 (entry 0 repeats degree 1: a kernel with only a scalar
+    ``evaluate`` refuses 0) and rebuilt at the next power of two when a
+    larger degree appears.  Each flag comes from the same float operations
+    as the direct test, so the flags are identical.  One object serves one
+    tree, whose degrees only grow.
+    """
+
+    def __init__(self, kernel: AttachmentKernel):
+        self.kernel = kernel
+        self.slope, self.offset = kernel.linear_bound()
+        self.env = self.f = np.empty(0)
+
+    def __call__(self, d, u) -> np.ndarray:
+        """Accept flags of proposals of weight degrees ``d`` (>= 1) with uniforms ``u``."""
+        top = int(d.max(initial=0))
+        if top >= len(self.env):
+            degrees = np.arange(1 << top.bit_length())
+            degrees[0] = 1
+            self.env = self.slope * degrees + self.offset
+            self.f = self.kernel.evaluate_array(degrees)
+        return u * self.env.take(d) < self.f.take(d)
+
+
+def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budget, rng):
     """Thinning draws for a block of arrivals base, base+1, ... with snapshots ``ms``; returns rejected proposals.
 
     ``out`` receives the parents: ``parents[base:base + len(ms)]`` when the
     block grows the tree, a separate array when it draws from a frozen one
-    (base past its end, so that every read is final).  ``budget`` holds
-    rows of uniforms by slot and arrival, (rows, width, len(ms)): branch
-    (for a mixed envelope, see :func:`_rows`), pick and accept.  Arrival i
-    owns the triples ``budget[:, s, i]`` for s < width and then, once all
-    of them are rejected, the columns of ``rng.random((rows, width))``
-    chunks drawn in birth order.  So its parent is a function of its own
-    triples and the parents of earlier arrivals.
+    (base past its end, so that every read is final).  ``acceptance`` is
+    the tree's thinning test, its envelope the proposal's.  ``budget``
+    holds rows of uniforms by slot and arrival, (rows, width, len(ms)):
+    branch (for a mixed envelope, see :func:`_rows`), pick and accept.
+    Arrival i owns the triples ``budget[:, s, i]`` for s < width and then,
+    once all of them are rejected, the columns of
+    ``rng.random((rows, width))`` chunks drawn in birth order.  So its
+    parent is a function of its own triples and the parents of earlier
+    arrivals.
 
     Every arrival starts unknown (0).  A round recomputes the pending
     arrivals from the current guesses, all at once: proposals by
@@ -322,14 +362,23 @@ def _thin_block(parents, view, base: int, out, ms, slope: float, offset: float, 
     overflow is drawn and thinned now.  When nothing is pending or unknown,
     each guess equals its recomputation, and by induction over birth order
     that fixed point is the one-at-a-time answer.
+
+    The readers of a round's changes come from one gather: ``view.mark``
+    holds, for each vertex that gained or lost a guess, the first birth at
+    which it did, and every read slot of every arrival past the first
+    change looks up its vertex's mark at once, the slots past an
+    arrival's reads masked off.  ``mark`` is back to all _NEVER on return.
     """
     rows, width, size = budget.shape
     *branch, pick, accept = budget
     branch = branch[0] if branch else None
+    slope, offset = acceptance.slope, acceptance.offset
     ms = ms.astype(np.int64)
     tried = np.empty((width, size), dtype=np.int32)  # proposals read, by slot: the first reads[i] of column i
     reads = np.zeros(size, dtype=np.int64)
-    rejected = np.zeros(size, dtype=np.int64)
+    # a drawn arrival rejects every proposal it reads but the last; an overflow's
+    # rejections past its budget, and its budget's last read, go to spilled
+    spilled = 0
     mark = view.mark
     bits = max(size - 1, 1).bit_length()  # keys pack (vertex, arrival i) as vertex << bits | i
     keys = None  # the guesses as sorted keys (parent, i), once there are any
@@ -343,22 +392,28 @@ def _thin_block(parents, view, base: int, out, ms, slope: float, offset: float, 
     def thin(vs, m, u):
         """Accept flags of proposals ``vs`` from snapshots ``m``: degrees off the view plus the guessed children."""
         d = view.degrees(vs, m)
-        if keys is not None:
+        if keys is not None:  # searched in sorted order, which saves most of a search's cache misses
             lo = vs << bits
-            d += np.searchsorted(keys, lo + np.maximum(m - base, -1), "right") - np.searchsorted(keys, lo)
-        return u * (slope * d + offset) < kernel.evaluate_array(d)
+            hi = lo + np.maximum(m - base, -1)
+            order = hi.argsort()
+            d[order] += np.searchsorted(keys, hi[order], "right") - np.searchsorted(keys, lo[order])
+        return acceptance(d, u)
 
     def draw(pending):
         """New guesses for the arrivals ``pending``, from the current ones; records what each reads."""
         new = np.zeros(len(pending), dtype=out.dtype)
-        reads[pending] = rejected[pending] = width
+        reads[pending] = width
         live, s = np.arange(len(pending)), 0
         while live.size and s < width:
             # a slot at a time while many arrivals are live, then all their remaining slots at once
             span = width - s if len(live) * (width - s) <= max(len(pending) // 4, 2048) else 1
-            i = pending[live]
-            m = np.tile(ms[i], span)
-            b, p, u = (None if row is None else row[s : s + span].take(i, axis=1).reshape(-1) for row in (branch, pick, accept))
+            i = pending[live] if s else pending
+            if span == 1:
+                m = ms[i]
+                b, p, u = (None if row is None else row[s].take(i) for row in (branch, pick, accept))
+            else:
+                m = np.tile(ms[i], span)
+                b, p, u = (None if row is None else row[s : s + span].take(i, axis=1).reshape(-1) for row in (branch, pick, accept))
             vs = _resolve_edge(parents, len(parents), m, slope, offset, b, p)
             stop = vs == 0  # copied an unknown parent
             if stop.any():
@@ -377,66 +432,68 @@ def _thin_block(parents, view, base: int, out, ms, slope: float, offset: float, 
                 last = last[done]
                 vs = vs[last, done.nonzero()[0]]
             reads[i[done]] = s + last + 1
-            rejected[i[done]] = s + last
             new[live[done]] = vs
             live, s = live[~done], s + span
         return new
 
-    def readers(changed, old, new):
-        """Arrivals whose proposals saw a vertex gain or lose a guessed child at the births ``base + changed``."""
-        if not changed.size:
-            return changed
-        changes = (np.concatenate([old, new]).astype(np.int64) << bits) | np.tile(changed, 2)
+    def readers(births, verts):
+        """Arrivals whose proposals saw vertex ``verts[j]`` gain or lose a guessed child at the birth ``base + births[j]``."""
+        if not births.size:
+            return births
+        changes = (verts.astype(np.int64) << bits) | births
         changes.sort()
         verts = changes >> bits
         head = np.ones(len(changes), dtype=bool)
         np.not_equal(verts[1:], verts[:-1], out=head[1:])
         verts = verts[head]
         mark[verts] = (changes[head] & ((1 << bits) - 1)) + base  # each vertex's first change
-        hit = np.zeros(size, dtype=bool)
-        cols = np.arange(changed.min() + 1, size)
-        for s in range(width):
-            cols = cols[reads[cols] > s]
-            hit[cols[mark[tried[s, cols]] <= ms[cols]]] = True
+        lo = int(births.min()) + 1
+        top = int(reads[lo:].max(initial=0))
+        # unread slots hold np.empty garbage: clip its gather, then mask it off
+        seen = mark.take(tried[:top, lo:], mode="clip") <= ms[lo:]
+        seen &= np.arange(top)[:, None] < reads[lo:]
         mark[verts] = _NEVER
-        return np.flatnonzero(hit)
+        return lo + np.flatnonzero(seen.any(axis=0))
 
     # round one: no guesses yet, so every arrival reads the view alone; m = 1 takes the root
     out[:] = 0
     pending = np.flatnonzero(ms > 1)
+    drawn = len(pending)
     out[pending] = draw(pending)
     out[ms == 1] = 1
     changed = np.flatnonzero(out)
-    pending = readers(changed, np.zeros(len(changed), dtype=np.int64), out[changed])
+    # every old guess is 0, so vertex 0 changes first at the first change
+    pending = readers(np.append(changed, changed[:1]), np.append(out[changed], 0))
     while True:
-        unknown = np.flatnonzero(out == 0)
-        if unknown.size and (not pending.size or unknown[0] < pending[0]):
+        settled = out[: pending[0] if pending.size else size]  # the guesses before the first pending arrival
+        q = int(settled.argmin()) if settled.size else 0
+        if settled.size and settled[q] == 0:
             # every arrival before q is final and q spent its budget: draw its overflow
-            q = int(unknown[0])
             keys = guesses()
             m = np.full(width, ms[q])
+            spilled += 1  # the budget's last read
             while True:
                 *b, p, u = rng.random((rows, width))
                 vs = _resolve_edge(parents, len(parents), m, slope, offset, b[0] if b else None, p)
                 ok = thin(vs, m, u)
                 if ok.any():
                     break
-                rejected[q] += width
+                spilled += width
             s = int(np.argmax(ok))
-            rejected[q] += s
+            spilled += s
             out[q] = vs[s]
-            hit = readers(np.array([q]), np.zeros(1, dtype=np.int64), vs[s : s + 1])
+            hit = readers(np.array([q, q]), np.array([0, vs[s]]))
             pending = np.union1d(pending, hit)
             continue
         if not pending.size:
-            return int(rejected.sum())
+            return int(reads.sum()) - drawn + spilled
         keys = guesses()
         new = draw(pending)
         moved = new != out[pending]
         changed = pending[moved]
         old = out[changed]
         out[pending] = new
-        pending = readers(changed, old, new[moved])
+        pending = readers(np.tile(changed, 2), np.concatenate([old, new[moved]]))
 
 
 def sample_parent_rejection(
@@ -455,14 +512,14 @@ def sample_parent_rejection(
     view = _DegreeView(len(parents))
     view.extend(parents, 2, len(parents))
     view.rebuild(parents, len(parents))
-    slope, offset = kernel.linear_bound()
-    rows = _rows(slope, offset)
+    acceptance = _Acceptance(kernel)
+    rows = _rows(acceptance.slope, acceptance.offset)
     out = np.empty(size, dtype=np.int64)
     rejected = 0
     for lo in range(0, size, _BLOCK_MAX):
         hi = min(lo + _BLOCK_MAX, size)
         budget = rng.random((rows, _budget(rejected, rejected + lo * (m > 1), hi - lo), hi - lo))
-        rejected += _thin_block(parents, view, len(parents), out[lo:hi], np.full(hi - lo, m), slope, offset, kernel, budget, rng)
+        rejected += _thin_block(parents, view, len(parents), out[lo:hi], np.full(hi - lo, m), acceptance, budget, rng)
     return out, rejected
 
 
@@ -639,8 +696,8 @@ def _loop_rejection(parents, kernel, ms, rng) -> int:
     arrival, sized by the rejections so far), resolves through
     :func:`_thin_block` and then enters the degree view.
     """
-    slope, offset = kernel.linear_bound()
-    rows = _rows(slope, offset)
+    acceptance = _Acceptance(kernel)
+    rows = _rows(acceptance.slope, acceptance.offset)
     view = _DegreeView(len(parents))
     view.extend(parents, 2, 3)  # vertex 2, the root's child
     retries = accepted = 0
@@ -651,7 +708,7 @@ def _loop_rejection(parents, kernel, ms, rng) -> int:
         budget = rng.random((rows, width, size))
         view.refresh(parents, k)
         block = ms[k - 3 : k - 3 + size]
-        retries += _thin_block(parents, view, k, parents[k : k + size], block, slope, offset, kernel, budget, rng)
+        retries += _thin_block(parents, view, k, parents[k : k + size], block, acceptance, budget, rng)
         view.extend(parents, k, k + size)
         accepted += int(np.count_nonzero(block > 1))
         k += size

@@ -452,12 +452,14 @@ def _write_csv(path: str, header: str, *columns) -> None:
 
     A cell is ``str`` of the column's Python value, which for a float is
     its shortest round-trip spelling (``str(float) == repr(float)``); an
-    int or float array's cells come from its table of distinct numbers.
+    int or float array's cells come from its table of distinct numbers.  A
+    column may also come spelled already, as a :func:`_spellings` pair
+    ``(table, index)``.
     """
-    cells = [_spellings(c, {}) if _is_numbers(c) else (None, c) for c in columns]
+    cells = [c if isinstance(c, tuple) else _spellings(c, {}) if _is_numbers(c) else (None, c) for c in columns]
     with _open(path) as fh:
         fh.write(header + "\n")
-        for start in range(0, len(columns[0]), _CHUNK):
+        for start in range(0, len(cells[0][1]), _CHUNK):
             rows = slice(start, start + _CHUNK)
             parts = [map(str, c[rows]) if t is None else t[c[rows]].tolist() for t, c in cells]
             fh.write("\n".join(map(",".join, zip(*parts))) + "\n")
@@ -497,15 +499,25 @@ def _write_outputs(plan: ExperimentPlan, payload: dict, stats: dict) -> None:
     if "root" in stats:
         r = stats["root"]
         reps, width = r["values"].shape
-        over_ex = r["over_ex"] if r["over_ex"] is not None else np.full((reps, width), np.nan)
+        # replicate, n_j and a missing M_over_EXn repeat a few distinct values:
+        # spell those once and expand only their narrow indexes
+        table, index = _spellings(np.arange(reps), {})
+        replicate = (table, np.repeat(index, width))
+        table, index = _spellings(np.asarray(r["ns"]), {})
+        n_j = (table, np.tile(index, reps))
+        if r["over_ex"] is not None:
+            over_ex = r["over_ex"].ravel()
+        else:
+            table, index = _spellings(np.array([np.nan]), {})
+            over_ex = (table, np.broadcast_to(index, reps * width))
         _write_csv(
             os.path.join(outdir, "root.csv"),
             "replicate,n_j,M,M_over_ntheta,M_over_EXn",
-            np.repeat(np.arange(reps), width),
-            np.tile(r["ns"], reps),
+            replicate,
+            n_j,
             r["values"].ravel(),
             r["over_ntheta"].ravel(),
-            over_ex.ravel(),
+            over_ex,
         )
     if "clt" in stats:
         s = stats["clt"]["s_values"]

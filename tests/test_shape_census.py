@@ -176,6 +176,46 @@ def test_a_tree_within_the_cap_pairs_every_vertex(case):
     assert pair_truncated == 0 and sum(pairs.values()) == n - 1
 
 
+def _hubs_of_leaves_and_stars(seed):
+    """A root over a star of each width 1..18 and 40 random hubs of 12-16 leaves plus 1-2 small stars.
+
+    Under cap 20, round 1 labels the 18 star widths, so round 2 interns
+    the hubs' rows of 13-18 child labels below base 19: 19**15 passes
+    2**63, and a row of 15 or more is re-ranked before its last columns
+    fold into the key.
+    """
+    rng = np.random.default_rng(seed)
+    parents = [0, 0]
+
+    def add(parent, width):
+        parents.append(parent)
+        hub = len(parents) - 1
+        parents.extend([hub] * width)
+        return hub
+
+    for width in range(1, 19):
+        add(1, width)
+    for _ in range(40):
+        hub = add(1, int(rng.integers(12, 17)))
+        for _ in range(int(rng.integers(1, 3))):
+            add(hub, int(rng.integers(1, 3)))
+    return parents
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_labels_match_reference_when_row_keys_pass_int64(seed):
+    parents = _hubs_of_leaves_and_stars(seed)
+    _check_against_reference(parents, 20)
+    labels, _ = shape_labels(parents, _kids(parents), 20)
+    assert (_kids(parents)[labels >= 0] >= 15).any()  # rows whose key is re-ranked get labels
+
+
+def test_labelling_refuses_float_child_counts():
+    parents = _star(5)
+    with pytest.raises(ArgumentError, match="child counts must be integers"):
+        shape_labels(parents, _kids(parents).astype(np.float64), 3)
+
+
 def test_hand_tree_labels():
     labels, shapes = shape_labels(_path(4), _kids(_path(4)), cap=3)
     assert [shapes[i] if i >= 0 else None for i in labels[1:]] == [

@@ -19,6 +19,7 @@ from delaytree.growth import (
 )
 from delaytree.kernels import (
     AffineKernel,
+    AttachmentKernel,
     ConstantDelay,
     GrowthConfig,
     InversePowerDelay,
@@ -300,8 +301,97 @@ def test_single_affine_draw_matches_the_scalar_draw(parents, alpha, seed, data):
     budget = np.stack([branch, picks, np.zeros(64)] if alpha > 0.0 else [picks, np.zeros(64)])[:, None, :]
     out = np.empty(64, dtype=np.int64)
     kernel = AffineKernel(alpha)
-    assert growth._thin_block(tr.parents, view, tr.n + 1, out, np.full(64, m), 1.0, alpha, kernel, budget, None) == 0
+    assert growth._thin_block(tr.parents, view, tr.n + 1, out, np.full(64, m), growth._Acceptance(kernel), budget, None) == 0
     np.testing.assert_array_equal(out, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(((1.0, 0.0), (1.0, 1.3), (0.4, 0.9))),
+    st.integers(1, 3),
+    st.lists(st.integers(1, 12), max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_frozen_reads_resolve_as_the_general_path(bound, rows, ms_row, seed):
+    # base = len(parents) takes the one-gather return; the same trees padded past base take the
+    # general path, whose copies all read below base.  Both are the scalar draws, in rows or in one row
+    slope, alpha = bound
+    rng = np.random.default_rng(seed)
+    n, ms_row = 12, [1, *ms_row]
+    stack = np.zeros((rows, n + 1), dtype=np.int32)
+    for row in stack:
+        row[2:] = [rng.integers(1, v) for v in range(2, n + 1)]
+    padded = np.concatenate([stack, np.zeros((rows, len(ms_row)), dtype=np.int32)], axis=1)
+    ms = np.array([ms_row] * rows)
+    picks = rng.random(ms.shape)
+    branch = rng.random(ms.shape) if slope and alpha else np.zeros(ms.shape)
+    want = [
+        [_scalar_edge_draw(tree, m, slope, alpha, b, p) for m, b, p in zip(ms_row, bs, ps)]
+        for tree, bs, ps in zip(stack, branch, picks)
+    ]
+    mixed = slope and alpha  # else the draws take no branch
+    for got in (
+        growth._resolve_edge(stack, n + 1, ms, slope, alpha, branch if mixed else None, picks),
+        growth._resolve_edge(padded, n + 1, ms, slope, alpha, branch if mixed else None, picks),
+    ):
+        np.testing.assert_array_equal(got, want)
+    for got in (
+        growth._resolve_edge(stack[0], n + 1, ms[0], slope, alpha, branch[0] if mixed else None, picks[0]),
+        growth._resolve_edge(padded[0], n + 1, ms[0], slope, alpha, branch[0] if mixed else None, picks[0]),
+    ):
+        np.testing.assert_array_equal(got, want[0])
+
+
+class _ScalarKernel(AttachmentKernel):
+    """A kernel with only a scalar ``evaluate``: f(k) = 1 + 1/k, under the envelope 0*k + 2."""
+
+    def evaluate(self, k: int) -> float:
+        self._check_degree(k)
+        return 1.0 + 1.0 / k
+
+    def linear_bound(self) -> tuple[float, float]:
+        return (0.0, 2.0)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    (
+        UniformKernel(),
+        AffineKernel(1.3),
+        TabulatedKernel((1.0, 2.0, 1.5, 1.2), tail=("const",), f_star=1.0),
+        TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True),
+        _ScalarKernel(),
+    ),
+    ids=("uniform", "affine", "tabulated-const", "tabulated-pow", "scalar-evaluate"),
+)
+def test_table_acceptance_is_the_direct_test(kernel):
+    # the tables start at the first call's largest degree and double twice more
+    acceptance, (slope, offset) = growth._Acceptance(kernel), kernel.linear_bound()
+    rng = np.random.default_rng(5)
+    for top in (6, 40, 3000):
+        d = rng.integers(1, top + 1, 5000)
+        u = rng.random(5000)
+        np.testing.assert_array_equal(acceptance(d, u), u * (slope * d + offset) < kernel.evaluate_array(d))
+        assert len(acceptance.env) > top
+
+
+@pytest.mark.parametrize(
+    "kernel, delay",
+    ((KERNELS[3], InversePowerDelay(1.0, beta=0.5)), (KERNELS[4], Uniform01Delay(beta=0.5))),
+    ids=("tabulated-pow", "tabulated-bumpy"),
+)
+def test_thinning_blocks_leave_every_mark_unset(monkeypatch, kernel, delay):
+    # the readers take a vertex's mark as its first change of the round: stale marks would pend wrongly
+    calls, thin_block = [], growth._thin_block
+
+    def spy(parents, view, *args):
+        got = thin_block(parents, view, *args)
+        calls.append(bool((view.mark == growth._NEVER).all()))
+        return got
+
+    monkeypatch.setattr(growth, "_thin_block", spy)
+    grow(GrowthConfig(kernel, delay, 3000, seed=4))
+    assert len(calls) > 20 and all(calls)
 
 
 # ---------------------------------------------------------------------------
