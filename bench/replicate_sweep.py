@@ -1,7 +1,7 @@
 """Time the ``replicate-sweep`` plan end to end, its growth and its writing, and one large tree.
 
     python3 bench/replicate_sweep.py --tree parent=OLD/src --tree change=src \
-        > BENCH_replicate_batches.json
+        > BENCH_replicate_jobs.json
 
 ``--tree LABEL=SRC`` names a source directory holding the ``delaytree``
 package; give it twice to compare two versions on the same machine.  Each
@@ -14,20 +14,25 @@ once through ``cli.main``, timing
 * ``wall_s``: the whole plan with ``time.perf_counter``, as the benchmark
   times one execution;
 * ``grow_s``: the part of it spent inside ``harness.grow``, summed over
-  its calls (``grow_calls``);
+  its calls (``grow_calls``, one per job of replicates);
 * ``write_s``: the part of it spent inside ``harness._write_outputs``,
   writing the plan's artifact files;
 
 then records the peak RSS so far (``ru_maxrss``) and the SHA-256 over the
 plan's artifact files, and finally grows one ``grid-invpow2`` tree at
 n = 1e6 (``single_grow_s``, with the SHA-256 of its ``parents``), to show
-that single-tree growth is not slowed.  The trees take turns run by run so
-that host drift hits them alike, and the median of ``RUNS`` is recorded.
+that single-tree growth is not slowed.  Each run also records the tree's
+``delaytree.growth._EDGE_BLOCK`` (``edge_block``), its ``_JOB_WIDTH``
+(``job_width``: the vertices of one job of replicates; null for a tree
+without jobs, whose batch is one edge block) and the trees per job
+(``batch_size``).  The trees take turns run by run so that host drift
+hits them alike, and the median of ``RUNS`` is recorded.
 
-The sweep then repeats the measurement with ``delaytree.growth._EDGE_BLOCK``
-set to each of ``BLOCKS`` before the plan runs: the arrivals one edge
-block holds, which also sets how many replicates grow together.  The JSON
-document goes to standard output, progress to standard error.
+The sweep then repeats the measurement on the last tree with
+``_JOB_WIDTH`` set to each of ``WIDTHS`` before the plan runs, the widths
+taking turns run by run; the edge block keeps its value (its own sweep is
+``BENCH_replicate_batches.json``).  The JSON document goes to standard
+output, progress to standard error.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from delaytree.configio import build_config, parse_config_text
 from perfbench import workloads
 
 if sys.argv[3] != "default":
-    growth._EDGE_BLOCK = int(sys.argv[3])
+    growth._JOB_WIDTH = int(sys.argv[3])
 grow, write = harness.grow, harness._write_outputs
 spent = {"grow": [], "write": []}
 
@@ -90,6 +95,8 @@ single = time.perf_counter() - t0
 print(json.dumps({
     "ok": ok,
     "edge_block": growth._EDGE_BLOCK,
+    "job_width": getattr(growth, "_JOB_WIDTH", None),
+    "batch_size": growth.batch_size(step.n),
     "wall_s": wall,
     "grow_s": sum(spent["grow"]),
     "grow_calls": len(spent["grow"]),
@@ -101,19 +108,19 @@ print(json.dumps({
 }))
 """
 
-RUNS = 7  # median of seven per tree (and per tree and block in the sweep)
-BLOCKS = (1 << 13, 1 << 14, 1 << 15, 1 << 16)
+RUNS = 7  # median of seven per tree (and per width in the sweep)
+WIDTHS = (1 << 14, 1 << 15, 1 << 16, 1 << 17, 1 << 18)
 SEED = 5
 
 # one client on a small machine: keep NumPy single-threaded
 ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 
-def measure(src: str, block: str) -> dict:
+def measure(src: str, width: str) -> dict:
     env = dict(os.environ, **ENV)
     env.pop("PYTHONPATH", None)
     out = subprocess.run(
-        [sys.executable, "-c", CHILD, os.path.abspath(src), REPO, block, str(SEED)],
+        [sys.executable, "-c", CHILD, os.path.abspath(src), REPO, width, str(SEED)],
         check=True, capture_output=True, text=True, env=env,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -125,6 +132,8 @@ def summary(got: list) -> dict:
 
     return {
         "edge_block": sorted({g["edge_block"] for g in got}),
+        "job_width": sorted({g["job_width"] for g in got}, key=str),
+        "batch_size": sorted({g["batch_size"] for g in got}),
         "wall_s": [round(g["wall_s"], 4) for g in got],
         "median_wall_s": med("wall_s"),
         "median_grow_s": med("grow_s"),
@@ -138,13 +147,15 @@ def summary(got: list) -> dict:
     }
 
 
-def alternate(trees: dict, block: str) -> dict:
-    runs: dict = {label: [] for label in trees}
-    for _ in range(RUNS):
-        for label, src in trees.items():
-            got = measure(src, block)
+def alternate(cases: dict) -> dict:
+    """``{label: summary}`` of RUNS measurements of each ``(src, width)`` case, taking turns."""
+    runs: dict = {label: [] for label in cases}
+    for i in range(RUNS):
+        for label in list(cases)[:: -1 if i % 2 else 1]:
+            src, width = cases[label]
+            got = measure(src, width)
             runs[label].append(got)
-            print(f"{label} block={block} wall {got['wall_s']:.3f} s grow {got['grow_s']:.3f} s "
+            print(f"{label} wall {got['wall_s']:.3f} s grow {got['grow_s']:.3f} s ({got['grow_calls']} jobs) "
                   f"write {got['write_s']:.3f} s single {got['single_grow_s']:.3f} s", file=sys.stderr)
     return {label: summary(got) for label, got in runs.items()}
 
@@ -155,11 +166,12 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     trees = dict(t.split("=", 1) for t in args.tree)
-    compare = alternate(trees, "default")
-    sweep = {str(block): alternate(trees, str(block)) for block in BLOCKS}
-    digests = {h for row in [compare, *sweep.values()] for t in row.values() for h in t["artifact_sha256"]}
+    compare = alternate({label: (src, "default") for label, src in trees.items()})
+    last = list(trees.values())[-1]
+    sweep = alternate({str(width): (last, str(width)) for width in WIDTHS})
+    digests = {h for row in [compare, sweep] for t in row.values() for h in t["artifact_sha256"]}
     doc = {
-        "benchmark": "replicate-sweep plan end to end, its growth phase and its artifact writing; one grid-invpow2 tree at n = 1e6",
+        "benchmark": "replicate-sweep plan end to end, its growth phase (one grow call per job) and its artifact writing; one grid-invpow2 tree at n = 1e6",
         "script": "bench/replicate_sweep.py",
         "seed": SEED,
         "runs": RUNS,
@@ -171,7 +183,7 @@ def main(argv=None) -> int:
         },
         "trees": compare,
         "artifacts_identical": len(digests) == 1,
-        "edge_block_sweep": sweep,
+        "job_width_sweep": {"tree": list(trees)[-1], **sweep},
     }
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     return 0

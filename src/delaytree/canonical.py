@@ -207,16 +207,17 @@ def tally(index, size: int) -> np.ndarray:
     return out
 
 
-def tally_rows(rows, size: int) -> np.ndarray:
+def tally_rows(rows: np.ndarray, size: int) -> np.ndarray:
     """int32 ``(len(rows), size)`` counts: row r tallies the entries of ``rows[r]``, all by one tally.
 
-    Row r's entries, each in 0..size-1, are shifted into bins r*size and up.
-    A single row is tallied as it is, so a batch of one copies nothing.
+    ``rows`` is a 2-D integer array.  Row r's entries, each in 0..size-1,
+    are offset into bins r*size and up by one broadcast add.  A single row
+    is tallied as it is, so a batch of one copies nothing.
     """
     if len(rows) == 1:
         return tally(rows[0], size)[None]
-    shifted = np.concatenate([row + np.intp(r * size) for r, row in enumerate(rows)])
-    return tally(shifted, len(rows) * size).reshape(len(rows), size)
+    offsets = np.arange(len(rows), dtype=np.intp)[:, None] * size
+    return tally(rows + offsets, len(rows) * size).reshape(len(rows), size)
 
 
 def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:

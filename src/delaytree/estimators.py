@@ -33,8 +33,8 @@ import numpy as np
 # because perfbench/tracer.py wraps it at delaytree.estimators.subtree_codes
 from .canonical import shape_labels, subtree_codes, tally, tally_rows  # noqa: F401
 from .errors import ArgumentError
-from .growth import TreeTrace, common_size
-from .kernels import DelayLaw
+from .growth import TreeTrace, parent_rows
+from .kernels import DelayLaw, check_count
 from .theory import extended_fringe_law
 
 __all__ = [
@@ -164,10 +164,17 @@ def leaf_clt_value(n1: int, n: int, p1: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _check_grid(grid, name: str) -> np.ndarray:
+    """``grid`` as an int64 array; ArgumentError unless it is a non-empty 1-D sequence of integers."""
+    ns = np.asarray(grid)
+    if ns.ndim != 1 or not len(ns) or ns.dtype.kind not in "iu":
+        raise ArgumentError(f"{name} must be a non-empty 1-D sequence of integers, got {grid!r}")
+    return ns.astype(np.int64)
+
+
 def geometric_grid(n_final: int) -> np.ndarray:
     """Half-octave time grid 2, ceil(2^(j/2)), ..., ending exactly at n_final."""
-    if n_final < 2:
-        raise ArgumentError("n_final must be >= 2")
+    n_final = check_count("n_final", n_final, 2)
     pts = []
     j = 2
     while True:
@@ -200,6 +207,13 @@ def half_decade_grid(lo: float, hi: float) -> list:
 
 @dataclass(frozen=True)
 class RootTrajectory:
+    """Root degree on the time grid ``ns``: of one tree, or of a batch of trees as rows.
+
+    ``values`` and the normalized arrays are 1-D for one tree
+    (:func:`root_trajectory`) and (trees x grid) for a batch
+    (:func:`root_trajectories`); :meth:`row` is one tree of a batch.
+    """
+
     ns: np.ndarray
     values: np.ndarray  # deg_at(1, n_j): 1 + children by time n_j
     theta: float
@@ -207,8 +221,13 @@ class RootTrajectory:
     over_truncated_mean: np.ndarray | None  # values / E[min(X, n_j)], heavy regime
 
     def __post_init__(self) -> None:
-        if (self.values[1:] < self.values[:-1]).any():
+        if (self.values[..., 1:] < self.values[..., :-1]).any():
             raise ArgumentError("root degree can never decrease")
+
+    def row(self, r: int) -> "RootTrajectory":
+        """The trajectory of tree r of a batch."""
+        ex = self.over_truncated_mean
+        return RootTrajectory(self.ns, self.values[r], self.theta, self.over_ntheta[r], None if ex is None else ex[r])
 
 
 def root_trajectory(trace: TreeTrace, theta: float, grid=None, ex_x=None) -> RootTrajectory:
@@ -219,17 +238,19 @@ def root_trajectory(trace: TreeTrace, theta: float, grid=None, ex_x=None) -> Roo
     normalized by it.  In the light regime values/n^theta is the quantity
     that settles.
     """
-    return root_trajectories([trace], theta, grid=grid, ex_x=ex_x)[0]
+    return root_trajectories([trace], theta, grid=grid, ex_x=ex_x).row(0)
 
 
-def root_trajectories(traces, theta: float, grid=None, ex_x=None) -> list[RootTrajectory]:
-    """:func:`root_trajectory` of each tree of a batch of one size, on one grid.
+def root_trajectories(traces, theta: float, grid=None, ex_x=None) -> RootTrajectory:
+    """:func:`root_trajectory` of every tree of a batch of one size, on one grid, as one (trees x grid) object.
 
-    The grid and ``ex_x`` are checked once, and the root's children of
-    every row are found in one pass and counted at the grid by one search.
+    The grid and ``ex_x`` are checked once, the root's children of every
+    row are found in one pass and counted at the grid by one search, and
+    the batch's monotonicity is checked once.
     """
-    n = common_size(traces)
-    ns = geometric_grid(n) if grid is None else np.asarray(grid, dtype=np.int64)
+    rows = parent_rows(traces)
+    n = rows.shape[1] + 1
+    ns = geometric_grid(n) if grid is None else _check_grid(grid, "grid")
     if np.any(np.diff(ns) <= 0) or ns[0] < 1 or ns[-1] > n:
         raise ArgumentError("grid must be strictly increasing within [1, n]")
     if ex_x is not None:
@@ -237,15 +258,12 @@ def root_trajectories(traces, theta: float, grid=None, ex_x=None) -> list[RootTr
         if ex.shape != ns.shape:
             raise ArgumentError("ex_x needs one value per grid point")
     # row r's child v of the root sits at r*(n-1) + v - 2, rows in order
-    births = np.flatnonzero(np.stack([trace.parents[2 : n + 1] for trace in traces]) == 1)
-    starts = np.arange(len(traces))[:, None] * (n - 1)
+    births = np.flatnonzero(rows == 1)
+    starts = np.arange(len(rows))[:, None] * (n - 1)
     values = 1.0 + (np.searchsorted(births, starts + (ns - 2), "right") - np.searchsorted(births, starts))
     over_ntheta = values / ns.astype(np.float64) ** theta
-    over_ex = values / ex if ex_x is not None else [None] * len(values)
-    return [
-        RootTrajectory(ns=ns, values=v, theta=theta, over_ntheta=o, over_truncated_mean=x)
-        for v, o, x in zip(values, over_ntheta, over_ex)
-    ]
+    over_ex = values / ex if ex_x is not None else None
+    return RootTrajectory(ns=ns, values=values, theta=theta, over_ntheta=over_ntheta, over_truncated_mean=over_ex)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +316,7 @@ def delay_condition_scan(delay: DelayLaw, n_grid) -> DelayScan:
     verdict additionally consults the analytic sufficient-condition sequence
     n log n P(ceil(X) = n).
     """
-    ns = np.asarray(list(n_grid), dtype=np.int64)
+    ns = _check_grid(list(n_grid), "n_grid")
     if len(ns) < 2 or np.any(np.diff(ns) <= 0) or ns[0] < 2:
         raise ArgumentError("n_grid must be increasing with at least 2 values >= 2")
     evals = np.array([_e_n_exact(delay, int(n)) for n in ns])

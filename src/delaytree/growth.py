@@ -24,8 +24,9 @@ exact law :func:`attachment_distribution`.
   inside the block by pointer jumping.  A block is a run of columns of
   one tree or, for trees of at most half a block, a band of whole trees
   as rows: :func:`grow` given several seeds grows them side by side, each
-  drawing from its own generator.  Temporaries are O(block), and the
-  draws and the resulting trees equal those of one draw per arrival.
+  drawing from its own generator, and a batch of :func:`batch_size` trees
+  spans several blocks.  Temporaries are O(block), and the draws and the
+  resulting trees equal those of one draw per arrival.
 * ``rejection`` -- thinning (Lewis & Shedler, Naval Res. Logist. Q. 26,
   1979) of the same endpoint proposal taken at the kernel's affine
   envelope f(d) <= a*d + b (``linear_bound``): propose v with probability
@@ -59,6 +60,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .canonical import check_parents, tally_rows
 from .errors import ArgumentError
@@ -103,12 +105,17 @@ class TreeTrace:
         return child_counts([self])[0]
 
 
-def common_size(traces) -> int:
-    """The one vertex count n shared by every tree of a batch."""
+def parent_rows(traces) -> np.ndarray:
+    """``parents[2:]`` of each tree of a batch of one or more trees of one size, as the rows of one matrix.
+
+    A larger batch is copied once; a batch of one is a view of its tree.
+    """
     sizes = {trace.n for trace in traces}
     if len(sizes) != 1:
         raise ArgumentError(f"a batch needs one or more trees of one size, got sizes {sorted(sizes)}")
-    return sizes.pop()
+    if len(traces) == 1:
+        return traces[0].parents[None, 2:]
+    return np.concatenate([trace.parents[2:] for trace in traces]).reshape(len(traces), sizes.pop() - 1)
 
 
 def child_counts(traces) -> np.ndarray:
@@ -117,7 +124,8 @@ def child_counts(traces) -> np.ndarray:
     One tally counts the whole batch; :meth:`TreeTrace.child_counts` is the
     batch of one.
     """
-    return tally_rows([trace.parents[2:] for trace in traces], common_size(traces) + 1)
+    rows = parent_rows(traces)
+    return tally_rows(rows, rows.shape[1] + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +566,88 @@ def thinning_distribution(trace: TreeTrace, m: int, kernel: AttachmentKernel) ->
 
 
 # ---------------------------------------------------------------------------
+# Generators
+# ---------------------------------------------------------------------------
+
+# NumPy's SeedSequence (numpy/random/bit_generator.pyx) at its default pool
+# of four 32-bit words, by the public constants of its hashmix and mix
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT = np.uint64(16)
+
+
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    """The hash constant before each of ``steps`` hashmix steps and after the last, as a column.
+
+    It starts at ``init`` and is multiplied by ``mult`` at every step,
+    whatever the words hashed, so the whole run is fixed in advance.
+    """
+    out = [init]
+    for _ in range(steps):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint64)[:, None]
+
+
+# the pool's four words, then each word into the other three; then the
+# eight 32-bit words of a PCG64 seed and increment
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+
+
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row i of ``words`` (a 1-D ``words`` serves every row).
+
+    Row i is xored with ``consts[i]``, multiplied by ``consts[i + 1]`` and
+    xor-shifted, all modulo 2**32.
+    """
+    words = ((words ^ consts[:-1]) * consts[1:]) & _MASK32
+    return words ^ (words >> _SHIFT)
+
+
+def _pcg64_states(seeds) -> np.ndarray:
+    """``(len(seeds), 4)`` uint64: the PCG64 state words ``SeedSequence(seed)`` generates, for all seeds at once.
+
+    A seed below 2**64 is two 32-bit entropy words, low first, and the pool
+    pads them with zero words, hashed like any other; so every seed takes
+    the same steps, done here as uint64 arithmetic masked to 32 bits.
+    """
+    s = np.array(seeds, dtype=np.uint64)
+    pool = np.zeros((_POOL, len(s)), dtype=np.uint64)
+    pool[0] = s & _MASK32
+    pool[1] = s >> np.uint64(32)
+    pool = _hashmix(pool, _HASH_A[: _POOL + 1])
+    at = _POOL
+    for src in range(_POOL):
+        dst = [i for i in range(_POOL) if i != src]
+        hashed = _hashmix(pool[src], _HASH_A[at : at + _POOL])
+        at += _POOL - 1
+        mixed = (np.uint64(_MIX_L) * pool[dst] - np.uint64(_MIX_R) * hashed) & _MASK32
+        pool[dst] = mixed ^ (mixed >> _SHIFT)
+    words = _hashmix(np.tile(pool, (2, 1)), _HASH_B)
+    # uint64 word i is 32-bit words 2i (low) and 2i + 1; rows contiguous for PCG64
+    return np.ascontiguousarray((words[0::2] | (words[1::2] << np.uint64(32))).T)
+
+
+class _Seeded(ISeedSequence):
+    """A seed's precomputed PCG64 state, handed to ``PCG64`` as its seed sequence."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        # PCG64 asks once, for its four uint64 words
+        return self.state
+
+
+def generators(seeds) -> list:
+    """``np.random.default_rng(seed)`` for each seed, state for state, from one hashing pass over all of them."""
+    return [np.random.Generator(np.random.PCG64(_Seeded(state))) for state in _pcg64_states(seeds)]
+
+
+# ---------------------------------------------------------------------------
 # Growth
 # ---------------------------------------------------------------------------
 
@@ -567,7 +657,8 @@ def grow(config: GrowthConfig, seeds=None):
 
     Given ``seeds``, grow one tree per seed instead and return their list:
     tree i equals ``grow(replace(config, seed=seeds[i]))`` field for field.
-    The edge sampler resolves such a batch as rows of shared blocks (see
+    The seeds' generators are made by one pass (:func:`generators`).  The
+    edge sampler resolves such a batch as rows of shared blocks (see
     :func:`batch_size`); the rejection sampler grows its trees one by one.
 
     Draw order is fixed, and a batch draws each seed's stream in that order
@@ -585,7 +676,7 @@ def grow(config: GrowthConfig, seeds=None):
     """
     n_final = config.n_final
     batch = [config.seed] if seeds is None else [check_seed(seed) for seed in seeds]
-    rngs = [np.random.default_rng(seed) for seed in batch]
+    rngs = generators(batch)
 
     shape = (len(batch), n_final + 1)  # one row per tree
     snaps = np.zeros(shape, dtype=np.int32)
@@ -614,11 +705,17 @@ def grow(config: GrowthConfig, seeds=None):
 
 
 _EDGE_BLOCK = 1 << 14  # arrivals per edge block (BENCH_replicate_batches.json)
+_JOB_WIDTH = 1 << 16  # vertices per batch of trees: four edge blocks (BENCH_replicate_jobs.json)
 
 
 def batch_size(n_final: int) -> int:
-    """Trees of ``n_final`` vertices that one edge block holds as rows: a batch for :func:`grow`."""
-    return max(1, _EDGE_BLOCK // n_final)
+    """Trees of ``n_final`` vertices to a batch for :func:`grow`: as many as _JOB_WIDTH vertices hold, at least one.
+
+    The batch still resolves its parents one edge block at a time; its
+    width only spreads each call's fixed costs, and its callers' per-batch
+    passes, over several blocks.
+    """
+    return max(1, _JOB_WIDTH // n_final)
 
 
 def _blocks(shape):

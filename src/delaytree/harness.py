@@ -2,11 +2,14 @@
 
 A plan bundles a growth configuration with a replicate count, a statistic
 selection, and tolerances.  Replicates get decorrelated seeds through a
-fixed splitmix64 mix of (base seed, replicate index) and are grown in
-batches of consecutive replicates, as many as one edge block of ``grow``
-holds (optionally a batch per worker process).  Each replicate still draws
-from its own generator, so its tree does not depend on the batching, and
-records fold into aggregates in ascending replicate order regardless of
+fixed splitmix64 mix of (base seed, replicate index) and are run in jobs
+of consecutive replicates, ``growth.batch_size`` of them: as many trees as
+a fixed width of several edge blocks holds (optionally a job per worker
+process).  A job grows its trees by one ``grow`` call and takes each
+per-replicate step once over the job's matrices: its seeds, its child and
+degree counts and its root trajectories.  Each replicate still draws from
+its own generator, so its tree does not depend on the jobs, and records
+fold into aggregates in ascending replicate order regardless of
 completion order -- so a rerun of the same plan is byte-identical, and so
 is a rerun under any worker count.
 
@@ -59,7 +62,10 @@ _GAMMA = 0x9E3779B97F4A7C15
 
 
 def splitmix64(x: int) -> int:
-    """One scramble round of the splitmix64 generator (public constants)."""
+    """One scramble round of the splitmix64 generator (public constants).
+
+    ``x`` is an int or a uint64 array, whose arithmetic wraps as the mask does.
+    """
     x &= _MASK64
     z = (x + _GAMMA) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -68,7 +74,7 @@ def splitmix64(x: int) -> int:
 
 
 def replicate_seed(base_seed: int, r: int) -> int:
-    """Derived seed for replicate r: splitmix64(base + (r+1) * gamma)."""
+    """Derived seed for replicate r: splitmix64(base + (r+1) * gamma); r may be a uint64 array."""
     return splitmix64((base_seed + (r + 1) * _GAMMA) & _MASK64)
 
 
@@ -149,17 +155,17 @@ def tv_distance(empirical, theory_probs) -> float:
 
 
 def _batch_records(args) -> dict:
-    """Raw statistics of a batch of replicates, one row or item each, in replicate order (picklable).
+    """Raw statistics of a job of replicates, one row or item each, in replicate order (picklable).
 
-    The batch's trees are grown by one ``grow`` call, their children counted
-    by one tally and their degrees by another, and their root trajectories
-    computed together.  Each tree's shape labelling reads its row of the
-    child counts.
+    The job's seeds are derived as one array and its trees grown by one
+    ``grow`` call, their children counted by one tally and their degrees by
+    another, and their root trajectories computed as one matrix.  Each
+    tree's shape labelling reads its row of the child counts.
     ``root`` is the plan's (theta, time grid, E[min(X, n_j)] on the grid or
     None outside the heavy regime), or None without "root".
     """
     config, stats, root, reps = args
-    traces = grow(config, [replicate_seed(config.seed, r) for r in reps])
+    traces = grow(config, replicate_seed(config.seed, np.arange(reps.start, reps.stop, dtype=np.uint64)))
     kids = child_counts(traces)
     batch: dict = {"retries": [trace.retries for trace in traces], "degree_counts": est.degree_counts(kids)}
     if "fringe" in stats:
@@ -185,7 +191,7 @@ def _collect_batches(plan: ExperimentPlan) -> list:
         if consts.regime == "heavy":
             ex = np.array([consts.ex_x_truncated(float(m)) for m in grid])
         root = (consts.theta, grid, ex)
-    # consecutive batches of replicates, each grown as rows of one edge block
+    # jobs of consecutive replicates, each grown by one call as rows of several edge blocks
     size = batch_size(config.n_final)
     jobs = [
         (config, plan.statistics, root, range(lo, min(lo + size, plan.replicates)))
@@ -273,13 +279,13 @@ def _aggregate_fringe(plan: ExperimentPlan, batches: list, lam: float) -> tuple[
 
 
 def _aggregate_root(plan: ExperimentPlan, batches: list) -> tuple[dict, dict]:
-    trajs = [traj for b in batches for traj in b["root"]]
-    ns = trajs[0].ns
-    values = np.stack([t.values for t in trajs])
-    over_ntheta = np.stack([t.over_ntheta for t in trajs])
+    jobs = [b["root"] for b in batches]
+    ns = jobs[0].ns
+    values = np.concatenate([job.values for job in jobs])
+    over_ntheta = np.concatenate([job.over_ntheta for job in jobs])
     over_ex = None
-    if trajs[0].over_truncated_mean is not None:
-        over_ex = np.stack([t.over_truncated_mean for t in trajs])
+    if jobs[0].over_truncated_mean is not None:
+        over_ex = np.concatenate([job.over_truncated_mean for job in jobs])
     # relative drift of the normalized trajectory over the last grid octave
     if over_ntheta.shape[1] >= 2:
         drift = np.abs(over_ntheta[:, -1] - over_ntheta[:, -2]) / np.maximum(
@@ -374,7 +380,11 @@ def _json_key(key) -> str:
 
 
 def _json_list(table: np.ndarray, index: np.ndarray, pad: str):
-    """JSON list text of ``table[index]``, nested along ``index``'s axes, _CHUNK numbers a piece."""
+    """JSON list text of ``table[index]``, nested along ``index``'s axes, _CHUNK numbers a piece.
+
+    A 2-D index whose rows fit a chunk is written as many whole rows a
+    piece as a chunk holds, by one join; longer rows are split.
+    """
     if not len(index):
         yield "[]"
         return
@@ -384,6 +394,12 @@ def _json_list(table: np.ndarray, index: np.ndarray, pad: str):
     if index.ndim == 1:
         for start in range(0, len(index), _CHUNK):
             yield (sep if start else "") + sep.join(table[index[start : start + _CHUNK]].tolist())
+    elif index.ndim == 2 and 0 < index.shape[1] <= _CHUNK:
+        step = _CHUNK // index.shape[1]
+        head, cell, tail = f"[\n{inner}  ", f",\n{inner}  ", f"\n{inner}]"
+        for start in range(0, len(index), step):
+            rows = table[index[start : start + step]].tolist()
+            yield (sep if start else "") + sep.join([head + cell.join(row) + tail for row in rows])
     else:
         for i, row in enumerate(index):
             if i:

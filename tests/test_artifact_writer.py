@@ -204,6 +204,27 @@ class _Writes(io.StringIO):
         return super().write(text)
 
 
+@st.composite
+def _matrices(draw):
+    """(chunk, 2-D int or float array) with rows shorter than, as long as, or longer than a chunk."""
+    chunk = draw(st.integers(1, 6))
+    width = chunk + draw(st.sampled_from((-1, 0, 1)))
+    shape = (draw(st.integers(0, 9)), width)
+    return chunk, draw(st.sampled_from((np.int64, np.float64)).flatmap(lambda dtype: _arrays(dtype, st.just(shape))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices())
+@example((3, np.arange(12, dtype=np.int64).reshape(4, 3)))
+@example((3, np.arange(8.0).reshape(2, 4)))
+def test_matrix_rows_are_written_a_chunk_at_a_time(case):
+    chunk, matrix = case
+    with mock.patch.object(harness, "_CHUNK", chunk):
+        pieces = list(harness._json_pieces({"m": matrix}))
+    assert "".join(pieces) + "\n" == _ref_summary({"m": matrix})
+    assert max(len(NUMBER.findall(piece)) for piece in pieces) <= chunk
+
+
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_no_piece_or_write_holds_more_than_a_chunk(k):
     long = np.resize(np.array([0.5, -0.0, np.nan, 7.0, np.inf]), 50)

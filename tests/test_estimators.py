@@ -202,6 +202,14 @@ def test_root_trajectory_validation():
             over_ntheta=np.array([1.0, 1.0]),
             over_truncated_mean=None,
         )
+    with pytest.raises(ArgumentError):
+        RootTrajectory(
+            ns=np.array([2, 4]),
+            values=np.array([[1.0, 2.0], [3.0, 2.0]]),  # nor in any row of a batch
+            theta=0.5,
+            over_ntheta=np.ones((2, 2)),
+            over_truncated_mean=None,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +301,13 @@ def test_batch_estimators_match_one_tree_at_a_time(batch, data):
     grid = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
     ex = data.draw(st.none() | st.lists(st.floats(0.5, 100.0), min_size=len(grid), max_size=len(grid)))
     theta = data.draw(st.sampled_from((0.0, 0.5, 0.77)))
-    for trace, traj in zip(traces, root_trajectories(traces, theta, grid=grid, ex_x=ex)):
+    batch_root = root_trajectories(traces, theta, grid=grid, ex_x=ex)  # one (trees x grid) object
+    assert batch_root.values.shape == batch_root.over_ntheta.shape == (len(traces), len(grid))
+    for r, trace in enumerate(traces):
+        traj = batch_root.row(r)
+        one = root_trajectory(trace, theta, grid=grid, ex_x=ex)
+        for name in ("ns", "values", "over_ntheta", "over_truncated_mean"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(one, name))
         values = _reference_root_values(trace.parents, grid)
         np.testing.assert_array_equal(traj.ns, grid)
         np.testing.assert_array_equal(traj.values, values)
@@ -311,10 +325,8 @@ def test_batch_rows_keep_their_own_histogram_length_and_default_grid():
     assert [len(h.counts) for h in hists] == [4, 3, 4]
     assert [h.max_degree() for h in hists] == [3, 2, 3]
     trajs = root_trajectories([PATH4, star], theta=0.5)
-    for traj in trajs:
-        np.testing.assert_array_equal(traj.ns, geometric_grid(4))
-    np.testing.assert_array_equal(trajs[0].values, [2.0, 2.0, 2.0])
-    np.testing.assert_array_equal(trajs[1].values, [2.0, 3.0, 4.0])
+    np.testing.assert_array_equal(trajs.ns, geometric_grid(4))
+    np.testing.assert_array_equal(trajs.values, [[2.0, 2.0, 2.0], [2.0, 3.0, 4.0]])
 
 
 def test_batch_estimators_reject_bad_batches():
@@ -423,6 +435,23 @@ def test_scan_heavy_tail_inconclusive_on_short_grids():
     scan = delay_condition_scan(InversePowerDelay(p=2.0, beta=0.5), [100, 1000, 10_000])
     assert scan.verdict == "inconclusive"
     assert np.all(np.diff(scan.e_values) < 0)  # it IS decreasing, just slowly
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: delay_condition_scan(Uniform01Delay(beta=0.5), [2, 3.5, 10.9]),
+        lambda: root_trajectories([STAR4], 0.5, grid=[2.5, 3.7]),
+        lambda: geometric_grid(10.5),
+        lambda: root_trajectories([STAR4], 0.5, grid=[]),
+        lambda: root_trajectories([STAR4], 0.5, grid=[[2, 3], [3, 4]]),
+    ],
+    ids=["scan-fractional-sizes", "root-fractional-grid", "geometric-fractional-end", "root-empty-grid", "root-2d-grid"],
+)
+def test_time_grids_must_be_integers(call):
+    # each was once truncated to integers, or failed with an IndexError or ValueError
+    with pytest.raises(ArgumentError):
+        call()
 
 
 def test_scan_input_validation():

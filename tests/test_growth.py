@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delaytree import growth
 from delaytree.cli import PRESETS
@@ -52,6 +54,20 @@ def test_grow_is_deterministic_in_the_seed():
 def test_grow_checks_every_seed_of_a_batch(bad):
     with pytest.raises(ArgumentError, match="seed"):
         grow(_cfg(n=50), [0, 7, bad])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=70))
+@example([0, 1, 2**32 - 1, 2**32, 2**64 - 1])
+def test_batch_generators_are_default_rng(seeds):
+    # one hashing pass over a batch's seeds builds default_rng(seed)'s generator, state for state
+    gens = growth.generators(seeds)
+    assert len(gens) == len(seeds)
+    for seed, gen in zip(seeds, gens):
+        ref = np.random.default_rng(seed)
+        assert gen.bit_generator.state == ref.bit_generator.state, seed
+        np.testing.assert_array_equal(gen.random(3), ref.random(3))
+        assert gen.integers(2**63) == ref.integers(2**63)
 
 
 def test_structural_invariants():

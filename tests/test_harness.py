@@ -232,25 +232,54 @@ def test_worker_count_does_not_change_results(tmp_path):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
 
 
+# (job width in trees, edge block in arrivals) at n = 400: a tree's 398
+# arrivals make bands of EDGE_BLOCK // 398 rows, or column blocks of one row
+JOBS = {
+    "one-band-jobs": (2, 800),  # bands of 2 rows, one per job; ragged last job
+    "several-bands": (6, 1194),  # bands of 3 rows, two per job; ragged last job and band
+    "ragged-bands": (7, 800),  # bands 2, 2, 2, 1 in each job; ragged last job
+    "column-blocks": (1, 128),  # one tree per job, resolved in column blocks
+    "one-job": (17, 1 << 14),  # the whole plan in one job and one band
+}
+
+
 def test_batch_size_does_not_change_results(tmp_path):
-    # 17 replicates leave a ragged last batch at 2 and at 7 trees per batch
+    # every artifact byte matches the default jobs, in every job shape, under 1 and 2 workers
     n, reps, stats = 400, 17, ("degree", "fringe", "root", "clt")
     run(_plan(n=n, reps=reps, stats=stats, outdir=str(tmp_path / "ref")))
     names = sorted(os.listdir(tmp_path / "ref"))
     want = {name: (tmp_path / "ref" / name).read_bytes() for name in names}
-    for rows in (1, 2, 7):
-        with mock.patch.object(growth, "_EDGE_BLOCK", rows * n):
+    for job, (rows, block) in JOBS.items():
+        with mock.patch.object(growth, "_JOB_WIDTH", rows * n), mock.patch.object(growth, "_EDGE_BLOCK", block):
             assert growth.batch_size(n) == rows
             for workers in (1, 2):
-                out = tmp_path / f"rows{rows}-workers{workers}"
-                with mock.patch.object(harness, "grow", wraps=growth.grow) as spy:
+                out = tmp_path / f"{job}-workers{workers}"
+                with (
+                    mock.patch.object(harness, "grow", wraps=growth.grow) as grows,
+                    mock.patch.object(growth, "_resolve_edge", wraps=growth._resolve_edge) as bands,
+                ):
                     run(_plan(n=n, reps=reps, stats=stats, outdir=str(out), workers=workers))
                 if workers == 1:
-                    sizes = [len(call.args[1]) for call in spy.call_args_list]
-                    assert sizes == [rows] * (reps // rows) + ([reps % rows] if reps % rows else [])
+                    sizes = [len(call.args[1]) for call in grows.call_args_list]
+                    assert sizes == [rows] * (reps // rows) + ([reps % rows] if reps % rows else []), job
+                    # each job's bands of rows, each resolved in one or more column blocks
+                    tall = max(1, block // (n - 2))
+                    want_bands = [min(tall, size - lo) for size in sizes for lo in range(0, size, tall)]
+                    per_band = -(-(n - 2) // min(block, n - 2))
+                    got_bands = [len(call.args[0]) for call in bands.call_args_list]
+                    assert got_bands == [b for b in want_bands for _ in range(per_band)], job
                 assert sorted(os.listdir(out)) == names
                 for name in names:
-                    assert (out / name).read_bytes() == want[name], (rows, workers, name)
+                    assert (out / name).read_bytes() == want[name], (job, workers, name)
+
+
+def test_job_seeds_are_the_replicate_seeds():
+    # a job derives its seeds as one uint64 array, equal to the scalar mix
+    reps = np.arange(3000, dtype=np.uint64)
+    for base in (0, 5, 2**63, 2**64 - 1):
+        seeds = replicate_seed(base, reps)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [replicate_seed(base, r) for r in range(3000)]
 
 
 def test_root_constants_once_per_plan():
