@@ -1,7 +1,7 @@
 """Time the ``replicate-sweep`` plan end to end, its growth and its writing, and one large tree.
 
     python3 bench/replicate_sweep.py --tree parent=OLD/src --tree change=src \
-        > BENCH_replicate_jobs.json
+        > BENCH_band_draws.json
 
 ``--tree LABEL=SRC`` names a source directory holding the ``delaytree``
 package; give it twice to compare two versions on the same machine.  Each
@@ -17,6 +17,9 @@ once through ``cli.main``, timing
   its calls (``grow_calls``, one per job of replicates);
 * ``write_s``: the part of it spent inside ``harness._write_outputs``,
   writing the plan's artifact files;
+* ``minflt_plan`` and ``minflt_grow``: the minor page faults
+  (``ru_minflt``) of the whole plan and of its ``harness.grow`` calls,
+  which count the fresh memory the plan and its growth touch;
 
 then records the peak RSS so far (``ru_maxrss``) and the SHA-256 over the
 plan's artifact files, and finally grows one ``grid-invpow2`` tree at
@@ -61,23 +64,30 @@ if sys.argv[3] != "default":
     growth._JOB_WIDTH = int(sys.argv[3])
 grow, write = harness.grow, harness._write_outputs
 spent = {"grow": [], "write": []}
+faults = {"grow": 0}
+
+def minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 def timed(name, call):
     def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
+        f0, t0 = minflt(), time.perf_counter()
         try:
             return call(*args, **kwargs)
         finally:
             spent[name].append(time.perf_counter() - t0)
+            if name in faults:
+                faults[name] += minflt() - f0
     return wrapper
 
 harness.grow = timed("grow", grow)
 harness._write_outputs = timed("write", write)
 with tempfile.TemporaryDirectory() as root:
     step = workloads.prepare("replicate-sweep", int(sys.argv[4]), root)[0]
-    t0 = time.perf_counter()
+    f0, t0 = minflt(), time.perf_counter()
     ok = step.call()
     wall = time.perf_counter() - t0
+    plan_faults = minflt() - f0
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     digest = hashlib.sha256()
     for name in sorted(os.listdir(step.outdir)):
@@ -101,6 +111,8 @@ print(json.dumps({
     "grow_s": sum(spent["grow"]),
     "grow_calls": len(spent["grow"]),
     "write_s": sum(spent["write"]),
+    "minflt_plan": plan_faults,
+    "minflt_grow": faults["grow"],
     "peak_rss_mb": rss,
     "artifact_sha256": digest.hexdigest(),
     "single_grow_s": single,
@@ -138,6 +150,8 @@ def summary(got: list) -> dict:
         "median_wall_s": med("wall_s"),
         "median_grow_s": med("grow_s"),
         "median_write_s": med("write_s"),
+        "median_minflt_plan": med("minflt_plan"),
+        "median_minflt_grow": med("minflt_grow"),
         "grow_calls": sorted({g["grow_calls"] for g in got}),
         "median_peak_rss_mb": med("peak_rss_mb"),
         "median_single_grow_s": med("single_grow_s"),
@@ -156,7 +170,7 @@ def alternate(cases: dict) -> dict:
             got = measure(src, width)
             runs[label].append(got)
             print(f"{label} wall {got['wall_s']:.3f} s grow {got['grow_s']:.3f} s ({got['grow_calls']} jobs) "
-                  f"write {got['write_s']:.3f} s single {got['single_grow_s']:.3f} s", file=sys.stderr)
+                  f"write {got['write_s']:.3f} s faults {got['minflt_plan']}/{got['minflt_grow']} single {got['single_grow_s']:.3f} s", file=sys.stderr)
     return {label: summary(got) for label, got in runs.items()}
 
 
@@ -171,7 +185,7 @@ def main(argv=None) -> int:
     sweep = alternate({str(width): (last, str(width)) for width in WIDTHS})
     digests = {h for row in [compare, sweep] for t in row.values() for h in t["artifact_sha256"]}
     doc = {
-        "benchmark": "replicate-sweep plan end to end, its growth phase (one grow call per job) and its artifact writing; one grid-invpow2 tree at n = 1e6",
+        "benchmark": "replicate-sweep plan end to end, its growth phase (one grow call per job), its artifact writing and their minor page faults; one grid-invpow2 tree at n = 1e6",
         "script": "bench/replicate_sweep.py",
         "seed": SEED,
         "runs": RUNS,

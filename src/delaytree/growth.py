@@ -25,8 +25,10 @@ exact law :func:`attachment_distribution`.
   one tree or, for trees of at most half a block, a band of whole trees
   as rows: :func:`grow` given several seeds grows them side by side, each
   drawing from its own generator, and a batch of :func:`batch_size` trees
-  spans several blocks.  Temporaries are O(block), and the draws and the
-  resulting trees equal those of one draw per arrival.
+  spans several blocks.  A block draws its delays and uniforms when it
+  starts, each row from its own stream at the row's offset, so draws and
+  temporaries are O(block) and only the int32 trees are batch-sized; the
+  draws and the resulting trees equal those of one draw per arrival.
 * ``rejection`` -- thinning (Lewis & Shedler, Naval Res. Logist. Q. 26,
   1979) of the same endpoint proposal taken at the kernel's affine
   envelope f(d) <= a*d + b (``linear_bound``): propose v with probability
@@ -662,43 +664,37 @@ def grow(config: GrowthConfig, seeds=None):
     :func:`batch_size`); the rejection sampler grows its trees one by one.
 
     Draw order is fixed, and a batch draws each seed's stream in that order
-    from the seed's own generator, whatever the other seeds: one vectorised
-    draw of delays for vertices 3..n_final, which set the snapshots (an edge
-    block at a time) and are then dropped, then the attachment draws.  The
-    edge sampler draws every branch uniform and then every pick.  Rejection
-    takes its arrivals block by block (see the module docstring): each
+    from the seed's own generator, whatever the other seeds: the delays of
+    vertices 3..n_final, which set the snapshots and are then dropped, then
+    the attachment draws.  The edge sampler draws every branch uniform and
+    then every pick, each block's when the block starts (see
+    :func:`_loop_edge`).  Rejection takes a tree's delays when the tree
+    starts and its arrivals block by block (see the module docstring): each
     block draws its budget of uniforms, and an arrival that rejects all of
     its budget draws overflow chunks when it is resolved, in birth order.
     Vertex 2 attaches to the root deterministically.  Trees are int32 (see
-    :class:`TreeTrace`).  The edge sampler peaks at about 28 B per vertex,
-    in the delay draw; the rejection sampler at about 42, in its degree
-    view and sorted key, plus a few MB for a block.
+    :class:`TreeTrace`).  The edge sampler peaks at those 8 B per vertex of
+    the batch plus about 1 MB for one block; the rejection sampler at about
+    42 B per vertex of one tree, in its degree view and sorted key, plus a
+    few MB for a block.
     """
     n_final = config.n_final
     batch = [config.seed] if seeds is None else [check_seed(seed) for seed in seeds]
     rngs = generators(batch)
 
     shape = (len(batch), n_final + 1)  # one row per tree
-    snaps = np.zeros(shape, dtype=np.int32)
-    snaps[:, 2] = 1
-    ms = snaps[:, 3:]
-    if n_final > 2:
-        delays = np.empty(ms.shape)
-        for row, rng in zip(delays, rngs):
-            row[:] = config.delay.sample_many(rng, n_final - 2)
-        for band, lo, hi in _blocks(ms.shape):
-            ms[band, lo:hi] = snapshot_times(np.arange(lo + 2, hi + 2), delays[band, lo:hi], config.beta)
-        del delays
-    # allocated once the delays are gone, so that their draw alone sets the peak
-    parents = np.zeros(shape, dtype=np.int32)
-    parents[:, 2] = 1
+    snaps, parents = np.zeros(shape, dtype=np.int32), np.zeros(shape, dtype=np.int32)
+    snaps[:, 2] = parents[:, 2] = 1
     retries = [0] * len(batch)
 
     if n_final > 2:
+        ms = snaps[:, 3:]
         if config.resolve_sampler() == "edge":
-            _loop_edge(parents, config.kernel, ms, rngs)
+            _loop_edge(parents, config.kernel, config.delay, ms, rngs)
         else:
-            retries = [_loop_rejection(p, config.kernel, m, rng) for p, m, rng in zip(parents, ms, rngs)]
+            for i, rng in enumerate(rngs):
+                _row_snapshots(ms[i], config.delay, rng)
+                retries[i] = _loop_rejection(parents[i], config.kernel, ms[i], rng)
 
     traces = [TreeTrace(*row) for row in zip(parents, snaps, retries)]
     return traces[0] if seeds is None else traces
@@ -718,44 +714,77 @@ def batch_size(n_final: int) -> int:
     return max(1, _JOB_WIDTH // n_final)
 
 
-def _blocks(shape):
-    """(band of rows, lo, hi) covering a (rows, arrivals) array in blocks of up to _EDGE_BLOCK arrivals.
+def _row_snapshots(ms, delay, rng) -> None:
+    """One tree's snapshots into its int32 row ``ms`` (arrivals 3, 4, ...): its delays drawn from ``rng`` a block at a time.
 
-    A block is a band of whole rows when a row holds at most half a block,
-    else columns lo..hi-1 of one row; blocks come in row order, columns
-    ascending.
+    The delays of a block follow those of the block before in ``rng``'s
+    stream, so the row reads the stream that one draw of all its delays
+    reads, and ``rng`` is left where that draw leaves it.
     """
-    rows, steps = shape
-    width = min(steps, _EDGE_BLOCK)
-    tall = _EDGE_BLOCK // width
-    for first in range(0, rows, tall):
-        for lo in range(0, steps, width):
-            yield slice(first, first + tall), lo, min(lo + width, steps)
+    for lo in range(0, len(ms), _EDGE_BLOCK):
+        hi = min(lo + _EDGE_BLOCK, len(ms))
+        snapshot_times(np.arange(lo + 2, hi + 2), delay.sample_many(rng, hi - lo), delay.beta, out=ms[lo:hi])
 
 
-def _loop_edge(parents, kernel, ms, rngs) -> None:
-    """Edge-sampler parents for every row of ``parents``, row i drawing from ``rngs[i]``.
+def _ahead(rng, count: int):
+    """A generator that draws what ``rng`` draws after its next ``count`` uniforms; ``rng`` does not move."""
+    bits = np.random.PCG64(0)
+    bits.state = rng.bit_generator.state
+    bits.advance(count)  # one 64-bit step per uniform
+    return np.random.Generator(bits)
 
-    The blocks are those of :func:`_blocks`; each reads only final parents
-    below it.
+
+def _loop_edge(parents, kernel, delay, ms, rngs) -> None:
+    """Edge-sampler snapshots ``ms`` and parents for every row of ``parents``, row i drawing from ``rngs[i]``.
+
+    Each row's stream is its delays (``delay.sample_many``), then a branch
+    uniform per arrival for a mixed kernel, then a pick per arrival.  Rows
+    of at most _EDGE_BLOCK arrivals are resolved in bands of as many whole
+    rows as a block holds; a band draws its rows' streams when it starts,
+    into one set of band-sized buffers that every band reuses, and sets its
+    snapshots from its delays in one call.  A longer row sets its snapshots
+    first (:func:`_row_snapshots`) and then resolves blocks of _EDGE_BLOCK
+    columns, each drawing its branch uniforms when it starts and its picks
+    from a generator :func:`_ahead` of the branch uniforms.  Each block
+    reads only final parents below it.
     """
     slope, alpha = kernel.linear_bound()  # exact for uniform and affine kernels
+    mixed = bool(slope and alpha > 0.0)  # uniform kernels (slope 0) and alpha = 0 need no branch uniform
+    rows, steps = ms.shape
+    width = min(steps, _EDGE_BLOCK)
+    tall = min(rows, _EDGE_BLOCK // width)
+    picks = np.empty((tall, width))
+    branch = np.empty((tall, width)) if mixed else None
 
-    def uniforms():
-        out = np.empty(ms.shape)
-        for row, rng in zip(out, rngs):
-            rng.random(out=row)
-        return out
-
-    # uniform kernels (slope 0) and alpha = 0 need no branch uniform
-    branch = uniforms() if slope and alpha > 0.0 else None
-    picks = uniforms()
-    for band, lo, hi in _blocks(ms.shape):
-        cols = slice(lo, hi)
+    def resolve(band, lo, hi):
+        h, w = len(parents[band]), hi - lo
         parents[band, lo + 3 : hi + 3] = _resolve_edge(
-            parents[band], lo + 3, ms[band, cols], slope, alpha,
-            None if branch is None else branch[band, cols], picks[band, cols],
+            parents[band], lo + 3, ms[band, lo:hi], slope, alpha,
+            branch[:h, :w] if mixed else None, picks[:h, :w],
         )
+
+    if width < steps:  # rows longer than a block
+        for r, rng in enumerate(rngs):
+            _row_snapshots(ms[r], delay, rng)
+            pick_rng = _ahead(rng, steps) if mixed else rng
+            for lo in range(0, steps, width):
+                hi = min(lo + width, steps)
+                if mixed:
+                    rng.random(out=branch[0, : hi - lo])
+                pick_rng.random(out=picks[0, : hi - lo])
+                resolve(slice(r, r + 1), lo, hi)
+        return
+    delays, ns = np.empty((tall, steps)), np.arange(2, steps + 2)
+    for first in range(0, rows, tall):
+        band = slice(first, first + tall)
+        band_rngs = rngs[band]
+        for i, rng in enumerate(band_rngs):
+            delays[i] = delay.sample_many(rng, steps)
+            if mixed:
+                rng.random(out=branch[i])
+            rng.random(out=picks[i])
+        snapshot_times(ns, delays[: len(band_rngs)], delay.beta, out=ms[band])
+        resolve(band, 0, steps)
 
 
 _BLOCK_MAX = 1 << 14  # thinning blocks hold P/4 arrivals past the first unresolved arrival P, up to this many

@@ -256,17 +256,28 @@ class TabulatedKernel(AttachmentKernel):
 # ---------------------------------------------------------------------------
 
 
-def snapshot_times(ns: np.ndarray, delays: np.ndarray, beta: float) -> np.ndarray:
+def snapshot_times(ns: np.ndarray, delays: np.ndarray, beta: float, out=None) -> np.ndarray:
     """max(floor(n - n**beta * xi), 1): the snapshots the arrivals at times n+1 consult.
 
-    The product is formed in double precision before flooring, and the clamp
-    comes before the integer cast.
+    The product is formed in double precision, and the clamp at 1 comes
+    before the integer cast, which then floors.  The snapshots are int64,
+    or are written into ``out``, an integer array of the broadcast shape;
+    ``delays`` must then have that shape, and a float64 ``delays`` is
+    overwritten as scratch space.
     """
     if not (0.0 <= beta < 1.0):
         raise ArgumentError(f"lookback exponent must lie in [0, 1), got {beta}")
     ns = np.asarray(ns, dtype=np.float64)
-    raw = np.floor(ns - ns**beta * np.asarray(delays, dtype=np.float64))
-    return np.maximum(raw, 1.0).astype(np.int64)
+    if out is None:
+        raw = np.asarray(ns**beta * np.asarray(delays, dtype=np.float64))
+        out = np.empty(raw.shape, dtype=np.int64)
+    else:
+        raw = np.asarray(delays, dtype=np.float64)
+        np.multiply(raw, ns**beta, out=raw)
+    np.subtract(ns, raw, out=raw)
+    np.maximum(raw, 1.0, out=raw)
+    np.copyto(out, raw, casting="unsafe")  # truncation is floor at 1 and above
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,16 @@ def test_huge_constant_delay_gives_a_star():
     assert np.all(tr.snapshots[3:] == 1)
 
 
+@pytest.mark.parametrize("kernel", (AFF, TabulatedKernel((1.0, 2.0), f_star=1.0)), ids=("edge", "rejection"))
+def test_integer_constant_delay_grows_like_its_float(kernel, monkeypatch):
+    # a 64-arrival block splits the row into column blocks, whose delays go straight to snapshot_times
+    monkeypatch.setattr(growth, "_EDGE_BLOCK", 64)
+    got = grow(_cfg(n=300, seed=2, kernel=kernel, delay=ConstantDelay(c=3, beta=0.5)))
+    want = grow(_cfg(n=300, seed=2, kernel=kernel, delay=ConstantDelay(c=3.0, beta=0.5)))
+    np.testing.assert_array_equal(got.snapshots, want.snapshots)
+    np.testing.assert_array_equal(got.parents, want.parents)
+
+
 def test_psi_closed_form_affine():
     for alpha in (0.0, 1.5):
         kern = AffineKernel(alpha)
@@ -307,8 +317,27 @@ def test_grow_memory_is_linear_with_a_small_constant():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the int32 tree (8 B) and the float64 delays with their draw's temporaries
-    assert peak / cfg.n_final <= 32, peak / cfg.n_final
+    # the int32 tree (8 B) and one block's draws and temporaries
+    assert peak / cfg.n_final <= 16, peak / cfg.n_final
+
+
+def test_batch_peak_grows_by_the_trees_alone():
+    # a band draws its rows' streams when it starts, so a larger batch adds only its int32
+    # parents and snapshots (8 B per vertex) to a peak otherwise set by one band
+    entries = parse_config_text(PRESETS["grid-uniform01"])
+    entries["n_final"] = "2000"
+    cfg, _ = build_config(entries)
+    peaks = {}
+    for trees in (32, 131):
+        tracemalloc.start()
+        try:
+            grow(cfg, list(range(trees)))
+            peaks[trees] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    per_vertex = (peaks[131] - peaks[32]) / (99 * cfg.n_final)
+    assert per_vertex <= 10, per_vertex
+    assert peaks[131] - 8 * 131 * cfg.n_final <= 2_000_000, peaks
 
 
 @pytest.mark.parametrize("n, seeds", [(200_000, None), (2000, list(range(8)))], ids=["one-tree", "batch-of-8"])

@@ -133,6 +133,16 @@ def test_snapshot_time_vectorized_matches_scalar():
     assert got.min() >= 1
 
 
+def test_snapshot_times_write_into_an_integer_array():
+    # with out, float64 delays serve as scratch space; integer delays are converted first
+    ns = np.arange(2, 302)
+    for xis in (np.random.default_rng(5).exponential(3.0, size=300), np.arange(300) % 7):
+        want = [snapshot_time(int(n), float(x), 0.4) for n, x in zip(ns, xis)]
+        out = np.zeros(300, dtype=np.int32)
+        assert snapshot_times(ns, xis.copy(), 0.4, out=out) is out
+        assert out.tolist() == want
+
+
 # ---------------------------------------------------------------------------
 # delay laws
 # ---------------------------------------------------------------------------

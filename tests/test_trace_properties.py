@@ -99,18 +99,31 @@ def _scalar_edge_draw(parents, m, slope, alpha, branch, pick):
 
 
 class _Tape:
-    """Stands in for a Generator: ``random(size)`` or ``random(out=row)`` hands out the next values of a list."""
+    """Stands in for a Generator: ``random(size)`` or ``random(out=row)`` hands out the next values of a list.
 
-    def __init__(self, values):
-        self.values = list(values)
+    ``ahead(count)`` is a tape over the same list from ``count`` values
+    further on, as ``growth._ahead`` is a generator ahead of its own;
+    ``reads[i]`` counts the times value i was handed out, by any tape.
+    """
+
+    def __init__(self, values, at=0, reads=None):
+        self.values, self.at = list(values), at
+        self.reads = [0] * len(self.values) if reads is None else reads
 
     def random(self, size=None, out=None):
         size = len(out) if out is not None else size
-        got, self.values = np.array(self.values[:size]), self.values[size:]
+        assert self.at + size <= len(self.values), "read past the end of the tape"
+        got = np.array(self.values[self.at : self.at + size])
+        for i in range(self.at, self.at + size):
+            self.reads[i] += 1
+        self.at += size
         if out is None:
             return got
         out[:] = got
         return out
+
+    def ahead(self, count):
+        return _Tape(self.values, self.at + count, self.reads)
 
 
 # (slope, alpha) of the edge kernels: uniform-like, proportional, affine
@@ -152,11 +165,15 @@ def test_block_resolver_matches_the_per_arrival_loop(batch, block):
     parents = np.zeros_like(expected)
     parents[:, 2] = 1
     kernel = mock.Mock(linear_bound=lambda: (slope, alpha))
-    tapes = [_Tape(uniforms) for *_, uniforms in batch]
-    ms = np.array([ms for _, ms, *_ in batch], dtype=np.int64)
-    with mock.patch.object(growth, "_EDGE_BLOCK", block):
-        growth._loop_edge(parents, kernel, ms, tapes)
-    assert all(tape.values == [] for tape in tapes)
+    # at beta = 0 arrival k reads snapshot floor(k - 1 - xi), so the delay k - 1 - m sets m;
+    # each tape holds its row's delays and then its uniforms
+    delay = mock.Mock(beta=0.0, sample_many=lambda tape, size: tape.random(size))
+    tapes = [_Tape([k - 1.0 - m for k, m in zip(range(3, n + 1), ms)] + uniforms) for _, ms, _, _, uniforms in batch]
+    snaps = np.zeros((len(batch), n - 2), dtype=np.int32)
+    with mock.patch.multiple(growth, _EDGE_BLOCK=block, _ahead=_Tape.ahead):
+        growth._loop_edge(parents, kernel, delay, snaps, tapes)
+    assert all(tape.reads == [1] * len(tape.values) for tape in tapes)  # every value drawn, and once
+    np.testing.assert_array_equal(snaps, [ms for _, ms, *_ in batch])
     np.testing.assert_array_equal(parents, expected)
 
 
@@ -272,6 +289,33 @@ def test_batch_growth_matches_growth_seed_by_seed(kernel, delay, n, seeds):
         for name in ("parents", "snapshots"):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
         assert (got.n, got.retries) == (want.n, want.retries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(KERNELS[:3]),
+    st.sampled_from(ALL_DELAYS[:4]),
+    st.integers(4, 120),
+    st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=7),
+    st.sampled_from(("bands of 2 rows", "bands of 3 rows", "column blocks")),
+    st.data(),
+)
+def test_band_draws_read_each_stream_at_its_offset(kernel, delay, n, seeds, layout, data):
+    # a band draws its rows' streams when it starts; a row split into column blocks draws its
+    # delays block by block and then its picks from a generator ahead of its branch uniforms.
+    # Either way each tree equals the tree grown alone in one block; affine alpha = 1.3 draws
+    # branch uniforms, zero and const delays draw no uniforms
+    config = GrowthConfig(kernel, delay, n, seed=0)
+    steps = n - 2
+    rows = {"bands of 2 rows": 2, "bands of 3 rows": 3}.get(layout)
+    block = rows * steps if rows else data.draw(st.integers(1, steps - 1), label="block")
+    alone = [grow(replace(config, seed=s)) for s in seeds]
+    assert steps <= growth._EDGE_BLOCK
+    with mock.patch.object(growth, "_EDGE_BLOCK", block):
+        batch = grow(config, seeds)
+    for got, want in zip(batch, alone):
+        np.testing.assert_array_equal(got.parents, want.parents)
+        np.testing.assert_array_equal(got.snapshots, want.snapshots)
 
 
 @pytest.mark.parametrize("kernel", (KERNELS[2], KERNELS[3]), ids=("edge", "rejection"))
