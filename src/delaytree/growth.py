@@ -175,17 +175,14 @@ class _DegreeView:
     v's children born by m number ``count[v]`` when ``last[v] <= m``;
     otherwise one search of ``key`` answers when m < ``frozen``, and a
     walk back over v's siblings born after m when not.  Arrivals enter a
-    block at a time through :meth:`extend`.  ``counts``, ``lasts`` and
-    ``prevs`` are memoryviews for the scalar walks of :meth:`children`
-    without NumPy boxing.  ``mark`` is per-vertex working space for
-    :func:`_thin_block`.
+    block at a time through :meth:`extend`.  ``mark`` is per-vertex
+    working space for :func:`_thin_block`.
     """
 
     def __init__(self, size: int):
         self.count = np.zeros(size, dtype=np.int32)
         self.last = np.zeros(size, dtype=np.int32)
         self.prev = np.zeros(size, dtype=np.int32)
-        self.counts, self.lasts, self.prevs = map(memoryview, (self.count, self.last, self.prev))
         self.mark = np.full(size + 1, _NEVER, dtype=np.int32)  # _NEVER between uses
         self.rebuild(np.zeros(2, dtype=np.int64), 1)
 
@@ -220,16 +217,8 @@ class _DegreeView:
         if first >= _REBUILD * self.frozen:
             self.rebuild(parents, first)
 
-    def children(self, v: int, m: int) -> int:
-        """Children of v born by time m, by a walk back over its siblings; v <= m, its children by m all in."""
-        c, k, prev = self.counts[v], self.lasts[v], self.prevs
-        while k > m:
-            c -= 1
-            k = prev[k]
-        return c
-
     def degrees(self, vs, ms) -> np.ndarray:
-        """Weight degrees of vertices ``vs`` in snapshots ``ms``: :meth:`children` a column at a time."""
+        """Weight degrees of vertices ``vs`` in snapshots ``ms``; every ``v <= m``, its children by m all in."""
         d = self.count[vs]
         late = (self.last[vs] > ms).nonzero()[0]
         if late.size:
@@ -240,13 +229,11 @@ class _DegreeView:
                 d[hit] = np.searchsorted(self.key, lo + ms[hit], "right") - np.searchsorted(self.key, lo)
             walk = late[~old]
             born, mw = self.last[vs[walk]], ms[walk]
-            while len(walk) > _STRAGGLERS:  # each round steps every walk back one sibling
+            while walk.size:  # each round steps every walk back one sibling
                 d[walk] -= 1
                 born = self.prev[born]
                 on = born > mw
                 walk, born, mw = walk[on], born[on], mw[on]
-            for i in walk.tolist():  # the longest few walks finish in Python
-                d[i] = self.children(int(vs[i]), int(ms[i]))
         d += vs != 1  # the root has no parent edge
         return np.maximum(d, 1, out=d)  # and at m = 1 counts as degree 1
 
@@ -789,7 +776,6 @@ def _loop_edge(parents, kernel, delay, ms, rngs) -> None:
 
 _BLOCK_MAX = 1 << 14  # thinning blocks hold P/4 arrivals past the first unresolved arrival P, up to this many
 _BUDGET_MAX = 32  # triples drawn ahead per arrival at most
-_STRAGGLERS = 8  # a NumPy round with this few sibling walks left hands them to scalar code
 _NEVER = np.iinfo(np.int32).max  # a birth later than any vertex
 _REBUILD = 2  # the degree view rebuilds its sorted key once P doubles (this ratio) since the last rebuild
 

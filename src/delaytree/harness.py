@@ -413,8 +413,7 @@ def _json_pieces(obj, pad: str = ""):
 
     Dict keys are spelled by ``_json_key``, NumPy arrays become lists and
     NumPy scalars Python numbers.  An int or float array is spelled from
-    its table of distinct numbers (:func:`_spellings`), and a list of plain
-    ints and floats from one spelling per item, both with NaN and the
+    its table of distinct numbers (:func:`_spellings`), with NaN and the
     infinities named as ``json`` names them; every other scalar is spelled
     by ``json.dumps``.
     """
@@ -436,10 +435,6 @@ def _json_pieces(obj, pad: str = ""):
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
-        if obj and set(map(type, obj)) <= {int, float}:
-            table = [_JSON_NAMES.get(s, s) for s in map(repr, obj)]
-            yield from _json_list(np.array(table, dtype=object), np.arange(len(obj)), pad)
-            return
         if not obj:
             yield "[]"
             return

@@ -370,7 +370,8 @@ def test_edge_growth_bench_grows_this_tree():
     spec = importlib.util.spec_from_file_location("edge_growth", root / "bench" / "edge_growth.py")
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    got = bench.measure(str(root / "src"), "tabulated-bumpy", 2000, bench.SEED)
+    config_entries = json.dumps(bench.CONFIGS["tabulated-bumpy"])
+    got = bench.driver.measure(bench.CHILD, str(root / "src"), config_entries, 2000, bench.SEED, 1)
     assert sorted(got) == ["degree_tv", "grow_s", "parents_sha256", "peak_rss_mb", "retries", "sampler"]
     assert got["sampler"] == "rejection" and len(got["degree_tv"]) == 1
     entries = parse_config_text(PRESETS["grid-invpow2"])

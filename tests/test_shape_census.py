@@ -392,7 +392,9 @@ def test_bytes_per_vertex_bench_measures_this_tree():
     pairs, pair_truncated = _pairs(fc)
     counts = [degree_hist(trace).counts.tolist(), sorted(fc.counts.items()), fc.truncated,
               sorted(pairs.items()), pair_truncated]
-    got = bench.measure(str(root / "src"), 2000, "traced")  # a traced run also times every stage
-    for stage in bench.STAGES:
-        assert stage + "_s" in got and stage + "_traced_b_per_vertex" in got, sorted(got)
+    got = bench.driver.measure(bench.CHILD, str(root / "src"), 2000, bench.SEED, "traced")
+    stages = [f"{stage}{unit}" for stage in bench.STAGES for unit in ("_s", "_traced_b_per_vertex")]
+    rss = [f"{at}_rss_{unit}" for at in ("import", "grow", "peak") for unit in ("mb", "b_per_vertex")]
+    assert sorted(got) == sorted(stages + rss + ["parents_sha256", "census_sha256"])
+    assert got["parents_sha256"] == hashlib.sha256(trace.parents.astype("<i8").tobytes()).hexdigest()
     assert got["census_sha256"] == hashlib.sha256(json.dumps(counts).encode()).hexdigest()

@@ -472,8 +472,6 @@ def _check_degree_view(parents, ratio, batch) -> set:
             ms = np.concatenate([np.full(m, m) for m in range(1, p)])
             vs = np.concatenate([np.arange(1, m + 1) for m in range(1, p)])
             np.testing.assert_array_equal(view.degrees(vs, ms), np.concatenate(want[: p - 1]))
-            for m in range(2, p):
-                assert [view.children(v, m) + (v != 1) for v in range(1, m + 1)] == want[m - 1].tolist()
             late = view.last[vs] > ms
             branches |= {"count"} if (~late).any() else set()
             branches |= {"search"} if (late & (ms < view.frozen)).any() else set()
