@@ -1,4 +1,4 @@
-"""Time ``grow`` on the edge sampler's preset and on the two tabulated-growth plans.
+"""Time ``grow`` on the edge sampler's preset, its mixed affine kernel and the two tabulated-growth plans.
 
     python3 bench/edge_growth.py --tree parent=OLD/src --tree change=src \
         > BENCH_speculative_thinning.json
@@ -18,7 +18,9 @@ and each of the slower ``LARGE`` sizes ``LARGE_RUNS`` times, on seeds
 grows ``LAW_SEEDS`` trees per tree source in one more process each,
 untimed after the first, and records the mean, standard deviation and
 range of their degree TVs.  The kernel picks the sampler, so both
-tabulated configs use rejection.
+tabulated configs use rejection.  ``affine-1`` (alpha = 1) is the one
+mixed kernel: it times the edge sampler's branch uniforms and, at sizes
+past one edge block, its picks drawn through ``growth._ahead``.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ print(json.dumps({
 # config entries over the grid-invpow2 preset
 CONFIGS = {
     "grid-invpow2": {},  # the preset itself (affine alpha = 0, invpow:2 delay, beta = 0.5): the edge sampler
+    "affine-1": {"kernel.alpha": "1"},  # the edge sampler on a mixed kernel: a branch uniform per arrival
     "tabulated-pow": {  # the first plan of the tabulated-growth benchmark workload
         "kernel.kind": "tabulated",
         "kernel.table": "1,1.4,1.7,2.0",
@@ -84,6 +87,7 @@ CONFIGS = {
 }
 SIZES = {
     "grid-invpow2": (1_000_000, 3_000_000),
+    "affine-1": (1_000_000,),  # rows of many edge blocks
     "tabulated-pow": (300_000, 1_000_000),
     "tabulated-bumpy": (20_000,),
 }
@@ -150,7 +154,8 @@ def main(argv=None) -> int:
                 "degree_tv": [round(t, 5) for t in tvs],
             }
     return driver.write(
-        "grow on grid-invpow2 (edge sampler) and the two tabulated-growth plans (rejection sampler)",
+        "grow on grid-invpow2 and its affine alpha = 1 variant (edge sampler) and the two tabulated-growth plans"
+        " (rejection sampler)",
         "bench/edge_growth.py",
         seed=SEED,
         runs_per_size=RUNS,

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, check_count
 
 __all__ = [
     "SINGLETON",
@@ -255,8 +255,7 @@ def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
     vertex.  Only a later round's sort key is int64, since parent*(n+1)
     passes 2**31 from n = 46 341 on.
     """
-    if cap < 1:
-        raise ArgumentError("cap must be >= 1")
+    cap = check_count("cap", cap, 1)
     par = check_parents(parents)
     n = len(par) - 1
     if len(kids) != n + 1:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the count check at its boundaries."""
+
+import numbers
 
 
 class DelayTreeError(Exception):
@@ -11,3 +13,10 @@ class ArgumentError(DelayTreeError, ValueError):
 
 class AssumptionError(DelayTreeError, RuntimeError):
     """A kernel violates the standing assumptions (e.g. no Malthusian root)."""
+
+
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as an int; ArgumentError unless it is a Python or NumPy integer of at least ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)

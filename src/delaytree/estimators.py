@@ -5,8 +5,8 @@ the leaf CLT statistic of one tree, and the exact delay-condition scan.
 Everything here is read-only over a trace.
 
 A tree's children are counted once (``TreeTrace.child_counts``, or
-``growth.child_counts`` for a batch), and the degree histogram and the
-shape labelling both read that count.  The
+``canonical.tally_rows`` of ``growth.parent_rows`` for a batch), and the
+degree histogram and the shape labelling both read that count.  The
 fringe counts are one tally of the integer shape labelling of the trace
 (``canonical.shape_labels``).  Parent-paired counts are no census
 of their own: a vertex of shape s has exactly the children of s, so they
@@ -33,7 +33,7 @@ import numpy as np
 # because perfbench/tracer.py wraps it at delaytree.estimators.subtree_codes
 from .canonical import shape_labels, subtree_codes, tally, tally_rows  # noqa: F401
 from .errors import ArgumentError
-from .growth import TreeTrace, parent_rows
+from .growth import TreeTrace
 from .kernels import DelayLaw, check_count
 from .theory import extended_fringe_law
 
@@ -238,17 +238,20 @@ def root_trajectory(trace: TreeTrace, theta: float, grid=None, ex_x=None) -> Roo
     normalized by it.  In the light regime values/n^theta is the quantity
     that settles.
     """
-    return root_trajectories([trace], theta, grid=grid, ex_x=ex_x).row(0)
+    return root_trajectories(trace.parents[None, 2:], theta, grid=grid, ex_x=ex_x).row(0)
 
 
-def root_trajectories(traces, theta: float, grid=None, ex_x=None) -> RootTrajectory:
+def root_trajectories(rows, theta: float, grid=None, ex_x=None) -> RootTrajectory:
     """:func:`root_trajectory` of every tree of a batch of one size, on one grid, as one (trees x grid) object.
 
-    The grid and ``ex_x`` are checked once, the root's children of every
-    row are found in one pass and counted at the grid by one search, and
-    the batch's monotonicity is checked once.
+    ``rows`` holds ``parents[2:]`` of each tree as a row of one matrix
+    (``growth.parent_rows``).  The grid and ``ex_x`` are checked once, the
+    root's children of every row are found in one pass and counted at the
+    grid by one search, and the batch's monotonicity is checked once.
     """
-    rows = parent_rows(traces)
+    rows = np.asarray(rows)
+    if rows.ndim != 2 or not len(rows):
+        raise ArgumentError(f"a batch needs the parent rows of one or more trees as a matrix, got shape {rows.shape}")
     n = rows.shape[1] + 1
     ns = geometric_grid(n) if grid is None else _check_grid(grid, "grid")
     if np.any(np.diff(ns) <= 0) or ns[0] < 1 or ns[-1] > n:

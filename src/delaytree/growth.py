@@ -6,6 +6,11 @@ only through the snapshot it selects, so the delays are not kept.  The
 parent array is the one stored form of the tree; degrees at any time, the
 total weight Psi(m) and the edge list are counts over it.
 
+:func:`grow` given several seeds grows their trees as the rows of one
+array, each from its own generator, cut into tiles (:func:`_tiles`).  One
+delay pass (:func:`_snapshots`) sets every row's snapshots tile by tile
+before any attachment draw, for both samplers.
+
 Parent choice within a snapshot is implemented two ways, and the kernel
 picks one (``GrowthConfig.resolve_sampler``).  Each is exact for the
 kernels it serves and has one draw routine, which :func:`grow` feeds every
@@ -19,16 +24,12 @@ exact law :func:`attachment_distribution`.
   and endpoint e is vertex k = e//2 + 2 when e is odd, parents[k] when e is
   even.  A uniform endpoint plus a uniform-vertex mixture realises
   P(v) = (deg + alpha) / Psi(m) with no endpoint array stored.  Parents
-  are resolved a block of arrivals at a time with NumPy: direct answers
-  and copies of parents before the block in one pass, copies of parents
-  inside the block by pointer jumping.  A block is a run of columns of
-  one tree or, for trees of at most half a block, a band of whole trees
-  as rows: :func:`grow` given several seeds grows them side by side, each
-  drawing from its own generator, and a batch of :func:`batch_size` trees
-  spans several blocks.  A block draws its delays and uniforms when it
-  starts, each row from its own stream at the row's offset, so draws and
-  temporaries are O(block) and only the int32 trees are batch-sized; the
-  draws and the resulting trees equal those of one draw per arrival.
+  are resolved a tile at a time with NumPy: direct answers and copies of
+  parents before the tile in one pass, copies of parents inside it by
+  pointer jumping.  A tile draws its uniforms when it starts, each row
+  from its own stream at the row's offset, so draws and temporaries are
+  O(block) and only the int32 trees are batch-sized; the draws and the
+  resulting trees equal those of one draw per arrival.
 * ``rejection`` -- thinning (Lewis & Shedler, Naval Res. Logist. Q. 26,
   1979) of the same endpoint proposal taken at the kernel's affine
   envelope f(d) <= a*d + b (``linear_bound``): propose v with probability
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .canonical import check_parents, tally_rows
+from .canonical import check_parents, tally
 from .errors import ArgumentError
 from .kernels import AttachmentKernel, GrowthConfig, check_count, check_seed, snapshot_times
 
@@ -72,7 +73,6 @@ __all__ = [
     "TreeTrace",
     "grow",
     "batch_size",
-    "child_counts",
     "trace_from_parents",
     "deg_at",
     "sample_parent_rejection",
@@ -104,7 +104,7 @@ class TreeTrace:
 
     def child_counts(self) -> np.ndarray:
         """int32 ``kids[v]``, the children of vertex v (entry 0 is 0); not stored."""
-        return child_counts([self])[0]
+        return tally(self.parents[2:], len(self.parents))
 
 
 def parent_rows(traces) -> np.ndarray:
@@ -118,16 +118,6 @@ def parent_rows(traces) -> np.ndarray:
     if len(traces) == 1:
         return traces[0].parents[None, 2:]
     return np.concatenate([trace.parents[2:] for trace in traces]).reshape(len(traces), sizes.pop() - 1)
-
-
-def child_counts(traces) -> np.ndarray:
-    """int32 ``kids[r, v]``, the children of vertex v in tree r, for a batch of one size.
-
-    One tally counts the whole batch; :meth:`TreeTrace.child_counts` is the
-    batch of one.
-    """
-    rows = parent_rows(traces)
-    return tally_rows(rows, rows.shape[1] + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -647,21 +637,23 @@ def grow(config: GrowthConfig, seeds=None):
     Given ``seeds``, grow one tree per seed instead and return their list:
     tree i equals ``grow(replace(config, seed=seeds[i]))`` field for field.
     The seeds' generators are made by one pass (:func:`generators`).  The
-    edge sampler resolves such a batch as rows of shared blocks (see
+    edge sampler resolves such a batch as rows of shared tiles (see
     :func:`batch_size`); the rejection sampler grows its trees one by one.
+    No seeds grow no trees.
 
     Draw order is fixed, and a batch draws each seed's stream in that order
     from the seed's own generator, whatever the other seeds: the delays of
     vertices 3..n_final, which set the snapshots and are then dropped, then
-    the attachment draws.  The edge sampler draws every branch uniform and
-    then every pick, each block's when the block starts (see
-    :func:`_loop_edge`).  Rejection takes a tree's delays when the tree
-    starts and its arrivals block by block (see the module docstring): each
-    block draws its budget of uniforms, and an arrival that rejects all of
-    its budget draws overflow chunks when it is resolved, in birth order.
+    the attachment draws.  One delay pass sets every row's snapshots, tile
+    by tile, for both samplers (:func:`_snapshots`).  The edge sampler then
+    draws every branch uniform and then every pick, each tile's when the
+    tile starts (see :func:`_loop_edge`).  Rejection takes its arrivals
+    block by block (see the module docstring): each block draws its budget
+    of uniforms, and an arrival that rejects all of its budget draws
+    overflow chunks when it is resolved, in birth order.
     Vertex 2 attaches to the root deterministically.  Trees are int32 (see
     :class:`TreeTrace`).  The edge sampler peaks at those 8 B per vertex of
-    the batch plus about 1 MB for one block; the rejection sampler at about
+    the batch plus about 1 MB for one tile; the rejection sampler at about
     42 B per vertex of one tree, in its degree view and sorted key, plus a
     few MB for a block.
     """
@@ -676,41 +668,64 @@ def grow(config: GrowthConfig, seeds=None):
 
     if n_final > 2:
         ms = snaps[:, 3:]
+        _snapshots(ms, config.delay, rngs)
         if config.resolve_sampler() == "edge":
-            _loop_edge(parents, config.kernel, config.delay, ms, rngs)
+            _loop_edge(parents, config.kernel, ms, rngs)
         else:
             for i, rng in enumerate(rngs):
-                _row_snapshots(ms[i], config.delay, rng)
                 retries[i] = _loop_rejection(parents[i], config.kernel, ms[i], rng)
 
     traces = [TreeTrace(*row) for row in zip(parents, snaps, retries)]
     return traces[0] if seeds is None else traces
 
 
-_EDGE_BLOCK = 1 << 14  # arrivals per edge block (BENCH_replicate_batches.json)
-_JOB_WIDTH = 1 << 16  # vertices per batch of trees: four edge blocks (BENCH_replicate_jobs.json)
+_EDGE_BLOCK = 1 << 14  # arrivals per tile, at most (BENCH_replicate_batches.json)
+_JOB_WIDTH = 1 << 16  # vertices per batch of trees: four tiles (BENCH_replicate_jobs.json)
 
 
 def batch_size(n_final: int) -> int:
     """Trees of ``n_final`` vertices to a batch for :func:`grow`: as many as _JOB_WIDTH vertices hold, at least one.
 
-    The batch still resolves its parents one edge block at a time; its
+    The batch still resolves its parents one tile at a time; its
     width only spreads each call's fixed costs, and its callers' per-batch
-    passes, over several blocks.
+    passes, over several tiles.
     """
     return max(1, _JOB_WIDTH // n_final)
 
 
-def _row_snapshots(ms, delay, rng) -> None:
-    """One tree's snapshots into its int32 row ``ms`` (arrivals 3, 4, ...): its delays drawn from ``rng`` a block at a time.
+def _tiles(rows: int, steps: int) -> tuple[list, np.ndarray]:
+    """The tiles of ``rows`` rows of ``steps`` arrivals, in draw order, and a float64 buffer that holds the largest.
 
-    The delays of a block follow those of the block before in ``rng``'s
-    stream, so the row reads the stream that one draw of all its delays
-    reads, and ``rng`` is left where that draw leaves it.
+    A tile ``(band, lo, hi)`` is arrivals lo..hi-1 (columns) of the rows in
+    the slice ``band``.  Rows of at most _EDGE_BLOCK arrivals go in bands
+    of as many whole rows as a block holds; a longer row goes alone, a
+    block of _EDGE_BLOCK columns per tile.  Each row's tiles come in column
+    order, so draws taken tile by tile read each row's stream in order.
     """
-    for lo in range(0, len(ms), _EDGE_BLOCK):
-        hi = min(lo + _EDGE_BLOCK, len(ms))
-        snapshot_times(np.arange(lo + 2, hi + 2), delay.sample_many(rng, hi - lo), delay.beta, out=ms[lo:hi])
+    tall, wide = max(1, _EDGE_BLOCK // steps), min(steps, _EDGE_BLOCK)
+    bands = [slice(first, min(first + tall, rows)) for first in range(0, rows, tall)]
+    tiles = [(band, lo, min(lo + wide, steps)) for band in bands for lo in range(0, steps, wide)]
+    return tiles, np.empty((min(rows, tall), wide))
+
+
+def _snapshots(ms, delay, rngs) -> None:
+    """Every row's snapshots into the int32 rows ``ms`` (arrivals 3, 4, ...), row i's delays drawn from ``rngs[i]``.
+
+    The delays are drawn a tile at a time (:func:`_tiles`), a band's into
+    one reused buffer, and each tile's snapshots are set by one call.  A
+    row reads the stream one draw of all its delays reads, and its
+    generator is left where that draw leaves it.
+    """
+    tiles, delays = _tiles(*ms.shape)
+    for band, lo, hi in tiles:
+        band_rngs = rngs[band]
+        if len(band_rngs) == 1:  # a lone row: its draw goes to its snapshots uncopied
+            tile, out = delay.sample_many(band_rngs[0], hi - lo), ms[band.start, lo:hi]
+        else:
+            tile, out = delays[: len(band_rngs), : hi - lo], ms[band, lo:hi]
+            for i, rng in enumerate(band_rngs):
+                tile[i] = delay.sample_many(rng, hi - lo)
+        snapshot_times(np.arange(lo + 2, hi + 2), tile, delay.beta, out=out)
 
 
 def _ahead(rng, count: int):
@@ -721,57 +736,33 @@ def _ahead(rng, count: int):
     return np.random.Generator(bits)
 
 
-def _loop_edge(parents, kernel, delay, ms, rngs) -> None:
-    """Edge-sampler snapshots ``ms`` and parents for every row of ``parents``, row i drawing from ``rngs[i]``.
+def _loop_edge(parents, kernel, ms, rngs) -> None:
+    """Edge-sampler parents for every row of ``parents`` from its snapshots ``ms``, row i drawing from ``rngs[i]``.
 
-    Each row's stream is its delays (``delay.sample_many``), then a branch
-    uniform per arrival for a mixed kernel, then a pick per arrival.  Rows
-    of at most _EDGE_BLOCK arrivals are resolved in bands of as many whole
-    rows as a block holds; a band draws its rows' streams when it starts,
-    into one set of band-sized buffers that every band reuses, and sets its
-    snapshots from its delays in one call.  A longer row sets its snapshots
-    first (:func:`_row_snapshots`) and then resolves blocks of _EDGE_BLOCK
-    columns, each drawing its branch uniforms when it starts and its picks
-    from a generator :func:`_ahead` of the branch uniforms.  Each block
-    reads only final parents below it.
+    Each row's stream, past its delays, is a branch uniform per arrival for
+    a mixed kernel and then a pick per arrival.  The rows are resolved a
+    tile at a time (:func:`_tiles`): a tile draws its rows' uniforms when it
+    starts, into tile buffers that every tile reuses, and then resolves,
+    reading only final parents below it.  A row of several tiles takes its
+    picks from a generator :func:`_ahead` of all its branch uniforms.
     """
     slope, alpha = kernel.linear_bound()  # exact for uniform and affine kernels
     mixed = bool(slope and alpha > 0.0)  # uniform kernels (slope 0) and alpha = 0 need no branch uniform
-    rows, steps = ms.shape
-    width = min(steps, _EDGE_BLOCK)
-    tall = min(rows, _EDGE_BLOCK // width)
-    picks = np.empty((tall, width))
-    branch = np.empty((tall, width)) if mixed else None
-
-    def resolve(band, lo, hi):
-        h, w = len(parents[band]), hi - lo
+    steps = ms.shape[1]
+    tiles, picks = _tiles(*ms.shape)
+    branch = np.empty_like(picks) if mixed else None
+    for band, lo, hi in tiles:
+        h, w = band.stop - band.start, hi - lo
+        for i, rng in enumerate(rngs[band]):
+            if lo == 0:  # a row's first tile; a row of several tiles reads its picks ahead
+                pick_rng = _ahead(rng, steps) if mixed and w < steps else rng
+            if mixed:
+                rng.random(out=branch[i, :w])
+            pick_rng.random(out=picks[i, :w])
         parents[band, lo + 3 : hi + 3] = _resolve_edge(
             parents[band], lo + 3, ms[band, lo:hi], slope, alpha,
             branch[:h, :w] if mixed else None, picks[:h, :w],
         )
-
-    if width < steps:  # rows longer than a block
-        for r, rng in enumerate(rngs):
-            _row_snapshots(ms[r], delay, rng)
-            pick_rng = _ahead(rng, steps) if mixed else rng
-            for lo in range(0, steps, width):
-                hi = min(lo + width, steps)
-                if mixed:
-                    rng.random(out=branch[0, : hi - lo])
-                pick_rng.random(out=picks[0, : hi - lo])
-                resolve(slice(r, r + 1), lo, hi)
-        return
-    delays, ns = np.empty((tall, steps)), np.arange(2, steps + 2)
-    for first in range(0, rows, tall):
-        band = slice(first, first + tall)
-        band_rngs = rngs[band]
-        for i, rng in enumerate(band_rngs):
-            delays[i] = delay.sample_many(rng, steps)
-            if mixed:
-                rng.random(out=branch[i])
-            rng.random(out=picks[i])
-        snapshot_times(ns, delays[: len(band_rngs)], delay.beta, out=ms[band])
-        resolve(band, 0, steps)
 
 
 _BLOCK_MAX = 1 << 14  # thinning blocks hold P/4 arrivals past the first unresolved arrival P, up to this many

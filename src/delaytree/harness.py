@@ -30,10 +30,10 @@ import numpy as np
 
 from . import estimators as est
 from . import theory
-from .canonical import shape_labels
+from .canonical import shape_labels, tally_rows
 from .configio import config_hash, render_config
 from .errors import ArgumentError
-from .growth import batch_size, child_counts, grow
+from .growth import batch_size, grow, parent_rows
 from .kernels import GrowthConfig, check_count
 
 __all__ = [
@@ -158,15 +158,17 @@ def _batch_records(args) -> dict:
     """Raw statistics of a job of replicates, one row or item each, in replicate order (picklable).
 
     The job's seeds are derived as one array and its trees grown by one
-    ``grow`` call, their children counted by one tally and their degrees by
-    another, and their root trajectories computed as one matrix.  Each
-    tree's shape labelling reads its row of the child counts.
+    ``grow`` call.  Their parents are copied once, as one matrix of rows,
+    which the child counts (one tally) and the root trajectories read; the
+    degrees are another tally, and each tree's shape labelling reads its
+    row of the child counts.
     ``root`` is the plan's (theta, time grid, E[min(X, n_j)] on the grid or
     None outside the heavy regime), or None without "root".
     """
     config, stats, root, reps = args
     traces = grow(config, replicate_seed(config.seed, np.arange(reps.start, reps.stop, dtype=np.uint64)))
-    kids = child_counts(traces)
+    rows = parent_rows(traces)
+    kids = tally_rows(rows, rows.shape[1] + 2)
     batch: dict = {"retries": [trace.retries for trace in traces], "degree_counts": est.degree_counts(kids)}
     if "fringe" in stats:
         cap = config.fringe_cap
@@ -176,7 +178,7 @@ def _batch_records(args) -> dict:
             batch["fringe"].append(est.FringeCensus.from_labels(labels, codes, cap))
     if "root" in stats:
         theta, grid, ex = root
-        batch["root"] = est.root_trajectories(traces, theta, grid=grid, ex_x=ex)
+        batch["root"] = est.root_trajectories(rows, theta, grid=grid, ex_x=ex)
     return batch
 
 

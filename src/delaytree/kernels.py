@@ -29,7 +29,7 @@ import numpy as np
 from scipy import integrate
 
 from .canonical import MAX_VERTICES
-from .errors import ArgumentError
+from .errors import ArgumentError, check_count
 
 __all__ = [
     "AttachmentKernel",
@@ -160,11 +160,11 @@ class TabulatedKernel(AttachmentKernel):
         object.__setattr__(self, "values", vals)
         if any(v <= 0.0 or not math.isfinite(v) for v in vals):
             raise ArgumentError("tabulated kernel values must be positive and finite")
-        if self.tail[0] not in ("const", "pow"):
+        if not isinstance(self.tail, tuple) or not self.tail or self.tail[0] not in ("const", "pow"):
             raise ArgumentError(f"unknown tail rule {self.tail!r}")
         if self.tail[0] == "pow":
-            if len(self.tail) != 2 or not (0.0 < self.tail[1] < 1.0):
-                raise ArgumentError("power tail rule needs exponent a with 0 < a < 1")
+            if len(self.tail) != 2 or not isinstance(self.tail[1], numbers.Real) or not 0.0 < self.tail[1] < 1.0:
+                raise ArgumentError(f"power tail rule needs exponent a with 0 < a < 1, got {self.tail!r}")
         if not (0.0 < self.f_star < math.inf):
             raise ArgumentError(f"explicit finite f_star > 0 is required, got {self.f_star}")
         if self.f_star > min(vals) + 1e-12:
@@ -615,13 +615,6 @@ class QuantileTableDelay(DelayLaw):
 # ---------------------------------------------------------------------------
 # Run configuration
 # ---------------------------------------------------------------------------
-
-
-def check_count(name: str, value, least: int) -> int:
-    """``value`` as an int; ArgumentError unless it is a Python or NumPy integer of at least ``least``."""
-    if not isinstance(value, numbers.Integral) or value < least:
-        raise ArgumentError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def check_seed(seed: int) -> int:

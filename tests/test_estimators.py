@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delaytree import estimators
-from delaytree.canonical import shape_labels, tally
+from delaytree.canonical import shape_labels, tally, tally_rows
 from delaytree.errors import ArgumentError
 from delaytree.estimators import (
     DegreeHist,
@@ -24,7 +24,7 @@ from delaytree.estimators import (
     root_trajectory,
     root_trajectories,
 )
-from delaytree.growth import child_counts, grow, trace_from_parents
+from delaytree.growth import grow, parent_rows, trace_from_parents
 from delaytree.kernels import (
     AffineKernel,
     ConstantDelay,
@@ -285,7 +285,8 @@ def _one_size_batches(draw):
 def test_batch_estimators_match_one_tree_at_a_time(batch, data):
     traces = [trace_from_parents(p) for p in batch]
     n = traces[0].n
-    kids = child_counts(traces)  # one tally for the batch, one for its degrees
+    rows = parent_rows(traces)  # one parent matrix for the batch's child counts and root trajectories
+    kids = tally_rows(rows, n + 1)  # one tally for the batch, one for its degrees
     counts = degree_counts(kids)
     assert kids.dtype == np.int32 and counts.dtype == np.int64
     refs = [_reference_hist(trace.parents) for trace in traces]
@@ -301,7 +302,7 @@ def test_batch_estimators_match_one_tree_at_a_time(batch, data):
     grid = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
     ex = data.draw(st.none() | st.lists(st.floats(0.5, 100.0), min_size=len(grid), max_size=len(grid)))
     theta = data.draw(st.sampled_from((0.0, 0.5, 0.77)))
-    batch_root = root_trajectories(traces, theta, grid=grid, ex_x=ex)  # one (trees x grid) object
+    batch_root = root_trajectories(rows, theta, grid=grid, ex_x=ex)  # one (trees x grid) object
     assert batch_root.values.shape == batch_root.over_ntheta.shape == (len(traces), len(grid))
     for r, trace in enumerate(traces):
         traj = batch_root.row(r)
@@ -324,26 +325,27 @@ def test_batch_rows_keep_their_own_histogram_length_and_default_grid():
     hists = [degree_hist(t) for t in (star, PATH4, star)]
     assert [len(h.counts) for h in hists] == [4, 3, 4]
     assert [h.max_degree() for h in hists] == [3, 2, 3]
-    trajs = root_trajectories([PATH4, star], theta=0.5)
+    trajs = root_trajectories(parent_rows([PATH4, star]), theta=0.5)
     np.testing.assert_array_equal(trajs.ns, geometric_grid(4))
     np.testing.assert_array_equal(trajs.values, [[2.0, 2.0, 2.0], [2.0, 3.0, 4.0]])
 
 
 def test_batch_estimators_reject_bad_batches():
     with pytest.raises(ArgumentError):
-        root_trajectories([PATH4, trace_from_parents([0, 0, 1])], theta=0.5)
+        parent_rows([PATH4, trace_from_parents([0, 0, 1])])
     with pytest.raises(ArgumentError):
-        child_counts([PATH4, trace_from_parents([0, 0, 1])])
-    with pytest.raises(ArgumentError):
-        child_counts([])
+        parent_rows([])
     with pytest.raises(ArgumentError):
         root_trajectories([], theta=0.5)
     with pytest.raises(ArgumentError):
-        root_trajectories([PATH4, STAR4], theta=0.5, grid=[3, 2])
+        root_trajectories(PATH4.parents[2:], theta=0.5)  # one row, not a matrix
+    rows = parent_rows([PATH4, STAR4])
     with pytest.raises(ArgumentError):
-        root_trajectories([PATH4, STAR4], theta=0.5, grid=[1, 99])
+        root_trajectories(rows, theta=0.5, grid=[3, 2])
     with pytest.raises(ArgumentError):
-        root_trajectories([PATH4, STAR4], theta=0.5, grid=[2, 4], ex_x=[1.0])
+        root_trajectories(rows, theta=0.5, grid=[1, 99])
+    with pytest.raises(ArgumentError):
+        root_trajectories(rows, theta=0.5, grid=[2, 4], ex_x=[1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +443,10 @@ def test_scan_heavy_tail_inconclusive_on_short_grids():
     "call",
     [
         lambda: delay_condition_scan(Uniform01Delay(beta=0.5), [2, 3.5, 10.9]),
-        lambda: root_trajectories([STAR4], 0.5, grid=[2.5, 3.7]),
+        lambda: root_trajectories(parent_rows([STAR4]), 0.5, grid=[2.5, 3.7]),
         lambda: geometric_grid(10.5),
-        lambda: root_trajectories([STAR4], 0.5, grid=[]),
-        lambda: root_trajectories([STAR4], 0.5, grid=[[2, 3], [3, 4]]),
+        lambda: root_trajectories(parent_rows([STAR4]), 0.5, grid=[]),
+        lambda: root_trajectories(parent_rows([STAR4]), 0.5, grid=[[2, 3], [3, 4]]),
     ],
     ids=["scan-fractional-sizes", "root-fractional-grid", "geometric-fractional-end", "root-empty-grid", "root-2d-grid"],
 )

@@ -56,6 +56,14 @@ def test_grow_checks_every_seed_of_a_batch(bad):
         grow(_cfg(n=50), [0, 7, bad])
 
 
+@pytest.mark.parametrize(
+    "kernel", (AFF, AffineKernel(1.0), TabulatedKernel((1.0, 2.0), f_star=1.0)), ids=("edge", "edge-mixed", "rejection")
+)
+@pytest.mark.parametrize("n", (2, 3, 50, growth._EDGE_BLOCK + 10), ids=("n2", "n3", "band", "long-row"))
+def test_grow_of_no_seeds_is_no_trees(kernel, n):
+    assert grow(_cfg(n=n, kernel=kernel), seeds=[]) == []
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=70))
 @example([0, 1, 2**32 - 1, 2**32, 2**64 - 1])

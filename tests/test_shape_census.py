@@ -256,15 +256,16 @@ def test_census_matches_reference_on_presets(preset):
         ([0, 0, 1, 2, 7], 4, "vertex 4 has invalid parent 7"),
         ([0, 0, -1], 4, "vertex 2 has invalid parent -1"),
         ([0], 4, "at least vertex 1"),
-        ([0, 0, 1], 0, "cap must be >= 1"),
+        ([0, 0, 1], 0, "cap must be an integer >= 1"),
+        ([0, 0, 1], 3.0, "cap must be an integer >= 1"),
         ([0, 0, 1.0], 4, "integers"),
     ],
-    ids=["zero", "self", "later", "negative", "empty", "cap", "float"],
+    ids=["zero", "self", "later", "negative", "empty", "cap", "float-cap", "float"],
 )
 def test_invalid_input_raises(parents, cap, message):
     with pytest.raises(ArgumentError, match=message):
         shape_labels(parents, np.zeros(len(parents), dtype=np.int32), cap)
-    if cap >= 1 and not isinstance(parents[-1], float):
+    if cap >= 1 and isinstance(cap, int) and not isinstance(parents[-1], float):
         with pytest.raises(ArgumentError, match=message):
             subtree_codes(parents, cap)  # the same boundary as the reference
 
@@ -336,8 +337,9 @@ def test_labelling_and_censuses_stay_under_25_bytes_per_vertex():
 def test_censuses_reject_bad_cap():
     trace = trace_from_parents([0, 0, 1, 1])
     for census in (fringe_census, extended_fringe_census):
-        with pytest.raises(ArgumentError, match="cap must be >= 1"):
-            census(trace, cap=0)
+        for cap in (0, 3.0):
+            with pytest.raises(ArgumentError, match="cap must be an integer >= 1"):
+                census(trace, cap=cap)
 
 
 def test_harness_labels_each_replicate_once(monkeypatch, tmp_path):

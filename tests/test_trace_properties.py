@@ -171,7 +171,8 @@ def test_block_resolver_matches_the_per_arrival_loop(batch, block):
     tapes = [_Tape([k - 1.0 - m for k, m in zip(range(3, n + 1), ms)] + uniforms) for _, ms, _, _, uniforms in batch]
     snaps = np.zeros((len(batch), n - 2), dtype=np.int32)
     with mock.patch.multiple(growth, _EDGE_BLOCK=block, _ahead=_Tape.ahead):
-        growth._loop_edge(parents, kernel, delay, snaps, tapes)
+        growth._snapshots(snaps, delay, tapes)
+        growth._loop_edge(parents, kernel, snaps, tapes)
     assert all(tape.reads == [1] * len(tape.values) for tape in tapes)  # every value drawn, and once
     np.testing.assert_array_equal(snaps, [ms for _, ms, *_ in batch])
     np.testing.assert_array_equal(parents, expected)
@@ -291,15 +292,23 @@ def test_batch_growth_matches_growth_seed_by_seed(kernel, delay, n, seeds):
         assert (got.n, got.retries) == (want.n, want.retries)
 
 
+LAYOUTS = ("bands of 2 rows", "bands of 3 rows", "column blocks", "rows of one block", "rows of a block and one")
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from(KERNELS[:3]),
     st.sampled_from(ALL_DELAYS[:4]),
     st.integers(4, 120),
     st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=7),
-    st.sampled_from(("bands of 2 rows", "bands of 3 rows", "column blocks")),
+    st.sampled_from(LAYOUTS),
     st.data(),
 )
+# at the tile boundary, under affine alpha = 1.3: a row of exactly one block is one tile, and a row of
+# one arrival more is two, its picks drawn through _ahead
+@example(KERNELS[2], ALL_DELAYS[2], 66, [0, 7, 2**64 - 1], "rows of one block", None)
+@example(KERNELS[2], ALL_DELAYS[2], 66, [0, 7, 2**64 - 1], "rows of a block and one", None)
+@example(KERNELS[2], ALL_DELAYS[3], 4, [5, 6], "rows of a block and one", None)
 def test_band_draws_read_each_stream_at_its_offset(kernel, delay, n, seeds, layout, data):
     # a band draws its rows' streams when it starts; a row split into column blocks draws its
     # delays block by block and then its picks from a generator ahead of its branch uniforms.
@@ -307,8 +316,13 @@ def test_band_draws_read_each_stream_at_its_offset(kernel, delay, n, seeds, layo
     # branch uniforms, zero and const delays draw no uniforms
     config = GrowthConfig(kernel, delay, n, seed=0)
     steps = n - 2
-    rows = {"bands of 2 rows": 2, "bands of 3 rows": 3}.get(layout)
-    block = rows * steps if rows else data.draw(st.integers(1, steps - 1), label="block")
+    blocks = {
+        "bands of 2 rows": 2 * steps,
+        "bands of 3 rows": 3 * steps,
+        "rows of one block": steps,
+        "rows of a block and one": steps - 1,
+    }
+    block = blocks.get(layout) or data.draw(st.integers(1, steps - 1), label="block")
     alone = [grow(replace(config, seed=s)) for s in seeds]
     assert steps <= growth._EDGE_BLOCK
     with mock.patch.object(growth, "_EDGE_BLOCK", block):
