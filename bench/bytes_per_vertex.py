@@ -3,8 +3,9 @@
     python3 bench/bytes_per_vertex.py --tree parent=OLD/src --tree change=src \
         > BENCH_census.json
 
-(``BENCH_bytes_per_vertex.json`` and ``BENCH_census.json`` each hold one
-such document, for the change each one measured.)
+(``BENCH_bytes_per_vertex.json``, ``BENCH_census.json`` and
+``BENCH_census_memory.json`` each hold one such document, for the change
+each one measured.)
 
 Each tree is measured through ``driver.py`` beside this script: fresh
 processes, the trees taking turns, medians with their quartiles.  One

@@ -14,9 +14,9 @@ censuses.  ``shape_labels`` is the one the fringe estimators use: it gives
 every vertex an integer label for the shape of its fringe (the subtree
 below it), interning sorted child-label rows level by level with NumPy in
 the manner of Aho, Hopcroft & Ullman's tree-isomorphism algorithm, and
-writes a parenthesis code only once per distinct shape.  The leaves and
-the stars above them are labelled by counting children, with no sort, and
-the labelling peaks at about 24 B per vertex.  It is handed the tree's
+writes a parenthesis code only once per distinct shape.  A vertex not yet
+labelled keeps the child labels it has received in its own output slot, so
+the labelling peaks at about 9 B per vertex.  It is handed the tree's
 child counts (``TreeTrace.child_counts``, a ``tally`` of the parents),
 which the degree histogram reads too.  ``subtree_codes`` builds a code
 string at every vertex; it is the plain reference the labelling is tested
@@ -145,6 +145,8 @@ def subtree_codes(parents, cap: int | None = None) -> list:
     given, vertices whose subtree exceeds ``cap`` vertices get ``None``
     instead of a code; this keeps the pass O(n * cap) overall.
     """
+    if cap is not None:
+        cap = check_count("cap", cap, 1)
     n = len(parents) - 1
     if n < 1:
         raise ArgumentError("parent array must cover at least vertex 1")
@@ -235,25 +237,27 @@ def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
     Round 0 labels the leaves; round r labels the vertices whose last child
     was labelled in round r-1 and whose subtree fits under the cap, so a
     shape is labelled in the round equal to its height and at most ``cap``
-    rounds run.  A vertex with a child left at -1 is never labelled.
-    Children are appended to their parent's slice of ``rows`` in ascending
-    label order (a round's labels all exceed the previous round's), so
-    every child-label row arrives sorted and is interned as a whole.
+    rounds run.  A vertex with a child left at -1 is never labelled.  A
+    round's labels exceed the previous round's and go by row width, then by
+    lexicographic row of child labels.
 
-    The leaves are counted, not sorted: label 0 is the least, so a
-    vertex's leaf children fill the head of its zeroed slice of ``rows``,
-    and their count is a tally of the leaves' parents.  Round 1 labels the
-    stars whose children are all leaves; a star's label depends on its
-    child count alone and is looked up by it.  Round r >= 2
-    sorts a (parent, label) key of the labels fresh from round r-1, less
-    those whose parent has more than cap - r children: such a label heads
-    at least r vertices, so its parent outgrows the cap.
+    An unlabelled vertex v holds -2 - p in ``labels[v]``, p naming the
+    *prefix* of sorted child labels it has been handed.  Prefix c < cap is
+    "c leaf children" (label 0 is the least), so round 0 is one
+    ``np.subtract.at`` of the leaves' parents, and round 1 labels the
+    stars, whose prefix holds all their children, by child count.  Round
+    r >= 2 sorts a (parent, label) key of the labels fresh from round r-1,
+    less those whose parent has more than cap - r children (such a label
+    heads at least r vertices, so its parent outgrows the cap), and extends
+    each parent's prefix one label at a time, by a trie step keyed
+    prefix*(n+1) + label and interned with ``np.unique``.  A prefix whose
+    children hold cap vertices or more sets its vertex to -1; a vertex
+    whose prefix holds all its children is labelled.
 
-    Every per-vertex array is int32: ``kids`` and four of length n made
-    here hold 20 B per vertex, and the temporaries of the leaf tally and of
-    round 1, each dropped once used, take the peak to about 24 B per
-    vertex.  Only a later round's sort key is int64, since parent*(n+1)
-    passes 2**31 from n = 46 341 on.
+    ``labels`` is the only per-vertex array made (int32); the peak, about
+    8-9 B per vertex at caps 3-8, is round 0's leaf parents or round 2's
+    keys.  A sort or trie key is int64, since parent*(n+1) passes 2**31
+    from n = 46 341 on.
     """
     cap = check_count("cap", cap, 1)
     par = check_parents(parents)
@@ -262,27 +266,43 @@ def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
         raise ArgumentError(f"a tree of {n} vertices needs {n + 1} child counts, got {len(kids)}")
     if np.asarray(kids).dtype.kind not in "iu":
         raise ArgumentError(f"child counts must be integers, got dtype {np.asarray(kids).dtype}")
+    cap = min(cap, n)  # no subtree outgrows n vertices: a larger cap labels the same
 
-    # the labels of u's children go to rows[start[u] : start[u] + kids[u]]
-    start = np.cumsum(kids, dtype=np.int32)
-    start -= kids
-    # round 0: u's leaf children, all labelled 0, fill rows[start[u] : start[u] + filled[u]]
-    filled = tally(np.compress(kids[2:] == 0, par[2:]), n + 1)  # the leaves' parents
-    rows = np.zeros(n - 1, dtype=np.int32)
-    labels = (kids == 0).astype(np.int32)
-    labels -= 1  # 0 at the leaves, -1 elsewhere
+    # round 0: label 0 at the leaves; every other vertex takes prefix "its leaf children"
+    labels = np.full(n + 1, -2, dtype=np.int32)
+    labels[kids == 0] = 0
+    np.subtract.at(labels, par[2:][kids[2:] == 0], np.int32(1))  # a mask, not np.compress: no int64 index
     labels[0] = -1
     codes = [SINGLETON]
     sizes = [1]  # vertex count of each shape
 
-    # round 1: the stars of 2..cap vertices, labelled by child count
-    fresh = np.flatnonzero((filled == kids) & (kids > 0) & (kids < cap)).astype(np.int32)
+    # round 1: the stars of 2..cap vertices, whose prefix is all their children, labelled by child count
+    # kids is added in place, cast in buffered chunks whatever its integer dtype: no temporary
+    np.add(labels, kids, out=labels, dtype=np.int32, casting="unsafe")  # -2 where the prefix is all the children
+    fresh = np.flatnonzero(labels == -2).astype(np.int32)
+    np.subtract(labels, kids, out=labels, dtype=np.int32, casting="unsafe")
+    fresh = fresh[kids[fresh] < cap]
     width = kids[fresh]
     present = np.bincount(width, minlength=cap) > 0
     labels[fresh] = np.cumsum(present, dtype=np.int32)[width]  # k's rank among the star widths met
     for k in np.flatnonzero(present).tolist():
         codes.append(code_from_children([SINGLETON] * k))
         sizes.append(1 + k)
+
+    # prefix cap + i holds the child labels rows[i]; trie maps prefix*(n+1) + label to the
+    # prefix one label longer, or to -1 once its children hold cap vertices or more
+    rows: list[tuple] = []
+    trie: dict[int, int] = {}
+
+    def step(key: int) -> int:
+        if key not in trie:
+            p, label = divmod(key, n + 1)  # p = -1: a vertex already over the cap
+            row = (rows[p - cap] if p >= cap else (0,) * p) + (label,)
+            fits = p >= 0 and sum(sizes[c] for c in row) < cap
+            trie[key] = cap + len(rows) if fits else -1
+            if fits:
+                rows.append(row)
+        return trie[key]
 
     for r in range(2, cap):
         fresh = fresh[fresh > 1]
@@ -300,50 +320,36 @@ def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
         owner, label = np.empty(len(key), dtype=np.int32), np.empty(len(key), dtype=np.int32)
         np.divmod(key, n + 1, out=(owner, label), casting="unsafe")  # both fit in int32
         del key
-        first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
+        first = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]]).astype(np.int32)
         owners = owner[first]
         del owner
-        count = np.diff(np.r_[first, label.size])
-        # a label's slot in rows: its parent's start + filled, plus its rank among the parent's fresh labels
-        at = np.repeat((start[owners] + filled[owners] - first).astype(np.int32), count)
-        at += np.arange(at.size, dtype=np.int32)
-        rows[at] = label
-        del label, at
-        filled[owners] += count
-        ready = owners[filled[owners] == kids[owners]]
-
-        shape_size = np.asarray(sizes)
-        base = len(codes)
-        labelled = []
-        width = kids[ready]
-        for k in np.unique(width).tolist():
-            group = ready[width == k]
-            child = rows[start[group][:, None] + np.arange(k)]
-            fits = shape_size[child].sum(axis=1) < cap
-            group, child = group[fits], child[fits]
-            if not group.size:
-                continue
-            # intern the rows by one mixed-radix key, first child most
-            # significant (child labels stay below base), so that key order
-            # is row order; a key about to pass 2**63 is first re-ranked
-            key, bound = child[:, 0].astype(np.int64), base
-            for j in range(1, k):
-                if bound * base > 2**63:
-                    distinct, key = np.unique(key, return_inverse=True)
-                    bound = len(distinct)
-                key *= base
-                key += child[:, j]
-                bound *= base
+        count = np.diff(first, append=np.int32(label.size))
+        # extend each owner's prefix by its fresh labels, in ascending order, one trie step at a time
+        prefix = -2 - labels[owners]
+        for j in range(int(count.max())):
+            going = np.flatnonzero(count > j)
+            key = prefix[going].astype(np.int64)
+            key *= n + 1
+            key += label[first[going] + j]
             distinct = np.unique(key)
-            row_id = np.searchsorted(distinct, key)
-            labels[group] = len(codes) + row_id
-            first_row = np.empty(len(distinct), dtype=np.int64)
-            first_row[row_id] = np.arange(len(key))  # a row of each key, any of its equal rows
-            for row in child[first_row].tolist():
-                codes.append(code_from_children(codes[c] for c in row))
-                sizes.append(1 + sum(sizes[c] for c in row))
-            labelled.append(group)
-        fresh = np.concatenate(labelled) if labelled else ready[:0]
+            longer = np.array([step(k) for k in distinct.tolist()], dtype=np.int32)
+            prefix[going] = longer[np.searchsorted(distinct, key)]
+        del label, first, count
+        labels[owners] = -2 - prefix
+        # an owner whose prefix holds all its children is labelled: by row width, then row
+        met, at = np.unique(prefix, return_inverse=True)
+        length = np.array([len(rows[p - cap]) if p >= 0 else -1 for p in met.tolist()])
+        ready = length[at] == kids[owners]
+        fresh, at = owners[ready], at[ready]
+        order = sorted(np.unique(at).tolist(), key=lambda i: (length[i], rows[met[i] - cap]))
+        rank = np.zeros(len(met), dtype=np.int32)
+        rank[order] = len(codes) + np.arange(len(order), dtype=np.int32)
+        labels[fresh] = rank[at]
+        for i in order:
+            row = rows[met[i] - cap]
+            codes.append(code_from_children(codes[c] for c in row))
+            sizes.append(1 + sum(sizes[c] for c in row))
+    np.maximum(labels, -1, out=labels)
     return labels, tuple(codes)
 
 

@@ -179,7 +179,10 @@ def int_from_entries(entries: dict, key: str) -> int:
 
 
 def build_config(entries: dict) -> tuple[GrowthConfig, int]:
-    """(GrowthConfig, replicate count) from parsed entries."""
+    """(GrowthConfig, replicate count) from parsed entries; a key no config reads is refused."""
+    for key in entries:
+        if key not in _KNOWN_KEYS:
+            raise ArgumentError(f"unknown config key {key!r}")
     config = GrowthConfig(
         kernel=kernel_from_entries(entries),
         delay=delay_from_entries(entries),

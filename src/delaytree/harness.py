@@ -158,23 +158,26 @@ def _batch_records(args) -> dict:
     """Raw statistics of a job of replicates, one row or item each, in replicate order (picklable).
 
     The job's seeds are derived as one array and its trees grown by one
-    ``grow`` call.  Their parents are copied once, as one matrix of rows,
-    which the child counts (one tally) and the root trajectories read; the
-    degrees are another tally, and each tree's shape labelling reads its
-    row of the child counts.
+    ``grow`` call, of which only the parents and retries are kept: the
+    snapshots are freed before any statistic runs.  The parents are copied
+    once, as one matrix of rows, which the child counts (one tally) and the
+    root trajectories read; the degrees are another tally, and each tree's
+    shape labelling reads its row of the child counts.
     ``root`` is the plan's (theta, time grid, E[min(X, n_j)] on the grid or
     None outside the heavy regime), or None without "root".
     """
     config, stats, root, reps = args
     traces = grow(config, replicate_seed(config.seed, np.arange(reps.start, reps.stop, dtype=np.uint64)))
+    trees, retries = [trace.parents for trace in traces], [trace.retries for trace in traces]
     rows = parent_rows(traces)
+    del traces  # the last hold on grow's snapshot matrix
     kids = tally_rows(rows, rows.shape[1] + 2)
-    batch: dict = {"retries": [trace.retries for trace in traces], "degree_counts": est.degree_counts(kids)}
+    batch: dict = {"retries": retries, "degree_counts": est.degree_counts(kids)}
     if "fringe" in stats:
         cap = config.fringe_cap
         batch["fringe"] = []
-        for trace, row in zip(traces, kids):
-            labels, codes = shape_labels(trace.parents, row, cap)
+        for parents, row in zip(trees, kids):
+            labels, codes = shape_labels(parents, row, cap)
             batch["fringe"].append(est.FringeCensus.from_labels(labels, codes, cap))
     if "root" in stats:
         theta, grid, ex = root

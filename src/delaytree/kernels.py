@@ -160,7 +160,7 @@ class TabulatedKernel(AttachmentKernel):
         object.__setattr__(self, "values", vals)
         if any(v <= 0.0 or not math.isfinite(v) for v in vals):
             raise ArgumentError("tabulated kernel values must be positive and finite")
-        if not isinstance(self.tail, tuple) or not self.tail or self.tail[0] not in ("const", "pow"):
+        if not isinstance(self.tail, tuple) or self.tail != ("const",) and self.tail[:1] != ("pow",):
             raise ArgumentError(f"unknown tail rule {self.tail!r}")
         if self.tail[0] == "pow":
             if len(self.tail) != 2 or not isinstance(self.tail[1], numbers.Real) or not 0.0 < self.tail[1] < 1.0:

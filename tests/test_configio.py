@@ -60,6 +60,13 @@ def test_unknown_key_points_at_the_line():
     assert "3" in str(exc.value)  # line number
 
 
+def test_build_refuses_a_key_it_does_not_read():
+    entries = parse_config_text(BASIC)
+    entries["delay.beta"] = "0.9"  # the key is beta; were it ignored, beta would stay 0.5
+    with pytest.raises(ArgumentError, match="unknown config key 'delay.beta'"):
+        build_config(entries)
+
+
 def test_duplicate_key_rejected():
     with pytest.raises(ArgumentError) as exc:
         parse_config_text("beta = 0.5\nbeta = 0.4\n")

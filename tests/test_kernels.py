@@ -98,7 +98,7 @@ def test_tabulated_kernel_validation():
         # tail k**0.5 dips below the table top at k = len+1 -> not monotone
         TabulatedKernel(values=(1.0, 4.0), tail=("pow", 0.5), f_star=1.0, monotone=True)
     # a malformed tail rule is refused at the boundary, not by an IndexError or TypeError
-    for tail in ((), None, ("pow", "0.5")):
+    for tail in ((), None, ("pow", "0.5"), ("const", 99)):
         with pytest.raises(ArgumentError, match="tail rule"):
             TabulatedKernel(values=(1.0, 2.0), tail=tail, f_star=1.0)
 

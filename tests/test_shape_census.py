@@ -10,6 +10,7 @@ import hashlib
 import importlib.util
 import json
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -180,9 +181,9 @@ def _hubs_of_leaves_and_stars(seed):
     """A root over a star of each width 1..18 and 40 random hubs of 12-16 leaves plus 1-2 small stars.
 
     Under cap 20, round 1 labels the 18 star widths, so round 2 interns
-    the hubs' rows of 13-18 child labels below base 19: 19**15 passes
-    2**63, and a row of 15 or more is re-ranked before its last columns
-    fold into the key.
+    the hubs' rows of 13-18 child labels below base 19, rows whose
+    mixed-radix key (19**15 and up) would pass 2**63: each walks the trie
+    of child-label prefixes one label at a time instead.
     """
     rng = np.random.default_rng(seed)
     parents = [0, 0]
@@ -265,7 +266,7 @@ def test_census_matches_reference_on_presets(preset):
 def test_invalid_input_raises(parents, cap, message):
     with pytest.raises(ArgumentError, match=message):
         shape_labels(parents, np.zeros(len(parents), dtype=np.int32), cap)
-    if cap >= 1 and isinstance(cap, int) and not isinstance(parents[-1], float):
+    if not isinstance(parents[-1], float):
         with pytest.raises(ArgumentError, match=message):
             subtree_codes(parents, cap)  # the same boundary as the reference
 
@@ -283,6 +284,38 @@ def _grown_parents(preset, n):
     entries["n_final"] = str(n)
     config, _ = build_config(entries)
     return grow(config).parents
+
+
+# SHA-256 of (labels as little-endian int32, JSON of the codes) for frozen preset trees at n = 2e5,
+# recorded before the labelling moved to child-label prefixes; the parents digest keeps the tree frozen
+PINNED_LABELS = {
+    "grid-invpow2": (
+        "b2372febb08472f62bc87479e8d8a72245ef4665dc4504b998f3554fea9bf760",
+        {
+            3: "91adc761b96c12a72fab96722e3fc647141514d43da6d03d18f9f352c7eb95c8",
+            6: "b88c63bcc2d432e626a714f9ba2dfe5f0e83a1119eb732e3f287497873c7c89b",
+        },
+    ),
+    "grid-uniform01": (
+        "866541463af1be25d45f6a6f9778e07b6d8dbbca66ccc516721223ae24e70f0a",
+        {
+            3: "e35ffad39773b0ecc6cc2771dcfdb38b40c6bc544c2f17c8496ba66e560545f1",
+            6: "6ccdd714525ebaf16ba2157c34aa806b2ad280f9fd0cd4416ebd5bcf97854f49",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PINNED_LABELS))
+def test_labels_and_codes_match_their_pinned_digests(preset):
+    parents = _grown_parents(preset, 200_000)
+    tree, pinned = PINNED_LABELS[preset]
+    assert hashlib.sha256(parents.astype("<i8").tobytes()).hexdigest() == tree
+    kids = _kids(parents)
+    for cap, digest in pinned.items():
+        labels, shapes = shape_labels(parents, kids, cap)
+        got = hashlib.sha256(labels.astype("<i4").tobytes() + json.dumps(shapes).encode()).hexdigest()
+        assert got == digest, cap
 
 
 def test_int32_and_int64_parents_past_the_int32_key_range():
@@ -320,8 +353,8 @@ def test_check_parents_refuses_2_to_the_31_vertices():
             check(parents)
 
 
-def test_labelling_and_censuses_stay_under_25_bytes_per_vertex():
-    # the child counts and four int32 arrays of length n, plus the leaf tally's or round 1's temporaries
+def test_labelling_and_censuses_stay_under_13_bytes_per_vertex():
+    # the child counts and the int32 labels, plus the leaves' parents or a later round's keys (12.3 B measured)
     parents = _grown_parents("grid-invpow2", 200_000)
     trace = trace_from_parents(parents)
     tracemalloc.start()
@@ -331,7 +364,7 @@ def test_labelling_and_censuses_stay_under_25_bytes_per_vertex():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / (len(parents) - 1) <= 25, peak / (len(parents) - 1)
+    assert peak / (len(parents) - 1) <= 13, peak / (len(parents) - 1)
 
 
 def test_censuses_reject_bad_cap():
@@ -377,6 +410,27 @@ def test_harness_labels_each_replicate_once(monkeypatch, tmp_path):
         pair_truncated += pair_trunc
     assert (f["counts"], f["truncated"]) == (expect, truncated)
     assert (f["pair_counts"], f["pair_truncated"]) == (expect_pairs, pair_truncated)
+
+
+@pytest.mark.parametrize("replicates", [1, 3])
+def test_harness_frees_the_snapshots_before_the_census(monkeypatch, tmp_path, replicates):
+    held, freed = [], []
+
+    def growing(config, seeds):
+        traces = grow(config, seeds)
+        held.append(weakref.ref(traces[0].snapshots.base))  # grow's snapshot matrix
+        return traces
+
+    def labelling(parents, kids, cap):
+        freed.append(held[-1]() is None)
+        return shape_labels(parents, kids, cap)
+
+    monkeypatch.setattr(harness, "grow", growing)
+    monkeypatch.setattr(harness, "shape_labels", labelling)
+    cfg = GrowthConfig(AFF, Uniform01Delay(beta=0.5), 500, seed=3)
+    plan = ExperimentPlan(config=cfg, replicates=replicates, statistics=("degree", "fringe"), outdir=str(tmp_path))
+    harness.run(plan)
+    assert freed == [True] * replicates
 
 
 def test_bytes_per_vertex_bench_measures_this_tree():
