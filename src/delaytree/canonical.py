@@ -15,8 +15,9 @@ every vertex an integer label for the shape of its fringe (the subtree
 below it), interning sorted child-label rows level by level with NumPy in
 the manner of Aho, Hopcroft & Ullman's tree-isomorphism algorithm, and
 writes a parenthesis code only once per distinct shape.  A vertex not yet
-labelled keeps the child labels it has received in its own output slot, so
-the labelling peaks at about 9 B per vertex.  It is handed the tree's
+labelled keeps the child labels it has received in its own output slot, and
+the first rounds walk the vertices in cache-sized blocks; the labelling
+peaks at about 7 B per vertex.  It is handed the tree's
 child counts (``TreeTrace.child_counts``, a ``tally`` of the parents),
 which the degree histogram reads too.  ``subtree_codes`` builds a code
 string at every vertex; it is the plain reference the labelling is tested
@@ -53,6 +54,7 @@ __all__ = [
 
 SINGLETON = "()"
 MAX_VERTICES = 2**31 - 1  # vertex ids are int32
+BLOCK = 2**16  # vertices per block of a pass over a per-vertex array: its temporaries stay in cache
 
 
 def code_from_children(child_codes) -> str:
@@ -177,7 +179,8 @@ def check_parents(parents) -> np.ndarray:
     ignored); the first vertex that breaks this is named in the
     ArgumentError.  Vertex ids are int32, so n must stay below 2**31.  An
     int32 or int64 array is returned as it is, with no copy; other
-    integer input is converted to int64.
+    integer input is converted to int64.  The array is read in blocks of
+    ``BLOCK`` vertices, so the check makes no per-vertex temporary.
     """
     par = np.asarray(parents)
     n = len(par) - 1
@@ -189,11 +192,13 @@ def check_parents(parents) -> np.ndarray:
         raise ArgumentError("parent array must hold integers")
     if par.dtype not in (np.int32, np.int64):
         par = par.astype(np.int64)
-    up = par[2:]
-    bad = np.flatnonzero((up < 1) | (up >= np.arange(2, n + 1, dtype=par.dtype)))
-    if bad.size:
-        v = int(bad[0]) + 2
-        raise ArgumentError(f"vertex {v} has invalid parent {par[v]}")
+    ramp = np.arange(min(BLOCK, n), dtype=par.dtype)
+    for lo in range(2, n + 1, BLOCK):
+        up = par[lo : lo + BLOCK]
+        behind = up - ramp[: len(up)]  # parents[v] - v + lo: below lo exactly when parents[v] < v
+        if up.min() < 1 or behind.max() >= lo:
+            v = lo + int(np.flatnonzero((up < 1) | (behind >= lo))[0])
+            raise ArgumentError(f"vertex {v} has invalid parent {par[v]}")
     return par
 
 
@@ -227,12 +232,14 @@ def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
 
     ``parents`` is a birth-order parent array as for ``subtree_codes``, and
     ``kids[v]`` the number of children of vertex v: the tree's
-    ``TreeTrace.child_counts()``, which the degree histogram reads too;
-    only its length and its integer dtype are checked.  Returns
-    ``(labels, codes)``: ``labels[v]`` (int32; entry 0 unused, -1) is an
-    index into ``codes``, the canonical codes of the distinct shapes met,
-    and equal labels mean isomorphic subtrees.  A vertex gets -1 instead
-    when its subtree has more than ``cap`` vertices.
+    ``TreeTrace.child_counts()``, which the degree histogram reads too.  The
+    counts must be integers, none negative, whose int64 sum is n - 1 (so
+    counts that wrapped in a narrow dtype are refused); a disagreement with
+    ``parents`` that keeps the sum is not detected.  Returns ``(labels,
+    codes)``: ``labels[v]`` (int32; entry 0 unused, -1) is an index into
+    ``codes``, the canonical codes of the distinct shapes met, and equal
+    labels mean isomorphic subtrees.  A vertex gets -1 instead when its
+    subtree has more than ``cap`` vertices.
 
     Round 0 labels the leaves; round r labels the vertices whose last child
     was labelled in round r-1 and whose subtree fits under the cap, so a
@@ -243,72 +250,98 @@ def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
 
     An unlabelled vertex v holds -2 - p in ``labels[v]``, p naming the
     *prefix* of sorted child labels it has been handed.  Prefix c < cap is
-    "c leaf children" (label 0 is the least), so round 0 is one
-    ``np.subtract.at`` of the leaves' parents, and round 1 labels the
-    stars, whose prefix holds all their children, by child count.  Round
-    r >= 2 sorts a (parent, label) key of the labels fresh from round r-1,
-    less those whose parent has more than cap - r children (such a label
-    heads at least r vertices, so its parent outgrows the cap), and extends
-    each parent's prefix one label at a time, by a trie step keyed
-    prefix*(n+1) + label and interned with ``np.unique``.  A prefix whose
-    children hold cap vertices or more sets its vertex to -1; a vertex
-    whose prefix holds all its children is labelled.
+    "c leaf children" (label 0 is the least).  Rounds 0 and 1 walk the
+    vertex array in blocks of ``BLOCK`` from the end: ``labels`` starts at
+    -2 - kids, each child that is no leaf takes one off its parent's
+    prefix (one ``np.add.at`` per block), and the block's stars, whose
+    prefix then holds all their children, are labelled by child count.
+    Round r >= 2 sorts a (parent, label) key of the labels fresh from round
+    r-1, less those whose parent has more than cap - r children (such a
+    label heads at least r vertices, so its parent outgrows the cap), and
+    extends each parent's prefix one label at a time by a trie step keyed
+    (prefix + 1) * len(codes) + label.  A step's keys, and the prefixes met
+    at the round's end, are interned by marking them in a table over their
+    range when that range is small against their number, and by
+    ``np.unique`` otherwise.  A prefix whose children hold cap vertices or
+    more sets its vertex to -1; a vertex whose prefix holds all its
+    children is labelled.
 
-    ``labels`` is the only per-vertex array made (int32); the peak, about
-    8-9 B per vertex at caps 3-8, is round 0's leaf parents or round 2's
-    keys.  A sort or trie key is int64, since parent*(n+1) passes 2**31
-    from n = 46 341 on.
+    ``labels`` is the only per-vertex array made (int32); rounds 0 and 1
+    make block-sized temporaries, and the peak, about 7 B per vertex on
+    ``grid-invpow2`` at cap 6, is round 2's sort key and owner arrays,
+    which hold one entry per label handed up.  The sort key is int64, since
+    parent*(n+1) passes 2**31 from n = 46 341 on.
     """
     cap = check_count("cap", cap, 1)
     par = check_parents(parents)
     n = len(par) - 1
+    kids = np.asarray(kids)
     if len(kids) != n + 1:
         raise ArgumentError(f"a tree of {n} vertices needs {n + 1} child counts, got {len(kids)}")
-    if np.asarray(kids).dtype.kind not in "iu":
-        raise ArgumentError(f"child counts must be integers, got dtype {np.asarray(kids).dtype}")
+    if kids.dtype.kind not in "iu":
+        raise ArgumentError(f"child counts must be integers, got dtype {kids.dtype}")
+    if kids.min() < 0 or kids.sum(dtype=np.int64) != n - 1:
+        raise ArgumentError(f"child counts of a tree of {n} vertices must be >= 0 and sum to {n - 1}")
     cap = min(cap, n)  # no subtree outgrows n vertices: a larger cap labels the same
 
-    # round 0: label 0 at the leaves; every other vertex takes prefix "its leaf children"
-    labels = np.full(n + 1, -2, dtype=np.int32)
-    labels[kids == 0] = 0
-    np.subtract.at(labels, par[2:][kids[2:] == 0], np.int32(1))  # a mask, not np.compress: no int64 index
+    def hand(fresh, r):
+        """The vertices labelled in round r - 1 that hand their label up in round r, and their parents."""
+        fresh = np.compress(fresh > 1, fresh).astype(np.int32, copy=False)  # vertex 1 has no parent
+        up = par[fresh]
+        keep = kids[up] <= cap - r  # a parent with more children outgrows the cap
+        return np.compress(keep, fresh), np.compress(keep, up)
+
+    # rounds 0 and 1, a block at a time from the end.  labels starts at -2 - kids, prefix "every child
+    # a leaf", and each child that is no leaf takes one off its parent's prefix; children come after
+    # their parent, so once a block is done its prefixes count their leaf children, and a vertex whose
+    # prefix holds all its children is a star, labelled by its child count
+    labels = np.subtract(np.int32(-2), kids, dtype=np.int32, casting="unsafe")
+    present = np.zeros(cap, dtype=bool)  # the star widths met
+    handed = []
+    for hi in range(n + 1, 1, -BLOCK):
+        lo = max(hi - BLOCK, 1)
+        k, lab = kids[lo:hi], labels[lo:hi]
+        inner = k != 0
+        below = max(lo, 2)  # the parent entry of vertex 1 is ignored
+        np.add.at(labels, np.compress(inner[below - lo :], par[below:hi]), np.int32(1))
+        np.multiply(lab, inner, out=lab)  # label 0 at the leaves
+        np.add(lab, k, out=lab, casting="unsafe")  # -2 where the prefix is all the children, in place
+        star = np.flatnonzero(lab == -2)
+        np.subtract(lab, k, out=lab, casting="unsafe")
+        star = np.compress(k[star] < cap, star)
+        lab[star] = width = k[star]
+        present[width] = True
+        handed.append(hand(star + lo, 2))
     labels[0] = -1
-    codes = [SINGLETON]
-    sizes = [1]  # vertex count of each shape
+    widths = np.flatnonzero(present).tolist()
+    if widths and widths[-1] != len(widths):  # a width is missing below the widest: number by rank
+        rank = np.cumsum(present, dtype=np.int32)
+        for lo in range(1, n + 1, BLOCK):
+            lab = labels[lo : lo + BLOCK]
+            star = np.flatnonzero(lab > 0)
+            lab[star] = rank[lab[star]]
+    codes = [SINGLETON] + [code_from_children([SINGLETON] * k) for k in widths]
+    sizes = [1] + [1 + k for k in widths]  # vertex count of each shape
+    fresh, up = (np.concatenate(part) for part in zip(*handed))
+    del handed
 
-    # round 1: the stars of 2..cap vertices, whose prefix is all their children, labelled by child count
-    # kids is added in place, cast in buffered chunks whatever its integer dtype: no temporary
-    np.add(labels, kids, out=labels, dtype=np.int32, casting="unsafe")  # -2 where the prefix is all the children
-    fresh = np.flatnonzero(labels == -2).astype(np.int32)
-    np.subtract(labels, kids, out=labels, dtype=np.int32, casting="unsafe")
-    fresh = fresh[kids[fresh] < cap]
-    width = kids[fresh]
-    present = np.bincount(width, minlength=cap) > 0
-    labels[fresh] = np.cumsum(present, dtype=np.int32)[width]  # k's rank among the star widths met
-    for k in np.flatnonzero(present).tolist():
-        codes.append(code_from_children([SINGLETON] * k))
-        sizes.append(1 + k)
-
-    # prefix cap + i holds the child labels rows[i]; trie maps prefix*(n+1) + label to the
-    # prefix one label longer, or to -1 once its children hold cap vertices or more
+    # prefix cap + i holds the child labels rows[i]; in round r, trie maps a step's key
+    # (prefix + 1) * radix + label, radix = len(codes) at the round's start, to the prefix one label
+    # longer, or to -1 once its children hold cap vertices or more
     rows: list[tuple] = []
     trie: dict[int, int] = {}
 
     def step(key: int) -> int:
-        if key not in trie:
-            p, label = divmod(key, n + 1)  # p = -1: a vertex already over the cap
-            row = (rows[p - cap] if p >= cap else (0,) * p) + (label,)
-            fits = p >= 0 and sum(sizes[c] for c in row) < cap
-            trie[key] = cap + len(rows) if fits else -1
-            if fits:
-                rows.append(row)
+        p, label = divmod(key, radix)
+        p -= 1  # -1: a vertex already over the cap
+        row = (rows[p - cap] if p >= cap else (0,) * p) + (label,)
+        fits = p >= 0 and sum(sizes[c] for c in row) < cap
+        trie[key] = cap + len(rows) if fits else -1
+        if fits:
+            rows.append(row)
         return trie[key]
 
     for r in range(2, cap):
-        fresh = fresh[fresh > 1]
-        up = par[fresh]
-        keep = kids[up] <= cap - r  # a parent with more children outgrows the cap
-        fresh, up = fresh[keep], up[keep]
         if not fresh.size:
             break
         # hand the fresh labels to the parents, sorted by (parent, label)
@@ -326,31 +359,52 @@ def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
         count = np.diff(first, append=np.int32(label.size))
         # extend each owner's prefix by its fresh labels, in ascending order, one trie step at a time
         prefix = -2 - labels[owners]
+        radix = len(codes)
+        trie.clear()  # keys of earlier rounds read with another radix
         for j in range(int(count.max())):
             going = np.flatnonzero(count > j)
             key = prefix[going].astype(np.int64)
-            key *= n + 1
+            key += 1
+            key *= radix
             key += label[first[going] + j]
-            distinct = np.unique(key)
-            longer = np.array([step(k) for k in distinct.tolist()], dtype=np.int32)
-            prefix[going] = longer[np.searchsorted(distinct, key)]
+            distinct, at = _intern(key)
+            longer = [trie[k] if k in trie else step(k) for k in distinct.tolist()]  # no call for a known key
+            prefix[going] = np.array(longer, dtype=np.int32)[at]
         del label, first, count
         labels[owners] = -2 - prefix
         # an owner whose prefix holds all its children is labelled: by row width, then row
-        met, at = np.unique(prefix, return_inverse=True)
-        length = np.array([len(rows[p - cap]) if p >= 0 else -1 for p in met.tolist()])
-        ready = length[at] == kids[owners]
-        fresh, at = owners[ready], at[ready]
-        order = sorted(np.unique(at).tolist(), key=lambda i: (length[i], rows[met[i] - cap]))
+        ids, at = _intern(prefix + 1)
+        met = [rows[p - 1 - cap] if p > cap else () for p in ids.tolist()]  # prefix -1: over the cap
+        ready = np.array([len(row) for row in met])[at] == kids[owners]
+        fresh, at = np.compress(ready, owners), np.compress(ready, at)
+        order = np.flatnonzero(np.bincount(at, minlength=len(met))).tolist()
+        order.sort(key=lambda i: (len(met[i]), met[i]))
         rank = np.zeros(len(met), dtype=np.int32)
         rank[order] = len(codes) + np.arange(len(order), dtype=np.int32)
         labels[fresh] = rank[at]
         for i in order:
-            row = rows[met[i] - cap]
-            codes.append(code_from_children(codes[c] for c in row))
-            sizes.append(1 + sum(sizes[c] for c in row))
+            codes.append(code_from_children(codes[c] for c in met[i]))
+            sizes.append(1 + sum(sizes[c] for c in met[i]))
+        fresh, up = hand(fresh, r + 1)
     np.maximum(labels, -1, out=labels)
     return labels, tuple(codes)
+
+
+def _intern(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a non-negative integer ``key``, ascending, and each entry's index among them.
+
+    A key whose range is at most twice its length is marked in a table over
+    that range, numbered by a running count (1 B, then 4 B per slot); a
+    wider one, whose table would outgrow the key, is sorted by ``np.unique``.
+    """
+    span = int(key.max()) + 1
+    if span > 2 * len(key):
+        return np.unique(key, return_inverse=True)
+    seen = np.zeros(span, dtype=bool)
+    seen[key] = True
+    index = np.cumsum(seen, dtype=np.int32)
+    index -= 1
+    return np.flatnonzero(seen), index[key]
 
 
 @lru_cache(maxsize=None)
