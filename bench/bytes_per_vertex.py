@@ -1,11 +1,12 @@
 """Time and weigh one ``grid-invpow2`` replicate (degree + fringe), stage by stage.
 
     python3 bench/bytes_per_vertex.py --tree parent=OLD/src --tree change=src \
-        > BENCH_census.json
+        > BENCH_spelled_counts.json
 
-(``BENCH_bytes_per_vertex.json``, ``BENCH_census.json`` and
-``BENCH_census_memory.json`` each hold one such document, for the change
-each one measured.)
+(``BENCH_bytes_per_vertex.json``, ``BENCH_census.json``,
+``BENCH_census_memory.json``, ``BENCH_census_blocks.json`` and
+``BENCH_spelled_counts.json`` each hold one such document, for the change
+each one measured; the ``write`` stage is in the last one only.)
 
 Each tree is measured through ``driver.py`` beside this script: fresh
 processes, the trees taking turns, medians with their quartiles.  One
@@ -21,15 +22,21 @@ time:
 * ``censuses``: ``FringeCensus.from_labels``, then the pair counts,
   ``theory.extended_fringe_law`` of its counts at depth 1 (the harness
   applies this map to the pooled counts of a plan; for one replicate that
-  is the same work).
+  is the same work);
+* ``write``: ``harness._write_outputs`` inside ``harness.run`` of the
+  one-replicate plan of this config with an output directory (the plan
+  grows its replicate from its own seed, so this tree is not the stages'
+  one); the SHA-256 over the artifact files (``artifact_sha256``) shows
+  that they are the same across source trees.
 
 The child program needs a ``delaytree`` with ``TreeTrace.child_counts``
 and an ``extended_fringe_law`` that takes a mapping of masses; older
 trees need the script of their own time.
 
 A timed run records each stage's ``time.perf_counter`` seconds and the
-process's peak RSS (``ru_maxrss``) after imports, after ``grow`` and at the
-end, in MB and in bytes per vertex.  A traced run repeats the stages under
+process's peak RSS (``ru_maxrss``) after imports, after ``grow`` and after
+the censuses (``peak``, before the plan that writes), in MB and in bytes
+per vertex.  A traced run repeats the stages under
 ``tracemalloc``, started afresh for each stage, and records each stage's
 peak allocation in bytes per vertex: memory the stage allocated itself,
 not the tree it was handed.  Both report the SHA-256 of ``parents`` (as
@@ -37,8 +44,9 @@ little-endian int64) and of the census counts, so the trees and censuses
 can be compared across source trees.
 
 Every size in ``SIZES`` is timed ``RUNS`` times per source tree, and the
-median of each number is recorded, with every run's replicate time
-(``replicate_s_runs``); ``TRACED`` sizes get one traced run per tree.
+median of each number is recorded, with every run's replicate time, the
+sum of its stage times (``replicate_s_runs``); ``TRACED`` sizes get one
+traced run per tree.
 """
 
 from __future__ import annotations
@@ -51,8 +59,9 @@ import driver  # noqa: E402
 
 # after driver.PRELUDE; arguments: n, seed, "timed" or "traced"
 CHILD = r"""
-import resource, time, tracemalloc
+import resource, tempfile, time, tracemalloc
 from delaytree import estimators as est
+from delaytree import harness
 from delaytree import theory
 from delaytree.canonical import shape_labels
 from delaytree.growth import grow
@@ -96,6 +105,13 @@ counts = [hist.counts.tolist(), sorted(fringe.counts.items()), fringe.truncated,
           sorted(pairs.items()), n - 1 - sum(pairs.values())]
 out["parents_sha256"] = parents_sha256(trace)
 out["census_sha256"] = hashlib.sha256(json.dumps(counts).encode()).hexdigest()
+del trace, kids, hist, labels, codes, fringe, pairs
+
+write_outputs = harness._write_outputs
+harness._write_outputs = lambda *args: stage("write", lambda: write_outputs(*args))
+with tempfile.TemporaryDirectory() as outdir:
+    harness.run(harness.ExperimentPlan(config=config, statistics=("degree", "fringe"), outdir=outdir))
+    out["artifact_sha256"] = artifact_sha256(outdir)
 print(json.dumps(out))
 """
 
@@ -103,7 +119,7 @@ SIZES = (1_000_000, 10_000_000)
 TRACED = (1_000_000,)
 RUNS = 5  # median of five per size and tree: one run's replicate time spreads by about 20% on a 2-core host
 SEED = 1
-STAGES = ("grow", "degree", "labels", "censuses")
+STAGES = ("grow", "degree", "labels", "censuses", "write")
 
 
 def summary(got: list) -> dict:
@@ -133,7 +149,7 @@ def main(argv=None) -> int:
     traced = {str(n): measured(trees, n, "traced", 1) for n in TRACED}
     identical = {
         size: all(len({h for row in rows.values() for h in row[key]}) == 1
-                  for key in ("parents_sha256", "census_sha256"))
+                  for key in ("parents_sha256", "census_sha256", "artifact_sha256"))
         for size, rows in {**timed, **traced}.items()
     }
     return driver.write(

@@ -31,7 +31,7 @@ ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "
 
 # runs before every CHILD: SRC (argv[1]) goes first on sys.path, leaving argv[1:] to the child's own arguments
 PRELUDE = r"""
-import hashlib, json, sys
+import hashlib, json, os, sys
 sys.path.insert(0, sys.argv.pop(1))
 from delaytree.cli import PRESETS
 from delaytree.configio import build_config, parse_config_text
@@ -43,6 +43,13 @@ def preset_config(name, entries):
 
 def parents_sha256(trace):
     return hashlib.sha256(trace.parents.astype("<i8").tobytes()).hexdigest()
+
+def artifact_sha256(outdir):
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, name), "rb") as fh:
+            digest.update(name.encode() + b"\0" + fh.read())
+    return digest.hexdigest()
 """
 
 

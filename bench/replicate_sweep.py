@@ -46,7 +46,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # after driver.PRELUDE; arguments: the repository holding perfbench, job width or "default", seed
 CHILD = r"""
-import os, resource, tempfile, time
+import resource, tempfile, time
 sys.path.insert(1, sys.argv[1])
 from delaytree import growth, harness
 from perfbench import workloads
@@ -78,10 +78,7 @@ with tempfile.TemporaryDirectory() as root:
     wall = time.perf_counter() - t0
     plan_faults = minflt() - f0
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    digest = hashlib.sha256()
-    for name in sorted(os.listdir(step.outdir)):
-        with open(os.path.join(step.outdir, name), "rb") as fh:
-            digest.update(name.encode() + b"\0" + fh.read())
+    digest = artifact_sha256(step.outdir)
 
 config = preset_config("grid-invpow2", {"n_final": "1000000", "seed": sys.argv[3]})
 t0 = time.perf_counter()
@@ -99,7 +96,7 @@ print(json.dumps({
     "minflt_plan": plan_faults,
     "minflt_grow": faults["grow"],
     "peak_rss_mb": rss,
-    "artifact_sha256": digest.hexdigest(),
+    "artifact_sha256": digest,
     "single_grow_s": single,
     "single_parents_sha256": parents_sha256(trace),
 }))

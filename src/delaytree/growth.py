@@ -249,48 +249,57 @@ def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, pi
     route reads e = -1, odd, naming k = 1).
 
     An odd e names vertex k = e//2 + 2; an even e copies the parent of
-    that k <= m.  Copies of a parent below ``base`` read their row of
-    ``parents``; the rest copy an earlier arrival of the same row, and
-    pointer jumping over the whole block walks each chain down to a direct
-    answer in O(log chain) rounds.
+    that k <= m.  Copies of a parent below ``base`` are answered by one
+    ``take`` from the rows of ``parents`` laid end to end; the rest copy an
+    earlier arrival of the same row, each linked to that arrival's place in
+    the block, and pointer jumping over the whole block walks each chain
+    down to a direct answer in O(log chain) rounds.  The arithmetic runs in
+    place on two int64 arrays, the second of which becomes the answer.
     """
     if branch is None and alpha > 0.0:
         return np.minimum((picks * ms).astype(np.int64), ms - 1) + 1
-    top = 2 * (ms.astype(np.int64) - 1)  # passes 2**31 in int32 from m = 2**30 + 1 on
-    e = np.minimum((picks * top).astype(np.int64), top - 1)
-    out = (e >> 1) + 2
-    copy = (e & 1) == 0
-    flat, width = out.reshape(-1), ms.shape[-1]
+    top = ms.astype(np.int64)
+    top -= 1
+    top <<= 1  # 2(m-1), which passes 2**31 in int32 from m = 2**30 + 1 on
     if branch is not None:  # the vertex route, taken only where the branch sends a draw
         to_vertex = branch * (slope * top + ms * alpha) < ms * alpha
+    e = (picks * top).astype(np.int64)
+    top -= 1
+    np.minimum(e, top, out=e)
+    copy = np.bitwise_and(e, 1, out=top) == 0
+    out = np.right_shift(e, 1, out=e)  # k = e//2 + 2, in place; copies are overwritten below
+    out += 2
+    flat, width = out.reshape(-1), ms.shape[-1]
+    if branch is not None:
         copy &= ~to_vertex
         to_vertex = np.flatnonzero(to_vertex)
         m = ms.reshape(-1)[to_vertex]
         flat[to_vertex] = np.minimum((picks.reshape(-1)[to_vertex] * m).astype(np.int64), m - 1) + 1
     copy = np.flatnonzero(copy)
-    src = flat[copy]
-    if base >= parents.shape[-1]:  # every parent is final: one gather answers every copy
+    src = flat.take(copy)
+    rows, stride = parents.reshape(-1), parents.shape[-1]  # the rows of parents, end to end
+    if base >= stride:  # every parent is final: one gather answers every copy
         if parents.ndim > 1:
-            src += copy // width * parents.shape[-1]
-        flat[copy] = parents.reshape(-1)[src]
+            src += copy // width * stride
+        flat[copy] = rows.take(src)
         return out
-    row = copy // width
     early = src < base
-    flat[copy[early]] = parents.reshape(-1, parents.shape[-1])[row[early], src[early]]
+    hit = copy[early]
+    flat[hit] = rows.take(src[early] + hit // width * stride)
     # within the block: link each copy to the arrival it copies, then jump;
     # a chain leaves the jumping once it reaches a direct answer (a self-link)
     late = ~early
     copy, link = copy[late], np.arange(len(flat))
-    link[copy] = hops = row[late] * width + (src[late] - base)
+    link[copy] = hops = src[late] + copy - copy % width - base
     pending = copy
     while True:
-        nxt = link[hops]
+        nxt = link.take(hops)
         moving = (nxt != hops).nonzero()[0]
         if not moving.size:
             break
-        pending, hops = pending[moving], nxt[moving]
+        pending, hops = pending.take(moving), nxt.take(moving)
         link[pending] = hops
-    flat[copy] = flat[link[copy]]
+    flat[copy] = flat.take(link.take(copy))
     return out
 
 

@@ -241,3 +241,48 @@ def test_no_piece_or_write_holds_more_than_a_chunk(k):
     assert header == "i,x,y\n"
     assert "".join(rows) == _ref_csv(zip(range(50), long, np.arange(50) % 4), "i,x,y")[len(header) :]
     assert max(text.count("\n") for text in rows) == k
+
+
+# ---------------------------------------------------------------------------
+# the table of spellings
+# ---------------------------------------------------------------------------
+
+
+def _degree_table():
+    """2**17 counts, most of them 0, with at most 100 distinct values: few against the entries, so searched."""
+    rng = np.random.default_rng(3)
+    counts = np.zeros(1 << 17, dtype=np.int64)
+    counts[rng.integers(0, len(counts), 2000)] = rng.integers(1, 100, 2000)
+    counts[:99] = np.arange(99)  # every value met at least once
+    return counts
+
+
+def _spread_floats():
+    """2**12 floats, nearly all distinct, with the specials: many against the entries, so sorted."""
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal(1 << 12) * 10.0 ** rng.integers(-300, 300, 1 << 12)
+    specials = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324]
+    values[rng.choice(len(values), 64, replace=False)] = np.resize(specials, 64)
+    return values.reshape(64, 64)
+
+
+@pytest.mark.parametrize(
+    "arr, searched",
+    [
+        (_degree_table(), True),
+        (_spread_floats(), False),
+        (np.zeros(0, dtype=np.int64), True),
+        (np.zeros((3, 0)), True),
+        (np.zeros((0, 2), dtype=np.uint64), True),
+    ],
+    ids=["degree-table", "spread-floats", "empty-1d", "empty-2d", "empty-rows"],
+)
+def test_spellings_spell_each_entry_as_repr_does(arr, searched):
+    table, index = harness._spellings(arr, harness._JSON_NAMES)
+    assert (len(table) * harness._SEARCHED <= arr.size) == searched  # the path this case takes
+    assert index.shape == arr.shape
+    assert index.dtype == np.min_scalar_type(len(table)) and index.dtype.kind == "u"
+    want = [harness._JSON_NAMES.get(s, s) for s in map(repr, arr.reshape(-1).tolist())]
+    assert table[index.reshape(-1)].tolist() == want
+    bits = arr.view(f"i{arr.itemsize}") if arr.dtype.kind == "f" else arr
+    assert len(table) == len(np.unique(bits))  # each distinct number, told apart by its bits, spelled once

@@ -426,6 +426,7 @@ def test_labelling_and_censuses_stay_under_13_bytes_per_vertex():
     # n = 2e5 outweigh round 2's sort key and owner arrays (12.2 B measured)
     parents = _grown_parents("grid-invpow2", 200_000)
     trace = trace_from_parents(parents)
+    gc.collect()  # empties the interpreter's free lists, so the reading does not depend on the tests before it
     tracemalloc.start()
     try:
         labels, shapes = shape_labels(parents, trace.child_counts(), 6)
@@ -502,7 +503,7 @@ def test_harness_frees_the_snapshots_before_the_census(monkeypatch, tmp_path, re
     assert freed == [True] * replicates
 
 
-def test_bytes_per_vertex_bench_measures_this_tree():
+def test_bytes_per_vertex_bench_measures_this_tree(tmp_path):
     # the bench script's measurement child at n = 2000, so an API change cannot break it unseen
     root = Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location("bytes_per_vertex", root / "bench" / "bytes_per_vertex.py")
@@ -520,6 +521,13 @@ def test_bytes_per_vertex_bench_measures_this_tree():
     got = bench.driver.measure(bench.CHILD, str(root / "src"), 2000, bench.SEED, "traced")
     stages = [f"{stage}{unit}" for stage in bench.STAGES for unit in ("_s", "_traced_b_per_vertex")]
     rss = [f"{at}_rss_{unit}" for at in ("import", "grow", "peak") for unit in ("mb", "b_per_vertex")]
-    assert sorted(got) == sorted(stages + rss + ["parents_sha256", "census_sha256"])
+    assert sorted(got) == sorted(stages + rss + ["parents_sha256", "census_sha256", "artifact_sha256"])
     assert got["parents_sha256"] == hashlib.sha256(trace.parents.astype("<i8").tobytes()).hexdigest()
     assert got["census_sha256"] == hashlib.sha256(json.dumps(counts).encode()).hexdigest()
+    # the write stage's artifacts are those of the one-replicate plan of the same config
+    harness.run(ExperimentPlan(config=config, statistics=("degree", "fringe"), outdir=str(tmp_path)))
+    digest = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    assert got["artifact_sha256"] == digest.hexdigest()
+    assert got["write_s"] > 0
