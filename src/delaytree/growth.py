@@ -29,7 +29,10 @@ exact law :func:`attachment_distribution`.
   pointer jumping.  A tile draws its uniforms when it starts, each row
   from its own stream at the row's offset, so draws and temporaries are
   O(block) and only the int32 trees are batch-sized; the draws and the
-  resulting trees equal those of one draw per arrival.
+  resulting trees equal those of one draw per arrival.  The endpoint
+  arithmetic runs in int32 when the parents it reads, a tree or a band of
+  rows, hold at most 2**30 + 1 entries, so that 2(m-1) and every index
+  fit in it, and in int64 for larger ones.
 * ``rejection`` -- thinning (Lewis & Shedler, Naval Res. Logist. Q. 26,
   1979) of the same endpoint proposal taken at the kernel's affine
   envelope f(d) <= a*d + b (``linear_bound``): propose v with probability
@@ -209,13 +212,13 @@ class _DegreeView:
 
     def degrees(self, vs, ms) -> np.ndarray:
         """Weight degrees of vertices ``vs`` in snapshots ``ms``; every ``v <= m``, its children by m all in."""
-        d = self.count[vs]
-        late = (self.last[vs] > ms).nonzero()[0]
+        d = self.count.take(vs)  # take: fancy indexing by an int32 vs would cast it first, and slowly
+        late = (self.last.take(vs) > ms).nonzero()[0]
         if late.size:
             old = ms[late] < self.frozen
             hit = late[old]
             if hit.size:
-                lo = vs[hit] * self.frozen
+                lo = vs[hit].astype(np.int64) * self.frozen
                 d[hit] = np.searchsorted(self.key, lo + ms[hit], "right") - np.searchsorted(self.key, lo)
             walk = late[~old]
             born, mw = self.last[vs[walk]], ms[walk]
@@ -233,13 +236,19 @@ class _DegreeView:
 # ---------------------------------------------------------------------------
 
 
+# the most entries of parents for int32 endpoint arithmetic: a tree of up to 2**30
+# vertices, whose 2(m-1) is at most 2**31 - 2
+_INT32_SIZE = (1 << 30) + 1
+
+
 def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, picks) -> np.ndarray:
     """Endpoint-list draws for f(k) = slope*k + alpha, one per arrival.
 
     ``ms``, ``branch`` and ``picks`` are a row of arrivals or a block of
     rows, row i being arrivals base, base+1, ... of the tree in row i of
     ``parents`` (a parent array or a stack of them); each draws from its
-    snapshot ms[i, j], and parents below ``base`` must be final.
+    snapshot ms[i, j], at most the tree's last vertex, and parents below
+    ``base`` must be final.
     Psi(m) = slope*2(m-1) + alpha*m.  The uniform ``branch`` sends a draw to
     a uniform vertex of [1..m] with probability alpha*m/Psi(m), else to a
     uniform endpoint e among the first 2(m-1); the uniform ``pick`` selects
@@ -254,16 +263,19 @@ def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, pi
     earlier arrival of the same row, each linked to that arrival's place in
     the block, and pointer jumping over the whole block walks each chain
     down to a direct answer in O(log chain) rounds.  The arithmetic runs in
-    place on two int64 arrays, the second of which becomes the answer.
+    place on two arrays, the second of which becomes the answer, in int32
+    when ``parents`` holds at most _INT32_SIZE entries (then every 2(m-1)
+    and every place in the rows end to end fits in it) and in int64 above.
     """
+    ints = np.int32 if parents.size <= _INT32_SIZE else np.int64
     if branch is None and alpha > 0.0:
-        return np.minimum((picks * ms).astype(np.int64), ms - 1) + 1
-    top = ms.astype(np.int64)
+        return np.minimum((picks * ms).astype(ints), ms - 1) + 1
+    top = ms.astype(ints)
     top -= 1
-    top <<= 1  # 2(m-1), which passes 2**31 in int32 from m = 2**30 + 1 on
+    top <<= 1  # 2(m-1)
     if branch is not None:  # the vertex route, taken only where the branch sends a draw
         to_vertex = branch * (slope * top + ms * alpha) < ms * alpha
-    e = (picks * top).astype(np.int64)
+    e = (picks * top).astype(ints)
     top -= 1
     np.minimum(e, top, out=e)
     copy = np.bitwise_and(e, 1, out=top) == 0
@@ -274,7 +286,7 @@ def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, pi
         copy &= ~to_vertex
         to_vertex = np.flatnonzero(to_vertex)
         m = ms.reshape(-1)[to_vertex]
-        flat[to_vertex] = np.minimum((picks.reshape(-1)[to_vertex] * m).astype(np.int64), m - 1) + 1
+        flat[to_vertex] = np.minimum((picks.reshape(-1)[to_vertex] * m).astype(ints), m - 1) + 1
     copy = np.flatnonzero(copy)
     src = flat.take(copy)
     rows, stride = parents.reshape(-1), parents.shape[-1]  # the rows of parents, end to end
@@ -290,7 +302,7 @@ def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, pi
     # a chain leaves the jumping once it reaches a direct answer (a self-link)
     late = ~early
     copy, link = copy[late], np.arange(len(flat))
-    link[copy] = hops = src[late] + copy - copy % width - base
+    link[copy] = hops = src[late] + copy // width * width - base
     pending = copy
     while True:
         nxt = link.take(hops)
@@ -389,7 +401,7 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
         """Accept flags of proposals ``vs`` from snapshots ``m``: degrees off the view plus the guessed children."""
         d = view.degrees(vs, m)
         if keys is not None:  # searched in sorted order, which saves most of a search's cache misses
-            lo = vs << bits
+            lo = vs.astype(np.int64) << bits
             hi = lo + np.maximum(m - base, -1)
             order = hi.argsort()
             d[order] += np.searchsorted(keys, hi[order], "right") - np.searchsorted(keys, lo[order])

@@ -433,14 +433,15 @@ def _json_list(table: np.ndarray, index: np.ndarray, pad: str):
     yield f"\n{pad}]"
 
 
-def _json_pieces(obj, pad: str = ""):
+def _json_pieces(obj, pad: str = "", spelled=None):
     """Text of ``json.dumps(obj, sort_keys=True, indent=2)``, in pieces.
 
     Dict keys are spelled by ``_json_key``, NumPy arrays become lists and
     NumPy scalars Python numbers.  An int or float array is spelled from
     its table of distinct numbers (:func:`_spellings`), with NaN and the
     infinities named as ``json`` names them; every other scalar is spelled
-    by ``json.dumps``.
+    by ``json.dumps``.  ``spelled`` maps the ``id`` of an array that is
+    spelled already, by ``repr`` alone, to its ``(table, index)`` pair.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -450,12 +451,17 @@ def _json_pieces(obj, pad: str = ""):
         lead = "{\n"
         for key, value in sorted({_json_key(k): v for k, v in obj.items()}.items()):
             yield f"{lead}{inner}{json.dumps(key)}: "
-            yield from _json_pieces(value, inner)
+            yield from _json_pieces(value, inner, spelled)
             lead = ",\n"
         yield f"\n{pad}}}"
         return
     if _is_numbers(obj) and obj.ndim:
-        yield from _json_list(*_spellings(obj, _JSON_NAMES), pad)
+        if spelled and id(obj) in spelled:
+            table, index = spelled[id(obj)]
+            table = np.array([_JSON_NAMES.get(s, s) for s in table.tolist()], dtype=object)
+        else:
+            table, index = _spellings(obj, _JSON_NAMES)
+        yield from _json_list(table, index, pad)
         return
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
@@ -469,7 +475,7 @@ def _json_pieces(obj, pad: str = ""):
         for i, value in enumerate(obj):
             if i:
                 yield sep
-            yield from _json_pieces(value, inner)
+            yield from _json_pieces(value, inner, spelled)
         yield f"\n{pad}]"
         return
     if isinstance(obj, np.integer):
@@ -506,8 +512,13 @@ def _write_outputs(plan: ExperimentPlan, payload: dict, stats: dict) -> None:
     os.makedirs(outdir, exist_ok=True)
     with _open(os.path.join(outdir, "config_echo.txt")) as fh:
         fh.write(render_config(plan.config, plan.replicates))
+    # summary.json holds the root matrices that root.csv writes raveled: spell each once for both
+    root = stats.get("root", {})
+    spelled = {
+        key: _spellings(root[key], {}) for key in ("values", "over_ntheta", "over_ex") if root.get(key) is not None
+    }
     with _open(os.path.join(outdir, "summary.json")) as fh:
-        fh.writelines(_json_pieces(payload))
+        fh.writelines(_json_pieces(payload, spelled={id(root[key]): pair for key, pair in spelled.items()}))
         fh.write("\n")
     n = plan.config.n_final
     if "degree" in stats:
@@ -533,27 +544,22 @@ def _write_outputs(plan: ExperimentPlan, payload: dict, stats: dict) -> None:
             [float(f["theory"].get(code, 0.0)) for code in codes],
         )
     if "root" in stats:
-        r = stats["root"]
-        reps, width = r["values"].shape
+        reps, width = root["values"].shape
         # replicate, n_j and a missing M_over_EXn repeat a few distinct values:
         # spell those once and expand only their narrow indexes
         table, index = _spellings(np.arange(reps), {})
         replicate = (table, np.repeat(index, width))
-        table, index = _spellings(np.asarray(r["ns"]), {})
+        table, index = _spellings(np.asarray(root["ns"]), {})
         n_j = (table, np.tile(index, reps))
-        if r["over_ex"] is not None:
-            over_ex = r["over_ex"].ravel()
-        else:
+        if "over_ex" not in spelled:
             table, index = _spellings(np.array([np.nan]), {})
-            over_ex = (table, np.broadcast_to(index, reps * width))
+            spelled["over_ex"] = (table, np.broadcast_to(index, reps * width))
         _write_csv(
             os.path.join(outdir, "root.csv"),
             "replicate,n_j,M,M_over_ntheta,M_over_EXn",
             replicate,
             n_j,
-            r["values"].ravel(),
-            r["over_ntheta"].ravel(),
-            over_ex,
+            *((table, index.reshape(-1)) for table, index in map(spelled.get, ("values", "over_ntheta", "over_ex"))),
         )
     if "clt" in stats:
         s = stats["clt"]["s_values"]

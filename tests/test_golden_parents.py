@@ -7,9 +7,10 @@ a change that keeps the law but not the draws needs an exactness argument
 and new digests (see ROADMAP, "Correctness and robustness").
 
 The edge configs use n > 2 * _EDGE_BLOCK + 3, so the tree spans at least
-three growth blocks and copy pointers cross block boundaries.  Both
-rejection configs draw their first arrivals one at a time and the rest in
-NumPy thinning blocks.
+three growth blocks and copy pointers cross block boundaries.  Every
+rejection config draws its first arrivals one at a time and the rest in
+NumPy thinning blocks; the largest passes 2**17 vertices, where the
+thinning's (vertex, birth) keys no longer fit in 32 bits.
 """
 
 import hashlib
@@ -92,4 +93,15 @@ def test_rejection_blocks_parents_are_golden():
     assert (_digest(tr.parents), tr.retries) == (
         "ea1dad7ecd80c537c9447e798ab124c2d27ff7264b3f38b18d69ac2183e0ee76",
         1316,
+    )
+
+
+def test_large_rejection_tree_parents_are_golden():
+    # the tabulated-growth benchmark's rejection config at n = 3e5: a vertex id shifted or multiplied
+    # into a key past 2**31 must be widened first, or the searches miscount degrees and the tree changes
+    kern = TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True)
+    tr = grow(GrowthConfig(kern, InversePowerDelay(1.0, beta=0.5), 300_000, seed=1))
+    assert (_digest(tr.parents), tr.retries) == (
+        "d0402e88c8dda6a43d050f55148405edaa92abb97484ac305eee1e5971990cd6",
+        18540,
     )

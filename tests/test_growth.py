@@ -285,6 +285,87 @@ def test_thinning_blocks_draw_the_model_law(monkeypatch, budget):
     assert res.pvalue > 1e-3, res
 
 
+def _snapshot_law(delay, k: int) -> np.ndarray:
+    """P(m_k = m) for m = 1..k-1: arrival k reads snapshot max(floor(t - t**beta * xi), 1), t = k - 1."""
+    t = k - 1
+    at_least = [1.0] + [1.0 - delay.survival((t - j) / t**delay.beta) for j in range(2, t + 1)] + [0.0]
+    return -np.diff(at_least)
+
+
+def _history_law(kernel, delay, n: int) -> dict:
+    """Mass of every history parents[3..n]: prod over k of sum_m P(m_k = m) * A(parents[k] | tree at m)."""
+    import itertools
+
+    snaps = {k: _snapshot_law(delay, k) for k in range(3, n + 1)}
+    law = {}
+    for history in itertools.product(*[range(1, k) for k in range(3, n + 1)]):
+        tr = trace_from_parents([0, 0, 1, *history])
+        mass = 1.0
+        for k, v in zip(range(3, n + 1), history):
+            mass *= sum(snaps[k][m - 1] * attachment_distribution(tr, m, kernel)[v - 1] for m in range(v, k))
+        law[history] = mass
+    return law
+
+
+@pytest.mark.parametrize("tiles", ("default", "split rows"))
+@pytest.mark.parametrize(
+    "delay", (Uniform01Delay(beta=0.5), InversePowerDelay(2.0, beta=0.5)), ids=("uniform01", "invpow2")
+)
+@pytest.mark.parametrize("alpha", (0.0, 1.3))
+def test_batched_edge_growth_draws_the_exact_law_of_whole_trees(monkeypatch, alpha, delay, tiles):
+    # whole trees at n = 7 against their exact law.  Default tiles hold thousands of rows; 3-arrival
+    # tiles split each row's five arrivals in two, so copies cross a tile and alpha = 1.3 reads its
+    # picks ahead of its branch uniforms.  Under either delay xi > 0, so an arrival never reads its
+    # predecessor: 120 of the 720 histories carry mass under uniform01 and 6 under invpow2
+    from scipy import stats
+
+    n, kernel = 7, AffineKernel(alpha)
+    law = _history_law(kernel, delay, n)
+    reps = 40_000
+    if tiles == "split rows":
+        monkeypatch.setattr(growth, "_EDGE_BLOCK", 3)
+        reps = 5000
+    grown = np.stack([tr.parents[3:] for tr in grow(GrowthConfig(kernel, delay, n), range(reps))])
+    histories, counts = np.unique(grown, axis=0, return_counts=True)
+    seen = dict(zip(map(tuple, histories.tolist()), counts.tolist()))
+    assert all(law[h] > 0 for h in seen), [h for h in seen if law[h] == 0]
+    support = [h for h in law if law[h] > 0]
+    observed = np.array([seen.get(h, 0) for h in support])
+    expected = reps * np.array([law[h] for h in support])
+    small = expected < 5  # pooled into one cell
+    if small.any():
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    res = stats.chisquare(observed, expected)
+    assert res.pvalue > 1e-3, res
+
+
+@pytest.mark.parametrize("ms_type", (np.int32, np.int64))
+@pytest.mark.parametrize("m", (2**30, 2**30 + 1), ids=("int32", "int64"))
+def test_endpoint_draws_are_exact_where_2m_passes_int32(m, ms_type):
+    # 2(m - 1) is 2**31 - 2 at m = 2**30 and 2**31 one vertex later.  Every draw here reads no parent:
+    # odd endpoints, vertex-route draws and the uniform kernel's direct route.  So the zero pages of the
+    # tree's parents are never touched, and nothing n-sized is made in memory
+    parents = np.zeros(m + 1, dtype=np.int32)
+    top = 2 * (m - 1)
+    ends = np.array([1, 3, top // 4 * 2 + 1, top - 3, top - 1], dtype=np.int64)  # odd endpoints
+    picks = np.append((ends + 0.5) / top, [1 - 2.0**-53, 0.0])
+    ms = np.full(len(picks), m, dtype=ms_type)
+    ms[-1] = 1  # e = -1 names the root
+    wide = ms.astype(np.int64)
+    e = np.minimum((picks * (2 * wide - 2)).astype(np.int64), 2 * wide - 3)
+    assert np.all(e & 1)
+    endpoint = e // 2 + 2
+    vertex = np.minimum((picks * wide).astype(np.int64), wide - 1) + 1
+    assert endpoint[-3] == m and vertex[-2] == m  # the last vertex is drawn
+    base = len(parents)
+    np.testing.assert_array_equal(growth._resolve_edge(parents, base, ms, 1.0, 0.0, None, picks), endpoint)
+    np.testing.assert_array_equal(growth._resolve_edge(parents, base, ms, 0.0, 1.0, None, picks), vertex)
+    for branch, want in ((np.zeros(len(picks)), vertex), (np.full(len(picks), 1 - 2.0**-53), endpoint)):
+        got = growth._resolve_edge(parents, base, ms, 1.0, 1.3, branch, picks)
+        np.testing.assert_array_equal(got, want)
+
+
 def test_tight_envelope_keeps_rejections_rare():
     # the tabulated-growth rejection plan: a loose envelope (1, 2) rejects about 2 proposals per arrival
     kern = TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True)
