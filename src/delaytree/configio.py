@@ -152,14 +152,12 @@ def delay_from_entries(entries: dict) -> DelayLaw:
         return ConstantDelay(c=_float(_get(entries, "delay.c", default="1"), "delay.c"), beta=beta)
     if kind == "uniform01":
         return Uniform01Delay(beta=beta)
-    if kind == "invpow":
-        return InversePowerDelay(p=_float(_get(entries, "delay.p", required=True), "delay.p"), beta=beta)
-    if kind == "pareto":
-        return ParetoDelay(
-            tail_index=_float(_get(entries, "delay.tail_index", required=True), "delay.tail_index"),
-            scale=_float(_get(entries, "delay.scale", default="1"), "delay.scale"),
-            beta=beta,
-        )
+    if kind in ("invpow", "pareto"):
+        scale = _float(_get(entries, "delay.scale", default="1"), "delay.scale")
+        if kind == "pareto":  # a spelling of invpow: its echo reads invpow
+            tail_index = _float(_get(entries, "delay.tail_index", required=True), "delay.tail_index")
+            return ParetoDelay(tail_index=tail_index, scale=scale, beta=beta)
+        return InversePowerDelay(p=_float(_get(entries, "delay.p", required=True), "delay.p"), beta=beta, scale=scale)
     if kind == "qtable":
         return QuantileTableDelay(
             us=_floats(_get(entries, "delay.us", required=True)),
@@ -217,9 +215,8 @@ def render_config(config: GrowthConfig, replicates: int = 1) -> str:
         lines.append(f"delay.c = {_num(d.c)}")
     elif d.kind == "invpow":
         lines.append(f"delay.p = {_num(d.p)}")
-    elif d.kind == "pareto":
-        lines.append(f"delay.tail_index = {_num(d.tail_index)}")
-        lines.append(f"delay.scale = {_num(d.scale)}")
+        if d.scale != 1.0:
+            lines.append(f"delay.scale = {_num(d.scale)}")
     elif d.kind == "qtable":
         lines.append("delay.us = " + ",".join(_num(u) for u in d.us))
         lines.append("delay.qs = " + ",".join(_num(q) for q in d.qs))

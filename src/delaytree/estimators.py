@@ -34,7 +34,7 @@ import numpy as np
 from .canonical import shape_labels, subtree_codes, tally, tally_rows  # noqa: F401
 from .errors import ArgumentError
 from .growth import TreeTrace
-from .kernels import DelayLaw, check_count
+from .kernels import DelayLaw, check_count, snapshot_slabs
 from .theory import extended_fringe_law
 
 __all__ = [
@@ -280,15 +280,15 @@ _SCAN_BLOCK = 1 << 20  # slabs summed at once: every size up to 1e6 is one block
 def _e_n_exact(delay: DelayLaw, n: int) -> float:
     """E[n^beta xi / floor(n - n^beta xi); floor >= 1], by slab decomposition.
 
-    The floor equals j on the xi-interval (a, b] below, for j = n-1 down to 1.
-    The slabs are summed _SCAN_BLOCK at a time, so memory stays bounded in n.
+    The floor equals j on the xi-slab (a, b] of ``snapshot_slabs``, for j = 1
+    to n-1.  The slabs are summed _SCAN_BLOCK at a time, so memory stays
+    bounded in n.
     """
     nb = float(n) ** delay.beta
     total = 0.0
     for lo in range(1, n, _SCAN_BLOCK):
         j = np.arange(lo, min(lo + _SCAN_BLOCK, n), dtype=np.float64)
-        b = (n - j) / nb  # inclusive right edge
-        a = (n - j - 1.0) / nb
+        a, b = snapshot_slabs(n, j, delay.beta)
         total += np.sum(delay.partial_mean(a, b) / j)
     return float(nb * total)
 

@@ -46,6 +46,7 @@ __all__ = [
     "GrowthConfig",
     "check_count",
     "check_seed",
+    "snapshot_slabs",
     "snapshot_times",
 ]
 
@@ -280,6 +281,15 @@ def snapshot_times(ns: np.ndarray, delays: np.ndarray, beta: float, out=None) ->
     return out
 
 
+def snapshot_slabs(t: int, js: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The delay slabs (a, b] on which floor(t - t**beta * xi) = j, for each j of the float array ``js``.
+
+    a = (t - j - 1) / t**beta and b = (t - j) / t**beta, with t**beta a scalar power.
+    """
+    tb = float(t) ** beta
+    return (t - js - 1.0) / tb, (t - js) / tb
+
+
 # ---------------------------------------------------------------------------
 # Delay laws
 # ---------------------------------------------------------------------------
@@ -302,8 +312,8 @@ class DelayLaw:
         raise NotImplementedError
 
     # --- distribution ---------------------------------------------------
-    def survival(self, x: float) -> float:
-        """P(xi > x)."""
+    def survival(self, x: np.ndarray) -> np.ndarray:
+        """P(xi > x), elementwise over an array (a scalar x gives a 0-d result)."""
         raise NotImplementedError
 
     def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -365,8 +375,8 @@ class ZeroDelay(DelayLaw):
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.zeros(size)
 
-    def survival(self, x: float) -> float:
-        return 1.0 if x < 0.0 else 0.0
+    def survival(self, x: np.ndarray) -> np.ndarray:
+        return np.where(np.asarray(x) < 0.0, 1.0, 0.0)
 
     def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.zeros(np.broadcast(a, b).shape)
@@ -394,8 +404,8 @@ class ConstantDelay(DelayLaw):
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.c)
 
-    def survival(self, x: float) -> float:
-        return 1.0 if x < self.c else 0.0
+    def survival(self, x: np.ndarray) -> np.ndarray:
+        return np.where(np.asarray(x) < self.c, 1.0, 0.0)
 
     def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=np.float64)
@@ -422,10 +432,8 @@ class Uniform01Delay(DelayLaw):
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.random(size)
 
-    def survival(self, x: float) -> float:
-        if x < 0.0:
-            return 1.0
-        return max(0.0, 1.0 - x)
+    def survival(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(1.0 - np.asarray(x, dtype=np.float64), 0.0, 1.0)
 
     def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         lo = np.clip(np.asarray(a, dtype=np.float64), 0.0, 1.0)
@@ -447,93 +455,64 @@ class Uniform01Delay(DelayLaw):
 
 @dataclass(frozen=True)
 class InversePowerDelay(DelayLaw):
-    """xi = U**(-p) for U ~ Uniform(0,1): Pareto-type tail with index 1/p.
+    """xi = scale * U**(-p) for U ~ Uniform(0,1): the Pareto law P(xi > x) = (x/scale)**(-1/p), x >= scale.
 
-    The rescaled horizon X = U**(-p/(1-beta)) has tail index
+    Every formula is written in xi/scale, so the default scale 1 adds no
+    rounding.  The rescaled horizon X = xi**(1/(1-beta)) has tail index
     gamma = (1-beta)/p, which is what separates the light- and heavy-delay
     regimes for the root's degree.
     """
 
     p: float
     beta: float = 0.5
+    scale: float = 1.0
     kind: str = field(default="invpow", init=False)
 
     def __post_init__(self) -> None:
         self._check_beta()
-        if self.p <= 0.0 or not math.isfinite(self.p):
-            raise ArgumentError(f"inverse-power exponent must be > 0, got {self.p}")
+        if not 0.0 < self.p < math.inf:
+            raise ArgumentError(f"inverse-power exponent must be finite and > 0, got {self.p}")
+        if not 0.0 < self.scale < math.inf:
+            raise ArgumentError(f"inverse-power scale must be finite and > 0, got {self.scale}")
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # 1 - U lies in (0, 1], avoiding a zero base under the negative power
-        return (1.0 - rng.random(size)) ** (-self.p)
+        xs = (1.0 - rng.random(size)) ** (-self.p)
+        xs *= self.scale
+        return xs
 
-    def survival(self, x: float) -> float:
-        if x <= 1.0:
-            return 1.0
-        return x ** (-1.0 / self.p)
+    def survival(self, x: np.ndarray) -> np.ndarray:
+        r = np.asarray(x, dtype=np.float64) / self.scale
+        return np.where(r <= 1.0, 1.0, np.maximum(r, 1.0) ** (-1.0 / self.p))
 
     def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        lo = np.maximum(np.asarray(a, dtype=np.float64), 1.0)
-        hi = np.maximum(np.asarray(b, dtype=np.float64), 1.0)
+        lo = np.maximum(np.asarray(a, dtype=np.float64) / self.scale, 1.0)
+        hi = np.maximum(np.asarray(b, dtype=np.float64) / self.scale, 1.0)
         if abs(self.p - 1.0) < 1e-12:
-            return np.log(hi / lo)
+            return self.scale * np.log(hi / lo)
         expo = (self.p - 1.0) / self.p
-        return (hi**expo - lo**expo) / (self.p - 1.0)
+        return self.scale * (hi**expo - lo**expo) / (self.p - 1.0)
 
     def x_tail_index(self) -> float | None:
         return (1.0 - self.beta) / self.p
 
     def ex_x_truncated(self, n: float) -> float:
-        # P(X > x) = x**(-gamma) for x >= 1
-        gamma = self.x_tail_index()
-        if n <= 1.0:
-            return float(n)
-        if abs(gamma - 1.0) < 1e-12:
-            return 1.0 + math.log(n)
-        return 1.0 + (n ** (1.0 - gamma) - 1.0) / (1.0 - gamma)
-
-
-@dataclass(frozen=True)
-class ParetoDelay(DelayLaw):
-    """Pareto delay: P(xi > x) = (scale/x)**tail_index for x >= scale."""
-
-    tail_index: float
-    scale: float = 1.0
-    beta: float = 0.5
-    kind: str = field(default="pareto", init=False)
-
-    def __post_init__(self) -> None:
-        self._check_beta()
-        if not (0.0 < self.tail_index < math.inf and 0.0 < self.scale < math.inf):
-            raise ArgumentError("pareto delay needs finite tail_index > 0 and scale > 0")
-
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.scale * (1.0 - rng.random(size)) ** (-1.0 / self.tail_index)
-
-    def survival(self, x: float) -> float:
-        if x <= self.scale:
-            return 1.0
-        return (self.scale / x) ** self.tail_index
-
-    def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        g, s = self.tail_index, self.scale
-        lo = np.maximum(np.asarray(a, dtype=np.float64), s)
-        hi = np.maximum(np.asarray(b, dtype=np.float64), s)
-        if abs(g - 1.0) < 1e-12:
-            return s * np.log(hi / lo)
-        return g * s**g * (hi ** (1.0 - g) - lo ** (1.0 - g)) / (1.0 - g)
-
-    def x_tail_index(self) -> float | None:
-        return self.tail_index * (1.0 - self.beta)
-
-    def ex_x_truncated(self, n: float) -> float:
+        # X / x0 = (xi/scale)**(1/(1-beta)) has P(X/x0 > y) = y**(-gamma) for y >= 1
         gamma = self.x_tail_index()
         x0 = self.x_of_xi(self.scale)
-        if n <= x0:
+        y = n / x0
+        if y <= 1.0:
             return float(n)
         if abs(gamma - 1.0) < 1e-12:
-            return x0 + x0 * math.log(n / x0)
-        return x0 + x0**gamma * (n ** (1.0 - gamma) - x0 ** (1.0 - gamma)) / (1.0 - gamma)
+            return x0 * (1.0 + math.log(y))
+        return x0 * (1.0 + (y ** (1.0 - gamma) - 1.0) / (1.0 - gamma))
+
+
+def ParetoDelay(tail_index: float, scale: float = 1.0, beta: float = 0.5) -> InversePowerDelay:
+    """The Pareto law P(xi > x) = (scale/x)**tail_index, x >= scale: the inverse-power law with p = 1/tail_index."""
+    if not 0.0 < tail_index < math.inf:
+        raise ArgumentError(f"pareto delay needs a finite tail_index > 0, got {tail_index}")
+    return InversePowerDelay(p=1.0 / tail_index, beta=beta, scale=scale)
 
 
 @dataclass(frozen=True)
@@ -592,12 +571,10 @@ class QuantileTableDelay(DelayLaw):
         t = np.clip((x - qs[k]) / np.where(dq[k] > 0.0, dq[k], np.inf), 0.0, 1.0)
         return whole[k] + w[k] * t * (qs[k] + 0.5 * dq[k] * t)
 
-    def survival(self, x: float) -> float:
-        if x < self.qs[0]:
-            return 1.0
-        if x >= self.qs[-1]:
-            return 0.0
-        return 1.0 - float(np.interp(x, self.qs, self.us))
+    def survival(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        inside = 1.0 - np.interp(x, self.qs, self.us)
+        return np.where(x < self.qs[0], 1.0, np.where(x >= self.qs[-1], 0.0, inside))
 
     def bounded_support(self) -> float | None:
         return self.qs[-1]

@@ -8,8 +8,9 @@ root lam* with rho(lam*) = 1; the limiting degree law
 
 the fringe-subtree distribution over canonical rooted trees, computed two
 independent ways (exhaustive history enumeration, and a bottom-up
-leaf-attachment recursion) so each can police the other; and the scalar
-constants for the leaf CLT and the root-degree growth scales.
+leaf-attachment recursion) so each can police the other; the scalar
+constants for the leaf CLT and the root-degree growth scales; and the exact
+finite-n law of the snapshot an arrival reads.
 
 Tree weights follow the jump-chain convention: a vertex with c children
 weighs f(c + 1) -- that is the rate at which it acquires child c+1 -- so a
@@ -36,8 +37,8 @@ from .canonical import (
     positions,
     top_level_children,
 )
-from .errors import ArgumentError, AssumptionError
-from .kernels import AttachmentKernel, DelayLaw
+from .errors import ArgumentError, AssumptionError, check_count
+from .kernels import AttachmentKernel, DelayLaw, snapshot_slabs
 from . import canonical as _canonical
 
 __all__ = [
@@ -56,6 +57,7 @@ __all__ = [
     "CltConstants",
     "root_degree_constants",
     "RootDegreeConstants",
+    "snapshot_law",
 ]
 
 
@@ -460,3 +462,22 @@ def root_degree_constants(alpha: float, delay: DelayLaw) -> RootDegreeConstants:
         mean_x_finite=delay.x_power_moment_finite(1.0),
         delay=delay,
     )
+
+
+# ---------------------------------------------------------------------------
+# Snapshot law: the one way a delay reaches the tree
+# ---------------------------------------------------------------------------
+
+
+def snapshot_law(delay: DelayLaw, t: int) -> np.ndarray:
+    """P(m = j) for j = 1..t: the law of the snapshot m = max(floor(t - t**beta * xi), 1).
+
+    This is the snapshot that the arrival at time t + 1 reads.  Slab j of
+    the floor, xi in (a_j, b_j], has mass S(a_j) - S(b_j), S the delay's
+    survival; the clamp folds every floor below 1 into slab 1, of mass S(a_1).
+    """
+    t = check_count("t", t, 1)
+    a, b = snapshot_slabs(t, np.arange(1, t + 1, dtype=np.float64), delay.beta)
+    law = delay.survival(a)
+    law[1:] -= delay.survival(b[1:])
+    return law

@@ -1,5 +1,6 @@
 """Plain-text run configuration: parse, render, hash."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from delaytree.configio import (
     render_config,
 )
 from delaytree.errors import ArgumentError
+from delaytree.growth import grow
 from delaytree.kernels import (
     AffineKernel,
     ConstantDelay,
@@ -145,7 +147,7 @@ def delays(draw):
     if kind == "uniform01":
         return Uniform01Delay(beta=beta)
     if kind == "invpow":
-        return InversePowerDelay(p=draw(st.floats(0.01, 20.0)), beta=beta)
+        return InversePowerDelay(p=draw(st.floats(0.01, 20.0)), beta=beta, scale=draw(st.just(1.0) | POSITIVE))
     if kind == "pareto":
         return ParetoDelay(tail_index=draw(st.floats(0.01, 20.0)), scale=draw(POSITIVE), beta=beta)
     inner = draw(st.lists(st.floats(0.0, 1.0), max_size=5))
@@ -191,3 +193,20 @@ def test_load_config_from_file(tmp_path):
     p.write_text(BASIC)
     cfg, reps = build_config(parse_config_text(p.read_text()))
     assert cfg.n_final == 1000 and reps == 2
+
+
+def test_pareto_is_a_spelling_of_invpow():
+    # tail_index g and scale s name the law of s * U**(-1/g): the trees, the config and its echo are invpow's
+    base = "kernel.kind = affine\nbeta = 0.4\nn_final = 3000\nseed = 5\n"
+    pareto, _ = build_config(parse_config_text(base + "delay.kind = pareto\ndelay.tail_index = 1.5\ndelay.scale = 2\n"))
+    invpow, _ = build_config(parse_config_text(base + f"delay.kind = invpow\ndelay.p = {1 / 1.5!r}\ndelay.scale = 2\n"))
+    assert pareto == invpow == GrowthConfig(AffineKernel(0.0), InversePowerDelay(1 / 1.5, 0.4, scale=2.0), 3000, seed=5)
+    echo = render_config(pareto)
+    assert "delay.kind = invpow\n" in echo and "delay.scale = 2.0\n" in echo and "pareto" not in echo
+    refed, _ = build_config(parse_config_text(echo))
+    trees = [grow(config).parents for config in (pareto, invpow, refed)]
+    assert all(np.array_equal(trees[0], tree) for tree in trees[1:])
+    # scale 1 is the default, and is not spelled
+    assert "delay.scale" not in render_config(GrowthConfig(AffineKernel(0.0), ParetoDelay(2.0), 10))
+    with pytest.raises(ArgumentError, match="tail_index"):
+        build_config(parse_config_text(base + "delay.kind = pareto\ndelay.tail_index = 0\n"))

@@ -1,5 +1,6 @@
 """Empirical statistics read off traces, and the delay-decay diagnostics."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -429,6 +430,77 @@ def test_scan_sums_its_slabs_in_bounded_blocks(monkeypatch):
     np.testing.assert_allclose(blocked, whole, rtol=1e-12, atol=0.0)
     assert peak < 8 << 20, peak
 
+
+# delay_condition_scan on half_decade_grid(100, 1e6) as float.hex: (e_values, lemma_values).  These bytes reach
+# delay_scan.csv and check-delay's output.  _lemma_values calls x_survival one point at a time, with scalars:
+# NumPy's array power differs from the scalar pow by an ulp in a few percent of values
+SCAN_PIN = {
+    "invpow:1": (
+        (
+            "0x1.7af02f740ddfep-1", "0x1.07e72fca7bfaep-1", "0x1.614e452ce7889p-2", "0x1.ccb1dc697b0e6p-3",
+            "0x1.2691a028abb7fp-3", "0x1.732a878cb07c1p-4", "0x1.ce3e2ed44a2b9p-5", "0x1.1d1d7c1e572aap-5",
+            "0x1.5cf889679ded7p-6",
+        ),
+        (
+            "0x1.db22cc60e8cd5p-3", "0x1.4c587d1858d75p-3", "0x1.bfb4b25e60360p-4", "0x1.259545cdf4904p-4",
+            "0x1.7948a99e1adc2p-5", "0x1.dd56dd8e99f90p-6", "0x1.2a3fb9dc2b0d3p-6", "0x1.70fa180978ba1p-7",
+            "0x1.c4b4fd44c54eap-8",
+        ),
+    ),
+    "invpow:2": (
+        (
+            "0x1.df3245d30c409p-1", "0x1.b784384ae7e45p-1", "0x1.838c7d03b1775p-1", "0x1.4d038aadf0424p-1",
+            "0x1.18eb1a94bb82dp-1", "0x1.d373a3e46dec2p-2", "0x1.80c5607873affp-2", "0x1.3a00dc0b4dd1bp-2",
+            "0x1.fce73e7743fcfp-3",
+        ),
+        (
+            "0x1.7727f20a0daabp-2", "0x1.5e2bacebeae26p-2", "0x1.3aaa3e8002378p-2", "0x1.132dac2cc43dfp-2",
+            "0x1.d79951a9fd1e4p-3", "0x1.8dd687f4daf0dp-3", "0x1.4b7b15364214bp-3", "0x1.116e8f7149d5fp-3",
+            "0x1.bf5ecd3c1f1ebp-4",
+        ),
+    ),
+    "const:1": (
+        (
+            "0x1.c71c71c71c71dp-4", "0x1.e8abf6e443e9ap-5", "0x1.0b9e1796c66b1p-5", "0x1.28b6ffbe639aap-6",
+            "0x1.4afd6a052bf5ap-7", "0x1.729ef105d668dp-8", "0x1.9fcddd35d1584p-9", "0x1.d2ff1c6ef7bfcp-10",
+            "0x1.06680a4010668p-10",
+        ),
+        ("0x0.0p+0",) * 9,
+    ),
+    "qtable": (
+        (
+            "0x1.ae23dcbb7431ap-3", "0x1.abb1f1c0aba81p-4", "0x1.c43ecd7a26bcdp-5", "0x1.ec81c5d0a175ap-6",
+            "0x1.1020c7b08570ep-6", "0x1.2f1d8c6eebaf1p-7", "0x1.531549dba6ab2p-8", "0x1.7c377b7ba7c96p-9",
+            "0x1.aae76627f1b11p-10",
+        ),
+        ("0x0.0p+0",) * 9,
+    ),
+}
+SCAN_DELAYS = {
+    "invpow:1": InversePowerDelay(1.0, beta=0.5),
+    "invpow:2": InversePowerDelay(2.0, beta=0.5),
+    "const:1": ConstantDelay(1.0, beta=0.5),
+    # a ramp, an atom of mass 1/4 at 1, a gap (1, 2) and a second ramp
+    "qtable": QuantileTableDelay(us=(0.0, 0.25, 0.5, 0.5, 1.0), qs=(0.0, 1.0, 1.0, 2.0, 3.0), beta=0.5),
+}
+
+
+@pytest.mark.parametrize("name", SCAN_PIN)
+def test_delay_scan_values_are_pinned(name):
+    scan = delay_condition_scan(SCAN_DELAYS[name], half_decade_grid(100, 1_000_000))
+    e_values, lemma_values = SCAN_PIN[name]
+    assert [float(e).hex() for e in scan.e_values] == list(e_values)
+    assert [float(v).hex() for v in scan.lemma_values] == list(lemma_values)
+
+
+
+def test_lemma_values_take_one_scalar_survival_per_point():
+    # the half-decade grid above happens to round alike either way; at n = 107, 108, 116, ... an array
+    # power over the grid would move the last bit of check-delay's lemma column
+    delay = InversePowerDelay(2.0, beta=0.5)
+    ns = np.arange(100, 300)
+    want = [n * math.log(n) * (delay.x_survival(n - 1.0) - delay.x_survival(n)) for n in ns.tolist()]
+    assert estimators._lemma_values(delay, ns).tolist() == want
 
 def test_scan_heavy_tail_inconclusive_on_short_grids():
     # U**-2 decays like n^(-1/4): over two decades that is well short of

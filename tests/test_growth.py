@@ -29,11 +29,14 @@ from delaytree.kernels import (
     ConstantDelay,
     GrowthConfig,
     InversePowerDelay,
+    ParetoDelay,
+    QuantileTableDelay,
     TabulatedKernel,
     Uniform01Delay,
     UniformKernel,
     ZeroDelay,
 )
+from delaytree.theory import snapshot_law
 
 AFF = AffineKernel(0.0)
 
@@ -285,18 +288,22 @@ def test_thinning_blocks_draw_the_model_law(monkeypatch, budget):
     assert res.pvalue > 1e-3, res
 
 
-def _snapshot_law(delay, k: int) -> np.ndarray:
-    """P(m_k = m) for m = 1..k-1: arrival k reads snapshot max(floor(t - t**beta * xi), 1), t = k - 1."""
-    t = k - 1
-    at_least = [1.0] + [1.0 - delay.survival((t - j) / t**delay.beta) for j in range(2, t + 1)] + [0.0]
-    return -np.diff(at_least)
+def _pooled_chisquare(observed, expected):
+    """Chi-square of counts against expected counts, the cells expected below 5 pooled into one."""
+    from scipy import stats
+
+    small = expected < 5
+    if small.any():
+        observed = np.append(observed[~small], observed[small].sum())
+        expected = np.append(expected[~small], expected[small].sum())
+    return stats.chisquare(observed, expected)
 
 
 def _history_law(kernel, delay, n: int) -> dict:
     """Mass of every history parents[3..n]: prod over k of sum_m P(m_k = m) * A(parents[k] | tree at m)."""
     import itertools
 
-    snaps = {k: _snapshot_law(delay, k) for k in range(3, n + 1)}
+    snaps = {k: snapshot_law(delay, k - 1) for k in range(3, n + 1)}
     law = {}
     for history in itertools.product(*[range(1, k) for k in range(3, n + 1)]):
         tr = trace_from_parents([0, 0, 1, *history])
@@ -307,19 +314,29 @@ def _history_law(kernel, delay, n: int) -> dict:
     return law
 
 
-@pytest.mark.parametrize("tiles", ("default", "split rows"))
+_WHOLE_TREE_DELAYS = {"uniform01": Uniform01Delay(beta=0.5), "invpow2": InversePowerDelay(2.0, beta=0.5)}
+
+
 @pytest.mark.parametrize(
-    "delay", (Uniform01Delay(beta=0.5), InversePowerDelay(2.0, beta=0.5)), ids=("uniform01", "invpow2")
+    "kernel, delay, tiles",
+    [
+        pytest.param(AffineKernel(alpha), delay, tiles, id=f"{alpha}-{name}-{tiles}")
+        for alpha in (0.0, 1.3)
+        for name, delay in _WHOLE_TREE_DELAYS.items()
+        for tiles in ("default", "split rows")
+    ]
+    + [
+        pytest.param(UniformKernel(), Uniform01Delay(beta=0.5), "default", id="uniform-uniform01-default"),
+        pytest.param(AffineKernel(0.0), ConstantDelay(1.0, beta=0.5), "default", id="0.0-const1-default"),
+    ],
 )
-@pytest.mark.parametrize("alpha", (0.0, 1.3))
-def test_batched_edge_growth_draws_the_exact_law_of_whole_trees(monkeypatch, alpha, delay, tiles):
+def test_batched_edge_growth_draws_the_exact_law_of_whole_trees(monkeypatch, kernel, delay, tiles):
     # whole trees at n = 7 against their exact law.  Default tiles hold thousands of rows; 3-arrival
     # tiles split each row's five arrivals in two, so copies cross a tile and alpha = 1.3 reads its
-    # picks ahead of its branch uniforms.  Under either delay xi > 0, so an arrival never reads its
-    # predecessor: 120 of the 720 histories carry mass under uniform01 and 6 under invpow2
-    from scipy import stats
-
-    n, kernel = 7, AffineKernel(alpha)
+    # picks ahead of its branch uniforms.  Under these delays xi > 0, so an arrival never reads its
+    # predecessor: 120 of the 720 histories carry mass under uniform01 and 6 under invpow2.  Under
+    # const:1 arrival 5 sits on a slab edge (t = 4, xi * t**beta = 2) and reads snapshot 2
+    n = 7
     law = _history_law(kernel, delay, n)
     reps = 40_000
     if tiles == "split rows":
@@ -332,12 +349,34 @@ def test_batched_edge_growth_draws_the_exact_law_of_whole_trees(monkeypatch, alp
     support = [h for h in law if law[h] > 0]
     observed = np.array([seen.get(h, 0) for h in support])
     expected = reps * np.array([law[h] for h in support])
-    small = expected < 5  # pooled into one cell
-    if small.any():
-        observed = np.append(observed[~small], observed[small].sum())
-        expected = np.append(expected[~small], expected[small].sum())
-    res = stats.chisquare(observed, expected)
+    res = _pooled_chisquare(observed, expected)
     assert res.pvalue > 1e-3, res
+
+
+SNAPSHOT_DELAYS = {
+    "zero": ZeroDelay(beta=0.5),
+    "const1": ConstantDelay(1.0, beta=0.5),
+    "const0.5": ConstantDelay(0.5, beta=0.5),
+    "uniform01": Uniform01Delay(beta=0.5),
+    "invpow2": InversePowerDelay(2.0, beta=0.5),
+    "pareto": ParetoDelay(tail_index=1.5, scale=2.0, beta=0.4),
+    # a ramp, an atom of mass 1/4 at 1, a gap (1, 2) and a second ramp
+    "qtable": QuantileTableDelay(us=(0.0, 0.25, 0.5, 0.5, 1.0), qs=(0.0, 1.0, 1.0, 2.0, 3.0), beta=0.5),
+}
+
+
+@pytest.mark.parametrize("delay", SNAPSHOT_DELAYS.values(), ids=SNAPSHOT_DELAYS.keys())
+def test_snapshot_pass_draws_the_snapshot_law(delay):
+    # arrival k of 4000 trees grown in one batch reads snapshot m with probability snapshot_law(delay, k - 1)
+    reps = 4000
+    snaps = np.stack([tr.snapshots for tr in grow(GrowthConfig(AFF, delay, 64), range(reps))])
+    for k in (5, 17, 64):
+        law = snapshot_law(delay, k - 1)
+        counts = np.bincount(snaps[:, k], minlength=k)[1:]
+        assert len(counts) == len(law) and not counts[law == 0].any(), (k, counts)  # no mass off the support
+        if np.count_nonzero(law) > 1:  # a single cell has nothing left to test
+            res = _pooled_chisquare(counts[law > 0], reps * law[law > 0])
+            assert res.pvalue > 1e-3, (k, res)
 
 
 @pytest.mark.parametrize("ms_type", (np.int32, np.int64))

@@ -181,6 +181,39 @@ def test_partial_mean_matches_quadrature(delay):
         assert pm[i] == pytest.approx(want, abs=1e-8), (delay, lo, hi)
 
 
+@pytest.mark.parametrize(
+    "delay",
+    [
+        ZeroDelay(beta=0.5),
+        ConstantDelay(c=1.5, beta=0.5),
+        Uniform01Delay(beta=0.5),
+        InversePowerDelay(p=2.0, beta=0.5),
+        ParetoDelay(tail_index=1.5, scale=2.0, beta=0.4),
+        QuantileTableDelay(us=(0.0, 0.25, 0.5, 0.5, 1.0), qs=(0.0, 1.0, 1.0, 2.0, 3.0), beta=0.5),
+    ],
+    ids=("zero", "constant", "uniform01", "invpow", "pareto", "qtable"),
+)
+def test_survival_takes_arrays(delay):
+    xs = np.array([[-1.0, 0.0, 0.5, 1.0], [1.5, 2.0, 3.0, 40.0]])
+    got = delay.survival(xs)
+    assert got.shape == xs.shape
+    np.testing.assert_allclose(got, [[delay.survival(x) for x in row] for row in xs.tolist()], rtol=1e-15, atol=0.0)
+    grid = delay.survival(np.linspace(-1.0, 50.0, 2001))
+    assert grid[0] == 1.0 and np.all(np.diff(grid) <= 0.0) and grid[-1] >= 0.0
+
+
+def test_pareto_is_an_inverse_power_law_with_a_scale():
+    d = ParetoDelay(tail_index=1.5, scale=2.0, beta=0.4)
+    assert d == InversePowerDelay(p=1 / 1.5, beta=0.4, scale=2.0)
+    assert d.survival(8.0) == pytest.approx((2.0 / 8.0) ** 1.5, rel=1e-15) and d.survival(2.0) == 1.0
+    assert d.x_tail_index() == pytest.approx(1.5 * 0.6)
+    xs = d.sample_many(np.random.default_rng(4), 10_000)
+    assert xs.min() >= 2.0
+    assert (xs > 8.0).mean() == pytest.approx(0.125, abs=0.01)
+    with pytest.raises(ArgumentError, match="scale"):
+        InversePowerDelay(p=1.0, scale=0.0)
+
+
 def test_zero_delay():
     d = ZeroDelay(beta=0.5)
     assert d.survival(0.0) == 0.0

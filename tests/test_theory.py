@@ -13,11 +13,15 @@ from delaytree.canonical import all_canonical_trees, q_count, top_level_children
 from delaytree.errors import ArgumentError
 from delaytree.kernels import (
     AffineKernel,
+    ConstantDelay,
     InversePowerDelay,
+    ParetoDelay,
+    QuantileTableDelay,
     TabulatedKernel,
     Uniform01Delay,
     UniformKernel,
     ZeroDelay,
+    snapshot_times,
 )
 from delaytree.theory import (
     CltConstants,
@@ -29,6 +33,7 @@ from delaytree.theory import (
     rho_hat,
     rho_hat_series,
     root_degree_constants,
+    snapshot_law,
     solve_malthusian,
     tree_weight,
 )
@@ -308,3 +313,40 @@ def test_root_degree_constants_regimes():
 def test_root_degree_constants_validation():
     with pytest.raises(ArgumentError):
         root_degree_constants(-1.0, Uniform01Delay(beta=0.5))
+
+
+# ---------------------------------------------------------------------------
+# snapshot law
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("c", (1.0, 0.5))
+def test_snapshot_law_of_a_constant_delay_sits_on_the_snapshot_time(c):
+    # the slab edges and snapshot_times round alike, also where c * t**beta is an integer (t = 4 under c = 1)
+    delay = ConstantDelay(c, beta=0.5)
+    for t in range(1, 2001):
+        law = snapshot_law(delay, t)
+        (m,) = snapshot_times(np.array([t]), np.array([c]), 0.5).tolist()
+        assert law[m - 1] == 1.0 and law.sum() == 1.0, (t, m, np.flatnonzero(law) + 1)
+
+
+@pytest.mark.parametrize(
+    "delay",
+    (
+        ZeroDelay(beta=0.5),
+        ConstantDelay(1.7, beta=0.3),
+        Uniform01Delay(beta=0.5),
+        InversePowerDelay(2.0, beta=0.5),
+        InversePowerDelay(0.5, beta=0.75),
+        ParetoDelay(tail_index=1.5, scale=2.0, beta=0.4),
+        QuantileTableDelay(us=(0.0, 0.25, 0.5, 0.5, 1.0), qs=(0.0, 1.0, 1.0, 2.0, 3.0), beta=0.5),
+    ),
+    ids=("zero", "const", "uniform01", "invpow2", "invpow0.5", "pareto", "qtable"),
+)
+def test_snapshot_law_is_a_law_on_1_to_t(delay):
+    for t in (1, 2, 3, 4, 10, 257, 5000):
+        law = snapshot_law(delay, t)
+        assert law.shape == (t,) and law.min() >= 0.0, t
+        assert law.sum() == pytest.approx(1.0, abs=1e-12), t
+    with pytest.raises(ArgumentError):
+        snapshot_law(delay, 0)

@@ -333,7 +333,7 @@ def test_band_draws_read_each_stream_at_its_offset(kernel, delay, n, seeds, layo
 
 
 @pytest.mark.parametrize("kernel", (KERNELS[2], KERNELS[3]), ids=("edge", "rejection"))
-@pytest.mark.parametrize("delay", ALL_DELAYS, ids=lambda delay: delay.kind)
+@pytest.mark.parametrize("delay", ALL_DELAYS, ids=("zero", "constant", "uniform01", "invpow", "pareto", "qtable"))
 def test_snapshots_come_from_the_first_draws(kernel, delay):
     # each tree's generator first draws its n - 2 delays, which set the snapshots
     n, seeds = 150, (0, 7, 2**64 - 1)
