@@ -1,7 +1,7 @@
 """Time ``grow`` on the edge sampler's preset, its mixed affine kernel and the two tabulated-growth plans.
 
     python3 bench/edge_growth.py --tree parent=OLD/src --tree change=src \
-        > BENCH_speculative_thinning.json
+        > BENCH_thinning_rounds.json
 
 Each tree is measured through ``driver.py`` beside this script: fresh
 processes, the trees taking turns, medians with their quartiles.  One
@@ -14,7 +14,9 @@ between its degree shares (degrees 1 up to its largest) and
 by another sampler is still drawn from the model when its parents differ.
 Every (config, size) pair in ``SIZES`` is grown ``RUNS`` times per tree
 and each of the slower ``LARGE`` sizes ``LARGE_RUNS`` times, on seeds
-``SEED``, ``SEED + 1``, ..., and the median time is recorded.  ``LAW``
+``SEED``, ``SEED + 1``, ..., and the median time is recorded.  The
+tabulated configs also run at n = 2048, where a thinning block is almost
+all per-call overhead.  ``LAW``
 grows ``LAW_SEEDS`` trees per tree source in one more process each,
 untimed after the first, and records the mean, standard deviation and
 range of their degree TVs.  The kernel picks the sampler, so both
@@ -88,12 +90,12 @@ CONFIGS = {
 SIZES = {
     "grid-invpow2": (1_000_000, 3_000_000),
     "affine-1": (1_000_000,),  # rows of many edge blocks
-    "tabulated-pow": (300_000, 1_000_000),
-    "tabulated-bumpy": (20_000,),
+    "tabulated-pow": (2048, 300_000, 1_000_000),
+    "tabulated-bumpy": (2048, 20_000),
 }
 LARGE = {"grid-invpow2": 10_000_000, "tabulated-pow": 3_000_000, "tabulated-bumpy": 1_000_000}
 LARGE_RUNS = 3  # median of three per LARGE config and tree, on seeds SEED .. SEED + LARGE_RUNS - 1
-RUNS = 5  # median of five per config, size and tree, on seeds SEED .. SEED + RUNS - 1
+RUNS = 11  # median of eleven per config, size and tree, on seeds SEED .. SEED + RUNS - 1
 SEED = 1
 LAW = {"tabulated-pow": 300_000, "tabulated-bumpy": 20_000}  # degree TV over LAW_SEEDS trees per tree source
 LAW_SEEDS = 20

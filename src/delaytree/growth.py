@@ -47,12 +47,17 @@ exact law :func:`attachment_distribution`.
   triples and of earlier parents.  Every block, the one-arrival blocks
   included, guesses every parent at once in NumPy, then redoes only the
   arrivals whose reads changed until a round changes nothing: that fixed
-  point is the one-at-a-time answer.  Each round is a few full-width
-  passes: proposals read the current guesses as final parents, one
-  gather each (:func:`_resolve_edge`); snapshot degrees come from one
-  array degree view (:class:`_DegreeView`); the acceptance is a lookup in
-  per-tree tables of the envelope and the kernel (:class:`_Acceptance`);
-  and the readers of a round's changes come from one masked gather.
+  point is the one-at-a-time answer.  A round draws its arrivals a slot
+  at a time while many are live, then all their remaining slots at once:
+  proposals read the current guesses as final parents, one gather each
+  (:func:`_resolve_edge`); snapshot degrees come from one array degree
+  view (:class:`_DegreeView`) plus two searches of the guesses, which a
+  block keeps as one sorted key array, sorted once after round one and
+  merged with each later change; the acceptance is a lookup in per-tree
+  tables of the envelope and the kernel (:class:`_Acceptance`); and the
+  readers of a change come from one gather over every arrival's first
+  proposal and one more over the few that read further.  The final keys
+  enter the degree view as they are.
 
 Degrees that enter attachment weights are graph degrees (child count, +1
 for the parent edge; the root simply has its child count, clamped to 1 at
@@ -161,40 +166,53 @@ def _weight_degrees(parents: np.ndarray, m: int) -> np.ndarray:
 class _DegreeView:
     """Children counts of a growing tree at every earlier snapshot, in arrays.
 
-    Arrivals enter in birth order.  ``count[v]`` is v's children so far,
-    ``last[v]`` the birth time of the youngest (0: none) and ``prev[k]``
-    that of the sibling born just before k (0: none).  ``key`` holds the
-    children born before ``frozen`` as parent*frozen + birth, sorted.
-    v's children born by m number ``count[v]`` when ``last[v] <= m``;
+    Arrivals enter in birth order.  ``count[v]`` is v's weight degree with
+    its children so far (children + 1; the root's children alone),
+    ``last[v]`` the birth time of the youngest child (0: none) and
+    ``prev[k]`` that of the sibling born just before k (0: none).  ``key``
+    holds the children born before ``frozen`` as parent*frozen + birth,
+    sorted.  v's weight degree at m is ``count[v]`` when ``last[v] <= m``;
     otherwise one search of ``key`` answers when m < ``frozen``, and a
     walk back over v's siblings born after m when not.  Arrivals enter a
-    block at a time through :meth:`extend`.  ``mark`` is per-vertex
-    working space for :func:`_thin_block`.
+    block at a time through :meth:`extend`, or :meth:`enter` when their
+    keys are sorted already.  ``mark`` is per-vertex working space for
+    :func:`_thin_block`.  ``count``, ``last`` and ``mark`` have one entry
+    past the tree, the unknown guess of a thinning block, which never gets
+    a child.
     """
 
     def __init__(self, size: int):
-        self.count = np.zeros(size, dtype=np.int32)
-        self.last = np.zeros(size, dtype=np.int32)
+        self.count = np.ones(size + 1, dtype=np.int32)
+        self.count[1] = 0  # the root has no parent edge
+        self.last = np.zeros(size + 1, dtype=np.int32)
         self.prev = np.zeros(size, dtype=np.int32)
         self.mark = np.full(size + 1, _NEVER, dtype=np.int32)  # _NEVER between uses
         self.rebuild(np.zeros(2, dtype=np.int64), 1)
 
     def extend(self, parents, lo: int, hi: int) -> None:
         """Add arrivals lo..hi-1, born in that order, at once."""
-        if hi <= lo:
-            return
-        width = hi - lo
-        bits = max(width - 1, 1).bit_length()  # keys pack (parent, birth - lo) as parent << bits | birth - lo
-        key = (parents[lo:hi].astype(np.int64) << bits) | np.arange(width)
-        key.sort()  # by parent, then birth
-        vs, ks = key >> bits, (key & ((1 << bits) - 1)) + lo  # int64 indexes, the faster kind
-        heads = np.append(0, np.flatnonzero(vs[1:] != vs[:-1]) + 1)  # each parent's first child in the batch
-        tails = np.append(heads[1:], len(vs)) - 1
-        self.prev[ks[1:]] = ks[:-1]
-        vs = vs[heads]
-        self.prev[ks[heads]] = self.last[vs]
+        if hi > lo:
+            bits = _key_bits(hi - lo)
+            self.enter(_sorted_keys(parents[lo:hi], bits), bits, lo)
+
+    def enter(self, keys, bits: int, lo: int) -> None:
+        """Add arrivals lo, lo+1, ... given as their sorted keys parent << bits | birth - lo (:func:`_sorted_keys`).
+
+        One pass over the keys, a run per parent in birth order, links
+        each child to the sibling before it, the run's first child to the
+        parent's youngest so far, and moves ``count`` and ``last``.
+        """
+        vs = keys >> bits  # int64 indexes, the faster kind
+        ks = keys & ((1 << bits) - 1)
+        ks += lo
+        born = ks.astype(np.int32)  # int32 values: the stores below need no cast
+        ends = np.flatnonzero(vs[1:] != vs[:-1])  # the last child of each parent but the final one
+        heads, tails = np.concatenate(([0], ends + 1)), np.append(ends, len(vs) - 1)
+        self.prev[ks[1:]] = born[:-1]
+        vs = vs.take(heads)
+        self.prev[ks.take(heads)] = self.last.take(vs)
         self.count[vs] += (tails - heads + 1).astype(np.int32)
-        self.last[vs] = ks[tails]
+        self.last[vs] = born.take(tails)
 
     def rebuild(self, parents, frozen: int) -> None:
         """Sort the children born before ``frozen``, all of them final, into ``key``."""
@@ -217,9 +235,15 @@ class _DegreeView:
         if late.size:
             old = ms[late] < self.frozen
             hit = late[old]
-            if hit.size:
+            if hit.size:  # searched in sorted order, which saves most of a search's cache misses
                 lo = vs[hit].astype(np.int64) * self.frozen
-                d[hit] = np.searchsorted(self.key, lo + ms[hit], "right") - np.searchsorted(self.key, lo)
+                hi = lo + ms[hit]
+                order = hi.argsort()
+                hi, lo = hi.take(order), lo.take(order)
+                hi += 1  # keys are unique: those up to hi are those below hi + 1
+                got = self.key.searchsorted(hi) - self.key.searchsorted(lo)
+                got += lo != self.frozen  # the parent edge: lo is frozen for the root alone
+                d[hit.take(order)] = got
             walk = late[~old]
             born, mw = self.last[vs[walk]], ms[walk]
             while walk.size:  # each round steps every walk back one sibling
@@ -227,8 +251,7 @@ class _DegreeView:
                 born = self.prev[born]
                 on = born > mw
                 walk, born, mw = walk[on], born[on], mw[on]
-        d += vs != 1  # the root has no parent edge
-        return np.maximum(d, 1, out=d)  # and at m = 1 counts as degree 1
+        return np.maximum(d, 1, out=d)  # the root at m = 1 counts as degree 1
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +297,8 @@ def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, pi
     top -= 1
     top <<= 1  # 2(m-1)
     if branch is not None:  # the vertex route, taken only where the branch sends a draw
-        to_vertex = branch * (slope * top + ms * alpha) < ms * alpha
+        weight = ms * alpha
+        to_vertex = branch * (slope * top + weight) < weight
     e = (picks * top).astype(ints)
     top -= 1
     np.minimum(e, top, out=e)
@@ -284,10 +308,10 @@ def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, pi
     flat, width = out.reshape(-1), ms.shape[-1]
     if branch is not None:
         copy &= ~to_vertex
-        to_vertex = np.flatnonzero(to_vertex)
+        to_vertex = to_vertex.ravel().nonzero()[0]
         m = ms.reshape(-1)[to_vertex]
         flat[to_vertex] = np.minimum((picks.reshape(-1)[to_vertex] * m).astype(ints), m - 1) + 1
-    copy = np.flatnonzero(copy)
+    copy = copy.ravel().nonzero()[0]
     src = flat.take(copy)
     rows, stride = parents.reshape(-1), parents.shape[-1]  # the rows of parents, end to end
     if base >= stride:  # every parent is final: one gather answers every copy
@@ -332,8 +356,8 @@ class _Acceptance:
         self.env = self.f = np.empty(0)
 
     def __call__(self, d, u) -> np.ndarray:
-        """Accept flags of proposals of weight degrees ``d`` (>= 1) with uniforms ``u``."""
-        top = int(d.max(initial=0))
+        """Accept flags of proposals of weight degrees ``d`` (>= 1, at least one) with uniforms ``u``."""
+        top = int(d.max())
         if top >= len(self.env):
             degrees = np.arange(1 << top.bit_length())
             degrees[0] = 1
@@ -342,27 +366,40 @@ class _Acceptance:
         return u * self.env.take(d) < self.f.take(d)
 
 
+def _key_bits(size: int) -> int:
+    """Bits for the arrival in a key of a block of ``size`` arrivals (:func:`_sorted_keys`)."""
+    return max(size - 1, 1).bit_length()
+
+
+def _sorted_keys(guesses, bits: int) -> np.ndarray:
+    """The keys ``guesses[i] << bits | i``, sorted: by parent, then by arrival."""
+    keys = (guesses.astype(np.int64) << bits) | np.arange(len(guesses))
+    keys.sort()
+    return keys
+
+
 def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budget, rng):
     """Thinning draws for a block of arrivals base, base+1, ... with snapshots ``ms``; returns rejected proposals.
 
     ``out`` receives the parents: ``parents[base:base + len(ms)]`` when the
-    block grows the tree, a separate array when it draws from a frozen one
-    (base past its end, so that every read is final).  ``acceptance`` is
-    the tree's thinning test, its envelope the proposal's.  ``budget``
-    holds rows of uniforms by slot and arrival, (rows, width, len(ms)):
-    branch (for a mixed envelope, see :func:`_rows`), pick and accept.
-    Arrival i owns the triples ``budget[:, s, i]`` for s < width and then,
-    once all of them are rejected, the columns of
-    ``rng.random((rows, width))`` chunks drawn in birth order.  So its
-    parent is a function of its own triples and the parents of earlier
-    arrivals.
+    block grows the tree, which also enters the block into ``view``, and a
+    separate array when it draws from a frozen one (base past its end, so
+    that every read is final).  ``acceptance`` is the tree's thinning
+    test, its envelope the proposal's.  ``budget`` holds rows of uniforms
+    by slot and arrival, (rows, width, len(ms)): branch (for a mixed
+    envelope, see :func:`_rows`), pick and accept.  Arrival i owns the
+    triples ``budget[:, s, i]`` for s < width and then, once all of them
+    are rejected, the columns of ``rng.random((rows, width))`` chunks
+    drawn in birth order.  So its parent is a function of its own triples
+    and the parents of earlier arrivals.
 
-    Every arrival starts unknown (0).  A round recomputes the pending
-    arrivals from the current guesses, all at once: proposals by
-    :func:`_resolve_edge` (a copy of an unknown parent proposes 0 and stops
-    the arrival for the round), degrees off the view plus the guessed
-    children born into the block by the snapshot, then thinning, slot by
-    slot.  An arrival is pending again when a vertex it proposed
+    Every arrival starts unknown: its guess is ``len(parents)``, the view's
+    entry past the tree.  A round recomputes the pending arrivals from the
+    current guesses, all at once: proposals by :func:`_resolve_edge` (a
+    copy of an unknown parent proposes the unknown vertex, which stops the
+    arrival for the round whatever its thinning says), degrees off the
+    view plus the guessed children born into the block by the snapshot,
+    then thinning, slot by slot.  An arrival is pending again when a vertex it proposed
     gained or lost a guessed child born by its snapshot; that covers copies
     too, since a copy proposes the copied arrival's old guess.  Arrivals
     before the first pending one read only settled guesses and are final;
@@ -371,113 +408,153 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
     each guess equals its recomputation, and by induction over birth order
     that fixed point is the one-at-a-time answer.
 
-    The readers of a round's changes come from one gather: ``view.mark``
-    holds, for each vertex that gained or lost a guess, the first birth at
-    which it did, and every read slot of every arrival past the first
-    change looks up its vertex's mark at once, the slots past an
-    arrival's reads masked off.  ``mark`` is back to all _NEVER on return.
+    The guesses are kept as one sorted key array (:func:`_sorted_keys`),
+    sorted once after round one and then merged with each change, so the
+    guessed children of a vertex are one pair of searches, and the final
+    keys enter the view without a second sort (:meth:`_DegreeView.enter`).
+    The readers of a change come from ``view.mark``, which holds, for
+    each vertex that gained or lost a guess, the first birth at which it
+    did: every arrival past the first change looks up the mark of its
+    first proposal, and only those that read more slots look up the rest,
+    their slots past the last read masked off.  Unread slots hold vertex
+    0, which is never marked.  ``mark`` is back to all _NEVER on return.
     """
     rows, width, size = budget.shape
-    *branch, pick, accept = budget
-    branch = branch[0] if branch else None
     slope, offset = acceptance.slope, acceptance.offset
     ms = ms.astype(np.int64)
-    tried = np.empty((width, size), dtype=np.int32)  # proposals read, by slot: the first reads[i] of column i
+    unknown = len(parents)  # the guess of an arrival not drawn yet: the view's entry past the tree
+    tried = np.zeros((width, size), dtype=np.int32)  # tried[s, i]: what arrival i proposed in slot s; vertex 0 is never marked
     reads = np.zeros(size, dtype=np.int64)
     # a drawn arrival rejects every proposal it reads but the last; an overflow's
     # rejections past its budget, and its budget's last read, go to spilled
     spilled = 0
     mark = view.mark
-    bits = max(size - 1, 1).bit_length()  # keys pack (vertex, arrival i) as vertex << bits | i
+    bits = _key_bits(size)
+    low = (1 << bits) - 1
     keys = None  # the guesses as sorted keys (parent, i), once there are any
-
-    def guesses():
-        """The current guesses as sorted keys (parent, i)."""
-        keys = (out.astype(np.int64) << bits) | np.arange(size)
-        keys.sort()
-        return keys
 
     def thin(vs, m, u):
         """Accept flags of proposals ``vs`` from snapshots ``m``: degrees off the view plus the guessed children."""
+        vs = vs.astype(np.int64)  # int64 indexes, the faster kind
         d = view.degrees(vs, m)
         if keys is not None:  # searched in sorted order, which saves most of a search's cache misses
-            lo = vs.astype(np.int64) << bits
-            hi = lo + np.maximum(m - base, -1)
+            lo = vs << bits
+            hi = m - (base - 1)
+            np.maximum(hi, 0, out=hi)
+            hi += lo  # the keys below hi are v's guessed children born by m
             order = hi.argsort()
-            d[order] += np.searchsorted(keys, hi[order], "right") - np.searchsorted(keys, lo[order])
+            d[order] += keys.searchsorted(hi.take(order)) - keys.searchsorted(lo.take(order))
         return acceptance(d, u)
 
     def draw(pending):
         """New guesses for the arrivals ``pending``, from the current ones; records what each reads."""
-        new = np.zeros(len(pending), dtype=out.dtype)
-        reads[pending] = width
+        new = np.full(len(pending), unknown, dtype=out.dtype)
+        reads.put(pending, width)
         live, s = np.arange(len(pending)), 0
         while live.size and s < width:
             # a slot at a time while many arrivals are live, then all their remaining slots at once
             span = width - s if len(live) * (width - s) <= max(len(pending) // 4, 2048) else 1
-            i = pending[live] if s else pending
+            i = pending.take(live) if s else pending
+            if len(i) < size:
+                m, slots = ms.take(i), [row[s : s + span].take(i, axis=1) for row in budget]
+            else:  # every arrival of the block: its uniforms in place
+                m, slots = ms, budget[:, s : s + span]
+            if span > 1:
+                m = np.concatenate((m,) * span)
+            *b, p, u = [row.reshape(-1) for row in slots]
+            vs = _resolve_edge(parents, len(parents), m, slope, offset, b[0] if b else None, p)
+            stop = thin(vs, m, u)
+            stop |= vs == unknown  # a copy of an unknown guess proposes it, and stops the arrival for the round
             if span == 1:
-                m = ms[i]
-                b, p, u = (None if row is None else row[s].take(i) for row in (branch, pick, accept))
-            else:
-                m = np.tile(ms[i], span)
-                b, p, u = (None if row is None else row[s : s + span].take(i, axis=1).reshape(-1) for row in (branch, pick, accept))
-            vs = _resolve_edge(parents, len(parents), m, slope, offset, b, p)
-            stop = vs == 0  # copied an unknown parent
-            if stop.any():
-                known = ~stop
-                stop[known] = thin(vs[known], m[known], u[known])
-            else:
-                stop = thin(vs, m, u)
-            if span == 1:
-                tried[s, i] = vs
+                tried[s].put(i, vs)
                 done, last, vs = stop, 0, vs[stop]
             else:  # the first stop of each arrival among its span slots
                 vs, stop = vs.reshape(span, -1), stop.reshape(span, -1)
                 tried[s : s + span, i] = vs
                 last = stop.argmax(axis=0)
-                done = stop[last, np.arange(len(i))]
+                done = last > 0
+                done |= stop[0]
                 last = last[done]
                 vs = vs[last, done.nonzero()[0]]
-            reads[i[done]] = s + last + 1
-            new[live[done]] = vs
+            reads.put(i[done], s + last + 1)
+            new.put(live[done], vs)
             live, s = live[~done], s + span
         return new
 
-    def readers(births, verts):
-        """Arrivals whose proposals saw vertex ``verts[j]`` gain or lose a guessed child at the birth ``base + births[j]``."""
-        if not births.size:
-            return births
-        changes = (verts.astype(np.int64) << bits) | births
-        changes.sort()
+    def first_changes(changes):
+        """Mark each vertex of the sorted keys ``changes`` (vertex, i) at its first birth base + i; returns the vertices."""
         verts = changes >> bits
-        head = np.ones(len(changes), dtype=bool)
-        np.not_equal(verts[1:], verts[:-1], out=head[1:])
-        verts = verts[head]
-        mark[verts] = (changes[head] & ((1 << bits) - 1)) + base  # each vertex's first change
-        lo = int(births.min()) + 1
-        top = int(reads[lo:].max(initial=0))
-        # unread slots hold np.empty garbage: clip its gather, then mask it off
-        seen = mark.take(tried[:top, lo:], mode="clip") <= ms[lo:]
-        seen &= np.arange(top)[:, None] < reads[lo:]
+        first = np.empty(len(changes), dtype=bool)
+        first[0] = True
+        np.not_equal(verts[1:], verts[:-1], out=first[1:])
+        verts, births = verts[first], changes[first]
+        births &= low
+        births += base
+        mark.put(verts, births)
+        return verts
+
+    def readers(first, also=None):
+        """The arrivals ``also`` (all past ``first``) and those past ``first`` that read a vertex at or after its mark."""
+        lo = first + 1
+        seen = mark.take(tried[0, lo:]) <= ms[lo:]
+        if also is not None:
+            seen[also - lo] = True
+        many = (reads[lo:] > 1).nonzero()[0]  # the arrivals that read past slot 0
+        if many.size:  # their slots past the last read hold an earlier draw's proposals: masked off
+            many += lo
+            last = reads.take(many)
+            top = int(last.max())
+            got = mark.take(tried[1:top, many]) <= ms.take(many)
+            got &= np.arange(1, top)[:, None] < last
+            seen[many - lo] |= got.any(axis=0)
+        hit = seen.nonzero()[0]
+        hit += lo
+        return hit
+
+    def settle(changed, new, also=None):
+        """Set the guesses of arrivals ``changed`` (ascending) to ``new``; returns the arrivals pending after it.
+
+        Those are ``also`` and the readers of the change (:func:`readers`).
+        """
+        nonlocal keys
+        gone, come = out.take(changed).astype(np.int64), new.astype(np.int64)
+        gone <<= bits
+        gone |= changed
+        come <<= bits
+        come |= changed
+        out.put(changed, new)
+        kept = np.ones(size, dtype=bool)
+        kept[keys.searchsorted(gone)] = False
+        come.sort()
+        keys = np.concatenate((keys[kept], come))
+        keys.sort(kind="stable")  # two sorted runs: one merge
+        changes = np.concatenate((gone, come))
+        changes.sort()
+        verts = first_changes(changes)
+        pending = readers(int(changed[0]), also)
         mark[verts] = _NEVER
-        return lo + np.flatnonzero(seen.any(axis=0))
+        return pending
 
     # round one: no guesses yet, so every arrival reads the view alone; m = 1 takes the root
-    out[:] = 0
+    out[:] = unknown
     pending = np.flatnonzero(ms > 1)
     drawn = len(pending)
     out[pending] = draw(pending)
     out[ms == 1] = 1
-    changed = np.flatnonzero(out)
-    # every old guess is 0, so vertex 0 changes first at the first change
-    pending = readers(np.append(changed, changed[:1]), np.append(out[changed], 0))
+    keys = _sorted_keys(out, bits)
+    known = np.flatnonzero(out != unknown)
+    pending = known[:0]
+    if known.size:  # every guess changed from unknown: each guessed parent first at its first child
+        verts = first_changes(keys)
+        first = int(known[0])
+        mark[unknown] = first + base  # every old guess was unknown: the unknown vertex changes first at the first change
+        pending = readers(first)
+        mark[verts] = mark[unknown] = _NEVER
     while True:
         settled = out[: pending[0] if pending.size else size]  # the guesses before the first pending arrival
-        q = int(settled.argmin()) if settled.size else 0
-        if settled.size and settled[q] == 0:
+        q = int(settled.argmax()) if settled.size else 0
+        if settled.size and settled[q] == unknown:
             # every arrival before q is final and q spent its budget: draw its overflow
-            keys = guesses()
             m = np.full(width, ms[q])
             spilled += 1  # the budget's last read
             while True:
@@ -489,19 +566,16 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
                 spilled += width
             s = int(np.argmax(ok))
             spilled += s
-            out[q] = vs[s]
-            hit = readers(np.array([q, q]), np.array([0, vs[s]]))
-            pending = np.union1d(pending, hit)
+            pending = settle(np.array([q]), vs[s : s + 1], pending)
             continue
         if not pending.size:
-            return int(reads.sum()) - drawn + spilled
-        keys = guesses()
+            break
         new = draw(pending)
-        moved = new != out[pending]
-        changed = pending[moved]
-        old = out[changed]
-        out[pending] = new
-        pending = readers(np.tile(changed, 2), np.concatenate([old, new[moved]]))
+        moved = (new != out.take(pending)).nonzero()[0]
+        pending = settle(pending.take(moved), new.take(moved)) if moved.size else moved
+    if base < len(parents):
+        view.enter(keys, bits, base)
+    return int(reads.sum()) - drawn + spilled
 
 
 def sample_parent_rejection(
@@ -789,6 +863,7 @@ def _loop_edge(parents, kernel, ms, rngs) -> None:
 _BLOCK_MAX = 1 << 14  # thinning blocks hold P/4 arrivals past the first unresolved arrival P, up to this many
 _BUDGET_MAX = 32  # triples drawn ahead per arrival at most
 _NEVER = np.iinfo(np.int32).max  # a birth later than any vertex
+_WALK = 8  # siblings a degree view's walk steps back at a time
 _REBUILD = 2  # the degree view rebuilds its sorted key once P doubles (this ratio) since the last rebuild
 
 
@@ -817,8 +892,8 @@ def _loop_rejection(parents, kernel, ms, rng) -> int:
     """Thinning parents for one tree, a block at a time; returns the rejected proposals.
 
     Each block draws its budget from ``rng`` (:func:`_budget` triples per
-    arrival, sized by the rejections so far), resolves through
-    :func:`_thin_block` and then enters the degree view.
+    arrival, sized by the rejections so far) and resolves through
+    :func:`_thin_block`, which also enters it into the degree view.
     """
     acceptance = _Acceptance(kernel)
     rows = _rows(acceptance.slope, acceptance.offset)
@@ -833,7 +908,6 @@ def _loop_rejection(parents, kernel, ms, rng) -> int:
         view.refresh(parents, k)
         block = ms[k - 3 : k - 3 + size]
         retries += _thin_block(parents, view, k, parents[k : k + size], block, acceptance, budget, rng)
-        view.extend(parents, k, k + size)
         accepted += int(np.count_nonzero(block > 1))
         k += size
     return retries

@@ -105,3 +105,14 @@ def test_large_rejection_tree_parents_are_golden():
         "d0402e88c8dda6a43d050f55148405edaa92abb97484ac305eee1e5971990cd6",
         18540,
     )
+
+
+def test_bumpy_rejection_tree_parents_are_golden():
+    # the tabulated-growth benchmark's second kernel: its table rises and falls, so about 37% of the
+    # proposals are rejected (6% under the pow-tail table above), which pins the repair and overflow paths
+    kern = TabulatedKernel((1.0, 2.0, 1.5, 1.2), tail=("const",), f_star=1.0)
+    tr = grow(GrowthConfig(kern, DELAYS["uniform01"], 20_000, seed=1))
+    assert (_digest(tr.parents), tr.retries) == (
+        "6e38ba5181f8503379da692227ea1631a257ab854be267fc7415ce3040ceeac0",
+        11735,
+    )

@@ -314,6 +314,7 @@ def _history_law(kernel, delay, n: int) -> dict:
     return law
 
 
+BUMPY = TabulatedKernel((1.0, 2.0, 1.5, 1.2), tail=("const",), f_star=1.0)  # rejects about 37% of proposals
 _WHOLE_TREE_DELAYS = {"uniform01": Uniform01Delay(beta=0.5), "invpow2": InversePowerDelay(2.0, beta=0.5)}
 
 
@@ -328,6 +329,10 @@ _WHOLE_TREE_DELAYS = {"uniform01": Uniform01Delay(beta=0.5), "invpow2": InverseP
     + [
         pytest.param(UniformKernel(), Uniform01Delay(beta=0.5), "default", id="uniform-uniform01-default"),
         pytest.param(AffineKernel(0.0), ConstantDelay(1.0, beta=0.5), "default", id="0.0-const1-default"),
+    ]
+    + [
+        pytest.param(BUMPY, delay, "default", id=f"bumpy-{name}-default")
+        for name, delay in _WHOLE_TREE_DELAYS.items()
     ],
 )
 def test_batched_edge_growth_draws_the_exact_law_of_whole_trees(monkeypatch, kernel, delay, tiles):
@@ -336,9 +341,11 @@ def test_batched_edge_growth_draws_the_exact_law_of_whole_trees(monkeypatch, ker
     # picks ahead of its branch uniforms.  Under these delays xi > 0, so an arrival never reads its
     # predecessor: 120 of the 720 histories carry mass under uniform01 and 6 under invpow2.  Under
     # const:1 arrival 5 sits on a slab edge (t = 4, xi * t**beta = 2) and reads snapshot 2
+    # The tabulated kernel takes the thinning sampler: every arrival is a one-arrival block, so this
+    # covers round one and the overflow draws; 2000 trees, at about 0.7 ms a tree
     n = 7
     law = _history_law(kernel, delay, n)
-    reps = 40_000
+    reps = 40_000 if GrowthConfig(kernel, delay, n).resolve_sampler() == "edge" else 2000
     if tiles == "split rows":
         monkeypatch.setattr(growth, "_EDGE_BLOCK", 3)
         reps = 5000
