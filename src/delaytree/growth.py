@@ -433,8 +433,13 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
     low = (1 << bits) - 1
     keys = None  # the guesses as sorted keys (parent, i), once there are any
 
-    def thin(vs, m, u):
-        """Accept flags of proposals ``vs`` from snapshots ``m``: degrees off the view plus the guessed children."""
+    def thin(vs, m, u, lost=None):
+        """Accept flags of proposals ``vs`` from snapshots ``m``: degrees off the view plus the guessed children.
+
+        The proposals ``lost`` (a mask) copied an unknown guess: their flags
+        are never read, and their degree is held at 1, since the unknown
+        vertex's guessed children are every unknown arrival.
+        """
         vs = vs.astype(np.int64)  # int64 indexes, the faster kind
         d = view.degrees(vs, m)
         if keys is not None:  # searched in sorted order, which saves most of a search's cache misses
@@ -444,6 +449,8 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
             hi += lo  # the keys below hi are v's guessed children born by m
             order = hi.argsort()
             d[order] += keys.searchsorted(hi.take(order)) - keys.searchsorted(lo.take(order))
+            if lost is not None:
+                np.putmask(d, lost, 1)  # so the acceptance tables do not grow to the unknown arrivals
         return acceptance(d, u)
 
     def draw(pending):
@@ -463,8 +470,9 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
                 m = np.concatenate((m,) * span)
             *b, p, u = [row.reshape(-1) for row in slots]
             vs = _resolve_edge(parents, len(parents), m, slope, offset, b[0] if b else None, p)
-            stop = thin(vs, m, u)
-            stop |= vs == unknown  # a copy of an unknown guess proposes it, and stops the arrival for the round
+            lost = vs == unknown  # a copy of an unknown guess proposes it, and stops the arrival for the round
+            stop = thin(vs, m, u, lost)
+            stop |= lost
             if span == 1:
                 tried[s].put(i, vs)
                 done, last, vs = stop, 0, vs[stop]
@@ -863,7 +871,6 @@ def _loop_edge(parents, kernel, ms, rngs) -> None:
 _BLOCK_MAX = 1 << 14  # thinning blocks hold P/4 arrivals past the first unresolved arrival P, up to this many
 _BUDGET_MAX = 32  # triples drawn ahead per arrival at most
 _NEVER = np.iinfo(np.int32).max  # a birth later than any vertex
-_WALK = 8  # siblings a degree view's walk steps back at a time
 _REBUILD = 2  # the degree view rebuilds its sorted key once P doubles (this ratio) since the last rebuild
 
 
