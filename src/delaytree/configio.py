@@ -88,11 +88,11 @@ def _get(entries: dict, key: str, default=None, required: bool = False) -> str:
     return default
 
 
-def _floats(csv: str) -> tuple:
+def _floats(csv: str, key: str) -> tuple:
     try:
         return tuple(float(tok) for tok in csv.split(",") if tok.strip() != "")
     except ValueError as ex:
-        raise ArgumentError(f"bad number list {csv!r}") from ex
+        raise ArgumentError(f"{key} must be a list of numbers, got {csv!r}") from ex
 
 
 def _float(token: str, key: str) -> float:
@@ -109,13 +109,13 @@ def _int(token: str, key: str) -> int:
         raise ArgumentError(f"{key} must be an integer, got {token!r}") from ex
 
 
-def _bool(token: str) -> bool:
+def _bool(token: str, key: str) -> bool:
     t = token.strip().lower()
     if t in ("true", "yes", "1"):
         return True
     if t in ("false", "no", "0"):
         return False
-    raise ArgumentError(f"expected a boolean, got {token!r}")
+    raise ArgumentError(f"{key} must be a boolean, got {token!r}")
 
 
 def kernel_from_entries(entries: dict) -> AttachmentKernel:
@@ -125,7 +125,7 @@ def kernel_from_entries(entries: dict) -> AttachmentKernel:
     if kind == "affine":
         return AffineKernel(alpha=_float(_get(entries, "kernel.alpha", default="0"), "kernel.alpha"))
     if kind == "tabulated":
-        table = _floats(_get(entries, "kernel.table", required=True))
+        table = _floats(_get(entries, "kernel.table", required=True), "kernel.table")
         tail_spec = _get(entries, "kernel.tail", default="const")
         if tail_spec == "const":
             tail: tuple = ("const",)
@@ -137,7 +137,7 @@ def kernel_from_entries(entries: dict) -> AttachmentKernel:
             values=table,
             tail=tail,
             f_star=_float(_get(entries, "kernel.f_star", default=str(min(table))), "kernel.f_star"),
-            monotone=_bool(_get(entries, "kernel.monotone", default="false")),
+            monotone=_bool(_get(entries, "kernel.monotone", default="false"), "kernel.monotone"),
         )
     raise ArgumentError(f"unknown kernel.kind {kind!r}")
 
@@ -160,8 +160,8 @@ def delay_from_entries(entries: dict) -> DelayLaw:
         return InversePowerDelay(p=_float(_get(entries, "delay.p", required=True), "delay.p"), beta=beta, scale=scale)
     if kind == "qtable":
         return QuantileTableDelay(
-            us=_floats(_get(entries, "delay.us", required=True)),
-            qs=_floats(_get(entries, "delay.qs", required=True)),
+            us=_floats(_get(entries, "delay.us", required=True), "delay.us"),
+            qs=_floats(_get(entries, "delay.qs", required=True), "delay.qs"),
             beta=beta,
         )
     raise ArgumentError(f"unknown delay.kind {kind!r}")
@@ -210,10 +210,11 @@ def render_config(config: GrowthConfig, replicates: int = 1) -> str:
         lines.append(f"kernel.f_star = {_num(k.f_star)}")
         lines.append(f"kernel.monotone = {'true' if k.monotone else 'false'}")
     d = config.delay
-    lines.append(f"delay.kind = {d.kind}")
-    if d.kind == "constant":
+    kind = "zero" if d.kind == "constant" and d.c == 0.0 else d.kind  # the classical model keeps its name
+    lines.append(f"delay.kind = {kind}")
+    if kind == "constant":
         lines.append(f"delay.c = {_num(d.c)}")
-    elif d.kind == "invpow":
+    elif kind == "invpow":
         lines.append(f"delay.p = {_num(d.p)}")
         if d.scale != 1.0:
             lines.append(f"delay.scale = {_num(d.scale)}")

@@ -307,6 +307,10 @@ class DelayLaw:
     kind: str = "abstract"
     beta: float
 
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.beta < 1.0):
+            raise ArgumentError(f"lookback exponent must lie in [0, 1), got {self.beta}")
+
     # --- sampling -------------------------------------------------------
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         raise NotImplementedError
@@ -329,10 +333,6 @@ class DelayLaw:
         """Supremum of the support if finite, else None."""
         return None
 
-    def _check_beta(self) -> None:
-        if not (0.0 <= self.beta < 1.0):
-            raise ArgumentError(f"lookback exponent must lie in [0, 1), got {self.beta}")
-
     # --- the rescaled horizon X = xi**(1/(1-beta)) ----------------------
     def x_of_xi(self, xi: float) -> float:
         return float(xi) ** (1.0 / (1.0 - self.beta))
@@ -349,13 +349,8 @@ class DelayLaw:
 
     def x_power_moment_finite(self, q: float) -> bool:
         """Whether E[X**q] < infinity (boundary cases count as infinite)."""
-        bound = self.bounded_support()
-        if bound is not None:
-            return True
         gamma = self.x_tail_index()
-        if gamma is None:
-            return True
-        return gamma > q
+        return gamma is None or gamma > q
 
     def ex_x_truncated(self, n: float) -> float:
         """E[min(X, n)], exact per family (quadrature for table laws)."""
@@ -363,41 +358,15 @@ class DelayLaw:
 
 
 @dataclass(frozen=True)
-class ZeroDelay(DelayLaw):
-    """xi = 0: the snapshot is always the current tree (classical model)."""
-
-    beta: float = 0.5
-    kind: str = field(default="zero", init=False)
-
-    def __post_init__(self) -> None:
-        self._check_beta()
-
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.zeros(size)
-
-    def survival(self, x: np.ndarray) -> np.ndarray:
-        return np.where(np.asarray(x) < 0.0, 1.0, 0.0)
-
-    def partial_mean(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.zeros(np.broadcast(a, b).shape)
-
-    def bounded_support(self) -> float | None:
-        return 0.0
-
-    def ex_x_truncated(self, n: float) -> float:
-        return 0.0
-
-
-@dataclass(frozen=True)
 class ConstantDelay(DelayLaw):
-    """xi = c deterministically."""
+    """xi = c deterministically; c = 0 is the classical model (:func:`ZeroDelay`)."""
 
     c: float
     beta: float = 0.5
     kind: str = field(default="constant", init=False)
 
     def __post_init__(self) -> None:
-        self._check_beta()
+        super().__post_init__()
         if self.c < 0.0 or not math.isfinite(self.c):
             raise ArgumentError(f"constant delay must be finite and >= 0, got {self.c}")
 
@@ -419,15 +388,17 @@ class ConstantDelay(DelayLaw):
         return min(self.x_of_xi(self.c), float(n))
 
 
+def ZeroDelay(beta: float = 0.5) -> ConstantDelay:
+    """xi = 0, the snapshot is always the current tree (classical model): the constant law at c = 0."""
+    return ConstantDelay(c=0.0, beta=beta)
+
+
 @dataclass(frozen=True)
 class Uniform01Delay(DelayLaw):
     """xi ~ Uniform(0, 1)."""
 
     beta: float = 0.5
     kind: str = field(default="uniform01", init=False)
-
-    def __post_init__(self) -> None:
-        self._check_beta()
 
     def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.random(size)
@@ -469,7 +440,7 @@ class InversePowerDelay(DelayLaw):
     kind: str = field(default="invpow", init=False)
 
     def __post_init__(self) -> None:
-        self._check_beta()
+        super().__post_init__()
         if not 0.0 < self.p < math.inf:
             raise ArgumentError(f"inverse-power exponent must be finite and > 0, got {self.p}")
         if not 0.0 < self.scale < math.inf:
@@ -530,7 +501,7 @@ class QuantileTableDelay(DelayLaw):
     kind: str = field(default="qtable", init=False)
 
     def __post_init__(self) -> None:
-        self._check_beta()
+        super().__post_init__()
         us = tuple(float(u) for u in self.us)
         qs = tuple(float(q) for q in self.qs)
         object.__setattr__(self, "us", us)

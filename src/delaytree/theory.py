@@ -145,17 +145,14 @@ def rho_hat_series(
 def rho_hat(kernel: AttachmentKernel, lam: float) -> float:
     """Value of the transform, +inf when the series diverges.
 
-    Uniform and affine kernels have closed forms (1/lam and
-    (1+alpha)/(lam-1) respectively -- the affine series telescopes through
-    ratios of rising factorials); those are used directly and are
-    cross-checked against the generic series route in the tests.
+    A linear kernel f(k) = a*k + b -- uniform (a = 0, b = 1) or affine
+    (a = 1, b = alpha) -- sums to (a + b)/(lam - a) for lam > a (the series
+    telescopes through ratios of rising factorials); that closed form is
+    used directly and is cross-checked against the series in the tests.
     """
-    if kernel.kind == "uniform":
-        return math.inf if lam <= 0.0 else 1.0 / lam
-    if kernel.kind == "affine":
-        if lam <= 1.0:
-            return math.inf
-        return (1.0 + kernel.alpha) / (lam - 1.0)
+    if kernel.kind in ("uniform", "affine"):
+        a, b = kernel.linear_bound()
+        return math.inf if lam <= a else (a + b) / (lam - a)
     return rho_hat_series(kernel, lam).value
 
 

@@ -1,7 +1,7 @@
 """The streamed artifact writer spells every byte as the per-cell reference does.
 
 ``summary.json`` was once ``json.dumps(_jsonable(payload), sort_keys=True,
-indent=2)`` and each CSV a row-by-row join of ``_cell`` spellings.  Those
+indent=2)`` and each CSV a row-by-row join of ``_ref_cell`` spellings.  Those
 reference versions are kept below; the writer must reproduce them for any
 payload and any column set, at any chunk size.  The writer spells an
 array's distinct numbers once, so arrays are drawn of several widths and

@@ -273,6 +273,14 @@ def test_check_delay_inconclusive_exit_1(capsys):
     assert "verdict=inconclusive" in out
 
 
+def test_check_delay_violated_exit_1(capsys):
+    # xi = U**-2 at beta = 0.8: e_n climbs from 1.6 to about 2, and the lemma sequence stays near its peak
+    argv = ["check-delay", "--set", "delay.kind=invpow", "--set", "delay.p=2", "--set", "beta=0.8"]
+    rc = main([*argv, "--ngrid", "1e2..1e5"])
+    assert rc == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict=violated"
+
+
 def test_check_delay_families_parse(capsys):
     families = (
         ["delay.kind=constant", "delay.c=1.5"],
@@ -299,6 +307,28 @@ def test_check_delay_families_parse(capsys):
 def test_check_delay_bad_family(capsys):
     assert main(["check-delay", "--set", "delay.kind=lorentzian"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+TABULATED = ["--set", "n_final=100", "--set", "kernel.kind=tabulated", "--set", "kernel.table=1,2"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["simulate", *TABULATED, "--set", "kernel.table=1,x"], "kernel.table"),
+        (["simulate", *TABULATED, "--set", "kernel.monotone=maybe"], "kernel.monotone"),
+        (["simulate", *TABULATED, "--set", "kernel.tail=exp"], "kernel.tail"),
+        (["simulate", "--set", "n_final=1.5"], "n_final"),
+        (["simulate", "--set", "n_final=100", "--set", "foo"], "--set"),
+        (["simulate", "--set", "n_final=100", "--tol", "degree_tv"], "--tol"),
+        (["check-delay", "--ngrid", "5"], "--ngrid"),
+    ],
+    ids=("table", "monotone", "tail", "n_final", "set", "tol", "ngrid"),
+)
+def test_usage_error_names_its_key(capsys, argv, name):
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and name in line
 
 
 def test_simulate_ends_with_pass_or_fail(capsys):

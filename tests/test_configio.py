@@ -54,6 +54,14 @@ def test_defaults_fill_in():
     assert reps == 1
 
 
+def test_constant_delay_at_zero_echoes_as_zero():
+    cfg, _ = build_config(parse_config_text("delay.kind = constant\ndelay.c = 0\nn_final = 50\n"))
+    assert cfg.delay == ZeroDelay(beta=0.5)
+    text = render_config(cfg)
+    assert "delay.kind = zero\n" in text and "delay.c" not in text
+    assert text == render_config(build_config(parse_config_text("delay.kind = zero\nn_final = 50\n"))[0])
+
+
 def test_unknown_key_points_at_the_line():
     text = "kernel.kind = affine\nkernel.alpha = 0\nwibble = 3\n"
     with pytest.raises(ArgumentError) as exc:

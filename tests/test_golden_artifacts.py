@@ -5,7 +5,9 @@ Two small plans cover both root-degree regimes and every artifact.  The
 ``nan`` column and ``summary.json`` a ``null`` ``over_ex``; it also writes
 ``clt.csv`` and ``delay_scan.csv``.  The ``grid-invpow2`` plan is in the
 heavy regime (finite ``M_over_EXn``) and writes ``fringe.csv`` with its
-code strings and the tuple-keyed pair counts in ``summary.json``.
+code strings and the tuple-keyed pair counts in ``summary.json``.  The
+``grid-zero`` plan grows the classical model, the constant delay at c = 0,
+whose echo spells it ``delay.kind = zero``.
 
 The digests are SHA-256 over each file's bytes.  A change to the numbers,
 their spelling, key order, indentation or line endings fails here.
@@ -23,6 +25,7 @@ from delaytree.configio import build_config, parse_config_text
 PLANS = {
     "uniform01": ("grid-uniform01", ("degree", "root", "clt", "delay-scan"), 1500, 5),
     "invpow2": ("grid-invpow2", ("degree", "fringe", "root"), 3000, 3),
+    "zero": ("grid-zero", ("degree", "fringe", "root"), 3000, 3),
 }
 
 GOLDEN = {
@@ -40,6 +43,13 @@ GOLDEN = {
         "fringe.csv": "754a507c7284e47f0ae7effa6f3d6bb1c4cd8194b336a10a22c828fb96487996",
         "root.csv": "f2f132eaa9a3238b19d1a7f137e063e00edaf24bf2153ac1851757c19be9feb4",
         "summary.json": "d995c67603f35ece430e1f3486d669a6887fce0e36950277af531322d2768fd0",
+    },
+    "zero": {
+        "config_echo.txt": "ecd85603f38e8b09904ff409ffe00e5bc0cdfc00255ee6a6648cb02e56f4946e",
+        "degree_hist.csv": "437113baf54458bdad9cb9e674bd3a08efdbc40d58f59d05a24628cb5cc31249",
+        "fringe.csv": "fbf2f23666c0798c431afdba6bf6af8f94116b5b091af796c158d8d1312769d1",
+        "root.csv": "ffe6f8fb8d864df20bd07fd3bd7ba03ec7bffb81a2fd6c91a2af17cbda08b891",
+        "summary.json": "bf5064d4f9e6e569bda941e0bfc5e25f345b62ab9bfa136e223e53ea74e9fdda",
     },
 }
 

@@ -320,6 +320,26 @@ def test_delay_scan_only_skips_growth():
     assert summary.ok
 
 
+def test_delay_scan_violated_fails_the_plan():
+    # xi = U**-2 at beta = 0.8: e_n keeps rising over the scan's grid 1e2..1e4
+    cfg = GrowthConfig(AFF, InversePowerDelay(p=2.0, beta=0.8), 100, seed=1)
+    summary = run(ExperimentPlan(config=cfg, statistics=("delay-scan",)))
+    assert summary.checks["delay-scan"] == {"verdict": "violated", "ok": False}
+    assert not summary.ok
+
+
+def test_root_grid_of_one_point(tmp_path):
+    # n_final = 2 gives the grid [2], which has no last octave to drift over
+    cfg = GrowthConfig(AFF, InversePowerDelay(p=2.0, beta=0.5), 2, seed=0)
+    summary = run(ExperimentPlan(config=cfg, replicates=3, statistics=("root",), outdir=str(tmp_path)))
+    assert summary.ok
+    root = summary.statistics["root"]
+    assert root["ns"].tolist() == [2]
+    assert root["last_octave_drift"].tolist() == [0.0, 0.0, 0.0]
+    rows = (tmp_path / "root.csv").read_text().splitlines()
+    assert [row.split(",")[:2] for row in rows[1:]] == [["0", "2"], ["1", "2"], ["2", "2"]]
+
+
 def test_failing_tolerance_flips_ok():
     plan = _plan(n=600, reps=2, stats=("degree",), tolerances={"degree_tv": 1e-9})
     summary = run(plan)

@@ -216,6 +216,7 @@ def test_pareto_is_an_inverse_power_law_with_a_scale():
 
 def test_zero_delay():
     d = ZeroDelay(beta=0.5)
+    assert d == ConstantDelay(c=0.0, beta=0.5)
     assert d.survival(0.0) == 0.0
     assert d.survival(-1.0) == 1.0
     np.testing.assert_array_equal(d.sample_many(np.random.default_rng(0), 5), np.zeros(5))
@@ -268,6 +269,21 @@ def test_inverse_power_x_scale():
     assert d.ex_x_truncated(16.0) == pytest.approx(want, rel=1e-9)
 
 
+class _Midpoints:
+    """A stand-in generator whose uniforms are the midpoints (i + 1/2) / size of [0, 1]."""
+
+    def random(self, size):
+        return (np.arange(size) + 0.5) / size
+
+
+def _ex_x_truncated_by_midpoints(delay, n, points=2_000_000):
+    # E[min(X, n)] = int_0^1 min(Q(u)**(1/(1-beta)), n) du for the quantile
+    # function Q of xi, which each family's inverse-transform sampler applies
+    # to its uniforms; the midpoints are symmetric, so 1 - U reads them too
+    xs = delay.sample_many(_Midpoints(), points)
+    return float(np.minimum(xs ** (1.0 / (1.0 - delay.beta)), n).mean())
+
+
 def test_ex_x_truncated_against_quadrature_more_families():
     for d in [
         Uniform01Delay(beta=0.5),
@@ -277,6 +293,22 @@ def test_ex_x_truncated_against_quadrature_more_families():
         n = 50.0
         want, _ = integrate.quad(lambda x: d.x_survival(x), 0.0, n, limit=300)
         assert d.ex_x_truncated(n) == pytest.approx(want, rel=1e-6), d
+    # every branch of every family against a midpoint sum over the quantile
+    atom_and_gap = QuantileTableDelay(us=(0.0, 0.25, 0.5, 0.5, 1.0), qs=(0.0, 1.0, 1.0, 2.0, 3.0), beta=0.5)
+    for d, n in [
+        (ZeroDelay(beta=0.5), 10.0),
+        (ConstantDelay(c=1.5, beta=0.5), 2.0),
+        (ConstantDelay(c=1.5, beta=0.5), 10.0),
+        (Uniform01Delay(beta=0.5), 0.5),
+        (Uniform01Delay(beta=0.3), 0.2),
+        (InversePowerDelay(p=0.5, beta=0.5), 40.0),  # gamma = 1
+        (InversePowerDelay(p=1.0, beta=0.5, scale=4.0), 3.0),  # n below x0 = 16
+        (InversePowerDelay(p=1.0, beta=0.5, scale=4.0), 100.0),
+        (atom_and_gap, 5.0),
+        (atom_and_gap, 50.0),
+        (QuantileTableDelay(us=(0.0, 0.5, 1.0), qs=(0.0, 1.0, 3.0), beta=0.4), 2.0),
+    ]:
+        assert d.ex_x_truncated(n) == pytest.approx(_ex_x_truncated_by_midpoints(d, n), rel=1e-8), (d, n)
 
 
 def test_quantile_table_delay():

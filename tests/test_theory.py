@@ -91,6 +91,21 @@ def test_malthusian_uniform():
     assert solve_malthusian(UniformKernel()).lambda_star == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize(
+    "kernel, want",
+    [
+        (UniformKernel(), "0x1.0000000000080p+0"),
+        (AffineKernel(0.0), "0x1.0000000000080p+1"),
+        (AffineKernel(0.5), "0x1.4000000000000p+1"),
+        (AffineKernel(1.3), "0x1.a666666666700p+1"),
+    ],
+    ids=("uniform", "affine0", "affine0.5", "affine1.3"),
+)
+def test_malthusian_linear_kernels_bit_for_bit(kernel, want):
+    # the closed form's float operations fix lambda* to the last bit
+    assert solve_malthusian(kernel).lambda_star.hex() == want
+
+
 def test_malthusian_tabulated_sqrt2():
     # for the table (1, 2, 2, ...) the fixed point solves
     # (lam + 2) / (lam (lam + 1)) = 1, hence lam = sqrt(2)
