@@ -1,8 +1,9 @@
 """Empirical statistics of grown traces.
 
 Degree histograms, the fringe-subtree census, root-degree trajectories,
-the leaf CLT statistic of one tree, and the exact delay-condition scan.
-Everything here is read-only over a trace.
+the leaf CLT statistic, and the exact delay-condition scan.  Everything
+here is read-only over a trace.  Root trajectories are counts: the
+harness normalises them, once per plan, by n**theta and E[min(X, n)].
 
 A tree's children are counted once (``TreeTrace.child_counts``, or
 ``canonical.tally_rows`` of ``growth.parent_rows`` for a batch), and the
@@ -154,8 +155,8 @@ def extended_fringe_census(trace: TreeTrace, cap: int = 6) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def leaf_clt_value(n1: int, n: int, p1: float) -> float:
-    """The leaf CLT statistic of one tree: sqrt(n) * (N_1/n - p1)."""
+def leaf_clt_value(n1, n: int, p1: float):
+    """The leaf CLT statistic sqrt(n) * (N_1/n - p1), of one leaf count or elementwise of an array of them."""
     return math.sqrt(n) * (n1 / n - p1)
 
 
@@ -209,45 +210,32 @@ def half_decade_grid(lo: float, hi: float) -> list:
 class RootTrajectory:
     """Root degree on the time grid ``ns``: of one tree, or of a batch of trees as rows.
 
-    ``values`` and the normalized arrays are 1-D for one tree
-    (:func:`root_trajectory`) and (trees x grid) for a batch
-    (:func:`root_trajectories`); :meth:`row` is one tree of a batch.
+    ``values`` is 1-D for one tree (:func:`root_trajectory`) and
+    (trees x grid) for a batch (:func:`root_trajectories`).  These are
+    counts; the harness normalises them by n**theta and E[min(X, n)].
     """
 
     ns: np.ndarray
     values: np.ndarray  # deg_at(1, n_j): 1 + children by time n_j
-    theta: float
-    over_ntheta: np.ndarray
-    over_truncated_mean: np.ndarray | None  # values / E[min(X, n_j)], heavy regime
 
     def __post_init__(self) -> None:
         if (self.values[..., 1:] < self.values[..., :-1]).any():
             raise ArgumentError("root degree can never decrease")
 
-    def row(self, r: int) -> "RootTrajectory":
-        """The trajectory of tree r of a batch."""
-        ex = self.over_truncated_mean
-        return RootTrajectory(self.ns, self.values[r], self.theta, self.over_ntheta[r], None if ex is None else ex[r])
+
+def root_trajectory(trace: TreeTrace, grid=None) -> RootTrajectory:
+    """Root degree sampled along a time grid (by default :func:`geometric_grid`)."""
+    batch = root_trajectories(trace.parents[None, 2:], grid=grid)
+    return RootTrajectory(batch.ns, batch.values[0])
 
 
-def root_trajectory(trace: TreeTrace, theta: float, grid=None, ex_x=None) -> RootTrajectory:
-    """Root degree sampled along a geometric time grid.
-
-    ex_x, when given, holds E[min(X, n_j)] (the heavy-regime growth scale)
-    at each grid point n_j; the trajectory then also carries values
-    normalized by it.  In the light regime values/n^theta is the quantity
-    that settles.
-    """
-    return root_trajectories(trace.parents[None, 2:], theta, grid=grid, ex_x=ex_x).row(0)
-
-
-def root_trajectories(rows, theta: float, grid=None, ex_x=None) -> RootTrajectory:
+def root_trajectories(rows, grid=None) -> RootTrajectory:
     """:func:`root_trajectory` of every tree of a batch of one size, on one grid, as one (trees x grid) object.
 
     ``rows`` holds ``parents[2:]`` of each tree as a row of one matrix
-    (``growth.parent_rows``).  The grid and ``ex_x`` are checked once, the
-    root's children of every row are found in one pass and counted at the
-    grid by one search, and the batch's monotonicity is checked once.
+    (``growth.parent_rows``).  The grid is checked once, the root's
+    children of every row are found in one pass and counted at the grid
+    by one search, and the batch's monotonicity is checked once.
     """
     rows = np.asarray(rows)
     if rows.ndim != 2 or not len(rows):
@@ -256,17 +244,11 @@ def root_trajectories(rows, theta: float, grid=None, ex_x=None) -> RootTrajector
     ns = geometric_grid(n) if grid is None else _check_grid(grid, "grid")
     if np.any(np.diff(ns) <= 0) or ns[0] < 1 or ns[-1] > n:
         raise ArgumentError("grid must be strictly increasing within [1, n]")
-    if ex_x is not None:
-        ex = np.asarray(ex_x, dtype=np.float64)
-        if ex.shape != ns.shape:
-            raise ArgumentError("ex_x needs one value per grid point")
     # row r's child v of the root sits at r*(n-1) + v - 2, rows in order
     births = np.flatnonzero(rows == 1)
     starts = np.arange(len(rows))[:, None] * (n - 1)
     values = 1.0 + (np.searchsorted(births, starts + (ns - 2), "right") - np.searchsorted(births, starts))
-    over_ntheta = values / ns.astype(np.float64) ** theta
-    over_ex = values / ex if ex_x is not None else None
-    return RootTrajectory(ns=ns, values=values, theta=theta, over_ntheta=over_ntheta, over_truncated_mean=over_ex)
+    return RootTrajectory(ns=ns, values=values)
 
 
 # ---------------------------------------------------------------------------

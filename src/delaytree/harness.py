@@ -163,10 +163,9 @@ def _batch_records(args) -> dict:
     once, as one matrix of rows, which the child counts (one tally) and the
     root trajectories read; the degrees are another tally, and each tree's
     shape labelling reads its row of the child counts.
-    ``root`` is the plan's (theta, time grid, E[min(X, n_j)] on the grid or
-    None outside the heavy regime), or None without "root".
+    ``grid`` is the plan's root time grid, or None without "root".
     """
-    config, stats, root, reps = args
+    config, stats, grid, reps = args
     traces = grow(config, replicate_seed(config.seed, np.arange(reps.start, reps.stop, dtype=np.uint64)))
     trees, retries = [trace.parents for trace in traces], [trace.retries for trace in traces]
     rows = parent_rows(traces)
@@ -180,26 +179,18 @@ def _batch_records(args) -> dict:
             labels, codes = shape_labels(parents, row, cap)
             batch["fringe"].append(est.FringeCensus.from_labels(labels, codes, cap))
     if "root" in stats:
-        theta, grid, ex = root
-        batch["root"] = est.root_trajectories(rows, theta, grid=grid, ex_x=ex)
+        batch["root"] = est.root_trajectories(rows, grid=grid)
     return batch
 
 
 def _collect_batches(plan: ExperimentPlan) -> list:
     config = plan.config
-    root = None
-    if "root" in plan.statistics:
-        # once per plan: every replicate shares the grid and its growth scales
-        consts = theory.root_degree_constants(config.kernel.alpha, config.delay)
-        grid = est.geometric_grid(config.n_final)
-        ex = None
-        if consts.regime == "heavy":
-            ex = np.array([consts.ex_x_truncated(float(m)) for m in grid])
-        root = (consts.theta, grid, ex)
+    # once per plan: every replicate shares the root's time grid
+    grid = est.geometric_grid(config.n_final) if "root" in plan.statistics else None
     # jobs of consecutive replicates, each grown by one call as rows of several edge blocks
     size = batch_size(config.n_final)
     jobs = [
-        (config, plan.statistics, root, range(lo, min(lo + size, plan.replicates)))
+        (config, plan.statistics, grid, range(lo, min(lo + size, plan.replicates)))
         for lo in range(0, plan.replicates, size)
     ]
     if plan.workers == 1 or len(jobs) == 1:
@@ -284,13 +275,15 @@ def _aggregate_fringe(plan: ExperimentPlan, batches: list, lam: float) -> tuple[
 
 
 def _aggregate_root(plan: ExperimentPlan, batches: list) -> tuple[dict, dict]:
-    jobs = [b["root"] for b in batches]
-    ns = jobs[0].ns
-    values = np.concatenate([job.values for job in jobs])
-    over_ntheta = np.concatenate([job.over_ntheta for job in jobs])
+    config = plan.config
+    consts = theory.root_degree_constants(config.kernel.alpha, config.delay)
+    ns = batches[0]["root"].ns
+    values = np.concatenate([b["root"].values for b in batches])
+    # the counts' growth scales, once per plan over the whole (replicates x grid) matrix
+    over_ntheta = values / ns.astype(np.float64) ** consts.theta
     over_ex = None
-    if jobs[0].over_truncated_mean is not None:
-        over_ex = np.concatenate([job.over_truncated_mean for job in jobs])
+    if consts.regime == "heavy":
+        over_ex = values / np.array([config.delay.ex_x_truncated(float(m)) for m in ns])
     # relative drift of the normalized trajectory over the last grid octave
     if over_ntheta.shape[1] >= 2:
         drift = np.abs(over_ntheta[:, -1] - over_ntheta[:, -2]) / np.maximum(
@@ -315,8 +308,7 @@ def _aggregate_clt(plan: ExperimentPlan, batches: list) -> tuple[dict, dict]:
     consts = theory.clt_constants(alpha)
     n = config.n_final
     # n >= 2, so every tree has a degree-1 column: its leaves
-    leaves = [n1 for b in batches for n1 in b["degree_counts"][:, 1].tolist()]
-    s = np.array([est.leaf_clt_value(n1, n, consts.p1) for n1 in leaves], dtype=np.float64)
+    s = est.leaf_clt_value(np.concatenate([b["degree_counts"][:, 1] for b in batches]), n, consts.p1)
     var = float(s.var(ddof=1))
     rel = abs(var - consts.sigma1_sq) / consts.sigma1_sq
     tol = plan.resolved_tolerances()["clt_var_rel"]

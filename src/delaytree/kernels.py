@@ -329,10 +329,6 @@ class DelayLaw:
         """
         raise NotImplementedError
 
-    def bounded_support(self) -> float | None:
-        """Supremum of the support if finite, else None."""
-        return None
-
     # --- the rescaled horizon X = xi**(1/(1-beta)) ----------------------
     def x_of_xi(self, xi: float) -> float:
         return float(xi) ** (1.0 / (1.0 - self.beta))
@@ -381,9 +377,6 @@ class ConstantDelay(DelayLaw):
         b = np.asarray(b, dtype=np.float64)
         return np.where((a < self.c) & (self.c <= b), self.c, 0.0)
 
-    def bounded_support(self) -> float | None:
-        return self.c
-
     def ex_x_truncated(self, n: float) -> float:
         return min(self.x_of_xi(self.c), float(n))
 
@@ -410,9 +403,6 @@ class Uniform01Delay(DelayLaw):
         lo = np.clip(np.asarray(a, dtype=np.float64), 0.0, 1.0)
         hi = np.clip(np.asarray(b, dtype=np.float64), 0.0, 1.0)
         return 0.5 * (hi * hi - lo * lo)
-
-    def bounded_support(self) -> float | None:
-        return 1.0
 
     def ex_x_truncated(self, n: float) -> float:
         # X = U**(1/(1-beta)) <= 1, so the truncation never binds for n >= 1
@@ -546,9 +536,6 @@ class QuantileTableDelay(DelayLaw):
         x = np.asarray(x, dtype=np.float64)
         inside = 1.0 - np.interp(x, self.qs, self.us)
         return np.where(x < self.qs[0], 1.0, np.where(x >= self.qs[-1], 0.0, inside))
-
-    def bounded_support(self) -> float | None:
-        return self.qs[-1]
 
     def ex_x_truncated(self, n: float) -> float:
         r = 1.0 / (1.0 - self.beta)

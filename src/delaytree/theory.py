@@ -430,21 +430,16 @@ def clt_constants(alpha: float) -> CltConstants:
 
 @dataclass(frozen=True)
 class RootDegreeConstants:
-    """Growth scales for the root's degree under a given delay tail.
+    """The root degree's growth exponent and regime under a given delay tail.
 
     theta = 1/(2+alpha) is the light-regime exponent: M(n)/n**theta
     converges when E[X**(1-theta)] is finite, X = xi**(1/(1-beta)).
-    Otherwise the root is delay-dominated and M(n) tracks E[min(X, n)].
+    Otherwise the regime is "heavy": the root is delay-dominated and M(n)
+    tracks the delay's own ``ex_x_truncated(n)`` = E[min(X, n)].
     """
 
     theta: float
     regime: str  # "l2" or "heavy"
-    x_tail_index: float | None
-    mean_x_finite: bool
-    delay: DelayLaw
-
-    def ex_x_truncated(self, n: float) -> float:
-        return self.delay.ex_x_truncated(n)
 
 
 def root_degree_constants(alpha: float, delay: DelayLaw) -> RootDegreeConstants:
@@ -452,13 +447,7 @@ def root_degree_constants(alpha: float, delay: DelayLaw) -> RootDegreeConstants:
         raise ArgumentError("alpha must be >= 0")
     theta = 1.0 / (2.0 + alpha)
     light = delay.x_power_moment_finite(1.0 - theta)
-    return RootDegreeConstants(
-        theta=theta,
-        regime="l2" if light else "heavy",
-        x_tail_index=delay.x_tail_index(),
-        mean_x_finite=delay.x_power_moment_finite(1.0),
-        delay=delay,
-    )
+    return RootDegreeConstants(theta=theta, regime="l2" if light else "heavy")
 
 
 # ---------------------------------------------------------------------------

@@ -306,19 +306,19 @@ def test_c6_root_degree_regimes(report):
     stable = 0
     for r in range(reps):
         tr = grow(GrowthConfig(ALPHA0, Uniform01Delay(beta=0.5), 100_000, seed=replicate_seed(61, r)))
-        v = root_trajectory(tr, light.theta, grid=grid).over_ntheta
+        v = root_trajectory(tr, grid=grid).values / grid**light.theta
         stable += abs(v[-1] - v[-2]) / v[-2] < 0.10
     light_frac = stable / reps
 
     heavy = root_degree_constants(0.0, InversePowerDelay(2.0, beta=0.5))
     assert heavy.regime == "heavy"
-    floor = 0.5 * heavy.ex_x_truncated(100_000)
+    floor = 0.5 * InversePowerDelay(2.0, beta=0.5).ex_x_truncated(100_000)
     grew, above = 0, 0
     for r in range(reps):
         tr = grow(
             GrowthConfig(ALPHA0, InversePowerDelay(2.0, beta=0.5), 100_000, seed=replicate_seed(62, r))
         )
-        m = root_trajectory(tr, heavy.theta, grid=grid).values
+        m = root_trajectory(tr, grid=grid).values
         grew += m[-1] >= 2.0 * m[0]
         above += m[-1] >= floor
     ok = light_frac >= 0.80 and grew / reps >= 0.90 and above / reps >= 0.90

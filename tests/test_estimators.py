@@ -180,37 +180,20 @@ def test_half_decade_grid():
 
 def test_root_trajectory_star():
     star = trace_from_parents([0, 0] + [1] * 19)  # root with 19 children
-    traj = root_trajectory(star, theta=0.5, grid=[1, 4, 9, 16, 20])
+    traj = root_trajectory(star, grid=[1, 4, 9, 16, 20])
+    np.testing.assert_array_equal(traj.ns, [1, 4, 9, 16, 20])
     np.testing.assert_allclose(traj.values, [1, 4, 9, 16, 20])
-    np.testing.assert_allclose(traj.over_ntheta, [1.0, 2.0, 3.0, 4.0, 20 / np.sqrt(20)])
-    assert traj.over_truncated_mean is None
-    with_ex = root_trajectory(star, theta=0.5, grid=[4, 16], ex_x=[2.0, 8.0])
-    np.testing.assert_allclose(with_ex.over_truncated_mean, [2.0, 2.0])
 
 
 def test_root_trajectory_validation():
     with pytest.raises(ArgumentError):
-        root_trajectory(PATH4, theta=0.5, grid=[3, 2])
+        root_trajectory(PATH4, grid=[3, 2])
     with pytest.raises(ArgumentError):
-        root_trajectory(PATH4, theta=0.5, grid=[1, 99])
+        root_trajectory(PATH4, grid=[1, 99])
     with pytest.raises(ArgumentError):
-        root_trajectory(PATH4, theta=0.5, grid=[2, 4], ex_x=[1.0])
+        RootTrajectory(ns=np.array([2, 4]), values=np.array([5.0, 3.0]))  # the root cannot shrink
     with pytest.raises(ArgumentError):
-        RootTrajectory(
-            ns=np.array([2, 4]),
-            values=np.array([5.0, 3.0]),  # the root cannot shrink
-            theta=0.5,
-            over_ntheta=np.array([1.0, 1.0]),
-            over_truncated_mean=None,
-        )
-    with pytest.raises(ArgumentError):
-        RootTrajectory(
-            ns=np.array([2, 4]),
-            values=np.array([[1.0, 2.0], [3.0, 2.0]]),  # nor in any row of a batch
-            theta=0.5,
-            over_ntheta=np.ones((2, 2)),
-            over_truncated_mean=None,
-        )
+        RootTrajectory(ns=np.array([2, 4]), values=np.array([[1.0, 2.0], [3.0, 2.0]]))  # nor in any row of a batch
 
 
 # ---------------------------------------------------------------------------
@@ -301,24 +284,14 @@ def test_batch_estimators_match_one_tree_at_a_time(batch, data):
         np.testing.assert_array_equal(counted[: len(ref)], ref)
         assert not counted[len(ref) :].any()
     grid = sorted(data.draw(st.sets(st.integers(1, n), min_size=1)))
-    ex = data.draw(st.none() | st.lists(st.floats(0.5, 100.0), min_size=len(grid), max_size=len(grid)))
-    theta = data.draw(st.sampled_from((0.0, 0.5, 0.77)))
-    batch_root = root_trajectories(rows, theta, grid=grid, ex_x=ex)  # one (trees x grid) object
-    assert batch_root.values.shape == batch_root.over_ntheta.shape == (len(traces), len(grid))
+    batch_root = root_trajectories(rows, grid=grid)  # one (trees x grid) object
+    assert batch_root.values.shape == (len(traces), len(grid))
+    np.testing.assert_array_equal(batch_root.ns, grid)
     for r, trace in enumerate(traces):
-        traj = batch_root.row(r)
-        one = root_trajectory(trace, theta, grid=grid, ex_x=ex)
-        for name in ("ns", "values", "over_ntheta", "over_truncated_mean"):
-            np.testing.assert_array_equal(getattr(traj, name), getattr(one, name))
-        values = _reference_root_values(trace.parents, grid)
-        np.testing.assert_array_equal(traj.ns, grid)
-        np.testing.assert_array_equal(traj.values, values)
-        np.testing.assert_array_equal(traj.over_ntheta, values / np.asarray(grid, dtype=np.float64) ** theta)
-        if ex is None:
-            assert traj.over_truncated_mean is None
-        else:
-            np.testing.assert_array_equal(traj.over_truncated_mean, values / np.asarray(ex))
-        assert traj.theta == theta
+        one = root_trajectory(trace, grid=grid)
+        np.testing.assert_array_equal(one.ns, grid)
+        np.testing.assert_array_equal(batch_root.values[r], one.values)
+        np.testing.assert_array_equal(one.values, _reference_root_values(trace.parents, grid))
 
 
 def test_batch_rows_keep_their_own_histogram_length_and_default_grid():
@@ -326,7 +299,7 @@ def test_batch_rows_keep_their_own_histogram_length_and_default_grid():
     hists = [degree_hist(t) for t in (star, PATH4, star)]
     assert [len(h.counts) for h in hists] == [4, 3, 4]
     assert [h.max_degree() for h in hists] == [3, 2, 3]
-    trajs = root_trajectories(parent_rows([PATH4, star]), theta=0.5)
+    trajs = root_trajectories(parent_rows([PATH4, star]))
     np.testing.assert_array_equal(trajs.ns, geometric_grid(4))
     np.testing.assert_array_equal(trajs.values, [[2.0, 2.0, 2.0], [2.0, 3.0, 4.0]])
 
@@ -337,16 +310,14 @@ def test_batch_estimators_reject_bad_batches():
     with pytest.raises(ArgumentError):
         parent_rows([])
     with pytest.raises(ArgumentError):
-        root_trajectories([], theta=0.5)
+        root_trajectories([])
     with pytest.raises(ArgumentError):
-        root_trajectories(PATH4.parents[2:], theta=0.5)  # one row, not a matrix
+        root_trajectories(PATH4.parents[2:])  # one row, not a matrix
     rows = parent_rows([PATH4, STAR4])
     with pytest.raises(ArgumentError):
-        root_trajectories(rows, theta=0.5, grid=[3, 2])
+        root_trajectories(rows, grid=[3, 2])
     with pytest.raises(ArgumentError):
-        root_trajectories(rows, theta=0.5, grid=[1, 99])
-    with pytest.raises(ArgumentError):
-        root_trajectories(rows, theta=0.5, grid=[2, 4], ex_x=[1.0])
+        root_trajectories(rows, grid=[1, 99])
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +486,10 @@ def test_scan_heavy_tail_inconclusive_on_short_grids():
     "call",
     [
         lambda: delay_condition_scan(Uniform01Delay(beta=0.5), [2, 3.5, 10.9]),
-        lambda: root_trajectories(parent_rows([STAR4]), 0.5, grid=[2.5, 3.7]),
+        lambda: root_trajectories(parent_rows([STAR4]), grid=[2.5, 3.7]),
         lambda: geometric_grid(10.5),
-        lambda: root_trajectories(parent_rows([STAR4]), 0.5, grid=[]),
-        lambda: root_trajectories(parent_rows([STAR4]), 0.5, grid=[[2, 3], [3, 4]]),
+        lambda: root_trajectories(parent_rows([STAR4]), grid=[]),
+        lambda: root_trajectories(parent_rows([STAR4]), grid=[[2, 3], [3, 4]]),
     ],
     ids=["scan-fractional-sizes", "root-fractional-grid", "geometric-fractional-end", "root-empty-grid", "root-2d-grid"],
 )

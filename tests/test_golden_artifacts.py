@@ -1,6 +1,6 @@
 """Golden digests of every artifact file: the writer reproduces its bytes exactly.
 
-Two small plans cover both root-degree regimes and every artifact.  The
+Three small plans cover both root-degree regimes and every artifact.  The
 ``grid-uniform01`` plan is in the ``l2`` regime, so ``root.csv`` carries a
 ``nan`` column and ``summary.json`` a ``null`` ``over_ex``; it also writes
 ``clt.csv`` and ``delay_scan.csv``.  The ``grid-invpow2`` plan is in the

@@ -1,6 +1,7 @@
 """Replicate executor: seed derivation, TV metric, aggregation, files."""
 
 import dataclasses
+import itertools
 import json
 import os
 from unittest import mock
@@ -31,10 +32,11 @@ from delaytree.kernels import (
 )
 
 AFF = AffineKernel(0.0)
+HEAVY = InversePowerDelay(p=2.0, beta=0.5)  # the heavy root regime
 
 
-def _plan(n=1200, reps=2, stats=("degree",), **kw):
-    cfg = GrowthConfig(AFF, Uniform01Delay(beta=0.5), n, seed=5)
+def _plan(n=1200, reps=2, stats=("degree",), delay=Uniform01Delay(beta=0.5), **kw):
+    cfg = GrowthConfig(AFF, delay, n, seed=5)
     loose = {"degree_tv": 0.5, "fringe_abs": 0.5, "pair_abs": 0.5, "clt_var_rel": 50.0}
     kw.setdefault("tolerances", loose)
     return ExperimentPlan(config=cfg, replicates=reps, statistics=stats, **kw)
@@ -223,13 +225,16 @@ def test_rerun_is_byte_identical(tmp_path):
 
 
 def test_worker_count_does_not_change_results(tmp_path):
-    # same replicate seeds, same fold order -> identical artifact bytes
+    # same replicate seeds, same fold order -> identical artifact bytes, in
+    # the light regime and in the heavy one, whose root.csv has a finite M_over_EXn
     stats = ("degree", "root")
-    r1 = run(_plan(n=500, reps=3, stats=stats, outdir=str(tmp_path / "w1"), workers=1))
-    r2 = run(_plan(n=500, reps=3, stats=stats, outdir=str(tmp_path / "w2"), workers=2))
-    assert r1.ok == r2.ok
-    for name in ("summary.json", "degree_hist.csv", "root.csv"):
-        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes(), name
+    for delay in (Uniform01Delay(beta=0.5), HEAVY):
+        w1, w2 = tmp_path / f"{delay.kind}-w1", tmp_path / f"{delay.kind}-w2"
+        r1 = run(_plan(n=500, reps=3, stats=stats, delay=delay, outdir=str(w1), workers=1))
+        r2 = run(_plan(n=500, reps=3, stats=stats, delay=delay, outdir=str(w2), workers=2))
+        assert r1.ok == r2.ok
+        for name in ("summary.json", "degree_hist.csv", "root.csv"):
+            assert (w1 / name).read_bytes() == (w2 / name).read_bytes(), (delay, name)
 
 
 # (job width in trees, edge block in arrivals) at n = 400: a tree's 398
@@ -244,21 +249,30 @@ JOBS = {
 
 
 def test_batch_size_does_not_change_results(tmp_path):
-    # every artifact byte matches the default jobs, in every job shape, under 1 and 2 workers
-    n, reps, stats = 400, 17, ("degree", "fringe", "root", "clt")
-    run(_plan(n=n, reps=reps, stats=stats, outdir=str(tmp_path / "ref")))
-    names = sorted(os.listdir(tmp_path / "ref"))
-    want = {name: (tmp_path / "ref" / name).read_bytes() for name in names}
+    # every artifact byte matches the default jobs, in every job shape, under 1 and 2 workers:
+    # a light plan of every grown statistic, and a heavy-regime root plan whose
+    # root.csv has a finite M_over_EXn
+    n, reps = 400, 17
+    plans = {
+        "light": (Uniform01Delay(beta=0.5), ("degree", "fringe", "root", "clt")),
+        "heavy": (HEAVY, ("root",)),
+    }
+    want = {}
+    for regime, (delay, stats) in plans.items():
+        ref = tmp_path / f"{regime}-ref"
+        summary = run(_plan(n=n, reps=reps, stats=stats, delay=delay, outdir=str(ref)))
+        assert (summary.statistics["root"]["over_ex"] is None) == (regime == "light")
+        want[regime] = {name: (ref / name).read_bytes() for name in sorted(os.listdir(ref))}
     for job, (rows, block) in JOBS.items():
         with mock.patch.object(growth, "_JOB_WIDTH", rows * n), mock.patch.object(growth, "_EDGE_BLOCK", block):
             assert growth.batch_size(n) == rows
-            for workers in (1, 2):
-                out = tmp_path / f"{job}-workers{workers}"
+            for workers, (regime, (delay, stats)) in itertools.product((1, 2), plans.items()):
+                out = tmp_path / f"{job}-workers{workers}-{regime}"
                 with (
                     mock.patch.object(harness, "grow", wraps=growth.grow) as grows,
                     mock.patch.object(growth, "_resolve_edge", wraps=growth._resolve_edge) as bands,
                 ):
-                    run(_plan(n=n, reps=reps, stats=stats, outdir=str(out), workers=workers))
+                    run(_plan(n=n, reps=reps, stats=stats, delay=delay, outdir=str(out), workers=workers))
                 if workers == 1:
                     sizes = [len(call.args[1]) for call in grows.call_args_list]
                     assert sizes == [rows] * (reps // rows) + ([reps % rows] if reps % rows else []), job
@@ -268,9 +282,9 @@ def test_batch_size_does_not_change_results(tmp_path):
                     per_band = -(-(n - 2) // min(block, n - 2))
                     got_bands = [len(call.args[0]) for call in bands.call_args_list]
                     assert got_bands == [b for b in want_bands for _ in range(per_band)], job
-                assert sorted(os.listdir(out)) == names
-                for name in names:
-                    assert (out / name).read_bytes() == want[name], (job, workers, name)
+                assert sorted(os.listdir(out)) == list(want[regime])
+                for name, data in want[regime].items():
+                    assert (out / name).read_bytes() == data, (job, workers, regime, name)
 
 
 def test_job_seeds_are_the_replicate_seeds():
@@ -283,17 +297,17 @@ def test_job_seeds_are_the_replicate_seeds():
 
 
 def test_root_constants_once_per_plan():
-    # the constants travel in the job tuple, so every replicate sees one computed value
+    # the aggregation asks for the constants once, for every replicate's counts at once
     with mock.patch.object(theory, "root_degree_constants", wraps=theory.root_degree_constants) as spy:
         run(_plan(n=500, reps=4, stats=("root",), workers=1))
     assert spy.call_count == 1
 
 
 def test_root_grid_and_scales_once_per_plan():
-    # the time grid and, in the heavy regime, E[min(X, n_j)] on it also
-    # travel in the job tuple: one grid and one value per grid point per plan
+    # the time grid travels in the job tuple, and in the heavy regime the
+    # aggregation asks for E[min(X, n_j)]: one grid and one value per grid point per plan
     scales = []
-    ex_x_truncated = theory.RootDegreeConstants.ex_x_truncated
+    ex_x_truncated = InversePowerDelay.ex_x_truncated
 
     def counted(self, n):
         scales.append(n)
@@ -303,12 +317,30 @@ def test_root_grid_and_scales_once_per_plan():
     plan = ExperimentPlan(config=cfg, replicates=4, statistics=("root",))
     with (
         mock.patch.object(est, "geometric_grid", wraps=est.geometric_grid) as grid_spy,
-        mock.patch.object(theory.RootDegreeConstants, "ex_x_truncated", counted),
+        mock.patch.object(InversePowerDelay, "ex_x_truncated", counted),
     ):
         root = run(plan).statistics["root"]
     assert grid_spy.call_count == 1
     assert scales == [float(m) for m in root["ns"]]
     assert root["over_ex"].shape == (4, len(root["ns"]))
+
+
+@pytest.mark.parametrize("delay", [Uniform01Delay(beta=0.5), HEAVY], ids=["uniform01", "invpow2"])
+def test_root_counts_are_normalised_by_the_harness(delay):
+    # the trajectories are the grown trees' counts; the harness divides them by
+    # n_j**theta and, in the heavy regime only, by the delay's E[min(X, n_j)]
+    plan = _plan(n=500, reps=5, stats=("root",), delay=delay)
+    root = run(plan).statistics["root"]
+    ns, values = root["ns"], root["values"]
+    traces = grow(plan.config, replicate_seed(plan.config.seed, np.arange(5, dtype=np.uint64)))
+    np.testing.assert_array_equal(values, est.root_trajectories(growth.parent_rows(traces), grid=ns).values)
+    theta = theory.root_degree_constants(AFF.alpha, delay).theta
+    assert theta == 0.5
+    np.testing.assert_array_equal(root["over_ntheta"], values / ns**theta)
+    if delay is HEAVY:
+        np.testing.assert_array_equal(root["over_ex"], values / [delay.ex_x_truncated(float(m)) for m in ns])
+    else:
+        assert root["over_ex"] is None
 
 
 def test_delay_scan_only_skips_growth():

@@ -220,7 +220,6 @@ def test_zero_delay():
     assert d.survival(0.0) == 0.0
     assert d.survival(-1.0) == 1.0
     np.testing.assert_array_equal(d.sample_many(np.random.default_rng(0), 5), np.zeros(5))
-    assert d.bounded_support() == 0.0
     assert d.ex_x_truncated(1e6) == 0.0
 
 
@@ -239,7 +238,6 @@ def test_uniform01_delay():
     xs = d.sample_many(np.random.default_rng(1), 20_000)
     assert 0.0 <= xs.min() and xs.max() <= 1.0
     assert abs(xs.mean() - 0.5) < 0.01
-    assert d.bounded_support() == 1.0
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -252,7 +250,6 @@ def test_inverse_power_delay_tail(p):
     assert xs.min() >= 1.0
     emp = (xs > 4.0).mean()
     assert emp == pytest.approx(4.0 ** (-1.0 / p), abs=0.02)
-    assert d.bounded_support() is None
 
 
 def test_inverse_power_x_scale():
@@ -314,7 +311,6 @@ def test_ex_x_truncated_against_quadrature_more_families():
 def test_quantile_table_delay():
     d = QuantileTableDelay(us=(0.0, 0.5, 1.0), qs=(0.0, 1.0, 3.0), beta=0.5)
     assert d.survival(1.0) == pytest.approx(0.5)
-    assert d.bounded_support() == 3.0
     # E[xi; xi <= 1] = int_0^0.5 2u du; E[xi; 1 < xi <= 3] = int_0.5^1 (4u - 1) du
     np.testing.assert_allclose(d.partial_mean(np.array([0.0, 1.0]), np.array([1.0, 3.0])), [0.25, 1.0])
     xs = d.sample_many(np.random.default_rng(3), 40_000)

@@ -314,11 +314,12 @@ def test_root_degree_constants_regimes():
     light = root_degree_constants(0.0, Uniform01Delay(beta=0.5))
     assert light.theta == pytest.approx(0.5)
     assert light.regime == "l2"
-    heavy = root_degree_constants(0.0, InversePowerDelay(p=2.0, beta=0.5))
+    heavy_delay = InversePowerDelay(p=2.0, beta=0.5)
+    heavy = root_degree_constants(0.0, heavy_delay)
     assert heavy.regime == "heavy"
-    assert heavy.x_tail_index == pytest.approx(0.25)
-    assert not heavy.mean_x_finite
-    assert heavy.ex_x_truncated(16.0) == pytest.approx(31.0 / 3.0)
+    assert heavy_delay.x_tail_index() == pytest.approx(0.25)
+    assert not heavy_delay.x_power_moment_finite(1.0)
+    assert heavy_delay.ex_x_truncated(16.0) == pytest.approx(31.0 / 3.0)
     # U**-1 delay: E[X^(1/2)] has a log-divergent integral -> heavy too
     assert root_degree_constants(0.0, InversePowerDelay(p=1.0, beta=0.5)).regime == "heavy"
     assert root_degree_constants(0.0, ZeroDelay(beta=0.5)).regime == "l2"
