@@ -94,7 +94,7 @@ SIZES = {
     "tabulated-bumpy": (2048, 20_000),
 }
 LARGE = {"grid-invpow2": 10_000_000, "tabulated-pow": 3_000_000, "tabulated-bumpy": 1_000_000}
-LARGE_RUNS = 3  # median of three per LARGE config and tree, on seeds SEED .. SEED + LARGE_RUNS - 1
+LARGE_RUNS = 7  # median of seven per LARGE config and tree, on seeds SEED .. SEED + LARGE_RUNS - 1
 RUNS = 11  # median of eleven per config, size and tree, on seeds SEED .. SEED + RUNS - 1
 SEED = 1
 LAW = {"tabulated-pow": 300_000, "tabulated-bumpy": 20_000}  # degree TV over LAW_SEEDS trees per tree source
@@ -115,6 +115,11 @@ def row(got: list, n: int) -> dict:
     }
 
 
+def identical(by_tree: dict) -> bool:
+    """Whether every source tree grew the same parents on each seed: the same seed grows the same tree."""
+    return len({tuple(r["parents_sha256"]) for r in by_tree.values()}) == 1
+
+
 def grown(trees: dict, name: str, n: int, runs: int) -> dict:
     """``{label: row}`` of ``runs`` trees of config ``name`` at size n per source tree, on seeds SEED, SEED + 1, ..."""
     got = driver.alternate(
@@ -132,12 +137,12 @@ def main(argv=None) -> int:
         rows = {str(n): grown(trees, name, n, RUNS) for n in sizes}
         configs[name] = {
             "trees": {label: {n: rows[n][label] for n in rows} for label in trees},
-            # the same seed grows the same tree under every source
-            "parents_identical_across_trees": {
-                n: len({tuple(r["parents_sha256"]) for r in by_tree.values()}) == 1 for n, by_tree in rows.items()
-            },
+            "parents_identical_across_trees": {n: identical(by_tree) for n, by_tree in rows.items()},
         }
-    large = {name: {"n": n, "trees": grown(trees, name, n, LARGE_RUNS)} for name, n in LARGE.items()}
+    large = {}
+    for name, n in LARGE.items():
+        by_tree = grown(trees, name, n, LARGE_RUNS)
+        large[name] = {"n": n, "trees": by_tree, "parents_identical_across_trees": identical(by_tree)}
 
     law = {}
     for name, n in LAW.items():

@@ -200,18 +200,27 @@ class _DegreeView:
 
         One pass over the keys, a run per parent in birth order, links
         each child to the sibling before it, the run's first child to the
-        parent's youngest so far, and moves ``count`` and ``last``.
+        parent's youngest so far, and moves ``count`` and ``last``; each
+        child's ``prev`` is written once.
         """
         vs = keys >> bits  # int64 indexes, the faster kind
         ks = keys & ((1 << bits) - 1)
         ks += lo
         born = ks.astype(np.int32)  # int32 values: the stores below need no cast
-        ends = np.flatnonzero(vs[1:] != vs[:-1])  # the last child of each parent but the final one
-        heads, tails = np.concatenate(([0], ends + 1)), np.append(ends, len(vs) - 1)
-        self.prev[ks[1:]] = born[:-1]
-        vs = vs.take(heads)
-        self.prev[ks.take(heads)] = self.last.take(vs)
-        self.count[vs] += (tails - heads + 1).astype(np.int32)
+        tail = np.empty(len(vs), dtype=bool)
+        tail[-1] = True
+        np.not_equal(vs[1:], vs[:-1], out=tail[:-1])
+        tails = tail.nonzero()[0]  # the last child of each parent
+        vs = vs.take(tails)
+        before = np.empty_like(born)  # the sibling before each child, or the parent's youngest so far
+        before[1:] = born[:-1]
+        before[0] = self.last[vs[0]]
+        before[tails[:-1] + 1] = self.last.take(vs[1:])
+        self.prev[ks] = before
+        runs = tails.astype(np.int32)  # each parent's children: the distance between tails
+        runs[1:] -= runs[:-1]
+        runs[0] += 1
+        self.count[vs] += runs
         self.last[vs] = born.take(tails)
 
     def rebuild(self, parents, frozen: int) -> None:
@@ -394,7 +403,10 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
     and the parents of earlier arrivals.
 
     Every arrival starts unknown: its guess is ``len(parents)``, the view's
-    entry past the tree.  A round recomputes the pending arrivals from the
+    entry past the tree.  Round one draws every arrival, each slot's
+    uniforms read in place; an arrival whose snapshot holds the root alone
+    takes it untested, one read like any accepted first proposal.  A round
+    recomputes the pending arrivals from the
     current guesses, all at once: proposals by :func:`_resolve_edge` (a
     copy of an unknown parent proposes the unknown vertex, which stops the
     arrival for the round whatever its thinning says), degrees off the
@@ -424,13 +436,13 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
     ms = ms.astype(np.int64)
     unknown = len(parents)  # the guess of an arrival not drawn yet: the view's entry past the tree
     tried = np.zeros((width, size), dtype=np.int32)  # tried[s, i]: what arrival i proposed in slot s; vertex 0 is never marked
-    reads = np.zeros(size, dtype=np.int64)
+    reads = np.empty(size, dtype=np.int64)  # the slots each arrival read in its last draw; round one sets them all
+    guess = np.empty(size, dtype=out.dtype)  # each arrival's guess from its last draw
     # a drawn arrival rejects every proposal it reads but the last; an overflow's
     # rejections past its budget, and its budget's last read, go to spilled
     spilled = 0
     mark = view.mark
     bits = _key_bits(size)
-    low = (1 << bits) - 1
     keys = None  # the guesses as sorted keys (parent, i), once there are any
 
     def thin(vs, m, u, lost=None):
@@ -453,19 +465,24 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
                 np.putmask(d, lost, 1)  # so the acceptance tables do not grow to the unknown arrivals
         return acceptance(d, u)
 
-    def draw(pending):
-        """New guesses for the arrivals ``pending``, from the current ones; records what each reads."""
-        new = np.full(len(pending), unknown, dtype=out.dtype)
-        reads.put(pending, width)
-        live, s = np.arange(len(pending)), 0
-        while live.size and s < width:
+    def draw(i):
+        """New guesses for the arrivals ``i`` (ascending) from the current ones, into ``guess``; records what each reads.
+
+        Each slot writes every arrival it drew, stopped or not: a later slot
+        overwrites those that go on.  A draw of every arrival, round one's,
+        reads its uniforms and writes its slots in place, and an arrival
+        whose snapshot is the root alone stops at its first proposal, the root.
+        """
+        whole, s = len(i) == size, 0
+        at = slice(None) if whole else i
+        most = max(len(i) // 4, 2048)
+        while i.size and s < width:
             # a slot at a time while many arrivals are live, then all their remaining slots at once
-            span = width - s if len(live) * (width - s) <= max(len(pending) // 4, 2048) else 1
-            i = pending.take(live) if s else pending
-            if len(i) < size:
-                m, slots = ms.take(i), [row[s : s + span].take(i, axis=1) for row in budget]
-            else:  # every arrival of the block: its uniforms in place
+            span = width - s if len(i) * (width - s) <= most else 1
+            if whole:
                 m, slots = ms, budget[:, s : s + span]
+            else:
+                m, slots = ms.take(i), [row[s : s + span].take(i, axis=1) for row in budget]
             if span > 1:
                 m = np.concatenate((m,) * span)
             *b, p, u = [row.reshape(-1) for row in slots]
@@ -473,32 +490,31 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
             lost = vs == unknown  # a copy of an unknown guess proposes it, and stops the arrival for the round
             stop = thin(vs, m, u, lost)
             stop |= lost
-            if span == 1:
-                tried[s].put(i, vs)
-                done, last, vs = stop, 0, vs[stop]
-            else:  # the first stop of each arrival among its span slots
+            if whole and not s:
+                stop[:size] |= ms == 1
+            if span > 1:  # the first stop of each arrival among its span slots
                 vs, stop = vs.reshape(span, -1), stop.reshape(span, -1)
-                tried[s : s + span, i] = vs
+                tried[s : s + span, at] = vs
                 last = stop.argmax(axis=0)
-                done = last > 0
-                done |= stop[0]
-                last = last[done]
-                vs = vs[last, done.nonzero()[0]]
-            reads.put(i[done], s + last + 1)
-            new.put(live[done], vs)
-            live, s = live[~done], s + span
-        return new
+                guess[at] = vs[last, np.arange(len(i))]
+                last += s + 1
+                reads[at] = last
+                stop = stop.any(axis=0)
+            else:
+                tried[s, at] = guess[at] = vs
+                reads[at] = s + 1
+            i, s = i[~stop], s + span
+            whole, at = False, i
+        guess[i] = unknown
+        reads[i] = width
 
-    def first_changes(changes):
-        """Mark each vertex of the sorted keys ``changes`` (vertex, i) at its first birth base + i; returns the vertices."""
-        verts = changes >> bits
-        first = np.empty(len(changes), dtype=bool)
-        first[0] = True
-        np.not_equal(verts[1:], verts[:-1], out=first[1:])
-        verts, births = verts[first], changes[first]
-        births &= low
-        births += base
-        mark.put(verts, births)
+    def mark_first(verts, births):
+        """Mark each vertex of ``verts`` at the first of its ``births`` (ascending, one per entry); returns them as indexes.
+
+        The marks are put latest birth first, so that the first one stays.
+        """
+        verts = verts[::-1].astype(np.int64)
+        mark.put(verts, births[::-1])
         return verts
 
     def readers(first, also=None):
@@ -519,45 +535,46 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
         hit += lo
         return hit
 
-    def settle(changed, new, also=None):
-        """Set the guesses of arrivals ``changed`` (ascending) to ``new``; returns the arrivals pending after it.
+    def settle(changed, also=None):
+        """Set the guesses of arrivals ``changed`` (ascending) to theirs in ``guess``; returns the arrivals pending after it.
 
-        Those are ``also`` and the readers of the change (:func:`readers`).
+        Those are ``also`` and the readers of the change (:func:`readers`),
+        each vertex that gained or lost a guess marked at the first birth at
+        which it did.
         """
         nonlocal keys
-        gone, come = out.take(changed).astype(np.int64), new.astype(np.int64)
+        old, new = out.take(changed), guess.take(changed)
+        out.put(changed, new)
+        gone, come = old.astype(np.int64), new.astype(np.int64)
         gone <<= bits
         gone |= changed
         come <<= bits
         come |= changed
-        out.put(changed, new)
         kept = np.ones(size, dtype=bool)
         kept[keys.searchsorted(gone)] = False
         come.sort()
         keys = np.concatenate((keys[kept], come))
         keys.sort(kind="stable")  # two sorted runs: one merge
-        changes = np.concatenate((gone, come))
-        changes.sort()
-        verts = first_changes(changes)
+        verts = np.empty(2 * len(changed), dtype=old.dtype)
+        verts[0::2], verts[1::2] = old, new  # each changed arrival's old and new guess, in birth order
+        verts = mark_first(verts, np.repeat(changed + base, 2))
         pending = readers(int(changed[0]), also)
-        mark[verts] = _NEVER
+        mark.put(verts, _NEVER)
         return pending
 
-    # round one: no guesses yet, so every arrival reads the view alone; m = 1 takes the root
+    # round one: no guesses yet, so every arrival reads the view alone
     out[:] = unknown
-    pending = np.flatnonzero(ms > 1)
-    drawn = len(pending)
-    out[pending] = draw(pending)
-    out[ms == 1] = 1
+    draw(np.arange(size))
+    out[:] = guess
     keys = _sorted_keys(out, bits)
-    known = np.flatnonzero(out != unknown)
-    pending = known[:0]
-    if known.size:  # every guess changed from unknown: each guessed parent first at its first child
-        verts = first_changes(keys)
-        first = int(known[0])
+    first = int(np.argmax(guess != unknown))
+    pending = np.arange(0)
+    if guess[first] != unknown:  # every guess changed from unknown: each guessed parent first at its first child
+        verts = mark_first(guess, np.arange(base, base + size))
         mark[unknown] = first + base  # every old guess was unknown: the unknown vertex changes first at the first change
         pending = readers(first)
-        mark[verts] = mark[unknown] = _NEVER
+        mark.put(verts, _NEVER)
+        mark[unknown] = _NEVER
     while True:
         settled = out[: pending[0] if pending.size else size]  # the guesses before the first pending arrival
         q = int(settled.argmax()) if settled.size else 0
@@ -574,16 +591,17 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
                 spilled += width
             s = int(np.argmax(ok))
             spilled += s
-            pending = settle(np.array([q]), vs[s : s + 1], pending)
+            guess[q] = vs[s]
+            pending = settle(np.array([q]), pending)
             continue
         if not pending.size:
             break
-        new = draw(pending)
-        moved = (new != out.take(pending)).nonzero()[0]
-        pending = settle(pending.take(moved), new.take(moved)) if moved.size else moved
+        draw(pending)
+        moved = pending[guess.take(pending) != out.take(pending)]
+        pending = settle(moved) if moved.size else moved
     if base < len(parents):
         view.enter(keys, bits, base)
-    return int(reads.sum()) - drawn + spilled
+    return int(reads.sum()) - size + spilled
 
 
 def sample_parent_rejection(

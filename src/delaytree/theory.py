@@ -117,12 +117,16 @@ def rho_hat_series(
     soon as the partial sum (a lower bound on the true value) exceeds it --
     handy when only the comparison against 1 matters.
     """
+    return _series(kernel, kernel.evaluate, lam, tol, stop_above)
+
+
+def _series(kernel: AttachmentKernel, evaluate, lam: float, tol: float, stop_above: float | None) -> SeriesDetail:
+    """:func:`rho_hat_series` with f(k) = ``evaluate(k)``, the kernel's scalar values or a cache of them."""
     if lam <= 0.0:
         return SeriesDetail(math.inf, 0, math.inf)
     s = 0.0
     prod = 1.0
     k = 0
-    evaluate = kernel.evaluate
     while True:
         k += 1
         fk = evaluate(k)
@@ -156,8 +160,8 @@ def rho_hat(kernel: AttachmentKernel, lam: float) -> float:
     return rho_hat_series(kernel, lam).value
 
 
-def _compare_to_one(kernel: AttachmentKernel, lam: float) -> int:
-    """Sign of rho(lam) - 1: +1, -1, or 0 when within resolution."""
+def _compare_to_one(kernel: AttachmentKernel, lam: float, evaluate) -> int:
+    """Sign of rho(lam) - 1: +1, -1, or 0 when within resolution; ``evaluate`` as in :func:`_series`."""
     if kernel.kind in ("uniform", "affine"):
         val = rho_hat(kernel, lam)
         if not math.isfinite(val):
@@ -165,7 +169,7 @@ def _compare_to_one(kernel: AttachmentKernel, lam: float) -> int:
         if abs(val - 1.0) <= 1e-14:
             return 0
         return 1 if val > 1.0 else -1
-    detail = rho_hat_series(kernel, lam, stop_above=1.0 + 1e-12)
+    detail = _series(kernel, evaluate, lam, 1e-12, 1.0 + 1e-12)
     if not math.isfinite(detail.tail_bound):
         # partial sum crossed the early-exit line or diverged: rho > 1
         return 1
@@ -190,16 +194,19 @@ def solve_malthusian(kernel: AttachmentKernel) -> MalthusianResult:
 
     Raises AssumptionError when no bracket exists on the feasible ray,
     which for admissible kernels (positive, at most linear) cannot happen.
+    Each f(k) is evaluated once per solve, by the kernel's scalar
+    ``evaluate``, and reused by every step.
     """
+    evaluate = lru_cache(maxsize=None)(kernel.evaluate)
     hi = 1.0
     for _ in range(200):
-        if _compare_to_one(kernel, hi) < 0:
+        if _compare_to_one(kernel, hi, evaluate) < 0:
             break
         hi *= 2.0
     else:
         raise AssumptionError("rho never drops below 1; kernel violates the standing assumptions")
     lo = hi / 2.0
-    while _compare_to_one(kernel, lo) < 0:
+    while _compare_to_one(kernel, lo, evaluate) < 0:
         hi = lo
         lo /= 2.0
         if lo < 1e-12:
@@ -207,7 +214,7 @@ def solve_malthusian(kernel: AttachmentKernel) -> MalthusianResult:
     bracket = (lo, hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        sign = _compare_to_one(kernel, mid)
+        sign = _compare_to_one(kernel, mid, evaluate)
         if sign == 0:
             lo = hi = mid
             break
@@ -219,7 +226,7 @@ def solve_malthusian(kernel: AttachmentKernel) -> MalthusianResult:
             break
     lam = 0.5 * (lo + hi)
     detail = (
-        rho_hat_series(kernel, lam)
+        _series(kernel, evaluate, lam, 1e-12, None)
         if kernel.kind not in ("uniform", "affine")
         else SeriesDetail(rho_hat(kernel, lam), 0, 0.0)
     )

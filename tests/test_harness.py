@@ -26,6 +26,7 @@ from delaytree.kernels import (
     AffineKernel,
     GrowthConfig,
     InversePowerDelay,
+    TabulatedKernel,
     Uniform01Delay,
     UniformKernel,
     ZeroDelay,
@@ -35,8 +36,8 @@ AFF = AffineKernel(0.0)
 HEAVY = InversePowerDelay(p=2.0, beta=0.5)  # the heavy root regime
 
 
-def _plan(n=1200, reps=2, stats=("degree",), delay=Uniform01Delay(beta=0.5), **kw):
-    cfg = GrowthConfig(AFF, delay, n, seed=5)
+def _plan(n=1200, reps=2, stats=("degree",), delay=Uniform01Delay(beta=0.5), kernel=AFF, **kw):
+    cfg = GrowthConfig(kernel, delay, n, seed=5)
     loose = {"degree_tv": 0.5, "fringe_abs": 0.5, "pair_abs": 0.5, "clt_var_rel": 50.0}
     kw.setdefault("tolerances", loose)
     return ExperimentPlan(config=cfg, replicates=reps, statistics=stats, **kw)
@@ -226,15 +227,32 @@ def test_rerun_is_byte_identical(tmp_path):
 
 def test_worker_count_does_not_change_results(tmp_path):
     # same replicate seeds, same fold order -> identical artifact bytes, in
-    # the light regime and in the heavy one, whose root.csv has a finite M_over_EXn
-    stats = ("degree", "root")
-    for delay in (Uniform01Delay(beta=0.5), HEAVY):
-        w1, w2 = tmp_path / f"{delay.kind}-w1", tmp_path / f"{delay.kind}-w2"
-        r1 = run(_plan(n=500, reps=3, stats=stats, delay=delay, outdir=str(w1), workers=1))
-        r2 = run(_plan(n=500, reps=3, stats=stats, delay=delay, outdir=str(w2), workers=2))
-        assert r1.ok == r2.ok
-        for name in ("summary.json", "degree_hist.csv", "root.csv"):
-            assert (w1 / name).read_bytes() == (w2 / name).read_bytes(), (delay, name)
+    # the light regime, in the heavy one, whose root.csv has a finite M_over_EXn,
+    # and for a tabulated kernel, whose trees the thinning sampler grows; jobs of
+    # two trees make the three replicates two jobs, so workers=2 starts the pool
+    n = 500
+    plans = {
+        "light": (AFF, Uniform01Delay(beta=0.5), ("degree", "root")),
+        "heavy": (AFF, HEAVY, ("degree", "root")),
+        "tabulated": (
+            TabulatedKernel((1.0, 2.0, 1.5, 1.2), tail=("const",), f_star=1.0),
+            Uniform01Delay(beta=0.5),
+            ("degree", "fringe"),
+        ),
+    }
+    with mock.patch.object(growth, "_JOB_WIDTH", 2 * n):
+        assert growth.batch_size(n) == 2
+        for regime, (kernel, delay, stats) in plans.items():
+            w1, w2 = tmp_path / f"{regime}-w1", tmp_path / f"{regime}-w2"
+            r1 = run(_plan(n=n, reps=3, stats=stats, delay=delay, kernel=kernel, outdir=str(w1), workers=1))
+            with mock.patch.object(harness, "ProcessPoolExecutor", wraps=harness.ProcessPoolExecutor) as pools:
+                r2 = run(_plan(n=n, reps=3, stats=stats, delay=delay, kernel=kernel, outdir=str(w2), workers=2))
+            assert pools.call_count == 1, regime
+            assert r1.ok == r2.ok
+            names = sorted(os.listdir(w1))
+            assert "degree_hist.csv" in names and sorted(os.listdir(w2)) == names
+            for name in names:
+                assert (w1 / name).read_bytes() == (w2 / name).read_bytes(), (regime, name)
 
 
 # (job width in trees, edge block in arrivals) at n = 400: a tree's 398

@@ -106,6 +106,25 @@ def test_malthusian_linear_kernels_bit_for_bit(kernel, want):
     assert solve_malthusian(kernel).lambda_star.hex() == want
 
 
+@pytest.mark.parametrize(
+    "kernel, want",
+    [
+        (
+            TabulatedKernel(values=(1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True),
+            "0x1.5241c52b59100p+0",  # 1.3213160734968028
+        ),
+        (
+            TabulatedKernel(values=(1.0, 2.0, 1.5, 1.2), tail=("const",), f_star=1.0),
+            "0x1.432b75a37ed00p+0",  # 1.2623818897398564
+        ),
+    ],
+    ids=("pow-tail", "bumpy"),
+)
+def test_malthusian_tabulated_kernels_bit_for_bit(kernel, want):
+    # the two tabulated-growth kernels: the bisection over the series fixes lambda* to the last bit
+    assert solve_malthusian(kernel).lambda_star.hex() == want
+
+
 def test_malthusian_tabulated_sqrt2():
     # for the table (1, 2, 2, ...) the fixed point solves
     # (lam + 2) / (lam (lam + 1)) = 1, hence lam = sqrt(2)
