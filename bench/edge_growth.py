@@ -1,7 +1,7 @@
-"""Time ``grow`` on the edge sampler's preset, its mixed affine kernel and the two tabulated-growth plans.
+"""Time ``grow`` on the edge sampler's preset, its mixed affine kernel and the two tabulated-growth tables.
 
     python3 bench/edge_growth.py --tree parent=OLD/src --tree change=src \
-        > BENCH_thinning_rounds.json
+        > BENCH_one_degree_lookup.json
 
 Each tree is measured through ``driver.py`` beside this script: fresh
 processes, the trees taking turns, medians with their quartiles.  One
@@ -16,7 +16,10 @@ Every (config, size) pair in ``SIZES`` is grown ``RUNS`` times per tree
 and each of the slower ``LARGE`` sizes ``LARGE_RUNS`` times, on seeds
 ``SEED``, ``SEED + 1``, ..., and the median time is recorded.  The
 tabulated configs also run at n = 2048, where a thinning block is almost
-all per-call overhead.  ``LAW``
+all per-call overhead.  Both tables also run under the heavy ``invpow:2``
+delay, where the root is a hub read at old snapshots, and the bumpy one
+under ``invpow:1``, so that each table's cost per vertex can be read
+against ``invpow:1`` at the same n.  ``LAW``
 grows ``LAW_SEEDS`` trees per tree source in one more process each,
 untimed after the first, and records the mean, standard deviation and
 range of their degree TVs.  The kernel picks the sampler, so both
@@ -87,13 +90,27 @@ CONFIGS = {
         "delay.kind": "uniform01",
     },
 }
+# each table under the preset's own invpow:2 delay, and the bumpy one under invpow:1
+CONFIGS["tabulated-pow-invpow2"] = {**CONFIGS["tabulated-pow"], "delay.p": "2.0"}
+CONFIGS["tabulated-bumpy-invpow2"] = {**CONFIGS["tabulated-bumpy"], "delay.kind": "invpow", "delay.p": "2.0"}
+CONFIGS["tabulated-bumpy-invpow1"] = {**CONFIGS["tabulated-bumpy"], "delay.kind": "invpow", "delay.p": "1.0"}
 SIZES = {
     "grid-invpow2": (1_000_000, 3_000_000),
     "affine-1": (1_000_000,),  # rows of many edge blocks
     "tabulated-pow": (2048, 300_000, 1_000_000),
     "tabulated-bumpy": (2048, 20_000),
+    "tabulated-pow-invpow2": (300_000, 1_000_000),
+    "tabulated-bumpy-invpow2": (300_000, 1_000_000),
+    "tabulated-bumpy-invpow1": (300_000, 1_000_000),
 }
-LARGE = {"grid-invpow2": 10_000_000, "tabulated-pow": 3_000_000, "tabulated-bumpy": 1_000_000}
+LARGE = {
+    "grid-invpow2": 10_000_000,
+    "tabulated-pow": 3_000_000,
+    "tabulated-bumpy": 1_000_000,
+    "tabulated-pow-invpow2": 3_000_000,
+    "tabulated-bumpy-invpow2": 3_000_000,
+    "tabulated-bumpy-invpow1": 3_000_000,
+}
 LARGE_RUNS = 7  # median of seven per LARGE config and tree, on seeds SEED .. SEED + LARGE_RUNS - 1
 RUNS = 11  # median of eleven per config, size and tree, on seeds SEED .. SEED + RUNS - 1
 SEED = 1
@@ -161,8 +178,8 @@ def main(argv=None) -> int:
                 "degree_tv": [round(t, 5) for t in tvs],
             }
     return driver.write(
-        "grow on grid-invpow2 and its affine alpha = 1 variant (edge sampler) and the two tabulated-growth plans"
-        " (rejection sampler)",
+        "grow on grid-invpow2 and its affine alpha = 1 variant (edge sampler) and the two tabulated-growth tables"
+        " under their own delays and under invpow:1 and invpow:2 (rejection sampler)",
         "bench/edge_growth.py",
         seed=SEED,
         runs_per_size=RUNS,

@@ -14,7 +14,7 @@ before any attachment draw, for both samplers.
 Parent choice within a snapshot is implemented two ways, and the kernel
 picks one (``GrowthConfig.resolve_sampler``).  Each is exact for the
 kernels it serves and has one draw routine, which :func:`grow` feeds every
-arrival and the tests call on a frozen tree; the referee of both is the
+arrival and the tests call on a finished tree; the referee of both is the
 exact law :func:`attachment_distribution`.
 
 * ``edge``   -- endpoint-list trick of Batagelj & Brandes (Phys. Rev. E 71,
@@ -50,14 +50,15 @@ exact law :func:`attachment_distribution`.
   point is the one-at-a-time answer.  A round draws its arrivals a slot
   at a time while many are live, then all their remaining slots at once:
   proposals read the current guesses as final parents, one gather each
-  (:func:`_resolve_edge`); snapshot degrees come from one array degree
-  view (:class:`_DegreeView`) plus two searches of the guesses, which a
-  block keeps as one sorted key array, sorted once after round one and
+  (:func:`_resolve_edge`); snapshot degrees come from the degree view
+  (:class:`_DegreeView`), a count or a pair of searches in each of its few
+  sorted runs of final children, plus two searches of the guesses, which
+  a block keeps as one sorted key array, sorted once after round one and
   merged with each later change; the acceptance is a lookup in per-tree
   tables of the envelope and the kernel (:class:`_Acceptance`); and the
   readers of a change come from one gather over every arrival's first
   proposal and one more over the few that read further.  The final keys
-  enter the degree view as they are.
+  enter the degree view as one more sorted run.
 
 Degrees that enter attachment weights are graph degrees (child count, +1
 for the parent edge; the root simply has its child count, clamped to 1 at
@@ -167,27 +168,28 @@ class _DegreeView:
     """Children counts of a growing tree at every earlier snapshot, in arrays.
 
     Arrivals enter in birth order.  ``count[v]`` is v's weight degree with
-    its children so far (children + 1; the root's children alone),
-    ``last[v]`` the birth time of the youngest child (0: none) and
-    ``prev[k]`` that of the sibling born just before k (0: none).  ``key``
-    holds the children born before ``frozen`` as parent*frozen + birth,
-    sorted.  v's weight degree at m is ``count[v]`` when ``last[v] <= m``;
-    otherwise one search of ``key`` answers when m < ``frozen``, and a
-    walk back over v's siblings born after m when not.  Arrivals enter a
-    block at a time through :meth:`extend`, or :meth:`enter` when their
-    keys are sorted already.  ``mark`` is per-vertex working space for
-    :func:`_thin_block`.  ``count``, ``last`` and ``mark`` have one entry
-    past the tree, the unknown guess of a thinning block, which never gets
-    a child.
+    its children so far (children + 1; the root's children alone) and
+    ``last[v]`` the birth time of its youngest child (0: none).  ``key``
+    is a few sorted runs, ``bounds`` apart: between bounds lo and hi it
+    holds arrivals lo..hi-1 as parent*size + birth, sorted.  Each block
+    enters as a run, and merges with the run before it while that one is
+    no longer, so there are about log2(blocks) runs (Bentley & Saxe, J.
+    Algorithms 1, 1980).  v's weight degree at m is ``count[v]`` when
+    ``last[v] <= m``, and otherwise a pair of searches per run.  Arrivals
+    enter a block at a time through :meth:`extend`, or :meth:`enter` when
+    their keys are sorted already.  ``mark`` is per-vertex working space
+    for :func:`_thin_block`.  ``count``, ``last`` and ``mark`` have one
+    entry past the tree, the unknown guess of a thinning block, which
+    never gets a child.
     """
 
     def __init__(self, size: int):
         self.count = np.ones(size + 1, dtype=np.int32)
         self.count[1] = 0  # the root has no parent edge
         self.last = np.zeros(size + 1, dtype=np.int32)
-        self.prev = np.zeros(size, dtype=np.int32)
         self.mark = np.full(size + 1, _NEVER, dtype=np.int32)  # _NEVER between uses
-        self.rebuild(np.zeros(2, dtype=np.int64), 1)
+        self.key = np.empty(size, dtype=np.int64)
+        self.bounds = [2]  # where each run starts, then where the last one ends
 
     def extend(self, parents, lo: int, hi: int) -> None:
         """Add arrivals lo..hi-1, born in that order, at once."""
@@ -198,73 +200,54 @@ class _DegreeView:
     def enter(self, keys, bits: int, lo: int) -> None:
         """Add arrivals lo, lo+1, ... given as their sorted keys parent << bits | birth - lo (:func:`_sorted_keys`).
 
-        One pass over the keys, a run per parent in birth order, links
-        each child to the sibling before it, the run's first child to the
-        parent's youngest so far, and moves ``count`` and ``last``; each
-        child's ``prev`` is written once.
+        They become one more sorted run of ``key``, merged with the runs
+        before it that are no longer than it, and one pass over them,
+        parent by parent, moves ``count`` and ``last``.
         """
         vs = keys >> bits  # int64 indexes, the faster kind
-        ks = keys & ((1 << bits) - 1)
-        ks += lo
-        born = ks.astype(np.int32)  # int32 values: the stores below need no cast
+        born = keys & ((1 << bits) - 1)
+        born += lo
+        hi = lo + len(keys)
+        run = np.multiply(vs, len(self.key), out=self.key[lo:hi])
+        run += born
+        bounds = self.bounds
+        while len(bounds) > 1 and bounds[-1] - bounds[-2] <= hi - bounds[-1]:
+            bounds.pop()  # two sorted runs: one merge
+            self.key[bounds[-1] : hi].sort(kind="stable")
+        bounds.append(hi)
         tail = np.empty(len(vs), dtype=bool)
         tail[-1] = True
         np.not_equal(vs[1:], vs[:-1], out=tail[:-1])
         tails = tail.nonzero()[0]  # the last child of each parent
         vs = vs.take(tails)
-        before = np.empty_like(born)  # the sibling before each child, or the parent's youngest so far
-        before[1:] = born[:-1]
-        before[0] = self.last[vs[0]]
-        before[tails[:-1] + 1] = self.last.take(vs[1:])
-        self.prev[ks] = before
         runs = tails.astype(np.int32)  # each parent's children: the distance between tails
         runs[1:] -= runs[:-1]
         runs[0] += 1
         self.count[vs] += runs
         self.last[vs] = born.take(tails)
 
-    def rebuild(self, parents, frozen: int) -> None:
-        """Sort the children born before ``frozen``, all of them final, into ``key``."""
-        self.key = None  # the old key goes before the new one is built
-        key = parents[2:frozen].astype(np.int64)
-        key *= frozen
-        key += np.arange(2, frozen, dtype=np.int32)
-        key.sort()
-        self.key, self.frozen = key, frozen
-
-    def refresh(self, parents, first: int) -> None:
-        """Rebuild ``key`` once the first unresolved arrival is _REBUILD times the last rebuild's."""
-        if first >= _REBUILD * self.frozen:
-            self.rebuild(parents, first)
-
     def degrees(self, vs, ms) -> np.ndarray:
         """Weight degrees of vertices ``vs`` in snapshots ``ms``; every ``v <= m``, its children by m all in."""
         d = self.count.take(vs)  # take: fancy indexing by an int32 vs would cast it first, and slowly
         late = (self.last.take(vs) > ms).nonzero()[0]
-        if late.size:
-            old = ms[late] < self.frozen
-            hit = late[old]
-            if hit.size:  # searched in sorted order, which saves most of a search's cache misses
-                lo = vs[hit].astype(np.int64) * self.frozen
-                hi = lo + ms[hit]
-                order = hi.argsort()
-                hi, lo = hi.take(order), lo.take(order)
-                hi += 1  # keys are unique: those up to hi are those below hi + 1
-                got = self.key.searchsorted(hi) - self.key.searchsorted(lo)
-                got += lo != self.frozen  # the parent edge: lo is frozen for the root alone
-                d[hit.take(order)] = got
-            walk = late[~old]
-            born, mw = self.last[vs[walk]], ms[walk]
-            while walk.size:  # each round steps every walk back one sibling
-                d[walk] -= 1
-                born = self.prev[born]
-                on = born > mw
-                walk, born, mw = walk[on], born[on], mw[on]
+        if late.size:  # searched in sorted order, which saves most of a search's cache misses
+            size = len(self.key)
+            lo = vs.take(late).astype(np.int64) * size
+            hi = lo + ms.take(late)
+            order = hi.argsort()
+            hi, lo = hi.take(order), lo.take(order)
+            hi += 1  # keys are unique: those up to hi are those below hi + 1
+            got = (lo != size).astype(np.int64)  # the parent edge: lo is size for the root alone
+            for a, b in zip(self.bounds, self.bounds[1:]):
+                run = self.key[a:b]
+                got += run.searchsorted(hi)
+                got -= run.searchsorted(lo)
+            d[late.take(order)] = got
         return np.maximum(d, 1, out=d)  # the root at m = 1 counts as degree 1
 
 
 # ---------------------------------------------------------------------------
-# Draws: grow's loops and the frozen-tree entry point share these
+# Draws: grow's loops and the finished-tree entry point share these
 # ---------------------------------------------------------------------------
 
 
@@ -392,7 +375,7 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
 
     ``out`` receives the parents: ``parents[base:base + len(ms)]`` when the
     block grows the tree, which also enters the block into ``view``, and a
-    separate array when it draws from a frozen one (base past its end, so
+    separate array when it draws from a finished one (base past its end, so
     that every read is final).  ``acceptance`` is the tree's thinning
     test, its envelope the proposal's.  ``budget`` holds rows of uniforms
     by slot and arrival, (rows, width, len(ms)): branch (for a mixed
@@ -607,9 +590,9 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
 def sample_parent_rejection(
     trace: TreeTrace, m: int, kernel: AttachmentKernel, rng, size: int
 ) -> tuple[np.ndarray, int]:
-    """``size`` thinning draws from snapshot m of a frozen trace.
+    """``size`` thinning draws from snapshot m of a finished trace.
 
-    Every parent of a frozen tree is final, so the draws go through
+    Every parent of a finished tree is final, so the draws go through
     :func:`_thin_block` in blocks of up to _BLOCK_MAX whose reads are all
     final, each settled in one round, with budgets sized as :func:`grow`
     sizes them.  Returns (parents drawn, rejected proposals).
@@ -619,7 +602,6 @@ def sample_parent_rejection(
     parents = trace.parents
     view = _DegreeView(len(parents))
     view.extend(parents, 2, len(parents))
-    view.rebuild(parents, len(parents))
     acceptance = _Acceptance(kernel)
     rows = _rows(acceptance.slope, acceptance.offset)
     out = np.empty(size, dtype=np.int64)
@@ -774,9 +756,9 @@ def grow(config: GrowthConfig, seeds=None):
     overflow chunks when it is resolved, in birth order.
     Vertex 2 attaches to the root deterministically.  Trees are int32 (see
     :class:`TreeTrace`).  The edge sampler peaks at those 8 B per vertex of
-    the batch plus about 1 MB for one tile; the rejection sampler at about
-    42 B per vertex of one tree, in its degree view and sorted key, plus a
-    few MB for a block.
+    the batch plus about 1 MB for one tile; the rejection sampler at those
+    8 B and 20 B more in its degree view per vertex of one tree, plus 3-6
+    MB for a block: a traced peak of 31-34 B per vertex at n = 1e6.
     """
     n_final = config.n_final
     batch = [config.seed] if seeds is None else [check_seed(seed) for seed in seeds]
@@ -889,7 +871,6 @@ def _loop_edge(parents, kernel, ms, rngs) -> None:
 _BLOCK_MAX = 1 << 14  # thinning blocks hold P/4 arrivals past the first unresolved arrival P, up to this many
 _BUDGET_MAX = 32  # triples drawn ahead per arrival at most
 _NEVER = np.iinfo(np.int32).max  # a birth later than any vertex
-_REBUILD = 2  # the degree view rebuilds its sorted key once P doubles (this ratio) since the last rebuild
 
 
 def _block_size(first: int) -> int:
@@ -930,7 +911,6 @@ def _loop_rejection(parents, kernel, ms, rng) -> int:
         size = min(_block_size(k), end - k)
         width = _budget(retries, retries + accepted, size)
         budget = rng.random((rows, width, size))
-        view.refresh(parents, k)
         block = ms[k - 3 : k - 3 + size]
         retries += _thin_block(parents, view, k, parents[k : k + size], block, acceptance, budget, rng)
         accepted += int(np.count_nonzero(block > 1))

@@ -116,3 +116,23 @@ def test_bumpy_rejection_tree_parents_are_golden():
         "6e38ba5181f8503379da692227ea1631a257ab854be267fc7415ce3040ceeac0",
         11735,
     )
+
+
+def test_heavy_delay_rejection_tree_parents_are_golden():
+    # under invpow:2 the root is a hub (12 822 children) read at old snapshots: many late degree reads
+    kern = TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True)
+    tr = grow(GrowthConfig(kern, DELAYS["invpow2"], 200_000, seed=1))
+    assert (_digest(tr.parents), tr.retries) == (
+        "4140f008edb8a36dc62fde8339eb3c9b9cf64d4e2bff250fe82481ee0d518719",
+        15093,
+    )
+
+
+def test_heavy_delay_bumpy_rejection_tree_parents_are_golden():
+    # the bumpy table under invpow:2: late degree reads together with the repair and overflow paths
+    kern = TabulatedKernel((1.0, 2.0, 1.5, 1.2), tail=("const",), f_star=1.0)
+    tr = grow(GrowthConfig(kern, DELAYS["invpow2"], 50_000, seed=1))
+    assert (_digest(tr.parents), tr.retries) == (
+        "8f0c109eba104c402295ec61f505f9c59859e6a1f383a025de45704d827bd88a",
+        27557,
+    )

@@ -453,59 +453,57 @@ def test_thinning_blocks_leave_every_mark_unset(monkeypatch, kernel, delay):
 
 
 # ---------------------------------------------------------------------------
-# The degree view: counts, searches of the sorted key and sibling walks
+# The degree view: counts, and searches of its sorted runs
 # ---------------------------------------------------------------------------
 
 
 def _frozen_view(parents):
     view = growth._DegreeView(len(parents))
     view.extend(parents, 2, len(parents))
-    view.rebuild(parents, len(parents))
     return view
 
 
-def _check_degree_view(parents, ratio, batch) -> set:
+def _check_degree_view(parents, batch) -> tuple[set, int]:
     """Grow a degree view arrival by arrival and query it at every P, m < P and v <= m.
 
     ``batch(first, p)`` says how far past ``first`` to add with one
     ``extend``; the rest of the arrivals below P go in a second one.
-    Returns the branches the queries took.
+    Returns the branches the queries took and the most sorted runs the
+    view held while it answered a late query by searches.
     """
     parents = np.asarray(parents, dtype=np.int64)
     n = len(parents) - 1
     want = [growth._weight_degrees(parents, m) for m in range(1, n + 1)]
     view = growth._DegreeView(n + 1)
-    first, branches = 2, set()
-    with mock.patch.object(growth, "_REBUILD", ratio):
-        for p in range(3, n + 2):
-            upto = batch(first, p)
-            view.extend(parents, first, upto)
-            view.extend(parents, upto, p)
-            first = p
-            view.refresh(parents, p)
-            ms = np.concatenate([np.full(m, m) for m in range(1, p)])
-            vs = np.concatenate([np.arange(1, m + 1) for m in range(1, p)])
-            np.testing.assert_array_equal(view.degrees(vs, ms), np.concatenate(want[: p - 1]))
-            late = view.last[vs] > ms
-            branches |= {"count"} if (~late).any() else set()
-            branches |= {"search"} if (late & (ms < view.frozen)).any() else set()
-            branches |= {"walk"} if (late & (ms >= view.frozen)).any() else set()
-    return branches
+    first, branches, runs = 2, set(), 0
+    for p in range(3, n + 2):
+        upto = batch(first, p)
+        view.extend(parents, first, upto)
+        view.extend(parents, upto, p)
+        first = p
+        ms = np.concatenate([np.full(m, m) for m in range(1, p)])
+        vs = np.concatenate([np.arange(1, m + 1) for m in range(1, p)])
+        np.testing.assert_array_equal(view.degrees(vs, ms), np.concatenate(want[: p - 1]))
+        late = view.last[vs] > ms
+        branches |= {"count"} if (~late).any() else set()
+        if late.any():
+            branches.add("search")
+            runs = max(runs, len(view.bounds) - 1)
+    return branches, runs
 
 
 @settings(max_examples=60, deadline=None)
-@given(_parent_arrays(), st.sampled_from((1, 2, 10**9)), st.data())
-def test_degree_view_matches_the_snapshot_degrees(parents, ratio, data):
-    # ratio 1 rebuilds the sorted key at every P, 2 is the default, 10**9 never rebuilds it
-    _check_degree_view(parents, ratio, lambda first, p: data.draw(st.integers(first, p)))
+@given(_parent_arrays(), st.data())
+def test_degree_view_matches_the_snapshot_degrees(parents, data):
+    _check_degree_view(parents, lambda first, p: data.draw(st.integers(first, p)))
 
 
 def test_degree_view_takes_every_branch():
-    # a star: every late query is the root's, answered by a search or a walk
+    # a star: every late query is the root's, answered by searches of every run; one arrival
+    # per run, merged as a binary counter, leaves five runs after 31 arrivals
     star = [0, 0] + [1] * 39
-    assert _check_degree_view(star, 2, lambda first, p: first) == {"count", "search", "walk"}
-    assert _check_degree_view(star, 10**9, lambda first, p: p) == {"count", "walk"}
-    assert _check_degree_view(star, 1, lambda first, p: (first + p) // 2) == {"count", "search"}
+    branches, runs = _check_degree_view(star, lambda first, p: first)
+    assert branches == {"count", "search"} and runs >= 2
 
 
 # ---------------------------------------------------------------------------
