@@ -52,13 +52,13 @@ exact law :func:`attachment_distribution`.
   proposals read the current guesses as final parents, one gather each
   (:func:`_resolve_edge`); snapshot degrees come from the degree view
   (:class:`_DegreeView`), a count or a pair of searches in each of its few
-  sorted runs of final children, plus two searches of the guesses, which
-  a block keeps as one sorted key array, sorted once after round one and
-  merged with each later change; the acceptance is a lookup in per-tree
-  tables of the envelope and the kernel (:class:`_Acceptance`); and the
-  readers of a change come from one gather over every arrival's first
-  proposal and one more over the few that read further.  The final keys
-  enter the degree view as one more sorted run.
+  sorted runs of final children, plus two searches of the known guesses,
+  which a block keeps as one sorted key array, sorted once after round
+  one and merged with each later change; the acceptance is a lookup in
+  per-tree tables of the envelope and the kernel (:class:`_Acceptance`);
+  and the readers of a change come from one gather over every arrival's
+  first proposal and one more over the few that read further.  The final
+  keys enter the degree view as one more sorted run.
 
 Degrees that enter attachment weights are graph degrees (child count, +1
 for the parent edge; the root simply has its child count, clamped to 1 at
@@ -179,8 +179,8 @@ class _DegreeView:
     enter a block at a time through :meth:`extend`, or :meth:`enter` when
     their keys are sorted already.  ``mark`` is per-vertex working space
     for :func:`_thin_block`.  ``count``, ``last`` and ``mark`` have one
-    entry past the tree, the unknown guess of a thinning block, which
-    never gets a child.
+    entry past the tree, the unknown guess of a thinning block, which no
+    key names as a parent: its weight degree is its count, 1.
     """
 
     def __init__(self, size: int):
@@ -339,12 +339,15 @@ class _Acceptance:
     ``evaluate`` refuses 0) and rebuilt at the next power of two when a
     larger degree appears.  Each flag comes from the same float operations
     as the direct test, so the flags are identical.  One object serves one
-    tree, whose degrees only grow.
+    tree, whose degrees only grow.  ``rows`` is the uniforms per triple:
+    a mixed envelope needs the branch, a pure one (slope or offset 0) does
+    not.
     """
 
     def __init__(self, kernel: AttachmentKernel):
         self.kernel = kernel
         self.slope, self.offset = kernel.linear_bound()
+        self.rows = 3 if self.slope and self.offset else 2
         self.env = self.f = np.empty(0)
 
     def __call__(self, d, u) -> np.ndarray:
@@ -378,8 +381,8 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
     separate array when it draws from a finished one (base past its end, so
     that every read is final).  ``acceptance`` is the tree's thinning
     test, its envelope the proposal's.  ``budget`` holds rows of uniforms
-    by slot and arrival, (rows, width, len(ms)): branch (for a mixed
-    envelope, see :func:`_rows`), pick and accept.  Arrival i owns the
+    by slot and arrival, (``acceptance.rows``, width, len(ms)): branch (for
+    a mixed envelope), pick and accept.  Arrival i owns the
     triples ``budget[:, s, i]`` for s < width and then, once all of them
     are rejected, the columns of ``rng.random((rows, width))`` chunks
     drawn in birth order.  So its parent is a function of its own triples
@@ -403,10 +406,12 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
     each guess equals its recomputation, and by induction over birth order
     that fixed point is the one-at-a-time answer.
 
-    The guesses are kept as one sorted key array (:func:`_sorted_keys`),
-    sorted once after round one and then merged with each change, so the
-    guessed children of a vertex are one pair of searches, and the final
-    keys enter the view without a second sort (:meth:`_DegreeView.enter`).
+    The known guesses are kept as one sorted key array
+    (:func:`_sorted_keys`), sorted once after round one and then merged with
+    each change, so the guessed children of a vertex are one pair of
+    searches, and the final keys enter the view without a second sort
+    (:meth:`_DegreeView.enter`).  An unknown guess has no key, so the
+    unknown vertex reads the view's degree 1.
     The readers of a change come from ``view.mark``, which holds, for
     each vertex that gained or lost a guess, the first birth at which it
     did: every arrival past the first change looks up the mark of its
@@ -426,15 +431,10 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
     spilled = 0
     mark = view.mark
     bits = _key_bits(size)
-    keys = None  # the guesses as sorted keys (parent, i), once there are any
+    keys = None  # the known guesses as sorted keys (parent, i), once there are any
 
-    def thin(vs, m, u, lost=None):
-        """Accept flags of proposals ``vs`` from snapshots ``m``: degrees off the view plus the guessed children.
-
-        The proposals ``lost`` (a mask) copied an unknown guess: their flags
-        are never read, and their degree is held at 1, since the unknown
-        vertex's guessed children are every unknown arrival.
-        """
+    def thin(vs, m, u):
+        """Accept flags of proposals ``vs`` from snapshots ``m``: degrees off the view plus the guessed children."""
         vs = vs.astype(np.int64)  # int64 indexes, the faster kind
         d = view.degrees(vs, m)
         if keys is not None:  # searched in sorted order, which saves most of a search's cache misses
@@ -444,8 +444,6 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
             hi += lo  # the keys below hi are v's guessed children born by m
             order = hi.argsort()
             d[order] += keys.searchsorted(hi.take(order)) - keys.searchsorted(lo.take(order))
-            if lost is not None:
-                np.putmask(d, lost, 1)  # so the acceptance tables do not grow to the unknown arrivals
         return acceptance(d, u)
 
     def draw(i):
@@ -470,9 +468,8 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
                 m = np.concatenate((m,) * span)
             *b, p, u = [row.reshape(-1) for row in slots]
             vs = _resolve_edge(parents, len(parents), m, slope, offset, b[0] if b else None, p)
-            lost = vs == unknown  # a copy of an unknown guess proposes it, and stops the arrival for the round
-            stop = thin(vs, m, u, lost)
-            stop |= lost
+            stop = thin(vs, m, u)
+            stop |= vs == unknown  # a copy of an unknown guess proposes it, and stops the arrival for the round
             if whole and not s:
                 stop[:size] |= ms == 1
             if span > 1:  # the first stop of each arrival among its span slots
@@ -533,7 +530,8 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
         gone |= changed
         come <<= bits
         come |= changed
-        kept = np.ones(size, dtype=bool)
+        gone, come = gone[old != unknown], come[new != unknown]  # an unknown guess has no key
+        kept = np.ones(len(keys), dtype=bool)
         kept[keys.searchsorted(gone)] = False
         come.sort()
         keys = np.concatenate((keys[kept], come))
@@ -550,6 +548,7 @@ def _thin_block(parents, view, base: int, out, ms, acceptance: _Acceptance, budg
     draw(np.arange(size))
     out[:] = guess
     keys = _sorted_keys(out, bits)
+    keys = keys[: keys.searchsorted(unknown << bits)]  # unknown is the largest parent: its keys sort last
     first = int(np.argmax(guess != unknown))
     pending = np.arange(0)
     if guess[first] != unknown:  # every guess changed from unknown: each guessed parent first at its first child
@@ -603,12 +602,11 @@ def sample_parent_rejection(
     view = _DegreeView(len(parents))
     view.extend(parents, 2, len(parents))
     acceptance = _Acceptance(kernel)
-    rows = _rows(acceptance.slope, acceptance.offset)
     out = np.empty(size, dtype=np.int64)
     rejected = 0
     for lo in range(0, size, _BLOCK_MAX):
         hi = min(lo + _BLOCK_MAX, size)
-        budget = rng.random((rows, _budget(rejected, rejected + lo * (m > 1), hi - lo), hi - lo))
+        budget = rng.random((acceptance.rows, _budget(rejected, rejected + lo * (m > 1), hi - lo), hi - lo))
         rejected += _thin_block(parents, view, len(parents), out[lo:hi], np.full(hi - lo, m), acceptance, budget, rng)
     return out, rejected
 
@@ -889,11 +887,6 @@ def _budget(rejected: int, proposals: int, size: int) -> int:
     return min(_BUDGET_MAX, max(1, math.ceil(math.log(size) / -math.log(rate))))
 
 
-def _rows(slope: float, offset: float) -> int:
-    """Uniforms per triple: a mixed envelope needs the branch, a pure one (slope or offset 0) does not."""
-    return 3 if slope and offset else 2
-
-
 def _loop_rejection(parents, kernel, ms, rng) -> int:
     """Thinning parents for one tree, a block at a time; returns the rejected proposals.
 
@@ -902,7 +895,6 @@ def _loop_rejection(parents, kernel, ms, rng) -> int:
     :func:`_thin_block`, which also enters it into the degree view.
     """
     acceptance = _Acceptance(kernel)
-    rows = _rows(acceptance.slope, acceptance.offset)
     view = _DegreeView(len(parents))
     view.extend(parents, 2, 3)  # vertex 2, the root's child
     retries = accepted = 0
@@ -910,7 +902,7 @@ def _loop_rejection(parents, kernel, ms, rng) -> int:
     while k < end:
         size = min(_block_size(k), end - k)
         width = _budget(retries, retries + accepted, size)
-        budget = rng.random((rows, width, size))
+        budget = rng.random((acceptance.rows, width, size))
         block = ms[k - 3 : k - 3 + size]
         retries += _thin_block(parents, view, k, parents[k : k + size], block, acceptance, budget, rng)
         accepted += int(np.count_nonzero(block > 1))

@@ -86,7 +86,7 @@ class SeriesDetail:
 
 
 def _tail_bound(kernel: AttachmentKernel, lam: float, k: int, prod: float) -> float:
-    """Upper bound on sum_{j>k} prod_{i<=j} f(i)/(lam+f(i)) given prodate k.
+    """Upper bound on sum_{j>k} prod_{i<=j} f(i)/(lam+f(i)) given prod at k.
 
     Bounded kernels get the geometric bound with ratio sup/(lam+sup);
     otherwise f(i) <= a*i + b gives, via 1/(1+x) <= exp(-x/(1+x)),

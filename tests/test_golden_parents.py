@@ -136,3 +136,39 @@ def test_heavy_delay_bumpy_rejection_tree_parents_are_golden():
         "8f0c109eba104c402295ec61f505f9c59859e6a1f383a025de45704d827bd88a",
         27557,
     )
+
+
+# finished-tree draws: sample_parent_rejection's blocks read only final parents, one per envelope kind
+SAMPLE_GOLDEN = {
+    # mixed envelope (0.4, 0.6): three uniforms per triple
+    "pow": (
+        TabulatedKernel((1.0, 1.4, 1.7, 2.0), tail=("pow", 0.5), f_star=1.0, monotone=True),
+        "3b120c7b42c137f3a609a80049886c37e54d5085f77048704921c3a1ae58f5dd",
+        3024,
+        0.9426172805790061,
+    ),
+    # endpoint-only envelope (1, 0): two per triple
+    "bumpy": (
+        TabulatedKernel((1.0, 2.0, 1.5, 1.2), tail=("const",), f_star=1.0),
+        "bb498032933050827633b42d9b2cf5d0deb6486daf917d5f47825b2465acfae5",
+        28719,
+        0.7759710996192405,
+    ),
+    # vertex-only envelope (0, 2): two per triple
+    "falling": (
+        TabulatedKernel((2.0, 1.0), tail=("const",), f_star=1.0),
+        "c756cd1305d0fd737b075c857ffa55e18c2cd46987ffcfed0190dd0311888a9e",
+        20018,
+        0.3886646896098712,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_GOLDEN))
+def test_finished_tree_draws_are_golden(name):
+    # the draws, their rejections and the generator's position after them (what the budgets consumed)
+    kern, digest, rejected, after = SAMPLE_GOLDEN[name]
+    tr = grow(GrowthConfig(kern, DELAYS["uniform01"], n_final=2000, seed=5))
+    rng = np.random.default_rng(11)
+    draws, got = growth.sample_parent_rejection(tr, 1500, kern, rng, 50_000)
+    assert (_digest(draws), got, rng.random()) == (digest, rejected, after)

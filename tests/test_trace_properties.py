@@ -452,6 +452,23 @@ def test_thinning_blocks_leave_every_mark_unset(monkeypatch, kernel, delay):
     assert len(calls) > 20 and all(calls)
 
 
+@pytest.mark.parametrize("seed, largest", ((1, 12), (2, 16), (3, 14)))
+def test_thinning_looks_up_no_degree_past_the_tree(monkeypatch, seed, largest):
+    # an arrival not drawn yet is a child of no vertex: counted as one, the unknown guess would
+    # read a degree near the block's size, and the acceptance tables would grow to it
+    top, accept = [0], growth._Acceptance.__call__
+
+    def spy(self, d, u):
+        top[0] = max(top[0], int(d.max()))
+        return accept(self, d, u)
+
+    monkeypatch.setattr(growth._Acceptance, "__call__", spy)
+    tr = grow(GrowthConfig(KERNELS[4], Uniform01Delay(beta=0.5), 20_000, seed=seed))
+    kids = tr.child_counts()
+    assert max(kids[1], kids[2:].max() + 1) == largest
+    assert top[0] <= largest
+
+
 # ---------------------------------------------------------------------------
 # The degree view: counts, and searches of its sorted runs
 # ---------------------------------------------------------------------------
