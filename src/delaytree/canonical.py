@@ -5,11 +5,14 @@ A rooted tree is encoded as a balanced-parenthesis string: a leaf is
 its child subtrees, e.g. the 3-vertex star is ``(()())`` and the 3-vertex
 path is ``((()))``.  Two rooted trees get the same code exactly when a
 root-preserving isomorphism maps one onto the other, so code equality *is*
-the isomorphism test and codes can key dictionaries.
+the isomorphism test and codes can key dictionaries.  A shape is its code
+throughout: ``child_counts`` reads a code's preorder child counts (and
+validates it) in one scan, and ``leaf_extensions`` grows it by one leaf at
+each vertex, with no second tree form in between.
 
 The module also provides exhaustive enumeration of all canonical trees up
-to a size cap (two independent routes: multiset composition and leaf
-attachment, cross-checked in the tests) and two bottom-up subtree
+to a size cap (two independent routes: multiset composition here, and leaf
+extension, cross-checked in the tests) and two bottom-up subtree
 censuses.  ``shape_labels`` is the one the fringe estimators use: it gives
 every vertex an integer label for the shape of its fringe (the subtree
 below it), interning sorted child-label rows level by level with NumPy in
@@ -36,10 +39,7 @@ __all__ = [
     "SINGLETON",
     "code_from_children",
     "top_level_children",
-    "decode",
-    "code_of_nested",
-    "positions",
-    "attach_leaf",
+    "leaf_extensions",
     "child_counts",
     "code_from_parents",
     "subtree_codes",
@@ -62,22 +62,32 @@ def code_from_children(child_codes) -> str:
     return "(" + "".join(sorted(child_codes)) + ")"
 
 
-def _validate(code: str) -> None:
-    depth = 0
-    last = len(code) - 1
-    for i, ch in enumerate(code):
+def child_counts(code: str) -> list[int]:
+    """Child counts of every vertex of a code, root first in depth-first order.
+
+    One left-to-right scan: each ``(`` opens a vertex and adds a child to
+    the vertex open around it.  Raises ArgumentError unless the code is one
+    balanced tree, so it is also the validator of a code.
+    """
+    counts: list[int] = []
+    path: list[int] = []  # the open vertices, as indices into counts
+    for ch in code:
         if ch == "(":
-            depth += 1
+            if path:
+                counts[path[-1]] += 1
+            elif counts:
+                raise ArgumentError(f"tree code {code!r} is a forest, not a single root")
+            path.append(len(counts))
+            counts.append(0)
         elif ch == ")":
-            depth -= 1
+            if not path:
+                raise ArgumentError(f"unbalanced tree code {code!r}")
+            path.pop()
         else:
             raise ArgumentError(f"invalid character {ch!r} in tree code")
-        if depth < 0:
-            raise ArgumentError(f"unbalanced tree code {code!r}")
-        if depth == 0 and i != last:
-            raise ArgumentError(f"tree code {code!r} is a forest, not a single root")
-    if depth != 0 or not code:
+    if path or not counts:
         raise ArgumentError(f"unbalanced tree code {code!r}")
+    return counts
 
 
 def top_level_children(code: str) -> list[str]:
@@ -94,41 +104,18 @@ def top_level_children(code: str) -> list[str]:
     return out
 
 
-def _decode_unchecked(code: str):
-    return tuple(_decode_unchecked(c) for c in top_level_children(code))
+def leaf_extensions(code: str):
+    """Yield ``(grown, c)`` for every vertex of a canonical code, root first and depth first.
 
-
-def decode(code: str):
-    """Nested-tuple representative: a vertex is the tuple of its children."""
-    _validate(code)
-    return _decode_unchecked(code)
-
-
-def code_of_nested(tree) -> str:
-    return code_from_children(code_of_nested(c) for c in tree)
-
-
-def positions(tree, prefix=()):
-    """Yield every vertex of a nested-tuple tree as a path of child indices."""
-    yield prefix
-    for i, child in enumerate(tree):
-        yield from positions(child, prefix + (i,))
-
-
-def attach_leaf(tree, path):
-    """New nested-tuple tree with an extra leaf child at the given vertex."""
-    if not path:
-        return tree + ((),)
-    i = path[0]
-    return tree[:i] + (attach_leaf(tree[i], path[1:]),) + tree[i + 1 :]
-
-
-def child_counts(tree) -> list[int]:
-    """Child counts of every vertex (root first, depth-first order)."""
-    out = [len(tree)]
-    for child in tree:
-        out.extend(child_counts(child))
-    return out
+    ``grown`` is the code of the tree with one more leaf, a child of that
+    vertex, and ``c`` the vertex's child count before the leaf joins it.
+    Automorphic vertices each yield their (equal) code.
+    """
+    kids = top_level_children(code)
+    yield code_from_children(kids + [SINGLETON]), len(kids)
+    for i, kid in enumerate(kids):
+        for grown, c in leaf_extensions(kid):
+            yield code_from_children(kids[:i] + [grown] + kids[i + 1 :]), c
 
 
 def code_from_parents(parents) -> str:
@@ -163,11 +150,7 @@ def subtree_codes(parents, cap: int | None = None) -> list:
     for v in range(n, 0, -1):
         size = 1 + sum(sizes[c] for c in kids[v])
         sizes[v] = size
-        if cap is not None and size > cap:
-            codes[v] = None
-        elif any(codes[c] is None for c in kids[v]):
-            codes[v] = None
-        else:
+        if cap is None or size <= cap:  # a child over the cap puts its parent over it too
             codes[v] = code_from_children(codes[c] for c in kids[v])
     return codes
 
@@ -448,6 +431,6 @@ def q_count(host: str, sub: str) -> int:
     Zero when the host's root has no children (in particular for the
     singleton host).
     """
-    _validate(host)
-    _validate(sub)
-    return sum(1 for c in top_level_children(host) if c == sub)
+    child_counts(host)
+    child_counts(sub)
+    return top_level_children(host).count(sub)

@@ -8,7 +8,9 @@ root lam* with rho(lam*) = 1; the limiting degree law
 
 the fringe-subtree distribution over canonical rooted trees, computed two
 independent ways (exhaustive history enumeration, and a bottom-up
-leaf-attachment recursion) so each can police the other; the scalar
+leaf-attachment recursion) so each can police the other, with every tree
+held as its canonical code (``canonical.child_counts`` and
+``canonical.leaf_extensions`` read a code directly); the scalar
 constants for the leaf CLT and the root-degree growth scales; and the exact
 finite-n law of the snapshot an arrival reads.
 
@@ -22,24 +24,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .canonical import (
-    SINGLETON,
-    attach_leaf,
-    child_counts,
-    code_from_parents,
-    code_of_nested,
-    decode,
-    positions,
-    top_level_children,
-)
+from .canonical import SINGLETON, child_counts, code_from_parents, leaf_extensions, top_level_children
 from .errors import ArgumentError, AssumptionError, check_count
 from .kernels import AttachmentKernel, DelayLaw, snapshot_slabs
-from . import canonical as _canonical
 
 __all__ = [
     "rho_hat",
@@ -222,7 +215,7 @@ def solve_malthusian(kernel: AttachmentKernel) -> MalthusianResult:
             lo = mid
         else:
             hi = mid
-        if hi - lo <= 1e-13 * max(1.0, hi):
+        if hi - lo <= 1e-13 * hi:
             break
     lam = 0.5 * (lo + hi)
     detail = (
@@ -270,11 +263,9 @@ def degree_law(kernel: AttachmentKernel, lambda_star: float, k_max: int) -> np.n
 # ---------------------------------------------------------------------------
 
 
-def tree_weight(tree, kernel: AttachmentKernel) -> float:
-    """W(t) = sum over vertices of f(child count + 1)."""
-    if isinstance(tree, str):
-        tree = decode(tree)
-    return sum(kernel.evaluate(c + 1) for c in child_counts(tree))
+def tree_weight(code: str, kernel: AttachmentKernel) -> float:
+    """W(t) = sum over vertices of f(child count + 1), for the tree of a code."""
+    return sum(kernel.evaluate(c + 1) for c in child_counts(code))
 
 
 @lru_cache(maxsize=64)
@@ -366,15 +357,9 @@ def fringe_recursion(size_cap: int, kernel: AttachmentKernel, lambda_star: float
     for _ in range(2, size_cap + 1):
         contrib: dict = {}
         for code in frontier:
-            t = decode(code)
             val = values[code]
-            for path in positions(t):
-                sub = t
-                for i in path:
-                    sub = sub[i]
-                weight = kernel.evaluate(len(sub) + 1)
-                new_code = code_of_nested(attach_leaf(t, path))
-                contrib[new_code] = contrib.get(new_code, 0.0) + val * weight
+            for new_code, c in leaf_extensions(code):
+                contrib[new_code] = contrib.get(new_code, 0.0) + val * kernel.evaluate(c + 1)
         for new_code, num in contrib.items():
             values[new_code] = num / (lam + tree_weight(new_code, kernel))
         frontier = sorted(contrib)
@@ -390,7 +375,8 @@ def extended_fringe_law(masses, depth: int) -> dict:
 
     ``masses`` maps each code to its mass: the limit law pi
     (``FringeTable.probs``), or the fringe counts of one or more trees.
-    Keys are tuples of codes ordered child-first; the mass of
+    Keys are tuples of codes ordered child-first, in an order fixed by
+    that of ``masses`` and of each head's children; the mass of
     (t_0, ..., t_d) is masses(t_d) * prod_{j=1}^{d} Q(t_j, t_{j-1}), where
     Q counts root-children subtrees.  Depth 0 recovers the plain masses.
     A vertex of shape s has exactly the children of s, so integer fringe
@@ -403,9 +389,7 @@ def extended_fringe_law(masses, depth: int) -> dict:
     for _ in range(depth):
         nxt: dict = {}
         for key, mass in level.items():
-            head = key[0]
-            for sub in set(top_level_children(head)):
-                q = _canonical.q_count(head, sub)
+            for sub, q in Counter(top_level_children(key[0])).items():
                 nxt[(sub,) + key] = mass * q
         level = nxt
     return level

@@ -7,18 +7,21 @@ import pytest
 
 from delaytree.canonical import (
     all_canonical_trees,
-    attach_leaf,
     child_counts,
     code_from_children,
     code_from_parents,
-    code_of_nested,
-    decode,
-    positions,
+    leaf_extensions,
     q_count,
     subtree_codes,
     top_level_children,
 )
 from delaytree.errors import ArgumentError
+
+
+def _canonical(code: str) -> str:
+    """Reference: the code, checked to be one balanced tree, rebuilt bottom-up with every sibling list sorted."""
+    child_counts(code)
+    return code_from_children(_canonical(c) for c in top_level_children(code))
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,7 @@ class CanonicalTree:
     code: str
 
     def __post_init__(self) -> None:
-        if self.code != code_of_nested(decode(self.code)):
+        if self.code != _canonical(self.code):
             raise ArgumentError(f"code {self.code!r} is not in canonical (sorted) form")
 
     @classmethod
@@ -95,7 +98,7 @@ def test_decode_roundtrip_all_small_trees():
     for size, codes in all_canonical_trees(7).items():
         for code in codes:
             assert len(code) == 2 * size
-            assert code_of_nested(decode(code)) == code
+            assert _canonical(code) == code
 
 
 def test_enumeration_counts():
@@ -103,12 +106,9 @@ def test_enumeration_counts():
     assert counts == {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 20, 7: 48, 8: 115}
 
 
-def test_positions_and_attach_leaf():
-    t = decode("(())")
-    sites = list(positions(t))
-    assert len(sites) == 2  # one per vertex
-    grown = {code_of_nested(attach_leaf(t, path)) for path in sites}
-    assert grown == {"((()))", "(()())"}
+def test_leaf_extensions():
+    # one per vertex, root first, each with the child count of the vertex the leaf joins
+    assert list(leaf_extensions("(())")) == [("(()())", 1), ("((()))", 0)]
 
 
 def test_attach_leaf_covers_next_size():
@@ -118,15 +118,17 @@ def test_attach_leaf_covers_next_size():
     for s in range(1, 6):
         reached = set()
         for code in trees[s]:
-            t = decode(code)
-            for path in positions(t):
-                reached.add(code_of_nested(attach_leaf(t, path)))
+            grown = list(leaf_extensions(code))
+            assert [c for _, c in grown] == child_counts(code)  # one per vertex, in the same order
+            for new_code, _ in grown:
+                assert _canonical(new_code) == new_code
+                reached.add(new_code)
         assert reached == set(trees[s + 1])
 
 
 def test_child_counts():
-    assert sorted(child_counts(decode("((())())"))) == [0, 0, 1, 2]
-    assert sum(child_counts(decode("(()()())"))) == 3
+    assert child_counts("((())())") == [2, 1, 0, 0]
+    assert sum(child_counts("(()()())")) == 3
 
 
 def test_subtree_codes_with_cap():
@@ -151,7 +153,7 @@ def test_q_count():
 def test_invalid_codes_rejected():
     for bad in ["", "(", "())(", "()()", "((]", ")("]:
         with pytest.raises(ArgumentError):
-            decode(bad)
+            child_counts(bad)
 
 
 def test_canonical_tree_wrapper():

@@ -4,11 +4,17 @@ The hand-derived anchor values used here were each computed twice (closed
 form and independent series/enumeration) before being frozen.
 """
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import delaytree
 from delaytree.canonical import all_canonical_trees, q_count, top_level_children
 from delaytree.errors import ArgumentError
 from delaytree.kernels import (
@@ -130,6 +136,17 @@ def test_malthusian_tabulated_sqrt2():
     # (lam + 2) / (lam (lam + 1)) = 1, hence lam = sqrt(2)
     res = solve_malthusian(TAB_SQRT2)
     assert res.lambda_star == pytest.approx(math.sqrt(2.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("c", (0.1, 1e-6, 1e-11))
+def test_malthusian_constant_table_below_one(c):
+    # the constant table c has rho(lam) = c/lam, so lambda* = c; below 1 the bracket search halves
+    # downwards, and the bisection must stop on a width relative to lambda*, not an absolute one
+    res = solve_malthusian(TabulatedKernel((c,), ("const",), f_star=c))
+    assert res.lambda_star == pytest.approx(c, rel=1e-12, abs=0.0)
+    assert abs(res.rho_at_solution - 1.0) <= 1e-10
+    lo, hi = res.bracket
+    assert lo <= res.lambda_star <= hi < 1.0
 
 
 def test_malthusian_pow_tail_self_consistent():
@@ -312,6 +329,56 @@ def test_extended_law_depth2_formula():
     chains = extended_fringe_law(table.probs, 2)
     want = table.prob("((())())") * q_count("((())())", "(())") * q_count("(())", "()")
     assert chains[("()", "(())", "((())())")] == pytest.approx(want, rel=1e-12)
+
+
+def _sha(lines) -> str:
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kernel, fringe_digest, chain_digest",
+    [
+        (
+            AffineKernel(1.3),
+            "6e0e23e0da837b85e89353890e434c1c70a6e31db980dda2e4e906fd93bbf7c0",
+            "025437cd1744ec8f7eb2b071666999f1fa435767c83231fabffae4b14c0f1e4b",
+        ),
+        (
+            TabulatedKernel((1.0, 2.0, 1.5, 1.2), ("const",), f_star=1.0),
+            "85de0cffcbfb513afc956dcc6d85884b7374e969aea1c909bb6a63b3f2ed6af3",
+            "117b8fdd64007619c16e5a097aa1ee23ce5800d098f38a0535b6006abd0f688e",
+        ),
+    ],
+    ids=("affine1.3", "bumpy"),
+)
+def test_oracles_are_golden(kernel, fringe_digest, chain_digest):
+    # every bit of the fringe table at cap 10 and of the depth-2 chain law at cap 6
+    lam = solve_malthusian(kernel).lambda_star
+    probs = fringe_recursion(10, kernel, lam).probs
+    assert len(probs) == 1205
+    assert _sha(f"{code} {p!r}\n" for code, p in sorted(probs.items())) == fringe_digest
+    chains = extended_fringe_law(fringe_recursion(6, kernel, lam).probs, 2)
+    assert len(chains) == 38
+    assert _sha(f"{'|'.join(key)} {p!r}\n" for key, p in sorted(chains.items())) == chain_digest
+
+
+_CHAIN_ORDER = (
+    "from delaytree import AffineKernel, extended_fringe_law, fringe_recursion; "
+    "print(list(extended_fringe_law(fringe_recursion(5, AffineKernel(0.0), 2.0).probs, 1)))"
+)
+
+
+def test_extended_law_order_ignores_the_hash_seed():
+    # the chain law's key order, and so any float sum over its values, is the same in every process
+    src = str(Path(delaytree.__file__).resolve().parents[1])
+    outs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", _CHAIN_ORDER], capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
