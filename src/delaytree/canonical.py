@@ -20,11 +20,12 @@ the manner of Aho, Hopcroft & Ullman's tree-isomorphism algorithm, and
 writes a parenthesis code only once per distinct shape.  A vertex not yet
 labelled keeps the child labels it has received in its own output slot, and
 the first rounds walk the vertices in cache-sized blocks; the labelling
-peaks at about 7 B per vertex.  It is handed the tree's
-child counts (``TreeTrace.child_counts``, a ``tally`` of the parents),
-which the degree histogram reads too.  ``subtree_codes`` builds a code
-string at every vertex; it is the plain reference the labelling is tested
-against, and backs ``code_from_parents``.
+peaks at about 7 B per vertex.  It is handed the tree's child counts
+(``TreeTrace.child_counts``, a ``tally`` of the parents), which the degree
+histogram reads too.  ``distinct`` numbers the distinct values of an
+integer key, for the labelling and the artifact writer alike.
+``subtree_codes`` builds a code string at every vertex; it is the plain
+reference the labelling is tested against, and backs ``code_from_parents``.
 """
 
 from __future__ import annotations
@@ -48,13 +49,17 @@ __all__ = [
     "tally",
     "tally_rows",
     "shape_labels",
+    "distinct",
     "all_canonical_trees",
-    "q_count",
 ]
 
 SINGLETON = "()"
 MAX_VERTICES = 2**31 - 1  # vertex ids are int32
 BLOCK = 2**16  # vertices per block of a pass over a per-vertex array: its temporaries stay in cache
+# distinct numbers a key it does not table by searching its sorted distinct values when there are at
+# most one per this many entries, and by an argsort scatter otherwise: a plan's 31 500 root values,
+# 200 distinct, are scattered
+_SEARCHED = 256
 
 
 def code_from_children(child_codes) -> str:
@@ -210,6 +215,39 @@ def tally_rows(rows: np.ndarray, size: int) -> np.ndarray:
     return tally(rows + offsets, len(rows) * size).reshape(len(rows), size)
 
 
+def distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of a 1-D integer ``key``, ascending, and each entry's index among them.
+
+    The values keep ``key``'s dtype; the index has the narrowest unsigned
+    type that holds their number.  A non-negative key whose largest entry is
+    below twice its length indexes a table over 0..max, marked where it
+    occurs and numbered by a running count.  Any other key is sorted once:
+    when its distinct values are few, at most one per _SEARCHED entries,
+    each entry is numbered by ``np.searchsorted`` among them; otherwise,
+    where searching is slower, an argsort of the key hands each entry its
+    run's number.
+    """
+    if len(key) and key.min() >= 0 and (top := int(key.max())) < 2 * len(key):
+        seen = np.zeros(top + 1, dtype=bool)
+        seen[key] = True
+        values = np.flatnonzero(seen)
+        index = np.cumsum(seen, dtype=np.min_scalar_type(len(values)))
+        index -= 1
+        return values.astype(key.dtype), index[key]
+    values = np.sort(key)
+    runs = np.ones(len(values), dtype=bool)  # True at the first entry of each run of equal keys
+    np.not_equal(values[1:], values[:-1], out=runs[1:])
+    values = values[runs]  # the sorted copy goes before the index is made
+    narrow = np.min_scalar_type(len(values))
+    if len(values) * _SEARCHED <= len(key):
+        return values, np.searchsorted(values, key).astype(narrow)
+    ranks = np.cumsum(runs, dtype=narrow)  # in sorted order, each entry's run, from 1
+    ranks -= 1
+    index = np.empty(len(key), dtype=narrow)
+    index[key.argsort()] = ranks
+    return values, index
+
+
 def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
     """Integer shape label of the subtree below each vertex, up to ``cap``.
 
@@ -243,11 +281,11 @@ def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
     label heads at least r vertices, so its parent outgrows the cap), and
     extends each parent's prefix one label at a time by a trie step keyed
     (prefix + 1) * len(codes) + label.  A step's keys, and the prefixes met
-    at the round's end, are interned by marking them in a table over their
-    range when that range is small against their number, and by
-    ``np.unique`` otherwise.  A prefix whose children hold cap vertices or
-    more sets its vertex to -1; a vertex whose prefix holds all its
-    children is labelled.
+    at the round's end, are numbered by :func:`distinct`: in a table over
+    0..max when max is small against their number, and after one sort
+    otherwise.  A prefix whose children hold cap vertices or more
+    sets its vertex to -1; a vertex whose prefix holds all its children is
+    labelled.
 
     ``labels`` is the only per-vertex array made (int32); rounds 0 and 1
     make block-sized temporaries, and the peak, about 7 B per vertex on
@@ -350,13 +388,13 @@ def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
             key += 1
             key *= radix
             key += label[first[going] + j]
-            distinct, at = _intern(key)
-            longer = [trie[k] if k in trie else step(k) for k in distinct.tolist()]  # no call for a known key
+            known, at = distinct(key)
+            longer = [trie[k] if k in trie else step(k) for k in known.tolist()]  # no call for a known key
             prefix[going] = np.array(longer, dtype=np.int32)[at]
         del label, first, count
         labels[owners] = -2 - prefix
         # an owner whose prefix holds all its children is labelled: by row width, then row
-        ids, at = _intern(prefix + 1)
+        ids, at = distinct(prefix + 1)
         met = [rows[p - 1 - cap] if p > cap else () for p in ids.tolist()]  # prefix -1: over the cap
         ready = np.array([len(row) for row in met])[at] == kids[owners]
         fresh, at = np.compress(ready, owners), np.compress(ready, at)
@@ -371,23 +409,6 @@ def shape_labels(parents, kids, cap: int) -> tuple[np.ndarray, tuple[str, ...]]:
         fresh, up = hand(fresh, r + 1)
     np.maximum(labels, -1, out=labels)
     return labels, tuple(codes)
-
-
-def _intern(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values of a non-negative integer ``key``, ascending, and each entry's index among them.
-
-    A key whose range is at most twice its length is marked in a table over
-    that range, numbered by a running count (1 B, then 4 B per slot); a
-    wider one, whose table would outgrow the key, is sorted by ``np.unique``.
-    """
-    span = int(key.max()) + 1
-    if span > 2 * len(key):
-        return np.unique(key, return_inverse=True)
-    seen = np.zeros(span, dtype=bool)
-    seen[key] = True
-    index = np.cumsum(seen, dtype=np.int32)
-    index -= 1
-    return np.flatnonzero(seen), index[key]
 
 
 @lru_cache(maxsize=None)
@@ -423,14 +444,3 @@ def all_canonical_trees(max_size: int) -> dict[int, tuple[str, ...]]:
     if max_size < 1:
         raise ArgumentError("max_size must be >= 1")
     return {s: _trees_of_size(s) for s in range(1, max_size + 1)}
-
-
-def q_count(host: str, sub: str) -> int:
-    """How many child subtrees of the host's root are isomorphic to sub.
-
-    Zero when the host's root has no children (in particular for the
-    singleton host).
-    """
-    child_counts(host)
-    child_counts(sub)
-    return top_level_children(host).count(sub)

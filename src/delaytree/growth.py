@@ -273,14 +273,16 @@ def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, pi
     route reads e = -1, odd, naming k = 1).
 
     An odd e names vertex k = e//2 + 2; an even e copies the parent of
-    that k <= m.  Copies of a parent below ``base`` are answered by one
-    ``take`` from the rows of ``parents`` laid end to end; the rest copy an
-    earlier arrival of the same row, each linked to that arrival's place in
-    the block, and pointer jumping over the whole block walks each chain
-    down to a direct answer in O(log chain) rounds.  The arithmetic runs in
-    place on two arrays, the second of which becomes the answer, in int32
-    when ``parents`` holds at most _INT32_SIZE entries (then every 2(m-1)
-    and every place in the rows end to end fits in it) and in int64 above.
+    that k <= m.  For one tree whose parents are all final, one ``take``
+    answers every copy.  Otherwise copies of a parent below ``base`` are
+    answered by one ``take`` from the rows of ``parents`` laid end to end;
+    the rest copy an earlier arrival of the same row, each linked to that
+    arrival's place in the block, and pointer jumping over the whole block
+    walks each chain down to a direct answer in O(log chain) rounds.  The
+    arithmetic runs in place on two arrays, the second of which becomes the
+    answer, in int32 when ``parents`` holds at most _INT32_SIZE entries
+    (then every 2(m-1) and every place in the rows end to end fits in it)
+    and in int64 above.
     """
     ints = np.int32 if parents.size <= _INT32_SIZE else np.int64
     if branch is None and alpha > 0.0:
@@ -306,9 +308,7 @@ def _resolve_edge(parents, base: int, ms, slope: float, alpha: float, branch, pi
     copy = copy.ravel().nonzero()[0]
     src = flat.take(copy)
     rows, stride = parents.reshape(-1), parents.shape[-1]  # the rows of parents, end to end
-    if base >= stride:  # every parent is final: one gather answers every copy
-        if parents.ndim > 1:
-            src += copy // width * stride
+    if parents.ndim == 1 and base >= stride:  # one tree, every parent final: one gather answers every copy
         flat[copy] = rows.take(src)
         return out
     early = src < base

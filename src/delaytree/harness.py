@@ -30,7 +30,7 @@ import numpy as np
 
 from . import estimators as est
 from . import theory
-from .canonical import shape_labels, tally_rows
+from .canonical import distinct, shape_labels, tally_rows
 from .configio import config_hash, render_config
 from .errors import ArgumentError
 from .growth import batch_size, grow, parent_rows
@@ -344,11 +344,6 @@ def _aggregate_scan(plan: ExperimentPlan) -> tuple[dict, dict]:
 # never built whole in memory.
 _CHUNK = 4096
 
-# _spellings numbers entries by searching their distinct numbers when there are
-# at most one per this many entries: a degree table's few counts, most of them
-# 0, are searched; a plan's 31 500 root values, 200 distinct, are sorted
-_SEARCHED = 256
-
 # how json spells the floats that repr spells nan, inf and -inf
 _JSON_NAMES = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -363,29 +358,14 @@ def _spellings(arr: np.ndarray, names: dict) -> tuple[np.ndarray, np.ndarray]:
 
     Each distinct number is spelled once, by ``repr`` of its Python value
     and then ``names``.  Floats are told apart by their bits, so -0.0 and
-    0.0 keep their own spellings.  The distinct numbers are the runs of one
-    ``np.sort`` of a 1-D view.  When they are few, at most one per
-    _SEARCHED entries (a degree table, mostly zeros), each entry is numbered
-    by ``np.searchsorted`` among them; otherwise, where searching is slower,
-    an argsort of the view hands each entry its run's number, counted in
-    ``index``'s type.  ``index`` has ``arr``'s shape and the narrowest
-    unsigned type that holds it, so the indexes of a CSV's columns, alive
-    together, stay small.
+    0.0 keep their own spellings.  The distinct numbers and each entry's
+    index among them come from :func:`~delaytree.canonical.distinct` of a
+    1-D view.  ``index`` has ``arr``'s shape and the narrowest unsigned type
+    that holds it, so the indexes of a CSV's columns, alive together, stay
+    small.
     """
     flat = arr.reshape(-1)
-    bits = flat.view(f"i{flat.itemsize}") if flat.dtype.kind == "f" else flat
-    keys = np.sort(bits)
-    runs = np.ones(len(keys), dtype=bool)  # True at the first entry of each run of equal keys
-    np.not_equal(keys[1:], keys[:-1], out=runs[1:])
-    keys = keys[runs]
-    narrow = np.min_scalar_type(len(keys))
-    if len(keys) * _SEARCHED <= len(bits):
-        index = np.searchsorted(keys, bits).astype(narrow)
-    else:
-        ranks = np.cumsum(runs, dtype=narrow)  # in sorted order, each entry's run, from 1
-        ranks -= 1
-        index = np.empty(len(bits), dtype=narrow)
-        index[bits.argsort()] = ranks
+    keys, index = distinct(flat.view(f"i{flat.itemsize}") if flat.dtype.kind == "f" else flat)
     table = [names.get(s, s) for s in map(repr, keys.view(flat.dtype).tolist())]
     return np.array(table, dtype=object), index.reshape(arr.shape)
 

@@ -93,8 +93,6 @@ class UniformKernel(AttachmentKernel):
     """f(k) = 1: every visible vertex is equally attractive."""
 
     kind: str = field(default="uniform", init=False)
-    f_star: float = field(default=1.0, init=False)
-    monotone: bool = field(default=True, init=False)
 
     def evaluate(self, k: int) -> float:
         self._check_degree(k)
@@ -116,15 +114,10 @@ class AffineKernel(AttachmentKernel):
 
     alpha: float
     kind: str = field(default="affine", init=False)
-    monotone: bool = field(default=True, init=False)
 
     def __post_init__(self) -> None:
         if not (self.alpha >= 0.0) or not math.isfinite(self.alpha):
             raise ArgumentError(f"affine offset must be finite and >= 0, got {self.alpha}")
-
-    @property
-    def f_star(self) -> float:
-        return 1.0 + self.alpha
 
     def evaluate(self, k: int) -> float:
         self._check_degree(k)

@@ -199,11 +199,12 @@ def solve_malthusian(kernel: AttachmentKernel) -> MalthusianResult:
     else:
         raise AssumptionError("rho never drops below 1; kernel violates the standing assumptions")
     lo = hi / 2.0
-    while _compare_to_one(kernel, lo, evaluate) < 0:
-        hi = lo
-        lo /= 2.0
-        if lo < 1e-12:
-            raise AssumptionError("rho never reaches 1; kernel violates the standing assumptions")
+    for _ in range(200):
+        if _compare_to_one(kernel, lo, evaluate) >= 0:
+            break
+        hi, lo = lo, lo / 2.0
+    else:
+        raise AssumptionError("rho never reaches 1; kernel violates the standing assumptions")
     bracket = (lo, hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -218,18 +219,17 @@ def solve_malthusian(kernel: AttachmentKernel) -> MalthusianResult:
         if hi - lo <= 1e-13 * hi:
             break
     lam = 0.5 * (lo + hi)
-    detail = (
-        _series(kernel, evaluate, lam, 1e-12, None)
-        if kernel.kind not in ("uniform", "affine")
-        else SeriesDetail(rho_hat(kernel, lam), 0, 0.0)
-    )
-    rho_val = detail.value if math.isfinite(detail.tail_bound) else detail.partial
+    if kernel.kind in ("uniform", "affine"):
+        rho_val, terms = rho_hat(kernel, lam), 0
+    else:
+        detail = _series(kernel, evaluate, lam, 1e-12, None)
+        rho_val, terms = detail.partial, detail.terms
     if not (abs(rho_val - 1.0) <= _MALTHUS_TOL):
         raise AssumptionError(f"bisection failed to reach |rho - 1| <= {_MALTHUS_TOL}: got {rho_val}")
     return MalthusianResult(
         lambda_star=lam,
         rho_at_solution=rho_val,
-        truncation_terms=detail.terms,
+        truncation_terms=terms,
         bracket=bracket,
     )
 
@@ -299,12 +299,11 @@ def _history_table(size: int, kernel: AttachmentKernel, lam: float) -> dict:
     return table
 
 
-def fringe_bruteforce(tree, kernel: AttachmentKernel, lambda_star: float) -> float:
-    """Limit fringe probability of one canonical tree, by enumeration.
+def fringe_bruteforce(code: str, kernel: AttachmentKernel, lambda_star: float) -> float:
+    """Limit fringe probability of one canonical tree code, by enumeration.
 
     Exponential in the tree size; intended as the oracle for sizes <= 7.
     """
-    code = str(tree)
     size = code.count("(")
     if size < 1:
         raise ArgumentError("empty tree code")
@@ -324,8 +323,7 @@ class FringeTable:
     lambda_star: float
     kernel: AttachmentKernel
 
-    def prob(self, tree) -> float:
-        code = str(tree)
+    def prob(self, code: str) -> float:
         if code.count("(") > self.size_cap:
             raise ArgumentError(f"tree larger than table cap {self.size_cap}")
         return self.probs[code]

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from delaytree import harness
+from delaytree import canonical, harness
 
 # ---------------------------------------------------------------------------
 # reference spellings
@@ -249,7 +249,7 @@ def test_no_piece_or_write_holds_more_than_a_chunk(k):
 
 
 def _degree_table():
-    """2**17 counts, most of them 0, with at most 100 distinct values: few against the entries, so searched."""
+    """2**17 counts, most of them 0, with at most 100 distinct values: few against the entries, in a narrow range."""
     rng = np.random.default_rng(3)
     counts = np.zeros(1 << 17, dtype=np.int64)
     counts[rng.integers(0, len(counts), 2000)] = rng.integers(1, 100, 2000)
@@ -279,7 +279,7 @@ def _spread_floats():
 )
 def test_spellings_spell_each_entry_as_repr_does(arr, searched):
     table, index = harness._spellings(arr, harness._JSON_NAMES)
-    assert (len(table) * harness._SEARCHED <= arr.size) == searched  # the path this case takes
+    assert (len(table) * canonical._SEARCHED <= arr.size) == searched  # few or many distinct numbers
     assert index.shape == arr.shape
     assert index.dtype == np.min_scalar_type(len(table)) and index.dtype.kind == "u"
     want = [harness._JSON_NAMES.get(s, s) for s in map(repr, arr.reshape(-1).tolist())]

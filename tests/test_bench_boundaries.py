@@ -8,23 +8,10 @@ written.
 """
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
 
-def _tracer(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave no cache beside the file
-    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look the module up
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_every_tracer_boundary_resolves_to_a_callable(monkeypatch):
-    tracer = _tracer(monkeypatch)
+def test_every_tracer_boundary_resolves_to_a_callable(perfbench):
+    tracer = perfbench("tracer")
     assert tracer.BOUNDARIES
     missing = [
         f"{module}.{attr}"

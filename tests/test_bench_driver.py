@@ -9,10 +9,7 @@ nothing under ``perfbench/`` is written.
 import hashlib
 import importlib.util
 import os
-import sys
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,24 +19,6 @@ def _script(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _perfbench(name):
-    """``perfbench/<name>.py`` loaded from its file, with no bytecode cache written beside it."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    saved = sys.dont_write_bytecode
-    sys.dont_write_bytecode = True
-    sys.modules[spec.name] = module  # its dataclasses look the module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = saved
-        del sys.modules[spec.name]
-    return module
-
-
-WORKLOADS, GATE = _perfbench("workloads"), _perfbench("gate")
 
 
 def test_source_trees_take_turns_in_reverse_every_other_run():
@@ -56,12 +35,12 @@ def test_quartiles_lie_within_the_runs():
     assert driver.quartiles([0.25]) == [0.25, 0.25]
 
 
-def test_replicate_sweep_bench_runs_the_workload_of_this_tree(tmp_path):
+def test_replicate_sweep_bench_runs_the_workload_of_this_tree(tmp_path, perfbench):
     # the bench script's measurement child, so an API change cannot break it unseen
     bench = _script("replicate_sweep")
     got = bench.driver.measure(bench.CHILD, str(ROOT / "src"), bench.REPO, "default", bench.SEED)
     assert got["ok"] is True and got["grow_calls"] >= 1
-    step = WORKLOADS.prepare("replicate-sweep", bench.SEED, str(tmp_path))[0]
+    step = perfbench("workloads").prepare("replicate-sweep", bench.SEED, str(tmp_path))[0]
     assert step.call()
     digest = hashlib.sha256()
     for name in sorted(os.listdir(step.outdir)):
@@ -69,11 +48,11 @@ def test_replicate_sweep_bench_runs_the_workload_of_this_tree(tmp_path):
     assert got["artifact_sha256"] == digest.hexdigest()
 
 
-@pytest.mark.parametrize("name", WORKLOADS.NAMES)
-def test_every_benchmark_plan_runs_at_a_small_scale(tmp_path, name):
+def test_every_benchmark_plan_runs_at_a_small_scale(tmp_path, perfbench, workload):
     # the workloads build their plans from src/ signatures (kernels, configs, presets, ExperimentPlan),
     # so a signature change fails here and not only in the benchmark; the verdict's tolerances
     # assume the full sizes, so only the gate's exact identities and the artifact set are held
-    for step in WORKLOADS.prepare(name, 7, str(tmp_path), 0.002):
-        problems = GATE.check_plan(step.outdir, step.call(), step.replicates, step.n, step.statistics)
+    gate = perfbench("gate")
+    for step in perfbench("workloads").prepare(workload, 7, str(tmp_path), 0.002):
+        problems = gate.check_plan(step.outdir, step.call(), step.replicates, step.n, step.statistics)
         assert [p for p in problems if not p.startswith("verdict:")] == []

@@ -1,17 +1,21 @@
 """Canonical codes for rooted trees: encoding, enumeration, surgery."""
 
 from dataclasses import dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from delaytree import canonical
 from delaytree.canonical import (
     all_canonical_trees,
     child_counts,
     code_from_children,
     code_from_parents,
+    distinct,
     leaf_extensions,
-    q_count,
     subtree_codes,
     top_level_children,
 )
@@ -143,11 +147,12 @@ def test_subtree_codes_with_cap():
 
 
 def test_q_count():
-    assert q_count("((())())", "()") == 1
-    assert q_count("((())())", "(())") == 1
-    assert q_count("(()()())", "()") == 3
-    assert q_count("((())())", "((()))") == 0
-    assert q_count("()", "()") == 0  # a singleton root has no child subtrees
+    # Q(host, sub): how many child subtrees of the host's root are isomorphic to sub
+    assert top_level_children("((())())").count("()") == 1
+    assert top_level_children("((())())").count("(())") == 1
+    assert top_level_children("(()()())").count("()") == 3
+    assert top_level_children("((())())").count("((()))") == 0
+    assert top_level_children("()").count("()") == 0  # a singleton root has no child subtrees
 
 
 def test_invalid_codes_rejected():
@@ -165,3 +170,51 @@ def test_canonical_tree_wrapper():
     assert CanonicalTree.singleton().code == "()"
     with pytest.raises(ArgumentError):
         CanonicalTree(code="(()")
+
+
+# the arm each kind of key takes: a non-negative key below twice its length is tabled; any other is
+# sorted, then searched when its distinct values are few against its entries and scattered by argsort
+# when they are many
+_ARM = {"narrow": "table", "few": "searched", "many": "scattered", "empty": "searched"}
+
+
+@st.composite
+def _keys(draw, kind):
+    """A 1-D integer key of the given kind, in a drawn dtype."""
+    wide = ("int16", "int32", "int64", "uint16", "uint32", "uint64")
+    dtype = np.dtype(draw(st.sampled_from(("int8", "uint8", *wide) if kind in ("narrow", "empty") else wide)))
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "empty":
+        return np.zeros(0, dtype=dtype)
+    if kind == "narrow":
+        n = draw(st.integers(1, 300))
+        return rng.integers(0, min(2 * n, int(info.max) + 1), n).astype(dtype)
+    # few: at most one distinct value per _SEARCHED entries; many: two or more in under 2 * _SEARCHED.
+    # Either spans 2n or more, or holds a negative entry
+    searched = canonical._SEARCHED
+    n = draw(st.integers(2 * searched, 4000) if kind == "few" else st.integers(2, 2 * searched - 1))
+    count = draw(st.integers(2, n // searched if kind == "few" else n))
+    span = draw(st.integers(1 if info.min < 0 else 2 * n, int(info.max) - int(info.min)))
+    low = draw(st.integers(int(info.min), -1 if span < 2 * n else int(info.max) - span))
+    pool = np.unique(np.r_[0, span, rng.integers(0, span, count - 2, dtype=np.uint64, endpoint=True)])
+    offsets = pool[np.r_[0, len(pool) - 1, rng.integers(0, len(pool), n - 2)]]  # both ends met
+    return np.array([low + int(o) for o in offsets], dtype=dtype)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(tuple(_ARM)).flatmap(lambda kind: st.tuples(st.just(kind), _keys(kind))))
+def test_distinct_numbers_keys_as_np_unique_does(drawn):
+    kind, key = drawn
+    with (
+        mock.patch.object(np, "sort", wraps=np.sort) as sort,
+        mock.patch.object(np, "searchsorted", wraps=np.searchsorted) as search,
+    ):
+        values, index = distinct(key)
+    arm = "searched" if search.called else "scattered" if sort.called else "table"
+    assert arm == _ARM[kind]
+    want_values, want_index = np.unique(key, return_inverse=True)
+    assert values.dtype == key.dtype
+    np.testing.assert_array_equal(values, want_values)
+    assert index.dtype == np.min_scalar_type(len(values)) and index.dtype.kind == "u"
+    np.testing.assert_array_equal(index, want_index.reshape(-1))

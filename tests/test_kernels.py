@@ -44,7 +44,6 @@ def test_affine_kernel_values(alpha):
     k = AffineKernel(alpha)
     assert k.evaluate(1) == 1.0 + alpha
     assert k.evaluate(5) == 5.0 + alpha
-    assert k.f_star == 1.0 + alpha
     got = k.evaluate_array(np.array([1, 2, 3]))
     np.testing.assert_allclose(got, np.array([1, 2, 3]) + alpha)
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import delaytree
-from delaytree.canonical import all_canonical_trees, q_count, top_level_children
+from delaytree.canonical import all_canonical_trees, top_level_children
 from delaytree.errors import ArgumentError
 from delaytree.kernels import (
     AffineKernel,
@@ -138,10 +138,11 @@ def test_malthusian_tabulated_sqrt2():
     assert res.lambda_star == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
 
-@pytest.mark.parametrize("c", (0.1, 1e-6, 1e-11))
+@pytest.mark.parametrize("c", (0.1, 1e-6, 1e-11, 1e-12, 1e-13))
 def test_malthusian_constant_table_below_one(c):
     # the constant table c has rho(lam) = c/lam, so lambda* = c; below 1 the bracket search halves
-    # downwards, and the bisection must stop on a width relative to lambda*, not an absolute one
+    # downwards, for as many steps as it may double upwards, and the bisection must stop on a width
+    # relative to lambda*, not an absolute one
     res = solve_malthusian(TabulatedKernel((c,), ("const",), f_star=c))
     assert res.lambda_star == pytest.approx(c, rel=1e-12, abs=0.0)
     assert abs(res.rho_at_solution - 1.0) <= 1e-10
@@ -289,10 +290,10 @@ def test_fringe_mass_by_size_proportional():
 
 def test_q_matrix():
     # the Q matrix of the extended fringe law is the root-child subtree count
-    assert q_count("((())())", "()") == 1
-    assert q_count("((())())", "(())") == 1
-    assert q_count("(()()())", "()") == 3
-    assert q_count("((()))", "()") == 0
+    assert top_level_children("((())())").count("()") == 1
+    assert top_level_children("((())())").count("(())") == 1
+    assert top_level_children("(()()())").count("()") == 3
+    assert top_level_children("((()))").count("()") == 0
 
 
 def test_extended_law_depth0_is_the_table():
@@ -315,8 +316,6 @@ def test_extended_law_depth1_anchors():
 def test_extended_law_total_mass_identity():
     # summing depth-1 chains over both slots counts each parent once per
     # root child: sum = sum_t pi(t) * (number of root children of t)
-    from delaytree.canonical import top_level_children
-
     table = fringe_recursion(7, AffineKernel(0.0), 2.0)
     chains = extended_fringe_law(table.probs, 1)
     total = sum(chains.values())
@@ -327,7 +326,8 @@ def test_extended_law_total_mass_identity():
 def test_extended_law_depth2_formula():
     table = fringe_recursion(5, AffineKernel(0.0), 2.0)
     chains = extended_fringe_law(table.probs, 2)
-    want = table.prob("((())())") * q_count("((())())", "(())") * q_count("(())", "()")
+    host = "((())())"
+    want = table.prob(host) * top_level_children(host).count("(())") * top_level_children("(())").count("()")
     assert chains[("()", "(())", "((())())")] == pytest.approx(want, rel=1e-12)
 
 

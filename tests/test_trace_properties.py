@@ -371,8 +371,9 @@ def test_single_affine_draw_matches_the_scalar_draw(parents, alpha, seed, data):
     st.integers(0, 2**32 - 1),
 )
 def test_frozen_reads_resolve_as_the_general_path(bound, rows, ms_row, seed):
-    # base = len(parents) takes the one-gather return; the same trees padded past base take the
-    # general path, whose copies all read below base.  Both are the scalar draws, in rows or in one row
+    # base = len(parents) takes the one-gather return for one tree; a stack of them, and the same trees
+    # padded past base, take the general path, whose copies all read below base.  All are the scalar
+    # draws, in rows or in one row
     slope, alpha = bound
     rng = np.random.default_rng(seed)
     n, ms_row = 12, [1, *ms_row]
